@@ -22,13 +22,11 @@ from .executor import (
 from .gc import (
     GcOutcome,
     enumerate_gc_steps,
-    gc_fin,
-    gc_fin_weak,
-    gc_simple,
     reach,
     reach_cte,
     reach_oracle,
     reach_set,
+    run_cycle,
     set_fin,
     strong_occurrences,
     strong_reach_set,
@@ -56,9 +54,6 @@ __all__ = [
     "check_postponement",
     "check_program",
     "enumerate_gc_steps",
-    "gc_fin",
-    "gc_fin_weak",
-    "gc_simple",
     "is_garbage",
     "load_program",
     "observations",
@@ -70,6 +65,7 @@ __all__ = [
     "reach_set",
     "result",
     "run",
+    "run_cycle",
     "run_pure",
     "set_fin",
     "step",

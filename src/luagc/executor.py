@@ -45,7 +45,7 @@ from .ast import (
     walk,
 )
 from .gc import GcOutcome, enumerate_gc_steps, reach_set, run_cycle
-from .heap import Configuration, HeapError, ObjectStore, ValueStore
+from .heap import Configuration, HeapError, ObjectStore, ValueStore, restrict
 from .interp import Finished, StuckTerm, decompose, plug, step
 
 BOTTOM_FUEL = "⊥(fuel)"
@@ -360,8 +360,6 @@ class _Run:
                 self.drain_pending = False
             if gc_on and self.schedule.wants_gc(self.steps, self.rng):
                 self._gc_cycle(self._selector())
-                if isinstance(decompose(self.config.term), Finished):
-                    continue
             if self.steps >= self.fuel:
                 return RunRecord(BOTTOM_FUEL_RESULT, self.output, self.trace,
                                  self.steps, self.config)
@@ -656,17 +654,7 @@ def _swapped_matches(
     reached = reach_set(c4.term, c4.sigma, c4.theta)
     if discard & reached:
         return False
-    sigma = ValueStore(
-        {r: v for r, v in c4.sigma.bindings.items() if ("ref", r) not in discard},
-        c4.sigma.next_id,
-    )
-    tables = {i: o for i, o in c4.theta.tables.items() if ("tid", i) not in discard}
-    closures = {
-        i: o for i, o in c4.theta.closures.items() if ("cid", i) not in discard
-    }
-    theta = ObjectStore(tables, closures, c4.theta.next_tid, c4.theta.next_cid)
-    swapped = Configuration(sigma, theta, c4.term)
-    return reach_equivalent(post, swapped)
+    return reach_equivalent(post, restrict(c4, discard))
 
 
 # ---------------------------------------------------------------------------
@@ -686,20 +674,6 @@ def is_garbage(
     certified up to the explorer budget.
     """
     explorer = explorer or ExhaustiveExplorer(step_bound=300, node_budget=5_000)
-    kind, i = loc
-    if kind == "ref":
-        sigma = ValueStore(
-            {r: v for r, v in config.sigma.bindings.items() if r != i},
-            config.sigma.next_id,
-        )
-        without = Configuration(sigma, config.theta, config.term)
-    else:
-        tables = dict(config.theta.tables)
-        closures = dict(config.theta.closures)
-        (tables if kind == "tid" else closures).pop(i, None)
-        theta = ObjectStore(tables, closures, config.theta.next_tid,
-                            config.theta.next_cid)
-        without = Configuration(config.sigma, theta, config.term)
     a = observations(config, explorer, fuel)
-    b = observations(without, explorer, fuel)
+    b = observations(restrict(config, {loc}), explorer, fuel)
     return a.keys == b.keys

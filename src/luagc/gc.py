@@ -15,10 +15,11 @@ graph) and a reference implementation (the literal recursion that consumes
 store bindings / field occurrences as it descends, so it terminates).  The
 test suite checks the two agree.
 
-On top of reachability sit the three collection cycles: ``gc_simple``
-(drop an unreachable subset), ``gc_fin`` (additionally protect tables
-marked for finalization and pick the next finalizer by priority), and
-``gc_fin_weak`` (strong reachability plus clearing of weak fields).
+On top of reachability sits one collection cycle, ``run_cycle``, extended
+twice like the paper's relation: mode ``simple`` drops an unreachable
+subset, ``fin`` also protects tables marked for finalization and picks the
+next finalizer by priority, and ``fin_weak`` switches to strong
+reachability and clears weak fields.
 """
 
 from __future__ import annotations
@@ -45,23 +46,16 @@ from .heap import (
     Mark,
     ObjectStore,
     ValueStore,
+    _bound,
     index_metatable,
     is_marked,
+    restrict,
     weak_keys,
     weak_values,
     weakness,
 )
 
 Selector = Optional[Callable[[List[Location]], Iterable[Location]]]
-
-
-def _bound(loc: Location, sigma: ValueStore, theta: ObjectStore) -> bool:
-    kind, i = loc
-    if kind == "ref":
-        return i in sigma
-    if kind == "tid":
-        return theta.has_table(i)
-    return theta.has_closure(i)
 
 
 def _value_loc(v: Value) -> Optional[Location]:
@@ -79,8 +73,10 @@ def all_locations(sigma: ValueStore, theta: ObjectStore) -> List[Location]:
     return locs
 
 
-def _neighbors(loc: Location, sigma: ValueStore, theta: ObjectStore) -> List[Location]:
-    """Outgoing heap-graph edges under plain reachability."""
+def _neighbors(loc: Location, sigma: ValueStore, theta: ObjectStore,
+               cleared: Set[Tuple[int, int]] = frozenset()) -> List[Location]:
+    """Outgoing heap-graph edges under plain reachability, skipping the
+    table fields in ``cleared`` (as ``(tid, field index)`` pairs)."""
     kind, i = loc
     out: List[Location] = []
     if kind == "ref":
@@ -88,7 +84,13 @@ def _neighbors(loc: Location, sigma: ValueStore, theta: ObjectStore) -> List[Loc
             out.extend(value_locations(sigma.bindings[i]))
     elif kind == "tid":
         if theta.has_table(i):
-            out.extend(theta.table(i).locations())
+            obj = theta.table(i)
+            for idx, (k, v) in enumerate(obj.fields):
+                if (i, idx) not in cleared:
+                    out.extend(value_locations(k))
+                    out.extend(value_locations(v))
+            if obj.meta is not None:
+                out.append(("tid", obj.meta))
     else:
         if theta.has_closure(i):
             out.extend(theta.closure(i).locations())
@@ -392,7 +394,7 @@ def not_fin_val(tid: int, theta: ObjectStore) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Collection cycles
+# The collection cycle
 # ---------------------------------------------------------------------------
 
 
@@ -415,144 +417,60 @@ class GcOutcome:
         )
 
 
-def _restrict(
-    sigma: ValueStore, theta: ObjectStore, discard: Set[Location]
-) -> Tuple[ValueStore, ObjectStore]:
-    s = {r: v for r, v in sigma.bindings.items() if ("ref", r) not in discard}
-    drop_t = {i for kind, i in discard if kind == "tid"}
-    drop_c = {i for kind, i in discard if kind == "cid"}
-    tables = {i: o for i, o in theta.tables.items() if i not in drop_t}
-    closures = {i: o for i, o in theta.closures.items() if i not in drop_c}
-    return (
-        ValueStore(s, sigma.next_id),
-        ObjectStore(tables, closures, theta.next_tid, theta.next_cid),
-    )
-
-
 def _consistent_discard(
     proposal: Set[Location],
     sigma: ValueStore,
     theta: ObjectStore,
-    edge_fn: Callable[[Location], List[Location]],
+    cleared: Set[Tuple[int, int]],
 ) -> Set[Location]:
-    """Shrink a discard proposal until no kept location points into it."""
+    """Shrink a discard proposal until no kept location points into it,
+    ignoring the fields about to be cleared."""
     discard = set(proposal)
     changed = True
     while changed:
         changed = False
         kept = [l for l in all_locations(sigma, theta) if l not in discard]
         for l in kept:
-            for n in edge_fn(l):
+            for n in _neighbors(l, sigma, theta, cleared):
                 if n in discard:
                     discard.remove(n)
                     changed = True
     return discard
 
 
-def _select(garbage: Set[Location], selector: Selector) -> Set[Location]:
-    if selector is None:
-        return set(garbage)
-    ordered = sorted(garbage)
-    return set(selector(ordered)) & garbage
-
-
-def gc_simple(c: Configuration, selector: Selector = None,
-              allow_finalizer: bool = True) -> GcOutcome:
-    """One simple collection cycle: drop a (by default maximal) subset of
-    the unreachable bindings."""
-    reached = reach_set(c.term, c.sigma, c.theta)
-    garbage = set(all_locations(c.sigma, c.theta)) - reached
-    discard = _consistent_discard(
-        _select(garbage, selector), c.sigma, c.theta,
-        lambda l: _neighbors(l, c.sigma, c.theta),
-    )
-    kept_sigma, kept_theta = _restrict(c.sigma, c.theta, discard)
-    return GcOutcome(kept_sigma, kept_theta, discarded=tuple(sorted(discard)))
-
-
-def gc_fin(c: Configuration, selector: Selector = None,
-           allow_finalizer: bool = True) -> GcOutcome:
-    """Collection cycle aware of finalization marks.
-
-    Marked tables are never discarded and everything they reach is kept
-    alive for their finalizer.  Among unreachable marked tables the one
-    with the highest priority is selected; its ``__gc`` metafield is the
-    pending finalizer if it is a function (otherwise it is skipped
-    silently), and either way the table's mark becomes forbidden.
-    """
-    reached = reach_set(c.term, c.sigma, c.theta)
-    marked = marked_tables(c.theta)
-    protected: Set[Location] = set()
-    for tid in marked:
-        protected |= reach_set_from([("tid", tid)], c.sigma, c.theta)
-    keep_base = reached | protected
-    garbage = set(all_locations(c.sigma, c.theta)) - keep_base
-    discard = _consistent_discard(
-        _select(garbage, selector), c.sigma, c.theta,
-        lambda l: _neighbors(l, c.sigma, c.theta),
-    )
-    kept_sigma, kept_theta = _restrict(c.sigma, c.theta, discard)
-
-    pending = None
-    forbidden = None
-    candidates = [tid for tid in marked if ("tid", tid) not in reached]
-    if candidates and allow_finalizer:
-        best = max(candidates, key=lambda tid: c.theta.table(tid).pos)
-        v = index_metatable(best, "__gc", kept_theta)
-        table = kept_theta.table(best)
-        kept_theta = kept_theta.put_table(best, replace(table, pos=FORBIDDEN))
-        forbidden = best
-        if isinstance(v, Cid):
-            pending = (v.n, best)
-    return GcOutcome(
-        kept_sigma, kept_theta, pending, [], tuple(sorted(discard)), forbidden
-    )
-
-
-def gc_fin_weak(c: Configuration, selector: Selector = None,
-                allow_finalizer: bool = True) -> GcOutcome:
-    """Full cycle: strong reachability, weak-field clearing, finalization.
-
-    Weak fields whose collectible key (weak-keys side) or value
-    (weak-values side) is not strongly reachable are cleared, except that
-    a field whose key is still marked for finalization is retained until
-    that finalizer ran.  A table sitting as a value of a weak table is not
-    selected for finalization this cycle (its field gets cleared first).
-    """
-    strong = strong_reach_set(c.term, c.sigma, c.theta)
-    marked = marked_tables(c.theta)
-
-    keep: Set[Location] = set(strong)
-    for tid in marked:
-        keep |= reach_set_from([("tid", tid)], c.sigma, c.theta)
-    # values of finalizer-retained ephemeron fields stay alive too
+def _retain_ephemeron_values(
+    keep: Set[Location], sigma: ValueStore, theta: ObjectStore
+) -> Set[Location]:
+    """Close ``keep`` over the values of kept ephemeron fields whose key is
+    still marked for finalization."""
     while True:
         extra: Set[Location] = set()
         for kind, i in list(keep):
-            if kind != "tid":
+            if kind != "tid" or not weak_keys(weakness(i, theta)):
                 continue
-            if not weak_keys(weakness(i, c.theta)):
-                continue
-            for k, v in c.theta.table(i).fields:
-                if isinstance(k, Tid) and is_marked(c.theta.table(k.n).pos):
+            for k, v in theta.table(i).fields:
+                if isinstance(k, Tid) and is_marked(theta.table(k.n).pos):
                     vloc = _value_loc(v)
                     if vloc is not None and vloc not in keep:
-                        extra |= reach_set_from([vloc], c.sigma, c.theta)
+                        extra |= reach_set_from([vloc], sigma, theta)
         extra -= keep
         if not extra:
-            break
+            return keep
         keep |= extra
 
-    garbage = set(all_locations(c.sigma, c.theta)) - keep
 
-    # clearing: decided against the pre-collection stores
-    cleared: List[Tuple[int, Value, Value]] = []
-    cleared_index: Set[Tuple[int, int]] = set()
-    for i in c.theta.table_ids():
-        w = weakness(i, c.theta)
+def _weak_fields_to_clear(
+    strong: Set[Location], theta: ObjectStore
+) -> List[Tuple[int, int, Value, Value]]:
+    """``(tid, field index, key, value)`` of every weak field whose weak
+    side is not strongly reachable, except ephemeron fields whose key
+    still awaits its finalizer."""
+    out: List[Tuple[int, int, Value, Value]] = []
+    for i in theta.table_ids():
+        w = weakness(i, theta)
         if w == "strong":
             continue
-        for idx, (k, v) in enumerate(c.theta.table(i).fields):
+        for idx, (k, v) in enumerate(theta.table(i).fields):
             kloc, vloc = _value_loc(k), _value_loc(v)
             eligible = (
                 weak_keys(w) and kloc is not None and kloc not in strong
@@ -561,47 +479,76 @@ def gc_fin_weak(c: Configuration, selector: Selector = None,
             )
             if not eligible:
                 continue
-            if weak_keys(w) and isinstance(k, Tid) and is_marked(c.theta.table(k.n).pos):
+            if weak_keys(w) and isinstance(k, Tid) and is_marked(theta.table(k.n).pos):
                 continue  # retained until the key's finalizer ran
-            cleared_index.add((i, idx))
-            cleared.append((i, k, v))
+            out.append((i, idx, k, v))
+    return out
 
-    def edges_after_clear(l: Location) -> List[Location]:
-        kind, i = l
-        if kind == "tid":
-            if c.theta.has_table(i):
-                obj = c.theta.table(i)
-                out: List[Location] = []
-                for idx, (k, v) in enumerate(obj.fields):
-                    if (i, idx) in cleared_index:
-                        continue
-                    out.extend(value_locations(k))
-                    out.extend(value_locations(v))
-                if obj.meta is not None:
-                    out.append(("tid", obj.meta))
-                return out
-        return _neighbors(l, c.sigma, c.theta)
 
-    discard = _consistent_discard(
-        _select(garbage, selector), c.sigma, c.theta, edges_after_clear
-    )
-    kept_sigma, kept_theta = _restrict(c.sigma, c.theta, discard)
+def run_cycle(c: Configuration, mode: str, selector: Selector = None,
+              allow_finalizer: bool = True) -> GcOutcome:
+    """One collection cycle in ``mode``, each mode extending the last.
 
-    # apply clearing to surviving tables (meta and pos untouched)
+    ``simple`` drops a subset (by default the maximal one) of the
+    unreachable locations.
+
+    ``fin`` never discards a table marked for finalization, and keeps alive
+    everything it reaches for its finalizer.  Among unreachable marked
+    tables the one with the highest priority is selected; its ``__gc``
+    metafield is the pending finalizer if it is a function (otherwise it
+    is skipped silently), and either way the table's mark becomes
+    forbidden.
+
+    ``fin_weak`` uses strong reachability instead.  Weak fields whose
+    collectible key (weak-keys side) or value (weak-values side) is not
+    strongly reachable are cleared, except that a field whose key is still
+    marked for finalization is retained, with its value, until that
+    finalizer ran.  A table sitting as a value of a weak table is not
+    selected for finalization this cycle (its field gets cleared first).
+
+    All decisions are taken against the pre-collection stores.  The kept
+    set is closed under the heap edges that survive clearing, so the
+    maximal cycle discards all garbage; a selector's choice is shrunk
+    until no kept location points into it.
+    """
+    if mode not in ("simple", "fin", "fin_weak"):
+        raise ValueError(f"unknown gc mode {mode!r}")
+    weak = mode == "fin_weak"
+    sigma, theta = c.sigma, c.theta
+    reached = (strong_reach_set if weak else reach_set)(c.term, sigma, theta)
+    marked = [] if mode == "simple" else marked_tables(theta)
+
+    keep = set(reached)
+    for tid in marked:
+        keep |= reach_set_from([("tid", tid)], sigma, theta)
+    cleared: List[Tuple[int, int, Value, Value]] = []
+    if weak:
+        keep = _retain_ephemeron_values(keep, sigma, theta)
+        cleared = _weak_fields_to_clear(reached, theta)
+
+    garbage = set(all_locations(sigma, theta)) - keep
+    if selector is None:
+        discard = garbage
+    else:
+        discard = _consistent_discard(
+            set(selector(sorted(garbage))) & garbage, sigma, theta,
+            {(i, idx) for i, idx, _, _ in cleared},
+        )
+    kept = restrict(c, discard)
+    kept_theta = kept.theta
+
     actually_cleared: List[Tuple[int, Value, Value]] = []
-    for i, k, v in cleared:
+    for i, _, k, v in cleared:
         if kept_theta.has_table(i):
-            table = kept_theta.table(i)
-            if table.has(k):
-                kept_theta = kept_theta.put_table(i, table.without(k))
-                actually_cleared.append((i, k, v))
+            kept_theta = kept_theta.put_table(i, kept_theta.table(i).without(k))
+            actually_cleared.append((i, k, v))
 
     pending = None
     forbidden = None
-    candidates = [tid for tid in marked if ("tid", tid) not in strong]
+    candidates = [tid for tid in marked if ("tid", tid) not in reached]
     if candidates and allow_finalizer:
-        best = max(candidates, key=lambda tid: c.theta.table(tid).pos)
-        if not_fin_val(best, c.theta):
+        best = max(candidates, key=lambda tid: theta.table(tid).pos)
+        if not weak or not_fin_val(best, theta):
             v = index_metatable(best, "__gc", kept_theta)
             table = kept_theta.table(best)
             kept_theta = kept_theta.put_table(best, replace(table, pos=FORBIDDEN))
@@ -609,21 +556,9 @@ def gc_fin_weak(c: Configuration, selector: Selector = None,
             if isinstance(v, Cid):
                 pending = (v.n, best)
     return GcOutcome(
-        kept_sigma, kept_theta, pending, actually_cleared,
+        kept.sigma, kept_theta, pending, actually_cleared,
         tuple(sorted(discard)), forbidden,
     )
-
-
-CYCLES = {"simple": gc_simple, "fin": gc_fin, "fin_weak": gc_fin_weak}
-
-
-def run_cycle(c: Configuration, mode: str, selector: Selector = None,
-              allow_finalizer: bool = True) -> GcOutcome:
-    try:
-        fn = CYCLES[mode]
-    except KeyError:
-        raise ValueError(f"unknown gc mode {mode!r}") from None
-    return fn(c, selector, allow_finalizer)
 
 
 def enumerate_gc_steps(

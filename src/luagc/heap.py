@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from .ast import (
     Location,
@@ -281,6 +281,23 @@ def weak_keys(w: str) -> bool:
 
 def weak_values(w: str) -> bool:
     return w in ("wv", "wkv")
+
+
+def restrict(c: Configuration, discard: Set[Location]) -> Configuration:
+    """The configuration with the ``discard`` locations unbound."""
+    drop_t = {i for kind, i in discard if kind == "tid"}
+    drop_c = {i for kind, i in discard if kind == "cid"}
+    sigma = ValueStore(
+        {r: v for r, v in c.sigma.bindings.items() if ("ref", r) not in discard},
+        c.sigma.next_id,
+    )
+    theta = ObjectStore(
+        {i: o for i, o in c.theta.tables.items() if i not in drop_t},
+        {i: o for i, o in c.theta.closures.items() if i not in drop_c},
+        c.theta.next_tid,
+        c.theta.next_cid,
+    )
+    return Configuration(sigma, theta, c.term)
 
 
 # ---------------------------------------------------------------------------

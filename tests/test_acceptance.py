@@ -21,7 +21,7 @@ from luagc.executor import (
     observations,
     run,
 )
-from luagc.gc import gc_fin_weak, reach, reach_cte, reach_oracle, strong_reach_set
+from luagc.gc import reach, reach_cte, reach_oracle, run_cycle, strong_reach_set
 from luagc.heap import Configuration, validate
 from luagc.interp import load_program
 
@@ -201,7 +201,7 @@ def test_criterion_6_ephemeron_collection():
          3: {"fields": [(Num(1), ("tid", 2))]}},
         {}, [("tid", 1)],
     )
-    o1 = gc_fin_weak(isolated)
+    o1 = run_cycle(isolated, "fin_weak")
     cleared = (
         len(o1.cleared_weak_fields) == 1
         and not o1.kept_theta.table(1).fields
@@ -217,7 +217,7 @@ def test_criterion_6_ephemeron_collection():
          3: {"fields": [(Num(1), ("tid", 2))]}},
         {}, [("tid", 1), ("ref", 1)],
     )
-    o2 = gc_fin_weak(held)
+    o2 = run_cycle(held, "fin_weak")
     survived = not o2.cleared_weak_fields and bool(o2.kept_theta.table(1).fields)
     ok = cleared and survived
     verdict(6, ok,

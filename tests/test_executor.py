@@ -181,11 +181,11 @@ class TestPostponement:
     def test_hand_built_swap(self):
         # collect a garbage ref, then dereference a live one; swapping the
         # two steps lands in reach-equivalent configurations
-        from luagc.gc import gc_simple
+        from luagc.gc import run_cycle
         from luagc.interp import step
 
         c = build_heap({1: None, 2: None}, {}, {}, [("ref", 1)])
-        o = gc_simple(c)
+        o = run_cycle(c, "simple")
         assert o.discarded == (("ref", 2),)
         mid = Configuration(o.kept_sigma, o.kept_theta, c.term)
         post = step(mid).config

@@ -3,11 +3,9 @@ import pytest
 from luagc.ast import Nil, Num, Str, Tid
 from luagc.gc import (
     enumerate_gc_steps,
-    gc_fin,
-    gc_fin_weak,
-    gc_simple,
     next_priority,
     not_fin_val,
+    run_cycle,
     set_fin,
     strong_occurrences,
     strong_reach_set,
@@ -84,19 +82,19 @@ class TestGcSimple:
     def test_fully_reachable_heap_untouched(self):
         c = build_heap({1: ("tid", 1)}, {1: {"fields": [(Num(1), ("cid", 1))]}},
                        {1: [("ref", 1)]}, [("ref", 1)])
-        o = gc_simple(c)
+        o = run_cycle(c, "simple")
         assert not o.discarded
         assert o.kept_sigma == c.sigma and o.kept_theta == c.theta
 
     def test_single_unreachable_binding_dropped(self):
         c = build_heap({1: None, 2: None}, {}, {}, [("ref", 1)])
-        o = gc_simple(c)
+        o = run_cycle(c, "simple")
         assert o.discarded == (("ref", 2),)
 
     def test_selector_half_still_consistent(self):
         c = build_heap({1: None, 2: None, 3: None, 4: None, 5: None},
                        {}, {}, [("ref", 5)])
-        o = gc_simple(c, selector=lambda g: g[:2])
+        o = run_cycle(c, "simple", selector=lambda g: g[:2])
         assert len(o.discarded) == 2
         cfg = Configuration(o.kept_sigma, o.kept_theta, c.term)
         validate(cfg)
@@ -104,8 +102,13 @@ class TestGcSimple:
     def test_garbage_chain_kept_prefix_not_dangling(self):
         # r1 unreachable, points at t1; dropping only t1 would dangle r1
         c = build_heap({1: ("tid", 1)}, {1: {}}, {}, [])
-        o = gc_simple(c, selector=lambda g: [("tid", 1)])
+        o = run_cycle(c, "simple", selector=lambda g: [("tid", 1)])
         assert o.discarded == ()  # proposal shrank to keep the store closed
+
+    def test_unknown_mode_rejected(self):
+        c = build_heap({1: None}, {}, {}, [("ref", 1)])
+        with pytest.raises(ValueError, match="unknown gc mode 'weak'"):
+            run_cycle(c, "weak")
 
 
 class TestGcFin:
@@ -124,25 +127,25 @@ class TestGcFin:
 
     def test_marked_tables_never_discarded(self):
         c = self.make_marked()
-        o = gc_fin(c)
+        o = run_cycle(c, "fin")
         assert ("tid", 1) not in o.discarded
         assert ("tid", 2) not in o.discarded
 
     def test_highest_priority_finalizes_first(self):
         c = self.make_marked(pos1=1, pos2=2)
-        o = gc_fin(c)
+        o = run_cycle(c, "fin")
         assert o.pending_finalizer == (1, 2)  # (cid, tid): table 2 first
         assert o.kept_theta.table(2).pos is FORBIDDEN
         assert is_marked(o.kept_theta.table(1).pos)
 
     def test_non_function_gc_skipped_silently(self):
         c = self.make_marked(pos2=2, gc_value=Str("oops"))
-        o = gc_fin(c)
+        o = run_cycle(c, "fin")
         assert o.pending_finalizer is None
         assert o.marked_forbidden == 2
         # next cycle can now collect it
         c2 = Configuration(o.kept_sigma, o.kept_theta, c.term)
-        o2 = gc_fin(c2)
+        o2 = run_cycle(c2, "fin")
         assert o2.marked_forbidden == 1
 
     def test_data_reachable_from_marked_table_is_protected(self):
@@ -157,7 +160,7 @@ class TestGcFin:
             {1: []},
             [("tid", 3)],
         )
-        o = gc_fin(c)
+        o = run_cycle(c, "fin")
         assert ("tid", 2) not in o.discarded
 
 
@@ -209,7 +212,7 @@ class TestGcFinWeak:
 
     def test_weak_value_cleared_and_collected(self):
         c = self.weak_value_heap()
-        o = gc_fin_weak(c)
+        o = run_cycle(c, "fin_weak")
         assert (1, Num(1.0), Tid(2)) in o.cleared_weak_fields
         assert ("tid", 2) in o.discarded
         assert not o.kept_theta.table(1).fields
@@ -221,7 +224,7 @@ class TestGcFinWeak:
             {1: {"fields": [(Num(1), ("tid", 2))], "mode": "v"}, 2: {}},
             {}, [("tid", 1), ("ref", 1)],
         )
-        o = gc_fin_weak(c)
+        o = run_cycle(c, "fin_weak")
         assert not o.cleared_weak_fields
         assert o.kept_theta.table(1).fields
 
@@ -234,7 +237,7 @@ class TestGcFinWeak:
              3: {"fields": [(Num(1), ("tid", 2))]}},
             {}, [("tid", 1)],
         )
-        o = gc_fin_weak(c)
+        o = run_cycle(c, "fin_weak")
         assert len(o.cleared_weak_fields) == 1
         assert ("tid", 2) in o.discarded and ("tid", 3) in o.discarded
 
@@ -246,7 +249,7 @@ class TestGcFinWeak:
              3: {"fields": [(Num(1), ("tid", 2))]}},
             {}, [("tid", 1), ("ref", 1)],
         )
-        o = gc_fin_weak(c)
+        o = run_cycle(c, "fin_weak")
         assert not o.cleared_weak_fields
         assert not o.discarded
 
@@ -263,7 +266,7 @@ class TestGcFinWeak:
             {1: []},
             [("tid", 1), ("tid", 4)],
         )
-        o = gc_fin_weak(c)
+        o = run_cycle(c, "fin_weak")
         assert not o.cleared_weak_fields  # retained until finalized
         assert o.kept_theta.table(1).fields
         # and the value it guards stays alive
@@ -283,13 +286,29 @@ class TestGcFinWeak:
             [("tid", 1), ("tid", 4)],
         )
         assert not not_fin_val(2, c.theta)
-        o = gc_fin_weak(c)
+        o = run_cycle(c, "fin_weak")
         assert o.pending_finalizer is None
         # the field is cleared this cycle; next cycle runs the finalizer
         assert o.cleared_weak_fields
         c2 = Configuration(o.kept_sigma, o.kept_theta, c.term)
-        o2 = gc_fin_weak(c2)
+        o2 = run_cycle(c2, "fin_weak")
         assert o2.pending_finalizer == (1, 2)
+
+    def test_fin_mode_finalizes_weak_table_value(self):
+        # without weak tables in force the guard does not apply: t2 sits in
+        # unreachable t1 and is finalized at once
+        c = build_heap(
+            {},
+            {
+                1: {"fields": [(Num(1), ("tid", 2))], "mode": "v"},
+                2: {"meta": 4, "pos": 1},
+                4: {"fields": [(Str("__gc"), ("cid", 1))]},
+            },
+            {1: []},
+            [("tid", 4)],
+        )
+        assert run_cycle(c, "fin").pending_finalizer == (1, 2)
+        assert run_cycle(c, "fin_weak").pending_finalizer is None
 
     def test_degenerate_matches_simple(self):
         # no weakness, no marks: fin_weak and simple agree
@@ -299,7 +318,7 @@ class TestGcFinWeak:
             {1: []},
             [("ref", 1)],
         )
-        a, b = gc_simple(c), gc_fin_weak(c)
+        a, b = run_cycle(c, "simple"), run_cycle(c, "fin_weak")
         assert set(a.discarded) == set(b.discarded)
         assert a.kept_sigma == b.kept_sigma
         assert a.kept_theta == b.kept_theta
@@ -344,7 +363,7 @@ class TestInterpreterIntegration:
             "collectgarbage()\n"
             "return keep.n\n"
         )
-        o = gc_simple(config)
+        o = run_cycle(config, "simple")
         assert o.discarded  # the scratch table and its ref are garbage
         validate(Configuration(o.kept_sigma, o.kept_theta, config.term))
 
@@ -365,7 +384,7 @@ class TestGcInvariants:
 
         for c in self.heaps():
             reached = reach_set(c.term, c.sigma, c.theta)
-            o = gc_simple(c)
+            o = run_cycle(c, "simple")
             for kind, i in reached:
                 if kind == "ref":
                     assert o.kept_sigma.bindings[i] == c.sigma.bindings[i]
@@ -382,11 +401,11 @@ class TestGcInvariants:
         from luagc.gc import reach_oracle
 
         for c in self.heaps():
-            for mode_fn in (gc_simple, gc_fin):
-                o = mode_fn(c)
+            for mode in ("simple", "fin"):
+                o = run_cycle(c, mode)
                 for loc in o.discarded:
                     assert not reach_oracle(loc, c.term, c.sigma, c.theta)
-            o = gc_fin_weak(c)
+            o = run_cycle(c, "fin_weak")
             strong = strong_reach_set(c.term, c.sigma, c.theta)
             for loc in o.discarded:
                 assert loc not in strong
@@ -395,7 +414,7 @@ class TestGcInvariants:
         for c in self.heaps():
             config = c
             for steps in range(40):
-                o = gc_fin_weak(config)
+                o = run_cycle(config, "fin_weak")
                 if not o.changed:
                     break
                 config = Configuration(o.kept_sigma, o.kept_theta, config.term)
@@ -405,6 +424,6 @@ class TestGcInvariants:
 
     def test_outcomes_preserve_well_formedness(self):
         for c in self.heaps():
-            for mode_fn in (gc_simple, gc_fin, gc_fin_weak):
-                o = mode_fn(c)
+            for mode in ("simple", "fin", "fin_weak"):
+                o = run_cycle(c, mode)
                 validate(Configuration(o.kept_sigma, o.kept_theta, c.term))

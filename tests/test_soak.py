@@ -1,9 +1,13 @@
 """Well-formedness soak: interleave collection with every program step.
 
-Steps each corpus program with a maximal full cycle attempted before every
-single program step, validating the stores after each transition.  Any
-dangling pointer introduced by collection, clearing or finalizer splicing
-trips the store walker immediately.
+Steps each corpus program with a maximal cycle of each mode attempted
+before every single program step, validating the stores after each
+transition.  Any dangling pointer introduced by collection, clearing or
+finalizer splicing trips the store walker immediately.
+
+At every step the identity selector, which forces the consistency shrink,
+must give the same outcome as the maximal cycle: the kept set is closed
+under the surviving heap edges, so the shrink has nothing to undo.
 """
 
 import pytest
@@ -26,13 +30,19 @@ def all_corpus_programs():
 @pytest.mark.parametrize("path", all_corpus_programs(),
                          ids=lambda p: f"{p.parent.name}/{p.stem}")
 def test_eager_interleaving_preserves_well_formedness(path):
+    for mode in ("simple", "fin", "fin_weak"):
+        soak(path, mode)
+
+
+def soak(path, mode):
     config = load_program(path.read_text(), str(path))
     validate(config)
     for _ in range(700):
-        outcome = run_cycle(
-            config, "fin_weak",
-            allow_finalizer=not finalizer_in_flight(config.term),
-        )
+        allow_fin = not finalizer_in_flight(config.term)
+        outcome = run_cycle(config, mode, allow_finalizer=allow_fin)
+        forced = run_cycle(config, mode, selector=lambda g: g,
+                           allow_finalizer=allow_fin)
+        assert forced == outcome, mode
         if outcome.changed:
             config = _apply_outcome(config, outcome)
             validate(config)
