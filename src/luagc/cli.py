@@ -164,6 +164,8 @@ def cmd_observe(args) -> int:
         "explorer": explorer_spec,
         "size": len(obs),
         "truncated": obs.truncated,
+        "nodes": obs.nodes,
+        "revisits": obs.revisits,
         "observations": sorted(obs.keys),
     }
     print(json.dumps(report, indent=2, sort_keys=True))

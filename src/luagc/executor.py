@@ -20,8 +20,10 @@ finalizers then run in protected mode, visible in the trace only.
 from __future__ import annotations
 
 import json
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from . import ast as A
@@ -120,38 +122,36 @@ class NotFinal(Exception):
 def _canonicalize(
     roots: List[Value], sigma: ValueStore, theta: ObjectStore
 ) -> Tuple[list, dict]:
-    """Depth-first renaming of the residual heap from the result values."""
+    """Depth-first renaming of the residual heap from the result values.
+
+    Iterative pre-order: children are pushed in reverse and a location is
+    named when first popped, so deep heaps need no Python recursion.
+    """
     names: Dict[Location, str] = {}
     counters = {"ref": 0, "tid": 0, "cid": 0}
     order: List[Location] = []
-
-    def visit(loc: Location) -> None:
+    stack = [n for v in roots for n in value_locations(v)]
+    stack.reverse()
+    while stack:
+        loc = stack.pop()
         if loc in names:
-            return
+            continue
         kind = loc[0]
         prefix = {"ref": "r", "tid": "t", "cid": "c"}[kind]
         names[loc] = f"{prefix}{counters[kind]}"
         counters[kind] += 1
         order.append(loc)
         if kind == "ref":
-            for n in value_locations(sigma.bindings[loc[1]]):
-                visit(n)
+            children = list(value_locations(sigma.bindings[loc[1]]))
         elif kind == "tid":
             obj = theta.table(loc[1])
-            for k, v in obj.fields:
-                for n in value_locations(k):
-                    visit(n)
-                for n in value_locations(v):
-                    visit(n)
+            children = [n for k, v in obj.fields
+                        for n in (*value_locations(k), *value_locations(v))]
             if obj.meta is not None:
-                visit(("tid", obj.meta))
+                children.append(("tid", obj.meta))
         else:
-            for n in theta.closure(loc[1]).locations():
-                visit(n)
-
-    for v in roots:
-        for n in value_locations(v):
-            visit(n)
+            children = list(theta.closure(loc[1]).locations())
+        stack.extend(reversed(children))
 
     def cval(v: Value):
         if isinstance(v, Tid):
@@ -440,6 +440,8 @@ class ExhaustiveExplorer:
     mode: str = "simple"
     step_bound: int = 200
     granularity: str = "maximal"  # maximal | subsets
+    # distinct (configuration, step count) pairs expanded before the
+    # exploration stops with ⊥(budget); revisits are free
     node_budget: int = 20_000
 
 
@@ -447,6 +449,8 @@ class ExhaustiveExplorer:
 class ObservationSet:
     results: Dict[str, ProgramResult] = field(default_factory=dict)
     truncated: bool = False
+    nodes: int = 0  # configurations expanded (exhaustive exploration)
+    revisits: int = 0  # pops skipped as already expanded
 
     def add(self, r: ProgramResult) -> None:
         self.results[r.key] = r
@@ -459,6 +463,53 @@ class ObservationSet:
         return len(self.results)
 
 
+def _state_key(c: Configuration, steps: int) -> tuple:
+    """Hashable key of an explorer node.
+
+    Equal keys mean equal configurations except that ``Num`` equality
+    ignores the sign of zero; ``_same_zero_signs`` settles that.  Store
+    contents enter in insertion order, so two equal stores built in a
+    different order only miss a merge.
+    """
+    sigma, theta = c.sigma, c.theta
+    return (
+        steps, c.term,
+        tuple(sigma.bindings), tuple(sigma.bindings.values()),
+        tuple(theta.tables), tuple(theta.tables.values()),
+        tuple(theta.closures), tuple(theta.closures.values()),
+        sigma.next_id, theta.next_tid, theta.next_cid,
+    )
+
+
+def _same_zero_signs(a: Configuration, b: Configuration) -> bool:
+    """Given equal state keys, are the configurations identical?
+
+    Key equality leaves only the sign of float zeros open, so this walks
+    the compared fields of both in step and checks the sign of each float
+    pair.  Subterms shared between the two are skipped by identity.
+    """
+    stack: List[tuple] = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if isinstance(x, float):
+            if math.copysign(1.0, x) != math.copysign(1.0, y):
+                return False
+        elif isinstance(x, tuple):
+            stack.extend(zip(x, y))
+        elif isinstance(x, dict):
+            stack.extend(zip(x.values(), y.values()))
+        elif is_dataclass(x):
+            stack.extend((getattr(x, n), getattr(y, n)) for n in _compared(type(x)))
+    return True
+
+
+@lru_cache(maxsize=None)
+def _compared(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.compare)
+
+
 def observations(
     config: Configuration,
     explorer: Union[ScheduleSampler, ExhaustiveExplorer],
@@ -469,8 +520,16 @@ def observations(
     Exhaustive exploration enumerates, at every configuration, the plain
     step successor and every candidate GC step; it is sound only with
     respect to the explored space (``step_bound`` program steps per trace,
-    ``node_budget`` configurations overall; exceeding the budget records a
-    distinct truncation marker).
+    ``node_budget`` distinct expansions overall; exceeding the budget
+    records a distinct truncation marker).
+
+    The search explores states, not paths: a visited set holds every
+    (configuration, program step count) pair already expanded, and a
+    popped node equal to one of them is skipped as a revisit.  Interleavings
+    that differ only in when a collection ran meet again at the same step
+    count, since a GC step does not advance it.  Keeping the count in the
+    key makes the pruning exact: a node's successors, and so its
+    ``⊥(fuel)`` markers, depend only on the pair.
     """
     obs = ObservationSet()
     if isinstance(explorer, ScheduleSampler):
@@ -478,15 +537,21 @@ def observations(
             obs.add(run(config, sched, fuel).result)
         return obs
 
-    nodes = 0
+    visited: Dict[tuple, List[Configuration]] = {}
     stack: List[Tuple[Configuration, int]] = [(config, 0)]
     while stack:
-        if nodes >= explorer.node_budget:
+        c, steps = stack.pop()
+        key = _state_key(c, steps)
+        seen = visited.setdefault(key, [])
+        if any(_same_zero_signs(s, c) for s in seen):
+            obs.revisits += 1
+            continue
+        if obs.nodes >= explorer.node_budget:
             obs.add(BOTTOM_BUDGET_RESULT)
             obs.truncated = True
             break
-        nodes += 1
-        c, steps = stack.pop()
+        obs.nodes += 1
+        seen.append(c)
         try:
             d = decompose(c.term)
         except (HeapError, StuckTerm):

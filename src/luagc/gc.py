@@ -180,7 +180,21 @@ def _rec_reach(l: Location, locs: List[Location], sigma: dict,
 SOItem = Union[Tuple[str, Value], Tuple[str, Value, Value]]
 
 
-def strong_occurrences(tid: int, theta: ObjectStore) -> List[SOItem]:
+class Weakness(dict):
+    """Table id to weakness in one object store, each derived on first use,
+    so one collection cycle reads a table's ``__mode`` at most once."""
+
+    def __init__(self, theta: ObjectStore):
+        super().__init__()
+        self.theta = theta
+
+    def __missing__(self, tid: int) -> str:
+        w = self[tid] = weakness(tid, self.theta)
+        return w
+
+
+def strong_occurrences(tid: int, theta: ObjectStore,
+                       weak_of: Optional[Weakness] = None) -> List[SOItem]:
     """The non-weak collectible occurrences of a table, per its weakness.
 
     Weak-values tables contribute their collectible keys; strong tables
@@ -188,7 +202,7 @@ def strong_occurrences(tid: int, theta: ObjectStore) -> List[SOItem]:
     ``("pair", key, value)`` for each collectible value; fully weak tables
     nothing.
     """
-    w = weakness(tid, theta)
+    w = weakness(tid, theta) if weak_of is None else weak_of[tid]
     fields = theta.table(tid).fields
     if w == "wv":
         return [("plain", k) for k, _ in fields if is_collectible(k)]
@@ -205,9 +219,12 @@ def strong_occurrences(tid: int, theta: ObjectStore) -> List[SOItem]:
     return []
 
 
-def strong_reach_set(t: Term, sigma: ValueStore, theta: ObjectStore) -> Set[Location]:
+def strong_reach_set(t: Term, sigma: ValueStore, theta: ObjectStore,
+                     weak_of: Optional[Weakness] = None) -> Set[Location]:
     """Strongly reachable locations: iterated to a fixed point so that an
     ephemeron value joins only once its key has joined."""
+    if weak_of is None:
+        weak_of = Weakness(theta)
     roots = [l for l in term_locations(t) if _bound(l, sigma, theta)]
     reached: Set[Location] = set()
     frontier = list(roots)
@@ -231,7 +248,7 @@ def strong_reach_set(t: Term, sigma: ValueStore, theta: ObjectStore) -> Set[Loca
                 obj = theta.table(i)
                 if obj.meta is not None:
                     push(("tid", obj.meta))
-                for item in strong_occurrences(i, theta):
+                for item in strong_occurrences(i, theta, weak_of):
                     if item[0] == "plain":
                         n = _value_loc(item[1])
                         if n is not None:
@@ -379,13 +396,15 @@ def marked_tables(theta: ObjectStore) -> List[int]:
     return [i for i in theta.table_ids() if is_marked(theta.table(i).pos)]
 
 
-def not_fin_val(tid: int, theta: ObjectStore) -> bool:
+def not_fin_val(tid: int, theta: ObjectStore,
+                weak_of: Optional[Weakness] = None) -> bool:
     """A table sitting as a value of some weak table may not be finalized
     this cycle; its weak fields must be cleared first."""
+    if weak_of is None:
+        weak_of = Weakness(theta)
     target = Tid(tid)
     for i in theta.table_ids():
-        w = weakness(i, theta)
-        if w == "strong":
+        if weak_of[i] == "strong":
             continue
         for _, v in theta.table(i).fields:
             if v == target:
@@ -439,14 +458,15 @@ def _consistent_discard(
 
 
 def _retain_ephemeron_values(
-    keep: Set[Location], sigma: ValueStore, theta: ObjectStore
+    keep: Set[Location], sigma: ValueStore, theta: ObjectStore,
+    weak_of: Weakness,
 ) -> Set[Location]:
     """Close ``keep`` over the values of kept ephemeron fields whose key is
     still marked for finalization."""
     while True:
         extra: Set[Location] = set()
         for kind, i in list(keep):
-            if kind != "tid" or not weak_keys(weakness(i, theta)):
+            if kind != "tid" or not weak_keys(weak_of[i]):
                 continue
             for k, v in theta.table(i).fields:
                 if isinstance(k, Tid) and is_marked(theta.table(k.n).pos):
@@ -460,14 +480,14 @@ def _retain_ephemeron_values(
 
 
 def _weak_fields_to_clear(
-    strong: Set[Location], theta: ObjectStore
+    strong: Set[Location], theta: ObjectStore, weak_of: Weakness
 ) -> List[Tuple[int, int, Value, Value]]:
     """``(tid, field index, key, value)`` of every weak field whose weak
     side is not strongly reachable, except ephemeron fields whose key
     still awaits its finalizer."""
     out: List[Tuple[int, int, Value, Value]] = []
     for i in theta.table_ids():
-        w = weakness(i, theta)
+        w = weak_of[i]
         if w == "strong":
             continue
         for idx, (k, v) in enumerate(theta.table(i).fields):
@@ -515,7 +535,11 @@ def run_cycle(c: Configuration, mode: str, selector: Selector = None,
         raise ValueError(f"unknown gc mode {mode!r}")
     weak = mode == "fin_weak"
     sigma, theta = c.sigma, c.theta
-    reached = (strong_reach_set if weak else reach_set)(c.term, sigma, theta)
+    if weak:
+        weak_of = Weakness(theta)
+        reached = strong_reach_set(c.term, sigma, theta, weak_of)
+    else:
+        reached = reach_set(c.term, sigma, theta)
     marked = [] if mode == "simple" else marked_tables(theta)
 
     keep = set(reached)
@@ -523,8 +547,8 @@ def run_cycle(c: Configuration, mode: str, selector: Selector = None,
         keep |= reach_set_from([("tid", tid)], sigma, theta)
     cleared: List[Tuple[int, int, Value, Value]] = []
     if weak:
-        keep = _retain_ephemeron_values(keep, sigma, theta)
-        cleared = _weak_fields_to_clear(reached, theta)
+        keep = _retain_ephemeron_values(keep, sigma, theta, weak_of)
+        cleared = _weak_fields_to_clear(reached, theta, weak_of)
 
     garbage = set(all_locations(sigma, theta)) - keep
     if selector is None:
@@ -548,7 +572,7 @@ def run_cycle(c: Configuration, mode: str, selector: Selector = None,
     candidates = [tid for tid in marked if ("tid", tid) not in reached]
     if candidates and allow_finalizer:
         best = max(candidates, key=lambda tid: theta.table(tid).pos)
-        if not weak or not_fin_val(best, theta):
+        if not weak or not_fin_val(best, theta, weak_of):
             v = index_metatable(best, "__gc", kept_theta)
             table = kept_theta.table(best)
             kept_theta = kept_theta.put_table(best, replace(table, pos=FORBIDDEN))

@@ -88,6 +88,19 @@ class TestObserveCommand:
         assert code == 0
         assert json.loads(out)["size"] >= 2
 
+    def test_explorer_counters_reported(self, capsys):
+        argv = ["observe", str(CORPUS / "weak" / "nondet_weak_loop_bounded.lua"),
+                "--explorer", "exhaustive=400"]
+        reports = []
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            reports.append(json.loads(out))
+        first, again = reports
+        assert first["revisits"] > 0 and first["nodes"] > 0
+        assert (first["nodes"], first["revisits"]) == (again["nodes"],
+                                                       again["revisits"])
+
     def test_empty_program(self, tmp_path, capsys):
         f = tmp_path / "empty.lua"
         f.write_text(";")

@@ -1,10 +1,13 @@
 import json
+import math
 
 import pytest
 
 from luagc import ast as A
+from luagc import executor
 from luagc.ast import Num, Str
 from luagc.executor import (
+    BOTTOM_BUDGET,
     BOTTOM_FUEL,
     ExhaustiveExplorer,
     Schedule,
@@ -18,7 +21,7 @@ from luagc.executor import (
     run,
     splice_finalizer,
 )
-from luagc.heap import Configuration, ValueStore
+from luagc.heap import Configuration, ValueStore, snapshot_json
 from luagc.interp import load_program
 
 from conftest import corpus_text, deterministic_programs
@@ -109,6 +112,20 @@ class TestResult:
         b = build_heap({}, {7: {"fields": [(Num(1), ("tid", 9))]}, 9: {}},
                        {}, [("tid", 7)])
         assert result(a) == result(b)
+
+    def test_deep_linked_list_canonicalizes(self):
+        # 1,200 chained tables once overflowed a recursive renaming
+        n = 1_200
+        tables = {i: {"fields": [(Str("v"), Num(float(i)))]
+                      + ([(Str("next"), ("tid", i + 1))] if i < n else [])}
+                  for i in range(1, n + 1)}
+        payload = json.loads(result(build_heap({}, tables, {}, [("tid", 1)])).key)
+        assert payload["v"] == [{"t": "loc", "v": "t0"}]
+        names = [t[0] for t in payload["s"]["tables"]]
+        assert names == [f"t{i}" for i in range(n)]
+        # pre-order: each node's successor is named next
+        assert payload["s"]["tables"][0][1][1] == [
+            {"t": "str", "v": "next"}, {"t": "loc", "v": "t1"}]
 
     def test_mark_state_is_observable(self):
         from luagc.heap import FORBIDDEN
@@ -393,3 +410,91 @@ class TestExplorerCoversSchedules:
         for sched in schedules:
             key = run(load_program(text), sched, fuel=400).result.key
             assert key in exhaustive.keys, (rel, sched.describe(), key[:80])
+
+
+SIGNED_ZERO_PROGRAMS = {
+    # whether the weak entry survived until it was read picks 0 or -0;
+    # collectgarbage() then makes both paths' stores equal, leaving the
+    # sign of zero the only difference between them
+    "binding": (
+        "local z = w[1] and 0 * m or 0 * p\n"
+        "collectgarbage()\n"
+        "return 1 / z\n"
+    ),
+    "table_field": (
+        "local t = {}\n"
+        "t.z = w[1] and 0 * m or 0 * p\n"
+        "collectgarbage()\n"
+        "return 1 / t.z\n"
+    ),
+    "term_constant": (
+        "return 1 / ((w[1] and 0 * m or 0 * p) - 0 * collectgarbage())\n"
+    ),
+}
+
+
+class TestExplorerVisitedSet:
+    EXPLORER = ExhaustiveExplorer("fin_weak", 400, "maximal", 20_000)
+
+    @staticmethod
+    def count_expansions(monkeypatch) -> list:
+        calls = []
+        real = executor.enumerate_gc_steps
+
+        def counting(c, *args, **kwargs):
+            calls.append(snapshot_json(c))
+            return real(c, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "enumerate_gc_steps", counting)
+        return calls
+
+    @pytest.mark.parametrize("where", sorted(SIGNED_ZERO_PROGRAMS))
+    def test_signed_zeros_never_merged(self, where):
+        text = (
+            'local w = setmetatable({}, {__mode = "v"})\n'
+            "w[1] = {}\n"
+            "local p, m = 1, -1\n"
+        ) + SIGNED_ZERO_PROGRAMS[where]
+        obs = observations(load_program(text),
+                           ExhaustiveExplorer("fin_weak", 100, "maximal", 20_000))
+        assert not obs.truncated
+        assert {json.loads(k)["v"][0]["v"] for k in obs.keys} == {
+            math.inf, -math.inf}
+        assert obs.revisits > 0
+
+    def test_step_count_is_part_of_the_key(self, monkeypatch):
+        calls = self.count_expansions(monkeypatch)
+        obs = observations(load_program("local x = 1 while true do x = 1 end"),
+                           ExhaustiveExplorer("simple", 30, "maximal", 20_000))
+        assert obs.keys == {BOTTOM_FUEL}
+        # the loop repeats its configuration every 5 steps; each step count
+        # still expands two (with and without the unused globals table)
+        assert len(set(calls)) == 2 * 5 + 2
+        assert len(calls) == 2 * 30
+        assert obs.nodes == len(calls) + 2  # plus the two ⊥(fuel) leaves
+
+    def test_garbage_churn_expands_each_state_once(self, monkeypatch):
+        calls = self.count_expansions(monkeypatch)
+        obs = observations(
+            load_program(corpus_text("deterministic/garbage_churn.lua")),
+            self.EXPLORER,
+        )
+        assert len(obs) == 1 and not obs.truncated
+        # no control flow reads a weak table, so every path takes the same
+        # program steps and a configuration fixes its step count
+        assert len(calls) == len(set(calls))
+        assert obs.revisits > 0
+
+    @pytest.mark.parametrize("rel,explorer", [
+        ("finalizers/finalizer_order.lua", EXPLORER),
+        ("finalizers/resurrection.lua",
+         ExhaustiveExplorer("fin", 400, "subsets", 20_000)),
+    ], ids=["finalizer_order", "resurrection_subsets"])
+    def test_budget_no_longer_truncates(self, rel, explorer):
+        obs = observations(load_program(corpus_text(rel)), explorer)
+        assert len(obs) == 1 and not obs.truncated
+
+    def test_nondet_weak_loop_completes(self):
+        obs = observations(load_program(corpus_text("weak/nondet_weak_loop.lua")),
+                           self.EXPLORER)
+        assert not obs.truncated and len(obs) == 35

@@ -1,5 +1,6 @@
 import pytest
 
+from luagc import gc
 from luagc.ast import Nil, Num, Str, Tid
 from luagc.gc import (
     enumerate_gc_steps,
@@ -322,6 +323,37 @@ class TestGcFinWeak:
         assert set(a.discarded) == set(b.discarded)
         assert a.kept_sigma == b.kept_sigma
         assert a.kept_theta == b.kept_theta
+
+    def test_weakness_derived_once_per_table(self, monkeypatch):
+        # every weakness reader has work: an ephemeron with a marked key
+        # (retained value), a weak-values field to clear, a strong table,
+        # and a finalization candidate checked against weak values
+        c = build_heap(
+            {},
+            {
+                1: {"fields": [(("tid", 2), ("tid", 3))], "mode": "k"},
+                2: {"meta": 4, "pos": 1},
+                3: {},
+                4: {"fields": [(Str("__gc"), ("cid", 1))]},
+                5: {"fields": [(Num(1), ("tid", 6))], "mode": "v"},
+                6: {},
+                7: {"fields": [(Num(1), ("tid", 5)), (Num(2), ("tid", 1))]},
+            },
+            {1: []},
+            [("tid", 7), ("tid", 4)],
+        )
+        calls = []
+        real = gc.weakness
+
+        def counting(tid, theta):
+            calls.append(tid)
+            return real(tid, theta)
+
+        monkeypatch.setattr(gc, "weakness", counting)
+        o = run_cycle(c, "fin_weak")
+        assert o.cleared_weak_fields and o.pending_finalizer == (1, 2)
+        assert len(calls) <= len(c.theta.tables)
+        assert len(calls) == len(set(calls))
 
 
 class TestEnumerate:
