@@ -481,9 +481,18 @@ def children(t: Term) -> Iterator[Term]:
 
 
 def walk(t: Term) -> Iterator[Term]:
-    yield t
-    for c in children(t):
-        yield from walk(c)
+    """Every node of ``t`` in pre-order.
+
+    Iterative: children are pushed in reverse on an explicit stack, so the
+    order is the recursive one and deep terms need no Python recursion.
+    """
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        yield n
+        kids = list(children(n))
+        kids.reverse()
+        stack.extend(kids)
 
 
 def term_locations(t: Term) -> Iterator[Location]:

@@ -48,7 +48,9 @@ from .ast import (
 )
 from .gc import GcOutcome, enumerate_gc_steps, reach_set, run_cycle
 from .heap import Configuration, HeapError, ObjectStore, ValueStore, restrict
-from .interp import Finished, StuckTerm, decompose, plug, step
+from .interp import (
+    Finished, Focused, StepResult, StuckTerm, decompose, plug, step,
+)
 
 BOTTOM_FUEL = "⊥(fuel)"
 BOTTOM_BUDGET = "⊥(budget)"
@@ -307,13 +309,22 @@ class RunRecord:
     output: List[str] = field(default_factory=list)
     trace: List[dict] = field(default_factory=list)
     steps: int = 0
-    final_config: Optional[Configuration] = None
 
 
 class _Run:
-    def __init__(self, config: Configuration, schedule: Schedule, fuel: int,
+    """The scheduled stepping loop.
+
+    The machine state is kept focused between steps (``state``: the stores
+    plus the context/redex split of the term), so a program step refocuses
+    from the hole instead of decomposing from the root.  ``config`` plugs
+    the term only when something reads it: a GC cycle, a finalizer splice,
+    ``finalizer_in_flight`` and the end-of-program drain.  A cycle that only
+    changes the stores keeps the focus; a splice decomposes the new term.
+    """
+
+    def __init__(self, state: Focused, schedule: Schedule, fuel: int,
                  trace_steps: bool = False):
-        self.config = config
+        self.state = state
         self.schedule = schedule
         self.fuel = fuel
         self.rng = random.Random(schedule.seed)
@@ -322,6 +333,10 @@ class _Run:
         self.steps = 0
         self.trace_steps = trace_steps
         self.drain_pending = False
+
+    @property
+    def config(self) -> Configuration:
+        return self.state.config
 
     def _selector(self):
         if self.schedule.selector == "maximal":
@@ -335,26 +350,37 @@ class _Run:
 
     def _gc_cycle(self, selector) -> bool:
         """One cycle (splicing any selected finalizer); True if it changed."""
-        allow_fin = not finalizer_in_flight(self.config.term)
+        allow_fin = not finalizer_in_flight(self.state.term)
         outcome = run_cycle(self.config, self.schedule.mode, selector,
                             allow_finalizer=allow_fin)
         if not outcome.changed:
             return False
         _trace_gc(self.trace, self.steps, outcome)
-        self.config = _apply_outcome(self.config, outcome)
+        if outcome.pending_finalizer is None:
+            self.state = self.state.with_stores(outcome.kept_sigma,
+                                                outcome.kept_theta)
+        else:
+            self.state = Focused.of(_apply_outcome(self.config, outcome))
         return True
+
+    def _step(self) -> StepResult:
+        res = step(self.state)
+        assert not isinstance(res, Finished)
+        self.output.extend(res.output)
+        self.steps += 1
+        self.state = res.state
+        return res
 
     def run(self) -> RunRecord:
         gc_on = self.schedule.policy != "never"
         while True:
-            d = decompose(self.config.term)
+            d = self.state.at
             if isinstance(d, Finished):
                 res = result_of_finished(d, self.config)
                 if gc_on and self.schedule.mode != "simple":
                     self._end_drain()
-                return RunRecord(res, self.output, self.trace, self.steps,
-                                 self.config)
-            if self.drain_pending and not finalizer_in_flight(self.config.term):
+                return RunRecord(res, self.output, self.trace, self.steps)
+            if self.drain_pending and not finalizer_in_flight(self.state.term):
                 if self._gc_cycle(None):
                     continue
                 self.drain_pending = False
@@ -362,56 +388,44 @@ class _Run:
                 self._gc_cycle(self._selector())
             if self.steps >= self.fuel:
                 return RunRecord(BOTTOM_FUEL_RESULT, self.output, self.trace,
-                                 self.steps, self.config)
-            res = step(self.config)
-            assert not isinstance(res, Finished)
-            self.output.extend(res.output)
+                                 self.steps)
+            index = self.steps
+            res = self._step()
             if self.trace_steps:
                 self.trace.append(
-                    {"step": self.steps, "kind": "l_step", "rule": res.rule,
+                    {"step": index, "kind": "l_step", "rule": res.rule,
                      "redex": res.redex_src[:120]}
                 )
-            self.steps += 1
-            self.config = res.config
             if res.gc_request and gc_on:
                 self.drain_pending = True
 
     def _end_drain(self) -> None:
         """After the result is recorded: finalize leftovers, protected."""
-        final_term = self.config.term
+        final = self.state
         while True:
             outcome = run_cycle(self.config, self.schedule.mode)
             if not outcome.changed:
                 return
             _trace_gc(self.trace, self.steps, outcome)
-            self.config = Configuration(outcome.kept_sigma, outcome.kept_theta,
-                                        final_term)
+            final = final.with_stores(outcome.kept_sigma, outcome.kept_theta)
+            self.state = final
             if outcome.pending_finalizer is None:
                 continue
             cid, tid = outcome.pending_finalizer
             call = ExprStat(Call(Const(Cid(cid)), (Const(Tid(tid)),)))
-            self.config = self.config.with_term(
-                Seq(FinStat(call), final_term)
-            )
-            while True:
-                d = decompose(self.config.term)
-                if isinstance(d, Finished):
-                    break
+            self.state = Focused.of(final.config.with_term(
+                Seq(FinStat(call), final.term)))
+            while not isinstance(self.state.at, Finished):
                 if self.steps >= self.fuel:
                     return
-                res = step(self.config)
-                assert not isinstance(res, Finished)
-                self.output.extend(res.output)
-                self.steps += 1
-                self.config = res.config
-                if isinstance(self.config.term, A.ErrTerm):
-                    self.trace.append(
-                        {"step": self.steps, "kind": "finalizer_error",
-                         "table": tid,
-                         "error": repr(self.config.term.value)}
-                    )
-                    self.config = self.config.with_term(final_term)
-                    break
+                self._step()
+            if self.state.at.kind == "error":
+                self.trace.append(
+                    {"step": self.steps, "kind": "finalizer_error",
+                     "table": tid, "error": repr(self.state.at.error_value)}
+                )
+            final = final.with_stores(self.state.sigma, self.state.theta)
+            self.state = final
 
 
 def run(
@@ -422,7 +436,7 @@ def run(
 ) -> RunRecord:
     """Execute a configuration under a schedule.  Reproducible: the same
     (program, schedule, fuel) triple yields the same record."""
-    return _Run(config, schedule, fuel, trace_steps).run()
+    return _Run(Focused.of(config), schedule, fuel, trace_steps).run()
 
 
 # ---------------------------------------------------------------------------
@@ -575,14 +589,13 @@ def observations(
         for o in outcomes:
             stack.append((_apply_outcome(c, o), steps))
         try:
-            res = step(c)
+            res = step(Focused(c.sigma, c.theta, d, c.term))
         except (HeapError, StuckTerm):
             obs.add(STUCK_RESULT)
             continue
         assert not isinstance(res, Finished)
-        c3 = res.config
         if res.gc_request:
-            runner = _Run(c3, Schedule("scripted", explorer.mode),
+            runner = _Run(res.state, Schedule("scripted", explorer.mode),
                           fuel=explorer.step_bound)
             runner.drain_pending = True
             rec = _drain_only(runner)
@@ -591,6 +604,8 @@ def observations(
                 continue
             c3 = runner.config
             steps += runner.steps
+        else:
+            c3 = res.config
         stack.append((c3, steps + 1))
     return obs
 
@@ -599,22 +614,17 @@ def _drain_only(runner: _Run) -> Optional[ProgramResult]:
     """Advance a runner until its pending drain settles.  Returns a result
     if the program finished (or ran out of fuel) during the drain."""
     while runner.drain_pending:
-        d = decompose(runner.config.term)
+        d = runner.state.at
         if isinstance(d, Finished):
             return result_of_finished(d, runner.config)
-        if not finalizer_in_flight(runner.config.term):
+        if not finalizer_in_flight(runner.state.term):
             if runner._gc_cycle(None):
                 continue
             runner.drain_pending = False
             break
         if runner.steps >= runner.fuel:
             return BOTTOM_FUEL_RESULT
-        res = step(runner.config)
-        assert not isinstance(res, Finished)
-        runner.output.extend(res.output)
-        runner.steps += 1
-        runner.config = res.config
-        if res.gc_request:
+        if runner._step().gc_request:
             runner.drain_pending = True
     return None
 

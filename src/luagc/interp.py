@@ -5,8 +5,26 @@ evaluation context and a redex, reduce the redex, plug the result back.
 ``decompose`` returns the unique context/redex split (or a terminal
 classification), and ``step`` performs exactly one reduction.
 
+The context is a list of frames, outermost first; each frame is a node with
+the slot its hole sits in.  A stepping loop does not decompose again from
+the root after each reduction: it *refocuses* (Danvy & Nielsen, *Refocusing
+in Reduction Semantics*, 2004).  ``refocus(frames, t)`` equals
+``decompose(plug(frames, t))`` but starts at the hole.  A contraction only
+replaces the hole, so no frame's node changes type and no ancestor changes
+which child it descends into; only the innermost frame, rebuilt around
+``t``, is inspected afresh, and the ordinary descent goes on from there.
+The cost of a step therefore does not grow with the depth of the context.
+
+A :class:`Focused` configuration holds the stores with the split of its
+term; the term itself is plugged only when something reads it.  ``step``
+takes either form and returns a :class:`StepResult` whose ``state`` is the
+next focused configuration; its ``config`` and ``redex_src`` are computed
+on first read, so a loop that reads neither pays for neither.  The frame
+list is owned by the stepping loop: ``step`` on a focused configuration
+reuses it for the successor, so a stepped-from state must not be read again.
+
 Control effects (errors, break, return, pcall) unwind the context in a
-single step by searching the frame stack for the matching delimiter.
+single step by cutting the frame list back to the matching delimiter.
 """
 
 from __future__ import annotations
@@ -62,7 +80,7 @@ class Frame:
 
 @dataclass(frozen=True)
 class Redex:
-    frames: Tuple[Frame, ...]
+    frames: List[Frame]
     term: Term
     rule: str
 
@@ -72,6 +90,10 @@ class Finished:
     kind: str  # "return" | "error" | "empty"
     values: Tuple[Value, ...] = ()
     error_value: Value = field(default_factory=Nil)
+    # where the final node sits, as for a redex: the whole term is
+    # plug(frames, term)
+    frames: List[Frame] = field(default_factory=list, compare=False, repr=False)
+    term: Optional[Term] = field(default=None, compare=False, repr=False)
 
 
 def _is_value(e: Term) -> bool:
@@ -111,8 +133,23 @@ def adjust(vals: List[Value], n: int) -> List[Value]:
 
 def decompose(term: Term) -> Union[Redex, Finished]:
     """Unique context/redex split, or the terminal classification."""
-    frames: List[Frame] = []
-    t = term
+    return _descend([], term)
+
+
+def refocus(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
+    """``decompose(plug(frames, t))``, continuing from the hole.
+
+    ``frames`` must be a context that a decomposition produced, and ``t``
+    the term that now fills its hole.  The list is consumed: it becomes the
+    frame list of the result.
+    """
+    if frames:
+        f = frames.pop()
+        t = _replace_child(f.node, f.slot, f.idx, t)
+    return _descend(frames, t)
+
+
+def _descend(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
     while True:
         res = _inspect(t, frames)
         if isinstance(res, (Redex, Finished)):
@@ -136,20 +173,21 @@ def _inspect(t: Term, frames: List[Frame]):
     # ---- statements -----------------------------------------------------
     if isinstance(t, Empty):
         if not frames:
-            return Finished("empty")
+            return Finished("empty", frames=frames, term=t)
         raise StuckTerm("empty statement in context position")
     if isinstance(t, ErrTerm):
         if not frames:
-            return Finished("error", error_value=t.value)
+            return Finished("error", error_value=t.value, frames=frames,
+                            term=t)
         raise StuckTerm("error object in context position")
     if isinstance(t, Seq):
         if isinstance(t.first, Empty):
-            return Redex(tuple(frames), t, "seq")
+            return Redex(frames, t, "seq")
         return ("first", 0, t.first)
     if isinstance(t, Local):
         d = _el_descend(t, "exprs", t.exprs)
         if d == "done":
-            return Redex(tuple(frames), t, "local")
+            return Redex(frames, t, "local")
         if d is None:
             i = _tuple_slot(t.exprs)
             return ("exprs", i, t.exprs[i])
@@ -167,51 +205,52 @@ def _inspect(t: Term, frames: List[Frame]):
             raise StuckTerm(f"unresolved assignment target {x!r}")
         d = _el_descend(t, "exprs", t.exprs)
         if d == "done":
-            return Redex(tuple(frames), t, "assign")
+            return Redex(frames, t, "assign")
         if d is None:
             i = _tuple_slot(t.exprs)
             return ("exprs", i, t.exprs[i])
         return d
     if isinstance(t, ExprStat):
         if _is_value(t.expr) or isinstance(t.expr, ValueTuple):
-            return Redex(tuple(frames), t, "discard")
+            return Redex(frames, t, "discard")
         return ("expr", 0, t.expr)
     if isinstance(t, If):
         if _is_value(t.cond):
-            return Redex(tuple(frames), t, "if")
+            return Redex(frames, t, "if")
         return ("cond", 0, t.cond)
     if isinstance(t, While):
-        return Redex(tuple(frames), t, "loop-enter")
+        return Redex(frames, t, "loop-enter")
     if isinstance(t, LoopFrame):
         if isinstance(t.inner, While):
-            return Redex(tuple(frames), t, "loop-restart")
+            return Redex(frames, t, "loop-restart")
         if isinstance(t.inner, Empty):
-            return Redex(tuple(frames), t, "loop-exit")
+            return Redex(frames, t, "loop-exit")
         return ("inner", 0, t.inner)
     if isinstance(t, Break):
-        return Redex(tuple(frames), t, "break")
+        return Redex(frames, t, "break")
     if isinstance(t, Return):
         d = _el_descend(t, "exprs", t.exprs)
         if d == "done":
             if any(isinstance(f.node, CallFrame) for f in frames):
-                return Redex(tuple(frames), t, "return")
-            return Finished("return", values=tuple(flatten_el(t.exprs)))
+                return Redex(frames, t, "return")
+            return Finished("return", values=tuple(flatten_el(t.exprs)),
+                            frames=frames, term=t)
         if d is None:
             i = _tuple_slot(t.exprs)
             return ("exprs", i, t.exprs[i])
         return d
     if isinstance(t, FinStat):
         if isinstance(t.inner, Empty):
-            return Redex(tuple(frames), t, "fin-done")
+            return Redex(frames, t, "fin-done")
         return ("inner", 0, t.inner)
 
     # ---- expressions ----------------------------------------------------
     if isinstance(t, Const):
         raise StuckTerm("a bare value is not a program")
     if isinstance(t, ValueTuple):
-        return Redex(tuple(frames), t, "truncate")
+        return Redex(frames, t, "truncate")
     if isinstance(t, Ref):
-        return Redex(tuple(frames), t, "deref")
+        return Redex(frames, t, "deref")
     if isinstance(t, (Name, Globals)):
         raise StuckTerm(f"unresolved name {A.to_source(t)}")
     if isinstance(t, Index):
@@ -219,51 +258,51 @@ def _inspect(t: Term, frames: List[Frame]):
             return ("obj", 0, t.obj)
         if not _is_value(t.key):
             return ("key", 0, t.key)
-        return Redex(tuple(frames), t, "index")
+        return Redex(frames, t, "index")
     if isinstance(t, Call):
         if not _is_value(t.fn):
             return ("fn", 0, t.fn)
         d = _el_descend(t, "args", t.args)
         if d == "done":
-            return Redex(tuple(frames), t, "call")
+            return Redex(frames, t, "call")
         if d is None:
             i = _tuple_slot(t.args)
             return ("args", i, t.args[i])
         return d
     if isinstance(t, Function):
-        return Redex(tuple(frames), t, "closure")
+        return Redex(frames, t, "closure")
     if isinstance(t, TableCtor):
         for i, (k, v) in enumerate(t.fields):
             if k is not None and not _is_value(k):
                 return ("field_key", i, k)
             if not _is_value(v):
                 return ("field_value", i, v)
-        return Redex(tuple(frames), t, "table")
+        return Redex(frames, t, "table")
     if isinstance(t, BinOp):
         if not _is_value(t.lhs):
             return ("lhs", 0, t.lhs)
         if not _is_value(t.rhs):
             return ("rhs", 0, t.rhs)
-        return Redex(tuple(frames), t, "binop")
+        return Redex(frames, t, "binop")
     if isinstance(t, (And, Or)):
         if not _is_value(t.lhs):
             return ("lhs", 0, t.lhs)
-        return Redex(tuple(frames), t, "shortcut")
+        return Redex(frames, t, "shortcut")
     if isinstance(t, (Not, Neg)):
         if not _is_value(t.operand):
             return ("operand", 0, t.operand)
-        return Redex(tuple(frames), t, "unop")
+        return Redex(frames, t, "unop")
     if isinstance(t, CallFrame):
         if isinstance(t.body, Empty):
-            return Redex(tuple(frames), t, "call-finish")
+            return Redex(frames, t, "call-finish")
         return ("body", 0, t.body)
     if isinstance(t, ProtectedFrame):
         if _is_value(t.inner) or isinstance(t.inner, ValueTuple):
-            return Redex(tuple(frames), t, "pcall-ok")
+            return Redex(frames, t, "pcall-ok")
         return ("inner", 0, t.inner)
     if isinstance(t, FinWrap):
         if _is_value(t.inner) or isinstance(t.inner, ValueTuple):
-            return Redex(tuple(frames), t, "fin-done")
+            return Redex(frames, t, "fin-done")
         return ("inner", 0, t.inner)
     raise StuckTerm(f"cannot decompose {t!r}")  # pragma: no cover
 
@@ -317,7 +356,7 @@ def _replace_child(node: Term, slot: str, idx: int, child: Term) -> Term:
     raise StuckTerm(f"cannot plug {slot} of {type(node).__name__}")
 
 
-def plug(frames: Tuple[Frame, ...], t: Term) -> Term:
+def plug(frames: List[Frame], t: Term) -> Term:
     for f in reversed(frames):
         t = _replace_child(f.node, f.slot, f.idx, t)
     return t
@@ -329,12 +368,58 @@ def plug(frames: Tuple[Frame, ...], t: Term) -> Term:
 
 
 @dataclass
+class Focused:
+    """A configuration held as its stores and the split of its term.
+
+    ``term`` is ``plug(at.frames, at.term)``, built on first read.
+    """
+
+    sigma: ValueStore
+    theta: ObjectStore
+    at: Union[Redex, Finished]
+    _term: Optional[Term] = field(default=None, repr=False)
+
+    @classmethod
+    def of(cls, config: Configuration) -> "Focused":
+        return cls(config.sigma, config.theta, decompose(config.term),
+                   config.term)
+
+    @property
+    def term(self) -> Term:
+        if self._term is None:
+            self._term = plug(self.at.frames, self.at.term)
+        return self._term
+
+    @property
+    def config(self) -> Configuration:
+        return Configuration(self.sigma, self.theta, self.term)
+
+    def with_stores(self, sigma: ValueStore, theta: ObjectStore) -> "Focused":
+        return Focused(sigma, theta, self.at, self._term)
+
+
 class StepResult:
-    config: Configuration
-    rule: str
-    output: List[str] = field(default_factory=list)
-    gc_request: bool = False
-    redex_src: str = ""
+    """One reduction: the focused successor ``state``, the rule applied,
+    the printed lines and whether ``collectgarbage()`` asked for a drain.
+    ``config`` and ``redex_src`` are built on first read."""
+
+    __slots__ = ("state", "rule", "output", "gc_request", "_redex")
+
+    def __init__(self, state: Focused, rule: str, output: List[str],
+                 gc_request: bool, redex: Term):
+        self.state = state
+        self.rule = rule
+        self.output = output
+        self.gc_request = gc_request
+        self._redex = redex
+
+    @property
+    def config(self) -> Configuration:
+        return self.state.config
+
+    @property
+    def redex_src(self) -> str:
+        return A.to_source(self._redex)
 
 
 BUILTINS = (
@@ -352,43 +437,60 @@ def render(v: Value) -> str:
     return repr(v)
 
 
-def step(config: Configuration) -> Union[StepResult, Finished]:
-    """Apply exactly one reduction to a well-formed configuration."""
-    d = decompose(config.term)
+# What a contraction leaves: the new stores, the term that fills the hole
+# of the (possibly cut back) context, the rule name and the drain request.
+_Contracted = Tuple[ValueStore, ObjectStore, Term, str, bool]
+
+
+def step(config: Union[Configuration, Focused]) -> Union[StepResult, Finished]:
+    """Apply exactly one reduction to a well-formed configuration.
+
+    A :class:`Configuration` is decomposed from the root; a
+    :class:`Focused` one is stepped from its split, whose frame list the
+    successor takes over.
+    """
+    state = config if isinstance(config, Focused) else Focused.of(config)
+    d = state.at
     if isinstance(d, Finished):
         return d
-    sigma, theta = config.sigma, config.theta
-    t = d.term
     out: List[str] = []
-
-    def unwind_error(v: Value) -> StepResult:
-        for i in range(len(d.frames) - 1, -1, -1):
-            if isinstance(d.frames[i].node, ProtectedFrame):
-                term = plug(d.frames[:i], ValueTuple((A.FALSE, v)))
-                cfg = Configuration(sigma, theta, term)
-                return StepResult(cfg, "raise", out, False, A.to_source(t))
-        cfg = Configuration(sigma, theta, ErrTerm(v))
-        return StepResult(cfg, "raise", out, False, A.to_source(t))
-
     try:
-        return _apply(d, config, out)
+        sigma, theta, hole, rule, gc_request = _apply(
+            d, state.sigma, state.theta, out)
     except LuaError as e:
-        return unwind_error(e.value)
+        hole = _unwind_error(d.frames, e.value)
+        sigma, theta, rule, gc_request = state.sigma, state.theta, "raise", False
+    nxt = Focused(sigma, theta, refocus(d.frames, hole))
+    return StepResult(nxt, rule, out, gc_request, d.term)
 
 
-def _apply(d: Redex, config: Configuration, out: List[str]):
+def _unwind(frames: List[Frame], delimiter: type) -> bool:
+    """Cut ``frames`` back to just outside the innermost ``delimiter``
+    frame; False (and ``frames`` untouched) if there is none."""
+    for i in range(len(frames) - 1, -1, -1):
+        if isinstance(frames[i].node, delimiter):
+            del frames[i:]
+            return True
+    return False
+
+
+def _unwind_error(frames: List[Frame], v: Value) -> Term:
+    if _unwind(frames, ProtectedFrame):
+        return ValueTuple((A.FALSE, v))
+    frames.clear()
+    return ErrTerm(v)
+
+
+def _apply(d: Redex, sigma: ValueStore, theta: ObjectStore,
+           out: List[str]) -> _Contracted:
     t = d.term
     rule = d.rule
-    sigma, theta = config.sigma, config.theta
 
     def done_with(new_term, new_sigma=None, new_theta=None, rule_name=None,
-                  gc_request=False):
-        nonlocal sigma, theta
+                  gc_request=False) -> _Contracted:
         s = new_sigma if new_sigma is not None else sigma
         th = new_theta if new_theta is not None else theta
-        cfg = Configuration(s, th, plug(d.frames, new_term))
-        return StepResult(cfg, rule_name or rule, out, gc_request,
-                          A.to_source(t))
+        return s, th, new_term, rule_name or rule, gc_request
 
     # ---- statements -----------------------------------------------------
     if rule == "seq":
@@ -434,20 +536,14 @@ def _apply(d: Redex, config: Configuration, out: List[str]):
     if rule == "loop-exit":
         return done_with(Empty())
     if rule == "break":
-        for i in range(len(d.frames) - 1, -1, -1):
-            if isinstance(d.frames[i].node, LoopFrame):
-                term = plug(d.frames[:i], Empty())
-                cfg = Configuration(sigma, theta, term)
-                return StepResult(cfg, "break", out, False, "break")
+        if _unwind(d.frames, LoopFrame):
+            return done_with(Empty())
         raise StuckTerm("break outside any loop")
     if rule == "return":
         assert isinstance(t, Return)
         vals = tuple(flatten_el(t.exprs))
-        for i in range(len(d.frames) - 1, -1, -1):
-            if isinstance(d.frames[i].node, CallFrame):
-                term = plug(d.frames[:i], ValueTuple(vals))
-                cfg = Configuration(sigma, theta, term)
-                return StepResult(cfg, "return", out, False, A.to_source(t))
+        if _unwind(d.frames, CallFrame):
+            return done_with(ValueTuple(vals))
         raise StuckTerm("return-unwind without a call frame")
     if rule == "fin-done":
         if isinstance(t, FinStat):
@@ -483,7 +579,7 @@ def _apply(d: Redex, config: Configuration, out: List[str]):
             body = A.subst(clo.body, mapping)
             return done_with(CallFrame(body, pos=t.pos), new_sigma=sigma)
         if isinstance(fn, A.Builtin):
-            return _call_builtin(fn.name, args, t, d, config, done_with, out)
+            return _call_builtin(fn.name, args, t, theta, done_with, out)
         raise LuaError.msg(f"attempt to call a {type_name(fn)} value")
     if rule == "closure":
         assert isinstance(t, Function)
@@ -606,8 +702,7 @@ def _binop(op: str, a: Value, b: Value) -> Value:
     raise StuckTerm(f"unknown operator {op}")  # pragma: no cover
 
 
-def _call_builtin(name: str, args: List[Value], t, d, config, done_with, out):
-    sigma, theta = config.sigma, config.theta
+def _call_builtin(name: str, args: List[Value], t, theta, done_with, out):
     rule_name = f"builtin:{name}"
     if name == "print":
         out.append("\t".join(render(v) for v in args))
@@ -675,9 +770,35 @@ def load_term(term: Term) -> Configuration:
 
 
 def _patch_globals(t: Term, gtid: int) -> Term:
-    if isinstance(t, Globals):
-        return Const(Tid(gtid), pos=t.pos)
-    return A._rebuild(t, lambda c: _patch_globals(c, gtid))
+    """Replace every globals placeholder by the environment table.
+
+    A post-order rebuild on an explicit stack, so deep terms need no Python
+    recursion: a node is pushed back with its children and a mark (the
+    length of ``done``) before they are, and once they are done it takes
+    the entries of ``done`` above the mark, in order.  A node none of whose
+    children changed is kept as it is.
+    """
+    done: List[Term] = []
+    stack: List[tuple] = [(t, None, ())]
+    while stack:
+        n, mark, kids = stack.pop()
+        if mark is not None:
+            new = done[mark:]
+            del done[mark:]
+            if any(a is not b for a, b in zip(new, kids)):
+                it = iter(new)
+                n = A._rebuild(n, lambda _: next(it))
+            done.append(n)
+        elif isinstance(n, Globals):
+            done.append(Const(Tid(gtid), pos=n.pos))
+        else:
+            kids = tuple(A.children(n))
+            if kids:
+                stack.append((n, len(done), kids))
+                stack.extend((c, None, ()) for c in reversed(kids))
+            else:
+                done.append(n)
+    return done[0]
 
 
 def load_program(text: str, origin: str = "<inline>") -> Configuration:
@@ -702,12 +823,13 @@ def run_pure(config: Configuration, fuel: int = 10_000) -> PureOutcome:
     """
     output: List[str] = []
     steps = 0
+    state = Focused.of(config)
     while steps < fuel:
-        res = step(config)
+        res = step(state)
         if isinstance(res, Finished):
             return PureOutcome(res.kind, res.values, res.error_value,
-                               output, steps, config)
+                               output, steps, state.config)
         output.extend(res.output)
-        config = res.config
+        state = res.state
         steps += 1
-    return PureOutcome("fuel", output=output, steps=steps, config=config)
+    return PureOutcome("fuel", output=output, steps=steps, config=state.config)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from luagc import ast as A
-from luagc import executor
+from luagc import executor, interp
 from luagc.ast import Num, Str
 from luagc.executor import (
     BOTTOM_BUDGET,
@@ -22,9 +22,9 @@ from luagc.executor import (
     splice_finalizer,
 )
 from luagc.heap import Configuration, ValueStore, snapshot_json
-from luagc.interp import load_program
+from luagc.interp import Focused, Redex, decompose, load_program, plug
 
-from conftest import corpus_text, deterministic_programs
+from conftest import CORPUS, corpus_text, deterministic_programs
 from heapgen import build_heap
 
 
@@ -498,3 +498,95 @@ class TestExplorerVisitedSet:
         obs = observations(load_program(corpus_text("weak/nondet_weak_loop.lua")),
                            self.EXPLORER)
         assert not obs.truncated and len(obs) == 35
+
+
+CORPUS_PROGRAMS = sorted(
+    p.relative_to(CORPUS).as_posix() for p in CORPUS.glob("*/*.lua")
+)
+
+
+def recursion_program(depth: int) -> str:
+    return (
+        "local f = nil\n"
+        "f = function(n) if n < 1 then return 0 end return f(n - 1) + 1 end\n"
+        f"return f({depth})\n"
+    )
+
+
+class TestRefocusing:
+    """The scheduled driver refocuses from the hole after each step; its
+    focus must always be the root decomposition of the term it stands for."""
+
+    @pytest.mark.parametrize("schedule", [
+        Schedule("never"), Schedule("eager", "fin_weak"),
+    ], ids=["never", "eager_fin_weak"])
+    @pytest.mark.parametrize("rel", CORPUS_PROGRAMS)
+    def test_focus_is_the_root_decomposition(self, rel, schedule, monkeypatch):
+        text = corpus_text(rel)
+        real = executor.step
+        # under `never` a root-decomposing loop is stepped in lockstep
+        ref = load_program(text) if schedule.policy == "never" else None
+        checked = 0
+
+        def checking(state):
+            nonlocal ref, checked
+            assert isinstance(state, Focused)
+            at = state.at
+            term = plug(at.frames, at.term)
+            assert term == state.term
+            d = decompose(term)
+            assert isinstance(d, Redex) and isinstance(at, Redex)
+            assert (d.rule, d.term) == (at.rule, at.term)
+            # a refocused frame still holds the old child in its hole slot,
+            # which plug overwrites: compare the paths
+            assert [(type(f.node), f.slot, f.idx) for f in d.frames] == [
+                (type(f.node), f.slot, f.idx) for f in at.frames]
+            if ref is not None:
+                assert (term, state.sigma, state.theta) == (
+                    ref.term, ref.sigma, ref.theta)
+                ref = real(ref).config
+            checked += 1
+            return real(state)
+
+        monkeypatch.setattr(executor, "step", checking)
+        rec = run(load_program(text), schedule, fuel=2_000)
+        assert checked == rec.steps > 0
+        if ref is not None and rec.result.key != BOTTOM_FUEL:
+            assert result(ref) == rec.result
+
+    @staticmethod
+    def inspects_per_step(monkeypatch, depth: int) -> float:
+        config = load_program(recursion_program(depth))
+        calls = 0
+        real = interp._inspect
+
+        def counting(t, frames):
+            nonlocal calls
+            calls += 1
+            return real(t, frames)
+
+        with monkeypatch.context() as m:
+            m.setattr(interp, "_inspect", counting)
+            rec = run(config, Schedule("never"), fuel=100_000)
+        assert rec.result.kind == "return"
+        return calls / rec.steps
+
+    def test_descent_per_step_independent_of_depth(self, monkeypatch):
+        shallow = self.inspects_per_step(monkeypatch, 50)
+        deep = self.inspects_per_step(monkeypatch, 400)
+        assert deep <= 1.5 * shallow
+
+    def test_deep_recursion_completes(self):
+        rec = run(load_program(recursion_program(400)), Schedule("never"),
+                  fuel=100_000)
+        assert json.loads(rec.result.key)["v"] == [{"t": "num", "v": 400.0}]
+
+    def test_never_decomposes_from_the_root_once(self, monkeypatch):
+        config = load_program(corpus_text("deterministic/recursion.lua"))
+        calls = []
+        real = interp.decompose
+        monkeypatch.setattr(interp, "decompose",
+                            lambda t: calls.append(t) or real(t))
+        rec = run(config, Schedule("never"))
+        assert rec.result.kind == "return" and rec.steps > 50
+        assert len(calls) == 1

@@ -1,6 +1,7 @@
 import pytest
 
 from luagc import ast as A
+from luagc import interp
 from luagc.ast import Num, Str
 from luagc.gc import reach_set
 from luagc.heap import validate
@@ -105,6 +106,22 @@ class TestStepBasics:
     def test_divergence_proxy(self):
         out = run_pure(load_program("while true do ; end"), fuel=10_000)
         assert out.kind == "fuel"
+
+    def test_long_sum_loads_and_runs(self):
+        # a 600-deep BinOp chain used to overflow the recursive globals patch
+        out = run_pure(load_program("return " + " + ".join(["1"] * 600)))
+        assert out.kind == "return" and out.values == (Num(600),)
+        assert out.steps == 599
+
+    def test_run_pure_decomposes_from_the_root_once(self, monkeypatch):
+        config = load_program(corpus_text("deterministic/recursion.lua"))
+        calls = []
+        real = interp.decompose
+        monkeypatch.setattr(interp, "decompose",
+                            lambda t: calls.append(t) or real(t))
+        out = run_pure(config)
+        assert out.kind == "return" and out.steps > 50
+        assert len(calls) == 1
 
 
 class TestErrors:

@@ -6,7 +6,7 @@ from luagc import ast as A
 from luagc.desugar import desugar
 from luagc.parser import LuaSyntaxError, parse, tokenize
 
-from conftest import corpus_text, deterministic_programs
+from conftest import CORPUS, corpus_text, deterministic_programs
 
 
 def parse_core(text):
@@ -163,3 +163,29 @@ def test_core_ast_dump_matches_golden():
                         sort_keys=True) + "\n"
     golden = (Path(__file__).parent / "golden" / "arith_core_ast.json")
     assert dumped == golden.read_text()
+
+
+def _walk_reference(t):
+    """The recursive pre-order that ``walk`` must reproduce."""
+    yield t
+    for c in A.children(t):
+        yield from _walk_reference(c)
+
+
+class TestWalk:
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.lua")),
+                             ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_matches_recursive_preorder(self, path):
+        t = parse(path.read_text())
+        for term in (t, desugar(t)):
+            assert [id(n) for n in A.walk(term)] == [
+                id(n) for n in _walk_reference(term)]
+
+    def test_deep_seq_chain(self):
+        t = A.Empty()
+        for i in range(5_000):
+            t = A.Seq(A.ExprStat(A.Const(A.Num(i))), t)
+        nodes = list(A.walk(t))
+        assert len(nodes) == 3 * 5_000 + 1
+        assert [n.value.x for n in nodes if isinstance(n, A.Const)] == list(
+            range(4_999, -1, -1))
