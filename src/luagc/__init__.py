@@ -24,7 +24,6 @@ from .gc import (
     enumerate_gc_steps,
     reach,
     reach_cte,
-    reach_oracle,
     reach_set,
     run_cycle,
     set_fin,
@@ -32,7 +31,7 @@ from .gc import (
     strong_reach_set,
 )
 from .heap import Configuration, ObjectStore, TableObject, ValueStore, validate
-from .interp import load_program, run_pure, step
+from .interp import load_program, step
 from .parser import LuaSyntaxError, parse
 
 __version__ = "0.1.0"
@@ -61,12 +60,10 @@ __all__ = [
     "reach",
     "reach_cte",
     "reach_equivalent",
-    "reach_oracle",
     "reach_set",
     "result",
     "run",
     "run_cycle",
-    "run_pure",
     "set_fin",
     "step",
     "strong_occurrences",

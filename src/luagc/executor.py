@@ -15,6 +15,13 @@ point, with at most one spliced finalizer in flight at a time so the
 priority (reverse-chronological) order is observed.  When the program
 reaches a final configuration its result is recorded first; leftover
 finalizers then run in protected mode, visible in the trace only.
+
+:class:`Machine` is the one driver of the step relation: it holds the
+focused state, the step count, the output, the trace and the pending
+drain, and its ``advance`` is the only loop that steps a program.
+``run`` drives one machine to the end; the exhaustive explorer builds one
+per node for the plain step and its drain; ``check_postponement`` steps
+one with explicit cycles.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ from .ast import (
 from .gc import GcOutcome, enumerate_gc_steps, reach_set, run_cycle
 from .heap import Configuration, HeapError, ObjectStore, ValueStore, restrict
 from .interp import (
-    Finished, Focused, StepResult, StuckTerm, decompose, plug, step,
+    Finished, Focused, StuckTerm, decompose, plug, step,
 )
 
 BOTTOM_FUEL = "⊥(fuel)"
@@ -246,11 +253,12 @@ def _is_statement(t: Term) -> bool:
 
 
 def splice_finalizer(term: Term, cid: int, tid: int) -> Term:
-    """Insert the pending finalizer call at the current evaluation point."""
+    """Insert the pending finalizer call at the current evaluation point;
+    in a final term, ahead of the whole term."""
+    call = Call(Const(Cid(cid)), (Const(Tid(tid)),))
     d = decompose(term)
     if isinstance(d, Finished):
-        raise NotFinal("cannot splice a finalizer into a final configuration")
-    call = Call(Const(Cid(cid)), (Const(Tid(tid)),))
+        return Seq(FinStat(ExprStat(call)), term)
     if _is_statement(d.term):
         spliced: Term = Seq(FinStat(ExprStat(call)), d.term)
     else:
@@ -299,7 +307,7 @@ def _trace_gc(trace: List[dict], step_index: int, outcome: GcOutcome) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Scheduled runs
+# The stepping driver
 # ---------------------------------------------------------------------------
 
 
@@ -311,28 +319,37 @@ class RunRecord:
     steps: int = 0
 
 
-class _Run:
-    """The scheduled stepping loop.
+class Machine:
+    """The one stepping driver: program steps interleaved with GC cycles.
 
     The machine state is kept focused between steps (``state``: the stores
     plus the context/redex split of the term), so a program step refocuses
     from the hole instead of decomposing from the root.  ``config`` plugs
-    the term only when something reads it: a GC cycle, a finalizer splice,
-    ``finalizer_in_flight`` and the end-of-program drain.  A cycle that only
-    changes the stores keeps the focus; a splice decomposes the new term.
+    the term only when something reads it: a GC cycle, a finalizer splice
+    and ``finalizer_in_flight``.  A cycle that only changes the stores
+    keeps the focus; a splice decomposes the new term.
+
+    ``steps`` counts program steps from where the machine was started and
+    ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
+    runs with GC on.  ``run``, the explorer and ``check_postponement`` all
+    step through :meth:`step`, and :meth:`advance` is the only loop.
     """
 
     def __init__(self, state: Focused, schedule: Schedule, fuel: int,
-                 trace_steps: bool = False):
+                 steps: int = 0, trace_steps: bool = False):
         self.state = state
         self.schedule = schedule
         self.fuel = fuel
-        self.rng = random.Random(schedule.seed)
+        self.steps = steps
+        self.trace_steps = trace_steps
+        self.gc_on = schedule.policy != "never"
+        self.drain_pending = False
         self.output: List[str] = []
         self.trace: List[dict] = []
-        self.steps = 0
-        self.trace_steps = trace_steps
-        self.drain_pending = False
+        # only the random policy and the random-subset selector draw from it
+        self.rng = (random.Random(schedule.seed)
+                    if schedule.policy == "random"
+                    or schedule.selector != "maximal" else None)
 
     @property
     def config(self) -> Configuration:
@@ -348,84 +365,77 @@ class _Run:
 
         return pick
 
-    def _gc_cycle(self, selector) -> bool:
-        """One cycle (splicing any selected finalizer); True if it changed."""
+    def step(self) -> None:
+        """One program step, traced, recording any drain request."""
+        index = self.steps
+        res = step(self.state)
+        assert not isinstance(res, Finished)
+        self.output.extend(res.output)
+        self.steps += 1
+        self.state = res.state
+        if self.trace_steps:
+            self.trace.append({"step": index, "kind": "l_step", "rule": res.rule,
+                               "redex": res.redex_src[:120]})
+        if res.gc_request and self.gc_on:
+            self.drain_pending = True
+
+    def collect(self, selector) -> Optional[GcOutcome]:
+        """One cycle, splicing any selected finalizer; None if it changed
+        nothing."""
         allow_fin = not finalizer_in_flight(self.state.term)
         outcome = run_cycle(self.config, self.schedule.mode, selector,
                             allow_finalizer=allow_fin)
         if not outcome.changed:
-            return False
+            return None
         _trace_gc(self.trace, self.steps, outcome)
         if outcome.pending_finalizer is None:
             self.state = self.state.with_stores(outcome.kept_sigma,
                                                 outcome.kept_theta)
         else:
             self.state = Focused.of(_apply_outcome(self.config, outcome))
-        return True
+        return outcome
 
-    def _step(self) -> StepResult:
-        res = step(self.state)
-        assert not isinstance(res, Finished)
-        self.output.extend(res.output)
-        self.steps += 1
-        self.state = res.state
-        return res
-
-    def run(self) -> RunRecord:
-        gc_on = self.schedule.policy != "never"
+    def advance(self, until_settled: bool = False) -> bool:
+        """Step until the program finishes or, with ``until_settled``, until
+        a pending drain settles.  Before each step a pending drain runs a
+        maximal cycle (unless a finalizer is in flight) and the schedule
+        may fire one.  False if the fuel ran out first."""
         while True:
-            d = self.state.at
-            if isinstance(d, Finished):
-                res = result_of_finished(d, self.config)
-                if gc_on and self.schedule.mode != "simple":
-                    self._end_drain()
-                return RunRecord(res, self.output, self.trace, self.steps)
+            if isinstance(self.state.at, Finished):
+                return True
             if self.drain_pending and not finalizer_in_flight(self.state.term):
-                if self._gc_cycle(None):
+                if self.collect(None) is not None:
                     continue
                 self.drain_pending = False
-            if gc_on and self.schedule.wants_gc(self.steps, self.rng):
-                self._gc_cycle(self._selector())
+                if until_settled:
+                    return True
+            if self.gc_on and self.schedule.wants_gc(self.steps, self.rng):
+                self.collect(self._selector())
             if self.steps >= self.fuel:
-                return RunRecord(BOTTOM_FUEL_RESULT, self.output, self.trace,
-                                 self.steps)
-            index = self.steps
-            res = self._step()
-            if self.trace_steps:
-                self.trace.append(
-                    {"step": index, "kind": "l_step", "rule": res.rule,
-                     "redex": res.redex_src[:120]}
-                )
-            if res.gc_request and gc_on:
-                self.drain_pending = True
+                return False
+            self.step()
 
-    def _end_drain(self) -> None:
-        """After the result is recorded: finalize leftovers, protected."""
+    def end_drain(self) -> None:
+        """After the result is recorded: finalize leftovers, protected.
+
+        Each selected finalizer runs ahead of the final term with GC off
+        and its steps untraced; an error it raises is traced, and the
+        final term is put back with the stores it left.
+        """
         final = self.state
-        while True:
-            outcome = run_cycle(self.config, self.schedule.mode)
-            if not outcome.changed:
-                return
-            _trace_gc(self.trace, self.steps, outcome)
-            final = final.with_stores(outcome.kept_sigma, outcome.kept_theta)
-            self.state = final
+        self.gc_on = self.trace_steps = self.drain_pending = False
+        while (outcome := self.collect(None)) is not None:
             if outcome.pending_finalizer is None:
                 continue
-            cid, tid = outcome.pending_finalizer
-            call = ExprStat(Call(Const(Cid(cid)), (Const(Tid(tid)),)))
-            self.state = Focused.of(final.config.with_term(
-                Seq(FinStat(call), final.term)))
-            while not isinstance(self.state.at, Finished):
-                if self.steps >= self.fuel:
-                    return
-                self._step()
+            if not self.advance():
+                return
             if self.state.at.kind == "error":
                 self.trace.append(
                     {"step": self.steps, "kind": "finalizer_error",
-                     "table": tid, "error": repr(self.state.at.error_value)}
+                     "table": outcome.pending_finalizer[1],
+                     "error": repr(self.state.at.error_value)}
                 )
-            final = final.with_stores(self.state.sigma, self.state.theta)
-            self.state = final
+            self.state = final.with_stores(self.state.sigma, self.state.theta)
 
 
 def run(
@@ -436,7 +446,13 @@ def run(
 ) -> RunRecord:
     """Execute a configuration under a schedule.  Reproducible: the same
     (program, schedule, fuel) triple yields the same record."""
-    return _Run(Focused.of(config), schedule, fuel, trace_steps).run()
+    m = Machine(Focused.of(config), schedule, fuel, trace_steps=trace_steps)
+    if not m.advance():
+        return RunRecord(BOTTOM_FUEL_RESULT, m.output, m.trace, m.steps)
+    res = result_of_finished(m.state.at, m.config)
+    if m.gc_on and schedule.mode != "simple":
+        m.end_drain()
+    return RunRecord(res, m.output, m.trace, m.steps)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +567,8 @@ def observations(
             obs.add(run(config, sched, fuel).result)
         return obs
 
+    # one schedule for every node's drain: GC on, no scheduled cycles
+    drain = Schedule("scripted", explorer.mode)
     visited: Dict[tuple, List[Configuration]] = {}
     stack: List[Tuple[Configuration, int]] = [(config, 0)]
     while stack:
@@ -588,45 +606,23 @@ def observations(
             outcomes = []
         for o in outcomes:
             stack.append((_apply_outcome(c, o), steps))
+        m = Machine(Focused(c.sigma, c.theta, d, c.term), drain,
+                    explorer.step_bound, steps)
         try:
-            res = step(Focused(c.sigma, c.theta, d, c.term))
+            m.step()
         except (HeapError, StuckTerm):
             obs.add(STUCK_RESULT)
             continue
-        assert not isinstance(res, Finished)
-        if res.gc_request:
-            runner = _Run(res.state, Schedule("scripted", explorer.mode),
-                          fuel=explorer.step_bound)
-            runner.drain_pending = True
-            rec = _drain_only(runner)
-            if rec is not None:
-                obs.add(rec)
+        if m.drain_pending:
+            # the drain's steps are charged to the same step bound
+            if not m.advance(until_settled=True):
+                obs.add(BOTTOM_FUEL_RESULT)
                 continue
-            c3 = runner.config
-            steps += runner.steps
-        else:
-            c3 = res.config
-        stack.append((c3, steps + 1))
+            if isinstance(m.state.at, Finished):
+                obs.add(result_of_finished(m.state.at, m.config))
+                continue
+        stack.append((m.config, m.steps))
     return obs
-
-
-def _drain_only(runner: _Run) -> Optional[ProgramResult]:
-    """Advance a runner until its pending drain settles.  Returns a result
-    if the program finished (or ran out of fuel) during the drain."""
-    while runner.drain_pending:
-        d = runner.state.at
-        if isinstance(d, Finished):
-            return result_of_finished(d, runner.config)
-        if not finalizer_in_flight(runner.state.term):
-            if runner._gc_cycle(None):
-                continue
-            runner.drain_pending = False
-            break
-        if runner.steps >= runner.fuel:
-            return BOTTOM_FUEL_RESULT
-        if runner._step().gc_request:
-            runner.drain_pending = True
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -680,39 +676,23 @@ def check_postponement(
     report = PostponementReport()
     for trial in range(trials):
         rng = random.Random(seed * 1_000_003 + trial)
-        c = config
-        steps = 0
-        while steps < fuel:
+        m = Machine(Focused.of(config), Schedule("never"), fuel)
+        while m.steps < fuel and not isinstance(m.state.at, Finished):
             if max_pairs is not None and report.pairs_checked >= max_pairs:
                 return report
-            d = decompose(c.term)
-            if isinstance(d, Finished):
-                break
-            advanced = False
             if rng.random() < 0.4:
-                outcome = run_cycle(c, "simple")
-                if outcome.changed:
-                    pre = c
-                    mid = Configuration(outcome.kept_sigma, outcome.kept_theta,
-                                        c.term)
-                    res = step(mid)
-                    if not isinstance(res, Finished):
-                        post = res.config
-                        report.pairs_checked += 1
-                        if not _swapped_matches(pre, outcome, post):
-                            report.failures.append(
-                                {"trial": trial, "step": steps,
-                                 "pre": to_source(pre.term)[:160]}
-                            )
-                        c = post
-                        steps += 1
-                        advanced = True
-            if not advanced:
-                res = step(c)
-                if isinstance(res, Finished):
-                    break
-                c = res.config
-                steps += 1
+                pre = m.config
+                outcome = m.collect(None)
+                if outcome is not None:
+                    m.step()
+                    report.pairs_checked += 1
+                    if not _swapped_matches(pre, outcome, m.config):
+                        report.failures.append(
+                            {"trial": trial, "step": m.steps - 1,
+                             "pre": to_source(pre.term)[:160]}
+                        )
+                    continue
+            m.step()
     return report
 
 

@@ -123,11 +123,6 @@ def reach_set(t: Term, sigma: ValueStore, theta: ObjectStore) -> Set[Location]:
     return reach_set_from(term_locations(t), sigma, theta)
 
 
-def reach_oracle(l: Location, t: Term, sigma: ValueStore, theta: ObjectStore) -> bool:
-    """BFS-over-the-heap-graph answer; the independent check for ``reach``."""
-    return _bound(l, sigma, theta) and l in reach_set(t, sigma, theta)
-
-
 def reach(l: Location, t: Term, sigma: ValueStore, theta: ObjectStore) -> bool:
     """Reference implementation: the recursion that removes visited
     bindings from the stores so cycles cannot recurse forever.

@@ -25,6 +25,10 @@ reuses it for the successor, so a stepped-from state must not be read again.
 
 Control effects (errors, break, return, pcall) unwind the context in a
 single step by cutting the frame list back to the matching delimiter.
+
+This module holds the step relation and program loading only.  Iterating
+the relation, with or without GC, is ``executor.Machine``'s job; under the
+``never`` schedule ``collectgarbage()`` is inert there.
 """
 
 from __future__ import annotations
@@ -756,7 +760,7 @@ def _call_builtin(name: str, args: List[Value], t, theta, done_with, out):
 
 
 # ---------------------------------------------------------------------------
-# Program loading and GC-free execution
+# Program loading
 # ---------------------------------------------------------------------------
 
 
@@ -803,33 +807,3 @@ def _patch_globals(t: Term, gtid: int) -> Term:
 
 def load_program(text: str, origin: str = "<inline>") -> Configuration:
     return load_term(desugar(parse(text, origin)))
-
-
-@dataclass
-class PureOutcome:
-    kind: str  # "return" | "error" | "empty" | "fuel"
-    values: Tuple[Value, ...] = ()
-    error_value: Value = field(default_factory=Nil)
-    output: List[str] = field(default_factory=list)
-    steps: int = 0
-    config: Optional[Configuration] = None
-
-
-def run_pure(config: Configuration, fuel: int = 10_000) -> PureOutcome:
-    """Iterate the deterministic step relation with no GC at all.
-
-    ``collectgarbage()`` is a no-op here.  Fuel exhaustion stands in for
-    divergence.
-    """
-    output: List[str] = []
-    steps = 0
-    state = Focused.of(config)
-    while steps < fuel:
-        res = step(state)
-        if isinstance(res, Finished):
-            return PureOutcome(res.kind, res.values, res.error_value,
-                               output, steps, state.config)
-        output.extend(res.output)
-        state = res.state
-        steps += 1
-    return PureOutcome("fuel", output=output, steps=steps, config=state.config)

@@ -216,6 +216,19 @@ class TestPostponement:
         assert reach_equivalent(post, swapped)
 
 
+    def test_decomposes_from_the_root_once_per_trial(self, monkeypatch):
+        # one root decomposition starts a trial; each checked pair re-steps
+        # its pre-collection configuration from the root once more
+        config = load_program(corpus_text("deterministic/garbage_churn.lua"))
+        calls = []
+        real = interp.decompose
+        monkeypatch.setattr(interp, "decompose",
+                            lambda t: calls.append(t) or real(t))
+        report = check_postponement(config, trials=2, seed=0)
+        assert report.pairs_checked > 0
+        assert len(calls) <= 2 + report.pairs_checked
+
+
 class TestReachEquivalent:
     def test_ignores_unreachable_differences(self):
         a = build_heap({1: None, 2: None}, {}, {}, [("ref", 1)])
@@ -340,6 +353,24 @@ class TestExplorerDrain:
         )
         # the finalizer fires on every path; the result is the same
         assert len(obs) == 1
+
+    # a finalizer that loops before raising; collectgarbage() drains it
+    LOOPING_FINALIZER = (
+        "local t = setmetatable({}, {__gc = function(o) local i = 0 "
+        'while i < 3 do i = i + 1 end error("x") end}) '
+        "t = nil collectgarbage() return 1"
+    )
+
+    @pytest.mark.parametrize("bound, kinds", [
+        (35, {"bottom"}), (60, {"error"}),
+    ])
+    def test_drain_steps_count_against_step_bound(self, bound, kinds):
+        # no error trace fits in fewer than 42 steps, drain included
+        obs = observations(load_program(self.LOOPING_FINALIZER),
+                           ExhaustiveExplorer("fin", bound, "maximal", 20_000))
+        assert {r.kind for r in obs.results.values()} == kinds
+        if kinds == {"bottom"}:
+            assert obs.keys == {BOTTOM_FUEL}
 
 
 class TestResurrectionLimits:

@@ -1,32 +1,41 @@
 import pytest
 
 from luagc import ast as A
-from luagc import interp
 from luagc.ast import Num, Str
+from luagc.executor import Machine, Schedule
 from luagc.gc import reach_set
 from luagc.heap import validate
 from luagc.interp import (
     Finished,
+    Focused,
     Redex,
     decompose,
     load_program,
-    run_pure,
     step,
 )
 
 from conftest import corpus_text, deterministic_programs
 
 
+def machine(text, fuel=10_000) -> Machine:
+    """A GC-free driver for the program: ``collectgarbage()`` is inert."""
+    return Machine(Focused.of(load_program(text)), Schedule("never"), fuel)
+
+
+def finished(text, kind, fuel=10_000) -> Finished:
+    m = machine(text, fuel)
+    assert m.advance(), "out of fuel"
+    at = m.state.at
+    assert at.kind == kind, (at.kind, at.error_value, m.output)
+    return at
+
+
 def returns(text, fuel=10_000):
-    out = run_pure(load_program(text), fuel)
-    assert out.kind == "return", (out.kind, out.error_value, out.output)
-    return out.values
+    return finished(text, "return", fuel).values
 
 
 def errors(text, fuel=10_000):
-    out = run_pure(load_program(text), fuel)
-    assert out.kind == "error", out.kind
-    return out.error_value
+    return finished(text, "error", fuel).error_value
 
 
 class TestDecompose:
@@ -104,24 +113,16 @@ class TestStepBasics:
         assert returns(corpus_text("deterministic/loop_break.lua")) == (Num(7),)
 
     def test_divergence_proxy(self):
-        out = run_pure(load_program("while true do ; end"), fuel=10_000)
-        assert out.kind == "fuel"
+        m = machine("while true do ; end", fuel=10_000)
+        assert not m.advance()
+        assert m.steps == 10_000
 
     def test_long_sum_loads_and_runs(self):
         # a 600-deep BinOp chain used to overflow the recursive globals patch
-        out = run_pure(load_program("return " + " + ".join(["1"] * 600)))
-        assert out.kind == "return" and out.values == (Num(600),)
-        assert out.steps == 599
-
-    def test_run_pure_decomposes_from_the_root_once(self, monkeypatch):
-        config = load_program(corpus_text("deterministic/recursion.lua"))
-        calls = []
-        real = interp.decompose
-        monkeypatch.setattr(interp, "decompose",
-                            lambda t: calls.append(t) or real(t))
-        out = run_pure(config)
-        assert out.kind == "return" and out.steps > 50
-        assert len(calls) == 1
+        m = machine("return " + " + ".join(["1"] * 600))
+        assert m.advance()
+        assert m.state.at.kind == "return" and m.state.at.values == (Num(600),)
+        assert m.steps == 599
 
 
 class TestErrors:
@@ -184,13 +185,12 @@ class TestMetatables:
         assert "arithmetic" in v.s
 
     def test_setmetatable_nil_keeps_unset_mark(self):
-        out = run_pure(load_program(
-            "local t = {} setmetatable(t, nil) return t"
-        ))
-        (tid,) = out.values
+        m = machine("local t = {} setmetatable(t, nil) return t")
+        assert m.advance()
+        (tid,) = m.state.at.values
         from luagc.heap import UNSET
 
-        assert out.config.theta.table(tid.n).pos is UNSET
+        assert m.state.theta.table(tid.n).pos is UNSET
 
 
 class TestGlobals:
@@ -249,20 +249,24 @@ class TestDeterminismAndPreservation:
 
 class TestOutput:
     def test_print_tab_separates(self):
-        out = run_pure(load_program('print(1, "a", true, nil)'))
-        assert out.output == ["1\ta\ttrue\tnil"]
+        m = machine('print(1, "a", true, nil)')
+        assert m.advance()
+        assert m.output == ["1\ta\ttrue\tnil"]
 
     def test_number_formatting(self):
-        out = run_pure(load_program("print(1.0) print(1.5) print(100)"))
-        assert out.output == ["1", "1.5", "100"]
+        m = machine("print(1.0) print(1.5) print(100)")
+        assert m.advance()
+        assert m.output == ["1", "1.5", "100"]
 
     def test_tostring_rejects_tables(self):
         v = errors("local t = {} return tostring(t)")
         assert "identity" in v.s
 
     def test_collectgarbage_is_noop_without_gc(self):
-        out = run_pure(load_program("local n = collectgarbage() return n"))
-        assert out.kind == "return" and out.values == (Num(0),)
+        m = machine("local n = collectgarbage() return n")
+        assert m.advance()
+        assert m.state.at.kind == "return" and m.state.at.values == (Num(0),)
+        assert not m.drain_pending
 
 
 class TestPcallEdges:
