@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union, get_args
 
 
 @dataclass(frozen=True)
@@ -409,6 +409,31 @@ Stat = Union[
 Term = Union[Stat, Expr]
 
 
+def _hash_once(cls: type) -> None:
+    """Cache the structural hash on each node: terms are immutable, and a
+    fresh term shares most of its nodes with the term it came from, so
+    hashing it only walks the nodes that are new.  String hashes are salted
+    per process, so a cached hash must not travel to another one."""
+    structural = cls.__hash__
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = structural(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+
+
+# Memo slots read by ``__hash__`` and ``summary``; they are not dataclass
+# fields, so equality, ``replace`` and printing ignore them.
+for _cls in get_args(Term):
+    _cls._hash = None
+    _cls._summary = None
+    _hash_once(_cls)
+
+
 # ---------------------------------------------------------------------------
 # Structural helpers
 # ---------------------------------------------------------------------------
@@ -505,6 +530,53 @@ def term_locations(t: Term) -> Iterator[Location]:
         elif isinstance(n, ValueTuple):
             for v in n.values:
                 yield from value_locations(v)
+
+
+# The distinct locations of a term in print order (first occurrences, as
+# ``term_locations`` yields them), and whether it holds a finalizer marker.
+Summary = Tuple[Tuple[Location, ...], bool]
+_NOTHING: Summary = ((), False)
+
+
+def summary(t: Term) -> Summary:
+    """What a collector needs from a term, without walking it again.
+
+    Memoized on every node: a node is summarized once, from its children's
+    summaries, so a subterm shared between terms (a continuation, a closure
+    body) is walked once however often it is asked about.  Iterative
+    post-order, so deep terms need no Python recursion.
+    """
+    stack = [t]
+    while stack:
+        n = stack[-1]
+        if n._summary is not None:
+            stack.pop()
+            continue
+        pending = [c for c in children(n) if c._summary is None]
+        if pending:
+            stack.extend(pending)
+        else:
+            stack.pop()
+            object.__setattr__(n, "_summary", _summarize(n))
+    return t._summary
+
+
+def _summarize(n: Term) -> Summary:
+    """One node's summary from its children's, sharing a child's when the
+    node adds nothing to it."""
+    if isinstance(n, Ref):
+        return ((("ref", n.r),), False)
+    if isinstance(n, (Const, ValueTuple)):
+        vals = (n.value,) if isinstance(n, Const) else n.values
+        locs = tuple(dict.fromkeys(l for v in vals for l in value_locations(v)))
+        return (locs, False) if locs else _NOTHING
+    marker = isinstance(n, (FinStat, FinWrap))
+    parts = [c._summary for c in children(n) if c._summary is not _NOTHING]
+    if len(parts) == 1 and (parts[0][1] or not marker):
+        return parts[0]
+    locs = tuple(dict.fromkeys(l for p in parts for l in p[0]))
+    marker = marker or any(p[1] for p in parts)
+    return (locs, marker) if locs or marker else _NOTHING
 
 
 def subst(t: Term, mapping: dict) -> Term:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -56,7 +57,7 @@ from .ast import (
 from .gc import GcOutcome, enumerate_gc_steps, reach_set, run_cycle
 from .heap import Configuration, HeapError, ObjectStore, ValueStore, restrict
 from .interp import (
-    Finished, Focused, StuckTerm, decompose, plug, step,
+    Finished, Focused, Frame, Redex, StuckTerm, decompose, plug, refocus, step,
 )
 
 BOTTOM_FUEL = "⊥(fuel)"
@@ -216,7 +217,9 @@ def result(config: Configuration) -> ProgramResult:
     return result_of_finished(d, config)
 
 
-def result_of_finished(d: Finished, config: Configuration) -> ProgramResult:
+def result_of_finished(d: Finished,
+                       config: Union[Configuration, Focused]) -> ProgramResult:
+    """The canonical result of ``d`` over the stores of ``config``."""
     if d.kind == "empty":
         return ProgramResult("empty", "empty")
     if d.kind == "return":
@@ -241,6 +244,8 @@ STUCK_RESULT = ProgramResult("stuck", "stuck")
 
 
 def finalizer_in_flight(term: Term) -> bool:
+    """Does the term hold a finalizer marker?  A whole-term walk, kept as
+    the reference for ``Focused.finalizer_in_flight``."""
     return any(isinstance(n, (FinStat, FinWrap)) for n in walk(term))
 
 
@@ -255,16 +260,21 @@ def _is_statement(t: Term) -> bool:
 def splice_finalizer(term: Term, cid: int, tid: int) -> Term:
     """Insert the pending finalizer call at the current evaluation point;
     in a final term, ahead of the whole term."""
+    frames, spliced = _splice(decompose(term), cid, tid)
+    return plug(frames, spliced)
+
+
+def _splice(d: Union[Redex, Finished], cid: int,
+            tid: int) -> Tuple[List[Frame], Term]:
+    """The context and the term that fills its hole once the finalizer
+    call is spliced in at the split ``d``."""
     call = Call(Const(Cid(cid)), (Const(Tid(tid)),))
-    d = decompose(term)
     if isinstance(d, Finished):
-        return Seq(FinStat(ExprStat(call)), term)
+        return [], Seq(FinStat(ExprStat(call)), plug(d.frames, d.term))
     if _is_statement(d.term):
-        spliced: Term = Seq(FinStat(ExprStat(call)), d.term)
-    else:
-        thunk = Function(("$",), Return((d.term,)))
-        spliced = Call(thunk, (FinWrap(call),))
-    return plug(d.frames, spliced)
+        return d.frames, Seq(FinStat(ExprStat(call)), d.term)
+    thunk = Function(("$",), Return((d.term,)))
+    return d.frames, Call(thunk, (FinWrap(call),))
 
 
 def _apply_outcome(config: Configuration, outcome: GcOutcome) -> Configuration:
@@ -281,7 +291,10 @@ def _trace_gc(trace: List[dict], step_index: int, outcome: GcOutcome) -> None:
             {
                 "step": step_index,
                 "kind": "collect",
-                "discarded": [f"{k}{i}" for k, i in outcome.discarded],
+                # ids repeat across runs of one program, and interned names
+                # let the records a caller keeps share them
+                "discarded": [sys.intern(f"{k}{i}")
+                              for k, i in outcome.discarded],
             }
         )
     for tid, k, v in outcome.cleared_weak_fields:
@@ -324,10 +337,13 @@ class Machine:
 
     The machine state is kept focused between steps (``state``: the stores
     plus the context/redex split of the term), so a program step refocuses
-    from the hole instead of decomposing from the root.  ``config`` plugs
-    the term only when something reads it: a GC cycle, a finalizer splice
-    and ``finalizer_in_flight``.  A cycle that only changes the stores
-    keeps the focus; a splice decomposes the new term.
+    from the hole instead of decomposing from the root.  A GC cycle takes
+    its root set and whether a finalizer is in flight from the focused
+    state (``Focused.roots``, ``Focused.finalizer_in_flight``), so neither
+    plugs nor walks the term.  A cycle that only changes the stores keeps
+    the focus; a finalizer splice refocuses from the hole it fills.  The
+    term is plugged only to splice a finalizer ahead of a final term, and
+    when a caller reads ``config``.
 
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
@@ -382,17 +398,19 @@ class Machine:
     def collect(self, selector) -> Optional[GcOutcome]:
         """One cycle, splicing any selected finalizer; None if it changed
         nothing."""
-        allow_fin = not finalizer_in_flight(self.state.term)
-        outcome = run_cycle(self.config, self.schedule.mode, selector,
-                            allow_finalizer=allow_fin)
+        state = self.state
+        outcome = run_cycle(state, self.schedule.mode, selector,
+                            allow_finalizer=not state.finalizer_in_flight)
         if not outcome.changed:
             return None
         _trace_gc(self.trace, self.steps, outcome)
         if outcome.pending_finalizer is None:
-            self.state = self.state.with_stores(outcome.kept_sigma,
-                                                outcome.kept_theta)
+            self.state = state.with_stores(outcome.kept_sigma,
+                                           outcome.kept_theta)
         else:
-            self.state = Focused.of(_apply_outcome(self.config, outcome))
+            frames, spliced = _splice(state.at, *outcome.pending_finalizer)
+            self.state = Focused(outcome.kept_sigma, outcome.kept_theta,
+                                 refocus(frames, spliced))
         return outcome
 
     def advance(self, until_settled: bool = False) -> bool:
@@ -403,7 +421,7 @@ class Machine:
         while True:
             if isinstance(self.state.at, Finished):
                 return True
-            if self.drain_pending and not finalizer_in_flight(self.state.term):
+            if self.drain_pending and not self.state.finalizer_in_flight:
                 if self.collect(None) is not None:
                     continue
                 self.drain_pending = False
@@ -449,7 +467,7 @@ def run(
     m = Machine(Focused.of(config), schedule, fuel, trace_steps=trace_steps)
     if not m.advance():
         return RunRecord(BOTTOM_FUEL_RESULT, m.output, m.trace, m.steps)
-    res = result_of_finished(m.state.at, m.config)
+    res = result_of_finished(m.state.at, m.state)
     if m.gc_on and schedule.mode != "simple":
         m.end_drain()
     return RunRecord(res, m.output, m.trace, m.steps)
@@ -595,19 +613,18 @@ def observations(
         if steps >= explorer.step_bound:
             obs.add(BOTTOM_FUEL_RESULT)
             continue
-        allow_fin = not finalizer_in_flight(c.term)
+        state = Focused(c.sigma, c.theta, d, c.term)
         try:
             outcomes = enumerate_gc_steps(
-                c, explorer.mode,
+                state, explorer.mode,
                 "maximal" if explorer.granularity == "maximal" else "subsets",
-                allow_finalizer=allow_fin,
+                allow_finalizer=not state.finalizer_in_flight,
             )
         except (HeapError, StuckTerm):
             outcomes = []
         for o in outcomes:
             stack.append((_apply_outcome(c, o), steps))
-        m = Machine(Focused(c.sigma, c.theta, d, c.term), drain,
-                    explorer.step_bound, steps)
+        m = Machine(state, drain, explorer.step_bound, steps)
         try:
             m.step()
         except (HeapError, StuckTerm):
@@ -619,7 +636,7 @@ def observations(
                 obs.add(BOTTOM_FUEL_RESULT)
                 continue
             if isinstance(m.state.at, Finished):
-                obs.add(result_of_finished(m.state.at, m.config))
+                obs.add(result_of_finished(m.state.at, m.state))
                 continue
         stack.append((m.config, m.steps))
     return obs

@@ -20,13 +20,23 @@ twice like the paper's relation: mode ``simple`` drops an unreachable
 subset, ``fin`` also protects tables marked for finalization and picks the
 next finalizer by priority, and ``fin_weak`` switches to strong
 reachability and clears weak fields.
+
+The cycle takes its root set from the state it is given (``roots()``).  A
+running program is a focused state (``interp.Focused``): its roots are the
+union of what each context frame holds outside its hole plus the focus,
+each frame summarized once when it is built, like a collector scanning its
+stack frames, so a cycle never walks or plugs the whole term.  A plain
+:class:`~luagc.heap.Configuration`, where no focus exists, walks its term.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dc_field, replace
-from typing import Callable, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    Union,
+)
 
 from .ast import (
     Cid,
@@ -49,11 +59,14 @@ from .heap import (
     _bound,
     index_metatable,
     is_marked,
-    restrict,
+    restrict_stores,
     weak_keys,
     weak_values,
     weakness,
 )
+
+if TYPE_CHECKING:
+    from .interp import Focused
 
 Selector = Optional[Callable[[List[Location]], Iterable[Location]]]
 
@@ -216,13 +229,19 @@ def strong_occurrences(tid: int, theta: ObjectStore,
 
 def strong_reach_set(t: Term, sigma: ValueStore, theta: ObjectStore,
                      weak_of: Optional[Weakness] = None) -> Set[Location]:
+    """Locations strongly reachable from the term's root set."""
+    return strong_reach_set_from(term_locations(t), sigma, theta, weak_of)
+
+
+def strong_reach_set_from(roots: Iterable[Location], sigma: ValueStore,
+                          theta: ObjectStore,
+                          weak_of: Optional[Weakness] = None) -> Set[Location]:
     """Strongly reachable locations: iterated to a fixed point so that an
     ephemeron value joins only once its key has joined."""
     if weak_of is None:
         weak_of = Weakness(theta)
-    roots = [l for l in term_locations(t) if _bound(l, sigma, theta)]
     reached: Set[Location] = set()
-    frontier = list(roots)
+    frontier = [l for l in roots if _bound(l, sigma, theta)]
     pending_eph: List[Tuple[Location, Location]] = []  # (key loc, value loc)
 
     def push(loc: Location) -> None:
@@ -500,9 +519,11 @@ def _weak_fields_to_clear(
     return out
 
 
-def run_cycle(c: Configuration, mode: str, selector: Selector = None,
+def run_cycle(c: Union[Configuration, "Focused"], mode: str,
+              selector: Selector = None,
               allow_finalizer: bool = True) -> GcOutcome:
-    """One collection cycle in ``mode``, each mode extending the last.
+    """One collection cycle in ``mode``, each mode extending the last, on
+    the stores of ``c`` and from its root set ``c.roots()``.
 
     ``simple`` drops a subset (by default the maximal one) of the
     unreachable locations.
@@ -530,11 +551,12 @@ def run_cycle(c: Configuration, mode: str, selector: Selector = None,
         raise ValueError(f"unknown gc mode {mode!r}")
     weak = mode == "fin_weak"
     sigma, theta = c.sigma, c.theta
+    roots = c.roots()
     if weak:
         weak_of = Weakness(theta)
-        reached = strong_reach_set(c.term, sigma, theta, weak_of)
+        reached = strong_reach_set_from(roots, sigma, theta, weak_of)
     else:
-        reached = reach_set(c.term, sigma, theta)
+        reached = reach_set_from(roots, sigma, theta)
     marked = [] if mode == "simple" else marked_tables(theta)
 
     keep = set(reached)
@@ -553,8 +575,7 @@ def run_cycle(c: Configuration, mode: str, selector: Selector = None,
             set(selector(sorted(garbage))) & garbage, sigma, theta,
             {(i, idx) for i, idx, _, _ in cleared},
         )
-    kept = restrict(c, discard)
-    kept_theta = kept.theta
+    kept_sigma, kept_theta = restrict_stores(sigma, theta, discard)
 
     actually_cleared: List[Tuple[int, Value, Value]] = []
     for i, _, k, v in cleared:
@@ -575,13 +596,13 @@ def run_cycle(c: Configuration, mode: str, selector: Selector = None,
             if isinstance(v, Cid):
                 pending = (v.n, best)
     return GcOutcome(
-        kept.sigma, kept_theta, pending, actually_cleared,
+        kept_sigma, kept_theta, pending, actually_cleared,
         tuple(sorted(discard)), forbidden,
     )
 
 
 def enumerate_gc_steps(
-    c: Configuration,
+    c: Union[Configuration, "Focused"],
     mode: str = "simple",
     granularity: str = "maximal",
     subset_cap: int = 12,

@@ -31,6 +31,7 @@ from .ast import (
     Str,
     Term,
     Value,
+    summary,
     term_locations,
     to_source,
     value_locations,
@@ -115,13 +116,14 @@ class ClosureObject:
     params: Tuple[str, ...]
     body: Stat
 
-    def locations(self) -> Iterator[Location]:
-        yield from term_locations(self.body)
+    def locations(self) -> Tuple[Location, ...]:
+        """The distinct locations the body mentions, in print order."""
+        return summary(self.body)[0]
 
     @property
     def captured_refs(self) -> Tuple[int, ...]:
         """References the body closed over (its environment)."""
-        return tuple(i for kind, i in term_locations(self.body) if kind == "ref")
+        return tuple(i for kind, i in self.locations() if kind == "ref")
 
 
 HeapObject = Union[TableObject, ClosureObject]
@@ -193,6 +195,11 @@ class Configuration:
 
     def with_term(self, term: Term) -> "Configuration":
         return Configuration(self.sigma, self.theta, term)
+
+    def roots(self) -> Set[Location]:
+        """The collector's root set: the locations occurring in the term.
+        A whole-term walk; a focused state derives it from its frames."""
+        return set(term_locations(self.term))
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +292,25 @@ def weak_values(w: str) -> bool:
 
 def restrict(c: Configuration, discard: Set[Location]) -> Configuration:
     """The configuration with the ``discard`` locations unbound."""
+    return Configuration(*restrict_stores(c.sigma, c.theta, discard), c.term)
+
+
+def restrict_stores(sigma: ValueStore, theta: ObjectStore,
+                    discard: Set[Location]) -> Tuple[ValueStore, ObjectStore]:
+    """The two stores with the ``discard`` locations unbound."""
     drop_t = {i for kind, i in discard if kind == "tid"}
     drop_c = {i for kind, i in discard if kind == "cid"}
-    sigma = ValueStore(
-        {r: v for r, v in c.sigma.bindings.items() if ("ref", r) not in discard},
-        c.sigma.next_id,
+    kept_sigma = ValueStore(
+        {r: v for r, v in sigma.bindings.items() if ("ref", r) not in discard},
+        sigma.next_id,
     )
-    theta = ObjectStore(
-        {i: o for i, o in c.theta.tables.items() if i not in drop_t},
-        {i: o for i, o in c.theta.closures.items() if i not in drop_c},
-        c.theta.next_tid,
-        c.theta.next_cid,
+    kept_theta = ObjectStore(
+        {i: o for i, o in theta.tables.items() if i not in drop_t},
+        {i: o for i, o in theta.closures.items() if i not in drop_c},
+        theta.next_tid,
+        theta.next_cid,
     )
-    return Configuration(sigma, theta, c.term)
+    return kept_sigma, kept_theta
 
 
 # ---------------------------------------------------------------------------

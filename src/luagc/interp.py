@@ -26,6 +26,12 @@ reuses it for the successor, so a stepped-from state must not be read again.
 Control effects (errors, break, return, pcall) unwind the context in a
 single step by cutting the frame list back to the matching delimiter.
 
+A focused state also answers what a collection cycle asks of its term
+without plugging it: ``roots()``, the locations occurring in the term, and
+``finalizer_in_flight``.  Each frame summarizes its node outside the hole
+once (``Frame.summary``); a step builds only the frames below the one it
+rebuilds, so the others keep theirs.
+
 This module holds the step relation and program loading only.  Iterating
 the relation, with or without GC, is ``executor.Machine``'s job; under the
 ``never`` schedule ``collectgarbage()`` is inert there.
@@ -35,15 +41,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple, Union
+from functools import cached_property
+from typing import List, Optional, Set, Tuple, Union
 
 from . import ast as A
 from .ast import (
     And, Assign, BinOp, Break, Call, CallFrame, Cid, Const, Empty, ErrTerm,
     ExprStat, FinStat, FinWrap, Function, Globals, If, Index, Local,
-    LoopFrame, Name, Neg, Nil, Not, Num, Or, ProtectedFrame, Ref, Return,
-    Seq, Stat, Str, TableCtor, Term, Tid, Value, ValueTuple, While,
-    format_number, truthy, type_name,
+    Location, LoopFrame, Name, Neg, Nil, Not, Num, Or, ProtectedFrame, Ref,
+    Return, Seq, Stat, Str, TableCtor, Term, Tid, Value, ValueTuple, While,
+    format_number, summary, truthy, type_name,
 )
 from .heap import (
     Configuration, InvalidKey, ObjectStore, ValueStore, alloc_closure,
@@ -80,6 +87,19 @@ class Frame:
     node: Term
     slot: str
     idx: int = 0
+
+    @cached_property
+    def summary(self) -> A.Summary:
+        """The locations of ``node`` outside the hole, and whether that part
+        holds a finalizer marker (the node itself may be one).
+
+        The hole is left out by position: once refocused, the slot still
+        holds a stale child, which may be the same object as a sibling.
+        """
+        return summary(_replace_child(self.node, self.slot, self.idx, _HOLE))
+
+
+_HOLE = Empty()
 
 
 @dataclass(frozen=True)
@@ -397,6 +417,28 @@ class Focused:
     @property
     def config(self) -> Configuration:
         return Configuration(self.sigma, self.theta, self.term)
+
+    @cached_property
+    def _scan(self) -> Tuple[Set[Location], bool]:
+        locs, in_flight = summary(self.at.term)
+        roots = set(locs)
+        for f in self.at.frames:
+            flocs, marker = f.summary
+            roots.update(flocs)
+            in_flight = in_flight or marker
+        return roots, in_flight
+
+    def roots(self) -> Set[Location]:
+        """The locations occurring in the term, the collector's root set:
+        the frames' summaries plus the focus.  Read-only."""
+        return self._scan[0]
+
+    @property
+    def finalizer_in_flight(self) -> bool:
+        """Does the term hold a ``FinStat``/``FinWrap`` marker?  A pending
+        ``FinWrap`` argument of a spliced thunk call sits in its frame's
+        node; a marker cut away by an unwind left with its frame."""
+        return self._scan[1]
 
     def with_stores(self, sigma: ValueStore, theta: ObjectStore) -> "Focused":
         return Focused(sigma, theta, self.at, self._term)

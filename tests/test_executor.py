@@ -612,6 +612,11 @@ class TestRefocusing:
                   fuel=100_000)
         assert json.loads(rec.result.key)["v"] == [{"t": "num", "v": 400.0}]
 
+    def test_deep_eager_recursion_completes(self):
+        rec = run(load_program(recursion_program(400)),
+                  Schedule("eager", "fin_weak"), fuel=100_000)
+        assert json.loads(rec.result.key)["v"] == [{"t": "num", "v": 400.0}]
+
     def test_never_decomposes_from_the_root_once(self, monkeypatch):
         config = load_program(corpus_text("deterministic/recursion.lua"))
         calls = []
@@ -621,3 +626,172 @@ class TestRefocusing:
         rec = run(config, Schedule("never"))
         assert rec.result.kind == "return" and rec.steps > 50
         assert len(calls) == 1
+
+
+# Hand-written programs for the places where a finalizer marker enters or
+# leaves the term other than by ``fin-done``.
+MARKER_TRAPS = {
+    # the table dies when the `and` drops it; the next redex is the deref
+    # of `f`, so the call is spliced as a pending `FinWrap` argument
+    "expression_splice": """
+local mt = {__gc = function(o) print("fin") end}
+local f = function(x) return x + 1 end
+local y = (setmetatable({}, mt) and 1) + f(2)
+return y
+""",
+    "finalizer_error_in_pcall": """
+local mt = {__gc = function(o) error("boom") end}
+local ok, err = pcall(function()
+  local t = setmetatable({}, mt)
+  t = nil
+  return 1
+end)
+return ok, err
+""",
+    "finalizer_error_uncaught": """
+local mt = {__gc = function(o) error("boom") end}
+local t = setmetatable({}, mt)
+t = nil
+local x = 1
+return x
+""",
+    # the thunk's `return` unwinds to its own call frame, inside `f`'s
+    "return_through_thunk": """
+local mt = {__gc = function(o) return 7 end}
+local g = function(x) return x * 2 end
+local f = function() return (setmetatable({}, mt) and 1) + g(20) end
+return f()
+""",
+    # the argument dies with the call, so the drain splices the finalizer
+    # around the addition
+    "collectgarbage_in_expression": """
+local mt = {__gc = function(o) print("fin") end}
+local x = collectgarbage(setmetatable({}, mt)) + 1
+return x
+""",
+}
+
+STATE_SCHEDULES = [
+    Schedule("eager", "fin_weak"),
+    Schedule("eager", "fin"),
+    Schedule("eager", "fin_weak", selector="random-subset"),
+]
+
+
+def program_text(name: str) -> str:
+    return MARKER_TRAPS[name] if name in MARKER_TRAPS else corpus_text(name)
+
+
+class TestStateDerivedFacts:
+    """A cycle takes its root set and "a finalizer is in flight" from the
+    focused state; both must equal the whole-term walks they replace."""
+
+    @staticmethod
+    def check_states(monkeypatch, markers: list) -> None:
+        """Check every state the driver steps, collects or explores; record
+        the marker kinds each one's term holds."""
+
+        def check(state):
+            term = plug(state.at.frames, state.at.term)
+            assert state.roots() == set(A.term_locations(term))
+            assert state.finalizer_in_flight == finalizer_in_flight(term)
+            markers.append({type(n).__name__ for n in A.walk(term)
+                            if isinstance(n, (A.FinStat, A.FinWrap))})
+
+        for name in ("step", "run_cycle", "enumerate_gc_steps"):
+            def hook(state, *args, _real=getattr(executor, name), **kwargs):
+                check(state)
+                return _real(state, *args, **kwargs)
+
+            monkeypatch.setattr(executor, name, hook)
+
+    @pytest.mark.parametrize("schedule", STATE_SCHEDULES,
+                             ids=["eager_fin_weak", "eager_fin",
+                                  "eager_fin_weak_subset"])
+    @pytest.mark.parametrize("rel", CORPUS_PROGRAMS + sorted(MARKER_TRAPS))
+    def test_run_matches_term_walks(self, rel, schedule, monkeypatch):
+        markers: list = []
+        self.check_states(monkeypatch, markers)
+        rec = run(load_program(program_text(rel)), schedule, fuel=2_000)
+        # steps, cycles and end-of-program drain cycles were all checked
+        assert len(markers) > rec.steps > 0
+
+    @pytest.mark.parametrize("rel", CORPUS_PROGRAMS + sorted(MARKER_TRAPS))
+    def test_explorer_matches_term_walks(self, rel, monkeypatch):
+        markers: list = []
+        self.check_states(monkeypatch, markers)
+        obs = observations(load_program(program_text(rel)),
+                           ExhaustiveExplorer("fin_weak", 400, "maximal",
+                                              20_000))
+        assert markers and obs.nodes > 0
+
+    @pytest.mark.parametrize("name, marker, value", [
+        ("expression_splice", "FinWrap", [{"t": "num", "v": 4.0}]),
+        ("finalizer_error_in_pcall", "FinStat",
+         [{"t": "bool", "v": False}, {"t": "str", "v": "boom"}]),
+        ("finalizer_error_uncaught", "FinStat", [{"t": "str", "v": "boom"}]),
+        ("return_through_thunk", "FinWrap", [{"t": "num", "v": 41.0}]),
+        ("collectgarbage_in_expression", "FinWrap", [{"t": "num", "v": 1.0}]),
+    ])
+    def test_trap_is_reached(self, name, marker, value, monkeypatch):
+        markers: list = []
+        self.check_states(monkeypatch, markers)
+        rec = run(load_program(MARKER_TRAPS[name]), Schedule("eager", "fin"))
+        assert any(marker in m for m in markers)
+        assert json.loads(rec.result.key)["v"] == value
+
+    @pytest.mark.parametrize("rel", CORPUS_PROGRAMS + sorted(MARKER_TRAPS))
+    def test_summary_matches_term_walks(self, rel):
+        # every node of the loaded term and of it with a call spliced in
+        term = load_program(program_text(rel)).term
+        for t in (term, splice_finalizer(term, 1, 1)):
+            for n in A.walk(t):
+                assert A.summary(n) == (
+                    tuple(dict.fromkeys(A.term_locations(n))),
+                    finalizer_in_flight(n))
+
+    @staticmethod
+    def summarized_per_cycle(monkeypatch, depth: int) -> float:
+        config = load_program(recursion_program(depth))
+        nodes = cycles = 0
+        real_summarize, real_cycle = A._summarize, executor.run_cycle
+
+        def summarize(n):
+            nonlocal nodes
+            nodes += 1
+            return real_summarize(n)
+
+        def cycle(*args, **kwargs):
+            nonlocal cycles
+            cycles += 1
+            return real_cycle(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(A, "_summarize", summarize)
+            m.setattr(executor, "run_cycle", cycle)
+            rec = run(config, Schedule("eager", "fin_weak"), fuel=100_000)
+        assert rec.result.kind == "return"
+        return nodes / cycles
+
+    def test_summaries_per_cycle_independent_of_depth(self, monkeypatch):
+        shallow = self.summarized_per_cycle(monkeypatch, 50)
+        deep = self.summarized_per_cycle(monkeypatch, 400)
+        assert deep <= 1.5 * shallow
+
+    def test_runs_plug_only_to_splice(self, monkeypatch):
+        plugs = 0
+        real = interp.plug
+
+        def counting(frames, t):
+            nonlocal plugs
+            plugs += 1
+            return real(frames, t)
+
+        monkeypatch.setattr(interp, "plug", counting)
+        monkeypatch.setattr(executor, "plug", counting)
+        for rel in CORPUS_PROGRAMS + sorted(MARKER_TRAPS):
+            config = load_program(program_text(rel))
+            plugs = 0
+            rec = run(config, Schedule("eager", "fin_weak"), fuel=2_000)
+            splices = sum(e["kind"] == "finalize" for e in rec.trace)
+            assert plugs <= splices + 1, rel
