@@ -21,7 +21,7 @@ held type covers the accessed labels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from . import ast as A
 from .dataflow import (
@@ -32,8 +32,10 @@ from .dataflow import (
 )
 from .desugar import desugar
 from .inference import (
+    _BUILTIN_RESULT,
     InferenceFailure,
     TypedProgram,
+    _global_name,
     infer,
     prepare,
     weakness_from_mode,
@@ -45,9 +47,7 @@ from .statictypes import (
     BuiltinFnType,
     DynType,
     FuncType,
-    NIL_T,
     NUM_T,
-    STR_T,
     SingletonType,
     SType,
     TableType,
@@ -111,6 +111,7 @@ class _Checker:
         self.points = typed.points
         self.defs = defs
         self.diagnostics: List[Diagnostic] = []
+        self.reported: Set[Tuple[int, str, str]] = set()
 
     # -- diagnostics --------------------------------------------------------
 
@@ -118,11 +119,9 @@ class _Checker:
              table: str = "", access: str = "",
              witness: Tuple[str, ...] = ()) -> None:
         point = self.points.of(node)
-        if any(
-            d.point == point and d.severity == severity and d.reason == reason
-            for d in self.diagnostics
-        ):
+        if (point, severity, reason) in self.reported:
             return  # loop bodies are walked to a fixed point; report once
+        self.reported.add((point, severity, reason))
         pos = getattr(node, "pos", None)
         self.diagnostics.append(
             Diagnostic(
@@ -240,14 +239,8 @@ class _Checker:
             getattr(t, "pos", None),
         )
 
-    def _global_name(self, t: A.Index) -> Optional[A.Str]:
-        if isinstance(t.obj, A.Globals) and isinstance(t.key, A.Const) \
-                and isinstance(t.key.value, A.Str):
-            return t.key.value
-        return None
-
     def index_read(self, t: A.Index, env: Dict[str, SType]) -> SType:
-        g = self._global_name(t)
+        g = _global_name(t)
         if g is not None:
             return self.typed.global_type.fields.get(g, DYN)
         tobj = self.expr(t.obj, env)
@@ -296,7 +289,7 @@ class _Checker:
         return fty
 
     def index_write(self, t: A.Index, value: SType, env: Dict[str, SType]) -> None:
-        g = self._global_name(t)
+        g = _global_name(t)
         if g is not None:
             self.typed.global_type.fields[g] = value
             return
@@ -320,10 +313,7 @@ class _Checker:
         if isinstance(fn, BuiltinFnType):
             if fn.name == "setmetatable":
                 return self._setmetatable(t, args, env)
-            return {
-                "print": NIL_T, "tostring": STR_T, "error": NIL_T,
-                "collectgarbage": NUM_T,
-            }.get(fn.name, DYN)
+            return _BUILTIN_RESULT.get(fn.name, DYN)
         if isinstance(fn, FuncType):
             if len(args) != len(fn.domain):
                 self.diag(t, "warning", "type-error",

@@ -1,19 +1,23 @@
-"""Program points, control flow, and reaching definitions.
+"""Program points and reaching definitions.
 
 The analyzer works on a desugared, alpha-renamed tree: every local binder
 gets a unique name so definitions can be tracked globally.  Each AST node
-is a program point (numbered pre-order); statements are the CFG nodes and
-every expression shares the point set of its enclosing statement.
+is a program point (numbered pre-order); every expression, function
+bodies included, shares the in-set of the statement that evaluates it.
 
-Reaching definitions are the classic forward dataflow: in-sets are unions
-of predecessors' out-sets, ``out = gen + (in - kill)``, iterated to a
-fixed point (the lattice is finite).
+Reaching definitions are the classic forward dataflow, ``out = gen + (in -
+kill)``, solved along the syntax tree as for any structured program (Aho,
+Sethi & Ullman, *Compilers*, 1986, section 10.5): a sequence threads the
+set, ``if`` unions its arms, ``return`` and ``break`` end it (a ``break``
+hands its set to the loop's exit), and a ``while`` re-walks its body until
+the set at its head is stable.  For gen/kill sets that takes at most two
+walks of each loop body per walk of the loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from . import ast as A
 
@@ -80,28 +84,24 @@ class Points:
     """Pre-order numbering of one (shared, never rebuilt) tree."""
 
     number: Dict[int, int] = field(default_factory=dict)  # id(node) -> point
-    node: Dict[int, A.Term] = field(default_factory=dict)
 
     def of(self, n: A.Term) -> int:
         return self.number[id(n)]
 
-    def pos(self, n: A.Term) -> Optional[A.Pos]:
-        return getattr(n, "pos", None)
-
 
 def number_points(t: A.Term) -> Points:
     pts = Points()
-    counter = 0
-    for n in A.walk(t):
+    for counter, n in enumerate(A.walk(t)):
         pts.number[id(n)] = counter
-        pts.node[counter] = n
-        counter += 1
     return pts
 
 
 # ---------------------------------------------------------------------------
-# CFG + reaching definitions
+# Reaching definitions
 # ---------------------------------------------------------------------------
+
+
+_NONE: FrozenSet[Definition] = frozenset()
 
 
 @dataclass
@@ -117,129 +117,81 @@ class ReachingDefs:
         return self.in_sets.get(stmt, frozenset())
 
 
-class _CfgBuilder:
-    def __init__(self, points: Points):
-        self.points = points
-        self.succ: Dict[int, Set[int]] = {}
-        self.gen: Dict[int, Set[Definition]] = {}
-        self.kill: Dict[int, Set[str]] = {}
-        self.nodes: List[int] = []
+def _define(live: FrozenSet[Definition], names: Tuple[str, ...],
+            point: int) -> FrozenSet[Definition]:
+    """``gen + (live - kill)`` for a statement binding ``names``."""
+    return frozenset((n, point) for n in names).union(
+        d for d in live if d[0] not in names
+    )
 
-    def add_node(self, p: int) -> None:
-        if p not in self.succ:
-            self.succ[p] = set()
-            self.gen[p] = set()
-            self.kill[p] = set()
-            self.nodes.append(p)
 
-    def edge(self, a: int, b: int) -> None:
-        self.succ[a].add(b)
+def build_cfg(t: A.Stat, points: Points) -> ReachingDefs:
+    """Reaching definitions for every statement point, along the syntax tree."""
+    rd = ReachingDefs()
 
-    # Returns the entry point and the set of exit points of a statement.
-    def build(self, t: A.Stat, breaks: Optional[List[int]]) -> Tuple[Optional[int], List[int]]:
-        p = self.points.of(t)
-        if isinstance(t, (A.Empty, A.ExprStat, A.Assign, A.Return, A.Break)):
-            self.add_node(p)
-            if isinstance(t, A.Assign):
-                for x in t.targets:
-                    if isinstance(x, A.Name):
-                        self.gen[p].add((x.ident, p))
-                        self.kill[p].add(x.ident)
-            if isinstance(t, A.Break):
-                if breaks is None:
-                    raise OutOfScopeConstruct("break outside a loop", t.pos)
-                breaks.append(p)
-                return p, []
-            if isinstance(t, A.Return):
-                return p, []
-            return p, [p]
-        if isinstance(t, A.Seq):
-            e1, x1 = self.build(t.first, breaks)
-            e2, x2 = self.build(t.rest, breaks)
-            if e1 is None:
-                return e2, x2
-            if e2 is not None:
-                for x in x1:
-                    self.edge(x, e2)
-                return e1, x2
-            return e1, x1
-        if isinstance(t, A.Local):
-            self.add_node(p)
-            for n in t.names:
-                self.gen[p].add((n, p))
-                self.kill[p].add(n)
-            e, xs = self.build(t.body, breaks)
-            if e is not None:
-                self.edge(p, e)
-                return p, xs
-            return p, [p]
-        if isinstance(t, A.If):
-            self.add_node(p)
-            e1, x1 = self.build(t.then_body, breaks)
-            e2, x2 = self.build(t.else_body, breaks)
-            exits: List[int] = []
-            for e, xs in ((e1, x1), (e2, x2)):
-                if e is None:
-                    exits.append(p)
-                else:
-                    self.edge(p, e)
-                    exits.extend(xs)
-            return p, exits
-        if isinstance(t, A.While):
-            self.add_node(p)
-            inner_breaks: List[int] = []
-            e, xs = self.build(t.body, inner_breaks)
-            if e is not None:
-                self.edge(p, e)
-                for x in xs:
-                    self.edge(x, p)  # back edge
+    def enter(t: A.Stat, live: FrozenSet[Definition], exprs) -> int:
+        """Record ``live`` on entry to ``t``; map the points of the
+        expressions it evaluates, function bodies included, to it."""
+        p = points.of(t)
+        if p not in rd.in_sets:
+            rd.stmt_of[p] = p
+            for e in exprs:
+                for n in A.walk(e):
+                    rd.stmt_of[points.of(n)] = p
+        rd.in_sets[p] = live
+        return p
+
+    # Returns the definitions live where control falls out of ``t``.
+    def stat(t: A.Stat, live: FrozenSet[Definition],
+             breaks: Optional[List[FrozenSet[Definition]]],
+             owner: int) -> FrozenSet[Definition]:
+        while isinstance(t, (A.Seq, A.Local)):  # the nesting of a block
+            if isinstance(t, A.Seq):
+                rd.stmt_of[points.of(t)] = owner
+                live = stat(t.first, live, breaks, owner)
+                t = t.rest
             else:
-                self.edge(p, p)
-            exits = [p] + inner_breaks
-            return p, exits
+                owner = enter(t, live, t.exprs)
+                live = _define(live, t.names, owner)
+                t = t.body
+        if isinstance(t, A.Assign):
+            p = enter(t, live, t.targets + t.exprs)
+            return _define(
+                live, tuple(x.ident for x in t.targets if isinstance(x, A.Name)), p
+            )
+        if isinstance(t, A.Empty):
+            enter(t, live, ())
+            return live
+        if isinstance(t, A.ExprStat):
+            enter(t, live, (t.expr,))
+            return live
+        if isinstance(t, A.Return):
+            enter(t, live, t.exprs)
+            return _NONE
+        if isinstance(t, A.Break):
+            if breaks is None:
+                raise OutOfScopeConstruct("break outside a loop", t.pos)
+            enter(t, live, ())
+            breaks.append(live)
+            return _NONE
+        if isinstance(t, A.If):
+            p = enter(t, live, (t.cond,))
+            return (stat(t.then_body, live, breaks, p)
+                    | stat(t.else_body, live, breaks, p))
+        if isinstance(t, A.While):
+            p = enter(t, live, (t.cond,))
+            while True:
+                exits: List[FrozenSet[Definition]] = []
+                head = live | stat(t.body, rd.in_sets[p], exits, p)
+                if head == rd.in_sets[p]:
+                    return head.union(*exits)
+                rd.in_sets[p] = head
         raise OutOfScopeConstruct(
             f"statement not supported by the analyzer: {type(t).__name__}", t.pos
         )
 
-
-def build_cfg(t: A.Stat, points: Points) -> ReachingDefs:
-    """Reaching definitions for every statement point, worklist fixpoint."""
-    b = _CfgBuilder(points)
-    entry, _ = b.build(t, None)
-
-    preds: Dict[int, Set[int]] = {p: set() for p in b.nodes}
-    for a, succs in b.succ.items():
-        for s in succs:
-            preds[s].add(a)
-
-    in_sets: Dict[int, Set[Definition]] = {p: set() for p in b.nodes}
-    out_sets: Dict[int, Set[Definition]] = {p: set() for p in b.nodes}
-    work = list(b.nodes)
-    while work:
-        p = work.pop()
-        new_in: Set[Definition] = set()
-        for q in preds[p]:
-            new_in |= out_sets[q]
-        in_sets[p] = new_in
-        new_out = set(b.gen[p]) | {
-            (v, dp) for (v, dp) in new_in if v not in b.kill[p]
-        }
-        if new_out != out_sets[p]:
-            out_sets[p] = new_out
-            work.extend(b.succ[p])
-
-    rd = ReachingDefs({p: frozenset(s) for p, s in in_sets.items()})
-    # map every nested point (expressions, sub-statements of Local bodies
-    # evaluated within the statement) to its closest enclosing CFG node
-    cfg_nodes = set(b.nodes)
-
-    def assign(node: A.Term, owner: Optional[int]) -> None:
-        p = points.of(node)
-        here = p if p in cfg_nodes else owner
-        if here is not None:
-            rd.stmt_of[p] = here
-        for c in A.children(node):
-            assign(c, here)
-
-    assign(t, entry)
+    entry = t  # top-level sequence points map to the first statement
+    while isinstance(entry, A.Seq):
+        entry = entry.first
+    stat(t, _NONE, None, points.of(entry))
     return rd

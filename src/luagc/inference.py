@@ -119,6 +119,14 @@ _BUILTIN_RESULT = {
 }
 
 
+def _global_name(t: A.Index) -> Optional[A.Str]:
+    """The name read or written by ``t`` if it indexes the globals table."""
+    if isinstance(t.obj, A.Globals) and isinstance(t.key, A.Const) \
+            and isinstance(t.key.value, A.Str):
+        return t.key.value
+    return None
+
+
 def weakness_from_mode(mode: Optional[SType]) -> str:
     """Weakness tag from the static type of a metatable's __mode field.
 
@@ -289,14 +297,8 @@ class _Inferencer:
             getattr(t, "pos", None),
         )
 
-    def _global_name(self, t: A.Index) -> Optional[A.Str]:
-        if isinstance(t.obj, A.Globals) and isinstance(t.key, A.Const) \
-                and isinstance(t.key.value, A.Str):
-            return t.key.value
-        return None
-
     def index_read(self, t: A.Index, env: Dict[str, InfType]) -> InfType:
-        g = self._global_name(t)
+        g = _global_name(t)
         if g is not None:
             return self.global_type.fields.get(g, DYN)
         tobj = resolve(self.expr(t.obj, env))
@@ -321,7 +323,7 @@ class _Inferencer:
         )
 
     def index_write(self, t: A.Index, value: InfType, env) -> None:
-        g = self._global_name(t)
+        g = _global_name(t)
         if g is not None:
             self.global_type.fields[g] = resolve(value)  # type: ignore[assignment]
             return

@@ -127,10 +127,6 @@ def is_collectible_type(t: SType) -> bool:
     return isinstance(t, (TableType, FuncType))
 
 
-def maybe_collectible(t: SType) -> bool:
-    return is_collectible_type(t) or isinstance(t, DynType)
-
-
 # ---------------------------------------------------------------------------
 # Subtyping
 # ---------------------------------------------------------------------------

@@ -216,6 +216,54 @@ class TestReachingDefs:
                  if d[0].split("#")[0] == "x"]
         assert len(xdefs) == 2
 
+    def test_break_from_inner_loop_reaches_statement_after_it(self):
+        # the inner body ends in `break`, so `j` leaves the loop only
+        # through the break
+        renamed, points, defs = self.prep(
+            "local i = 0\n"
+            "while i < 3 do\n"
+            "  while true do local j = 1 break end\n"
+            "  print(i)\n"
+            "  i = i + 1\n"
+            "end\n"
+        )
+        call = [n for n in A.walk(renamed) if isinstance(n, A.ExprStat)][0]
+        inner_local = [n for n in A.walk(renamed) if isinstance(n, A.Local)][1]
+        assert inner_local.names[0].split("#")[0] == "j"
+        assert (inner_local.names[0], points.of(inner_local)) in defs.at(
+            points.of(call))
+
+    def test_statement_after_return_has_empty_in_set(self):
+        renamed, points, defs = self.prep(
+            "local a = 1\ndo return a end\nlocal b = a\nprint(b)\n"
+        )
+        dead = [n for n in A.walk(renamed) if isinstance(n, A.Local)][1]
+        assert defs.at(points.of(dead)) == frozenset()
+        call = [n for n in A.walk(renamed) if isinstance(n, A.ExprStat)][0]
+        assert defs_by_original_name(defs, points.of(call)) == {"b"}
+
+    def test_function_body_point_shares_its_holders_in_set(self):
+        renamed, points, defs = self.prep(
+            "local a = 1\n"
+            "local f = function(x) local y = x print(y) end\n"
+            "f(a)\n"
+        )
+        holder = [n for n in A.walk(renamed) if isinstance(n, A.Local)][1]
+        inside = [n for n in A.walk(renamed) if isinstance(n, A.ExprStat)][0]
+        assert isinstance(inside.expr.args[0], A.Name)  # print(y), in f
+        assert defs.at(points.of(inside)) == defs.at(points.of(holder))
+        assert defs_by_original_name(defs, points.of(inside)) == {"a"}
+
+    def test_reassignment_at_loop_end_reaches_condition(self):
+        renamed, points, defs = self.prep(
+            "local x = 1\nwhile x < 3 do\n  print(x)\n  x = x + 1\nend\n"
+        )
+        loop = [n for n in A.walk(renamed) if isinstance(n, A.While)][0]
+        assign = [n for n in A.walk(renamed) if isinstance(n, A.Assign)][0]
+        reassigned = (assign.targets[0].ident, points.of(assign))
+        assert reassigned in defs.at(points.of(loop))
+        assert reassigned in defs.at(points.of(loop.cond))
+
 
 # ---------------------------------------------------------------------------
 # Verdicts
