@@ -349,9 +349,24 @@ class TestVerdicts:
         assert any(d.reason == "weak-table-nondeterminism"
                    for d in r.diagnostics)
 
-    def test_mtch_failure_reports_type_error(self):
-        r = check_program("local t = {[1] = 2} print(t[2])")
-        assert any(d.reason == "type-error" for d in r.diagnostics)
+    # Rules that can still fire once inference has succeeded: each is
+    # judged only after the constraints are solved.
+    @pytest.mark.parametrize("text, line, message", [
+        ("local f = function(g) return g() end\nlocal x = f(1)\n",
+         1, "calling a value of type <1:num>"),
+        ("local f = function(g) return g(1) end\n"
+         "local h = function(a, b) return a end\nlocal x = f(h)\n",
+         1, "call arity mismatch: 1 given, 2 expected"),
+        ('local x = 1\nx = "s"\n',
+         2, "assignment changes the type of 'x' from <1:num> to <\"s\":str>"),
+        ("local t = {[1] = 2} print(t[2])",
+         1, "no field [2] in table type {[1]: <2:num>} strong"),
+    ], ids=["call-non-function", "call-arity", "reassignment", "no-field"])
+    def test_type_error_after_inference(self, text, line, message):
+        r = check_program(text)
+        assert r.verdict == "SAFE"
+        assert [(d.line, d.severity, d.reason, d.message)
+                for d in r.diagnostics] == [(line, "warning", "type-error", message)]
 
     def test_ephemeron_literal_keys_never_unsafe(self):
         r = check_program(corpus_text("safe/ephemeron_literal_keys.lua"))
