@@ -12,6 +12,9 @@ Three phases, as in classic inference for dynamic languages:
    bound from usage if any, else the join of lower bounds, else ``dyn``)
    and verify every subtype constraint under the solution.
 
+The generation walk is the analyzer's only walk of the program.  Where a
+checking rule can still fire once the constraints are solved, it records a
+:class:`Site`, and the checker judges the sites against the solution.
 Table and function types carry allocation-site labels; the checker's
 reachability question is answered in terms of those labels.
 """
@@ -19,7 +22,7 @@ reachability question is answered in terms of those labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import ast as A
 from .dataflow import OutOfScopeConstruct, Points, alpha_rename, number_points
@@ -90,14 +93,32 @@ def resolve(t: InfType) -> InfType:
     return t
 
 
+class Site(NamedTuple):
+    """A place where a checking rule may fire once the types are solved.
+
+    ``kind`` names the rule, and ``parts`` are its arguments after
+    ``node``, still unresolved:
+
+    - ``assign``: a name reassignment, with the old and the new type;
+    - ``read``: a read of a table type, with the table type, the literal
+      key and a copy of the environment at the read;
+    - ``call``: a call whose callee was a type variable, with the callee
+      and the argument types;
+    - ``setmetatable``: a ``setmetatable`` call, with the metatable type
+      (None when it is absent).
+    """
+
+    kind: str
+    node: A.Term
+    parts: tuple
+
+
 @dataclass
 class TypedProgram:
-    term: A.Stat
     points: Points
     decls: Dict[int, Dict[str, SType]]
     functions: Dict[int, FuncType]
-    global_type: TableType
-    constraints: List[Constraint]
+    sites: List[Site]  # in walk order
 
     def describe(self) -> str:
         lines = []
@@ -156,6 +177,7 @@ class _Inferencer:
             "strong",
         )
         self.return_stack: List[List[InfType]] = []
+        self.sites: List[Site] = []
 
     # -- constraint helpers -------------------------------------------------
 
@@ -199,6 +221,7 @@ class _Inferencer:
                 if old is None:
                     env[target.ident] = tv
                 else:
+                    self.sites.append(Site("assign", t, (old, tv)))
                     a, b = resolve(old), resolve(tv)
                     if isinstance(a, TypeVar) or isinstance(b, TypeVar):
                         self.want_equal(a, b, t.pos)
@@ -306,17 +329,20 @@ class _Inferencer:
         if isinstance(tobj, DynType):
             return DYN
         if isinstance(tobj, TypeVar):
+            key = _key_value(tkey, t)
+            self.sites.append(Site("read", t, (tobj, key, dict(env))))
             fresh = TypeVar(f"field@{self.points.of(t)}")
             self.constraints.append(
-                Constraint("hasfield", (tobj, _key_value(tkey, t), fresh), t.pos)
+                Constraint("hasfield", (tobj, key, fresh), t.pos)
             )
             return fresh
         if isinstance(tobj, TableType):
             key = _key_value(tkey, t)
+            self.sites.append(Site("read", t, (tobj, key, dict(env))))
             if key in tobj.fields:
                 return tobj.fields[key]
             # reading an absent field of a known table: dyn, and the
-            # checker reports the failed field match
+            # checker reports the failed field match if it stays absent
             return DYN
         raise InferenceFailure(
             f"cannot index a value of type {tobj}", t.pos
@@ -357,7 +383,10 @@ class _Inferencer:
             for a, d in zip(args, fn.domain):
                 self.want_subtype(a, d, t.pos)
             return fn.result
-        if isinstance(fn, (DynType, TypeVar)):
+        if isinstance(fn, TypeVar):
+            self.sites.append(Site("call", t, (fn, tuple(args))))
+            return DYN
+        if isinstance(fn, DynType):
             return DYN
         raise InferenceFailure(f"cannot call a value of type {fn}", t.pos)
 
@@ -366,6 +395,7 @@ class _Inferencer:
             raise InferenceFailure("setmetatable needs a table argument", t.pos)
         target = resolve(args[0])
         meta = resolve(args[1]) if len(args) > 1 else None
+        self.sites.append(Site("setmetatable", t, (meta,)))
         if isinstance(meta, TableType):
             w = weakness_from_mode(meta.fields.get(A.Str("__mode")))
         elif meta is None or isinstance(
@@ -539,28 +569,32 @@ def _verify(constraints: List[Constraint]) -> None:
                                    c.pos)
 
 
-def deep_resolve(t: InfType, _visited: Optional[set] = None) -> SType:
-    """Replace solved variables inside structured types, in place."""
+def deep_resolve(t: InfType, memo: Optional[Dict[int, tuple]] = None) -> SType:
+    """Replace solved variables inside structured types, in place.
+
+    ``memo`` maps the id of every structured type resolved so far to the
+    type and its resolution (the type is kept so that its id stays its
+    own); sharing one across calls resolves shared structure once.
+    """
     t = resolve(t)
     if isinstance(t, TypeVar):
         return DYN
-    visited = _visited if _visited is not None else set()
-    if isinstance(t, TableType):
-        if id(t) in visited:
-            return t
-        visited.add(id(t))
-        for k in list(t.fields):
-            t.fields[k] = deep_resolve(t.fields[k], visited)
+    if not isinstance(t, (TableType, FuncType)):
         return t
-    if isinstance(t, FuncType):
-        key = id(t)
-        if key in visited:
-            return t
-        visited.add(key)
-        dom = tuple(deep_resolve(d, visited) for d in t.domain)
-        res = deep_resolve(t.result, visited)
-        return FuncType(dom, res, t.labels)
-    return t
+    if memo is None:
+        memo = {}
+    done = memo.get(id(t))
+    if done is not None:
+        return done[1]
+    memo[id(t)] = (t, t)  # a cycle back to ``t`` stops here
+    if isinstance(t, TableType):
+        for k in list(t.fields):
+            t.fields[k] = deep_resolve(t.fields[k], memo)
+        return t
+    out = FuncType(tuple(deep_resolve(d, memo) for d in t.domain),
+                   deep_resolve(t.result, memo), t.labels)
+    memo[id(t)] = (t, out)
+    return out
 
 
 def infer(term: A.Stat, points: Optional[Points] = None) -> TypedProgram:
@@ -586,9 +620,7 @@ def infer(term: A.Stat, points: Optional[Points] = None) -> TypedProgram:
         resolved = deep_resolve(fn)
         assert isinstance(resolved, FuncType)
         functions[p] = resolved
-    deep_resolve(inf.global_type)
-    return TypedProgram(term, points, decls, functions, inf.global_type,
-                        inf.constraints)
+    return TypedProgram(points, decls, functions, inf.sites)
 
 
 def prepare(term: A.Stat) -> Tuple[A.Stat, Points]:
