@@ -40,34 +40,59 @@ class OutOfScopeConstruct(Exception):
 
 
 def alpha_rename(t: A.Term) -> A.Term:
-    """Make every bound name unique (``x``, ``x#2``, ...)."""
+    """Make every bound name unique (``x``, ``x#2``, ...).
+
+    A post-order rebuild on an explicit stack, as in
+    ``interp._patch_globals``, so deep terms need no Python recursion: a
+    node's entry goes back on the stack under its children with a mark
+    (the length of ``done``), and takes the entries of ``done`` above the
+    mark once they are done.  Names are made fresh in pre-order, a
+    function's parameters on entry and a local's names once its
+    expressions are done; the new names go on ``done`` ahead of the body.
+    """
     counts: Dict[str, int] = {}
+    done: list = []
 
-    def fresh(name: str) -> str:
-        n = counts.get(name, 0)
-        counts[name] = n + 1
-        return name if n == 0 else f"{name}#{n + 1}"
+    def bind(names: Tuple[str, ...], env: Dict[str, str]) -> Dict[str, str]:
+        inner = dict(env)
+        for n in names:
+            k = counts.get(n, 0)
+            counts[n] = k + 1
+            inner[n] = n if k == 0 else f"{n}#{k + 1}"
+        done.append(tuple(inner[n] for n in names))
+        return inner
 
-    def go(t: A.Term, env: Dict[str, str]) -> A.Term:
-        if isinstance(t, A.Name):
-            return A.Name(env.get(t.ident, t.ident), pos=t.pos)
-        if isinstance(t, A.Local):
-            exprs = tuple(go(e, env) for e in t.exprs)
-            new = {n: fresh(n) for n in t.names}
-            inner = dict(env)
-            inner.update(new)
-            return A.Local(
-                tuple(new[n] for n in t.names), exprs, go(t.body, inner), pos=t.pos
-            )
-        if isinstance(t, A.Function):
-            new = {n: fresh(n) for n in t.params}
-            inner = dict(env)
-            inner.update(new)
-            return A.Function(tuple(new[n] for n in t.params),
-                              go(t.body, inner), pos=t.pos)
-        return A._rebuild(t, lambda c: go(c, env))
-
-    return go(t, {})
+    stack: List[tuple] = [(t, {}, None)]  # (node, env, mark)
+    while stack:
+        n, env, mark = stack.pop()
+        if mark == "bind":  # the local's expressions are done
+            stack.append((n.body, bind(n.names, env), None))
+        elif mark is not None:
+            kids = done[mark:]
+            del done[mark:]
+            if isinstance(n, A.Local):
+                *exprs, names, body = kids
+                done.append(A.Local(names, tuple(exprs), body, pos=n.pos))
+            elif isinstance(n, A.Function):
+                names, body = kids
+                done.append(A.Function(names, body, pos=n.pos))
+            else:
+                it = iter(kids)
+                done.append(A._rebuild(n, lambda _: next(it)))
+        elif isinstance(n, A.Name):
+            done.append(A.Name(env.get(n.ident, n.ident), pos=n.pos))
+        else:
+            stack.append((n, env, len(done)))
+            if isinstance(n, A.Local):
+                stack.append((n, env, "bind"))
+                stack.extend((e, env, None) for e in reversed(n.exprs))
+            elif isinstance(n, A.Function):
+                stack.append((n.body, bind(n.params, env), None))
+            else:
+                kids = list(A.children(n))
+                kids.reverse()
+                stack.extend((c, env, None) for c in kids)
+    return done[0]
 
 
 def original_name(name: str) -> str:

@@ -164,6 +164,9 @@ def weakness_from_mode(mode: Optional[SType]) -> str:
     return "wkv"
 
 
+_LOOP_ROUNDS = 8
+
+
 class _Inferencer:
     def __init__(self, points: Points):
         self.points = points
@@ -190,13 +193,11 @@ class _Inferencer:
     # -- statements ---------------------------------------------------------
 
     def stat(self, t: A.Stat, env: Dict[str, InfType]) -> None:
-        if isinstance(t, A.Empty) or isinstance(t, A.Break):
-            return
-        if isinstance(t, A.Seq):
-            self.stat(t.first, env)
-            self.stat(t.rest, env)
-            return
-        if isinstance(t, A.Local):
+        while isinstance(t, (A.Seq, A.Local)):  # the nesting of a block
+            if isinstance(t, A.Seq):
+                self.stat(t.first, env)
+                t = t.rest
+                continue
             if len(t.names) != 1 or len(t.exprs) > 1:
                 raise OutOfScopeConstruct(
                     "multi-variable local declarations are not analyzed", t.pos
@@ -207,7 +208,8 @@ class _Inferencer:
             )
             self.decls.setdefault(self.points.of(t), {})[name] = ty  # type: ignore[assignment]
             env[name] = ty
-            self.stat(t.body, env)
+            t = t.body
+        if isinstance(t, (A.Empty, A.Break)):
             return
         if isinstance(t, A.Assign):
             if len(t.targets) != 1 or len(t.exprs) != 1:
@@ -244,17 +246,20 @@ class _Inferencer:
             self._merge(env, e1, e2)
             return
         if isinstance(t, A.While):
-            for _ in range(3):
+            # join's depth cutoff to dyn is the widening that makes the
+            # environment stable; a loop that is still moving after
+            # _LOOP_ROUNDS walks of its body has no verdict
+            for _ in range(_LOOP_ROUNDS):
                 self.expr(t.cond, env)
                 body_env = dict(env)
                 self.stat(t.body, body_env)
                 before = dict(env)
                 self._merge(env, before, body_env)
-                if all(
-                    _stable(before.get(k), env.get(k)) for k in env
-                ):
-                    break
-            return
+                if all(_stable(before[k], env[k]) for k in env):
+                    return
+            raise InferenceFailure(
+                f"loop types not stable after {_LOOP_ROUNDS} rounds", t.pos
+            )
         if isinstance(t, A.Return):
             if len(t.exprs) > 1:
                 raise OutOfScopeConstruct(
@@ -455,9 +460,7 @@ def _key_value(tkey: InfType, node: A.Index) -> A.Value:
     )
 
 
-def _stable(a: Optional[InfType], b: Optional[InfType]) -> bool:
-    if a is None or b is None:
-        return a is b
+def _stable(a: InfType, b: InfType) -> bool:
     a, b = resolve(a), resolve(b)
     if isinstance(a, TypeVar) or isinstance(b, TypeVar):
         return a is b

@@ -184,13 +184,14 @@ def _equal(a: SType, b: SType, seen: set) -> bool:
             _equal(x, y, seen) for x, y in zip(a.domain, b.domain)
         ) and _equal(a.result, b.result, seen)
     if isinstance(a, TableType) and isinstance(b, TableType):
-        if set(a.fields) != set(b.fields):
+        if a.weakness != b.weakness or set(a.fields) != set(b.fields):
             return False
         return all(_equal(a.fields[k], b.fields[k], seen) for k in a.fields)
     return a == b
 
 
 def equal_types(a: SType, b: SType) -> bool:
+    """Structural equality; tables must also agree on weakness."""
     return _equal(a, b, set())
 
 

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from luagc import ast as A
+from luagc import ast as A, inference
 from luagc.ast import Bool, Nil, Num, Str
-from luagc.checker import check_program
+from luagc.checker import check_program, check_term
 from luagc.dataflow import build_cfg
 from luagc.desugar import desugar
 from luagc.inference import InferenceFailure, infer, prepare
@@ -22,6 +22,24 @@ from luagc.statictypes import (
 )
 
 from conftest import corpus_text, safe_programs
+
+
+LOOP_ROTATION = """\
+local m = {__mode = "v"}
+local w = {x = {}}
+setmetatable(w, m)
+local s1 = {x = {}}
+local s2 = {x = {}}
+local n = 0
+local i = 0
+while i < 4 do
+  if s2.x then n = n + 1 end
+  s2 = s1
+  s1 = w
+  i = i + 1
+end
+return n
+"""
 
 
 def analyzed(text):
@@ -110,6 +128,12 @@ class TestSubtype:
     def test_join_is_upper_bound(self, a, b):
         j = join(a, b)
         assert subtype(a, j) and subtype(b, j)
+
+    def test_join_keeps_weakness_of_equal_fields(self):
+        strong = TableType({Str("x"): TableType({})}, "strong")
+        weak = TableType({Str("x"): TableType({})}, "wv")
+        assert join(strong, weak).weakness == "wv"
+        assert join(weak, strong).weakness == "wv"
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +392,19 @@ class TestVerdicts:
         assert [(d.line, d.severity, d.reason, d.message)
                 for d in r.diagnostics] == [(line, "warning", "type-error", message)]
 
+    def test_loop_rotating_a_weak_table_into_a_read(self):
+        # s2 holds the weak table w from the third iteration on, so the
+        # exhaustive explorer observes n in {2, 3, 4}
+        r = check_program(LOOP_ROTATION)
+        assert r.verdict == "UNSAFE"
+        assert [(d.line, d.access) for d in r.unsafe] == [(9, 's2["x"]')]
+
+    def test_loop_without_stable_types_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(inference, "_LOOP_ROUNDS", 2)
+        r = check_program(LOOP_ROTATION)
+        assert r.verdict == "UNKNOWN"
+        assert r.reason == "8:1: loop types not stable after 2 rounds"
+
     def test_ephemeron_literal_keys_never_unsafe(self):
         r = check_program(corpus_text("safe/ephemeron_literal_keys.lua"))
         assert r.verdict == "SAFE"
@@ -380,6 +417,18 @@ class TestVerdicts:
 
 
 class TestRobustness:
+    def test_long_sum_is_analyzed(self):
+        r = check_program("return " + " + ".join(["1"] * 600) + "\n")
+        assert r.verdict == "SAFE"
+
+    def test_long_local_spine_is_analyzed(self):
+        # the desugared form of 3,000 `local`s, each nesting the rest
+        term = A.Return((A.Name("x"),))
+        for i in range(3000):
+            term = A.Local(("x",), (A.Const(Num(float(i))),), term)
+        r = check_term(term)
+        assert r.verdict == "SAFE", r.reason
+
     def test_analyzer_total_on_corpus(self):
         from conftest import CORPUS
 
