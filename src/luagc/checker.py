@@ -38,6 +38,7 @@ from .inference import (
     TypedProgram,
     deep_resolve,
     infer,
+    metatable_weakness,
     prepare,
     resolve,
 )
@@ -46,7 +47,6 @@ from .statictypes import (
     BuiltinFnType,
     DynType,
     FuncType,
-    SingletonType,
     SType,
     TableType,
     is_collectible_type,
@@ -107,10 +107,7 @@ class _Checker:
         self.defs = defs
         self.diagnostics: List[Diagnostic] = []
         self.reported: Set[Tuple[int, str, str]] = set()
-        self.memo: Dict[int, tuple] = {}
-
-    def resolve(self, t) -> SType:
-        return deep_resolve(t, self.memo)
+        self.memo: Dict[int, tuple] = {}  # resolves each type once
 
     def diag(self, node: A.Term, severity: str, reason: str, message: str,
              table: str = "", access: str = "",
@@ -131,7 +128,7 @@ class _Checker:
     # -- one method per site kind ------------------------------------------
 
     def assign(self, t: A.Assign, old, new) -> None:
-        old, new = self.resolve(old), self.resolve(new)
+        old, new = deep_resolve(old, self.memo), deep_resolve(new, self.memo)
         if not (subtype(new, old) or subtype(old, new)):
             self.diag(
                 t, "warning", "type-error",
@@ -141,7 +138,7 @@ class _Checker:
 
     def read(self, t: A.Index, table, key: A.Value,
              env: Dict[str, InfType]) -> None:
-        tobj = self.resolve(table)
+        tobj = deep_resolve(table, self.memo)
         if not isinstance(tobj, TableType):
             return
         if key not in tobj.fields:
@@ -176,7 +173,7 @@ class _Checker:
             )
 
     def call(self, t: A.Call, fn, args) -> None:
-        fn = self.resolve(fn)
+        fn = deep_resolve(fn, self.memo)
         if isinstance(fn, FuncType):
             if len(args) != len(fn.domain):
                 self.diag(t, "warning", "type-error",
@@ -184,7 +181,7 @@ class _Checker:
                           f" {len(fn.domain)} expected")
                 return
             for a, d in zip(args, fn.domain):
-                a = self.resolve(a)
+                a = deep_resolve(a, self.memo)
                 if not subtype(a, d):
                     self.diag(t, "warning", "type-error",
                               f"argument of type {a} where {d} is expected")
@@ -193,23 +190,10 @@ class _Checker:
                       f"calling a value of type {fn}")
 
     def setmetatable(self, t: A.Call, meta) -> None:
-        if meta is None:
-            return
-        meta = self.resolve(meta)
-        if isinstance(meta, TableType):
-            mode = meta.fields.get(A.Str("__mode"))
-            if mode is not None and not isinstance(mode, SingletonType):
-                self.diag(
-                    t, "warning", "weak-table-nondeterminism",
-                    "__mode is not a literal string; treating the table"
-                    " as fully weak",
-                )
-        elif not (isinstance(meta, SingletonType)
-                  and isinstance(meta.value, A.Nil)):
-            self.diag(
-                t, "warning", "weak-table-nondeterminism",
-                "metatable type is unknown; treating the table as fully weak",
-            )
+        unknown = metatable_weakness(meta)[1]
+        if unknown:
+            self.diag(t, "warning", "weak-table-nondeterminism",
+                      f"{unknown}; treating the table as fully weak")
 
 
 def static_reach_cte(
@@ -274,9 +258,7 @@ def check_term(term: A.Stat, origin: str = "<inline>") -> AnalysisReport:
         typed = infer(renamed, points)
         defs = build_cfg(renamed, points)
         diagnostics = typecheck(typed, defs)
-    except OutOfScopeConstruct as e:
-        return AnalysisReport(origin, "UNKNOWN", [], reason=str(e))
-    except InferenceFailure as e:
+    except (OutOfScopeConstruct, InferenceFailure) as e:
         return AnalysisReport(origin, "UNKNOWN", [], reason=str(e))
     verdict = "UNSAFE" if any(
         d.severity == "unsafe" for d in diagnostics

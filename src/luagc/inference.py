@@ -34,7 +34,6 @@ from .statictypes import (
     FuncType,
     NIL_T,
     NUM_T,
-    PrimType,
     STR_T,
     SingletonType,
     SType,
@@ -77,14 +76,6 @@ class Constraint:
     kind: str  # "subtype" | "equal" | "hasfield"
     parts: tuple
     pos: Optional[A.Pos] = None
-
-    def __str__(self) -> str:
-        if self.kind == "hasfield":
-            t, k, v = self.parts
-            return f"{t} has [{A.print_value(k)}]: {v}"
-        a, b = self.parts
-        op = "<:" if self.kind == "subtype" else "=="
-        return f"{a} {op} {b}"
 
 
 def resolve(t: InfType) -> InfType:
@@ -148,20 +139,28 @@ def _global_name(t: A.Index) -> Optional[A.Str]:
     return None
 
 
-def weakness_from_mode(mode: Optional[SType]) -> str:
-    """Weakness tag from the static type of a metatable's __mode field.
-
-    None means the field is absent (strong); a non-singleton or dyn mode
-    is unknown and treated as fully weak, conservatively.
+def metatable_weakness(meta: Optional[InfType]) -> Tuple[str, str]:
+    """The weakness ``setmetatable`` gives a table, from the metatable's
+    type (None when there is no metatable argument), and what about it is
+    unknown ("" when nothing is).  Unknown weakness is full weakness,
+    conservatively.
     """
+    meta = resolve(meta) if meta is not None else None
+    if meta is None or (isinstance(meta, SingletonType)
+                        and isinstance(meta.value, A.Nil)):
+        return "strong", ""
+    if not isinstance(meta, TableType):
+        return "wkv", "metatable type is unknown"
+    mode = meta.fields.get(A.Str("__mode"))
     if mode is None:
-        return "strong"
+        return "strong", ""
     mode = resolve(mode)
-    if isinstance(mode, SingletonType) and isinstance(mode.value, A.Str):
-        s = mode.value.s
-        k, v = "k" in s, "v" in s
-        return "wkv" if (k and v) else "wk" if k else "wv" if v else "strong"
-    return "wkv"
+    if not isinstance(mode, SingletonType):
+        return "wkv", "__mode is not a literal string"
+    if not isinstance(mode.value, A.Str):
+        return "wkv", ""
+    k, v = "k" in mode.value.s, "v" in mode.value.s
+    return "wkv" if (k and v) else "wk" if k else "wv" if v else "strong", ""
 
 
 _LOOP_ROUNDS = 8
@@ -301,9 +300,7 @@ class _Inferencer:
             return self.table(t, env)
         if isinstance(t, A.BinOp):
             lt, rt = self.expr(t.lhs, env), self.expr(t.rhs, env)
-            if t.op in ("==", "~="):
-                return BOOL_T
-            if t.op in ("<", "<=", ">", ">="):
+            if t.op in ("==", "~=", "<", "<=", ">", ">="):
                 return BOOL_T
             self.want_subtype(lt, NUM_T, t.pos)
             self.want_subtype(rt, NUM_T, t.pos)
@@ -333,25 +330,17 @@ class _Inferencer:
         tkey = resolve(self.expr(t.key, env))
         if isinstance(tobj, DynType):
             return DYN
-        if isinstance(tobj, TypeVar):
-            key = _key_value(tkey, t)
-            self.sites.append(Site("read", t, (tobj, key, dict(env))))
-            fresh = TypeVar(f"field@{self.points.of(t)}")
-            self.constraints.append(
-                Constraint("hasfield", (tobj, key, fresh), t.pos)
-            )
-            return fresh
+        if not isinstance(tobj, (TypeVar, TableType)):
+            raise InferenceFailure(f"cannot index a value of type {tobj}", t.pos)
+        key = _key_value(tkey, t)
+        self.sites.append(Site("read", t, (tobj, key, dict(env))))
         if isinstance(tobj, TableType):
-            key = _key_value(tkey, t)
-            self.sites.append(Site("read", t, (tobj, key, dict(env))))
-            if key in tobj.fields:
-                return tobj.fields[key]
-            # reading an absent field of a known table: dyn, and the
-            # checker reports the failed field match if it stays absent
-            return DYN
-        raise InferenceFailure(
-            f"cannot index a value of type {tobj}", t.pos
-        )
+            # an absent field reads as dyn; the checker reports it if it
+            # is still absent once the program is solved
+            return tobj.fields.get(key, DYN)
+        fresh = TypeVar(f"field@{self.points.of(t)}")
+        self.constraints.append(Constraint("hasfield", (tobj, key, fresh), t.pos))
+        return fresh
 
     def index_write(self, t: A.Index, value: InfType, env) -> None:
         g = _global_name(t)
@@ -399,18 +388,10 @@ class _Inferencer:
         if not args:
             raise InferenceFailure("setmetatable needs a table argument", t.pos)
         target = resolve(args[0])
-        meta = resolve(args[1]) if len(args) > 1 else None
+        meta = args[1] if len(args) > 1 else None
         self.sites.append(Site("setmetatable", t, (meta,)))
-        if isinstance(meta, TableType):
-            w = weakness_from_mode(meta.fields.get(A.Str("__mode")))
-        elif meta is None or isinstance(
-            meta, SingletonType
-        ) and isinstance(meta.value, A.Nil):
-            w = "strong"
-        else:
-            w = "wkv"  # unknown metatable: conservatively fully weak
         if isinstance(target, TableType) and isinstance(t.args[0], A.Name):
-            env[t.args[0].ident] = target.retag(w)
+            env[t.args[0].ident] = target.retag(metatable_weakness(meta)[0])
         return args[0]
 
     def function(self, t: A.Function, env: Dict[str, InfType]) -> InfType:
@@ -538,10 +519,8 @@ def _solve_vars(constraints: List[Constraint]) -> None:
 
     visited: set = set()
     for c in constraints:
-        for part in c.parts:
-            if isinstance(part, (TypeVar, TableType, FuncType, DynType,
-                                 PrimType, SingletonType, BuiltinFnType)):
-                collect(part, seen_vars, visited)
+        for part in c.parts:  # a hasfield key is a value and adds nothing
+            collect(part, seen_vars, visited)
 
     for var in seen_vars:
         if var.resolved is not None:
@@ -618,12 +597,8 @@ def infer(term: A.Stat, points: Optional[Points] = None) -> TypedProgram:
         p: {n: deep_resolve(t) for n, t in d.items()}
         for p, d in inf.decls.items()
     }
-    functions = {}
-    for p, fn in inf.functions.items():
-        resolved = deep_resolve(fn)
-        assert isinstance(resolved, FuncType)
-        functions[p] = resolved
-    return TypedProgram(points, decls, functions, inf.sites)
+    functions = {p: deep_resolve(fn) for p, fn in inf.functions.items()}
+    return TypedProgram(points, decls, functions, inf.sites)  # type: ignore[arg-type]
 
 
 def prepare(term: A.Stat) -> Tuple[A.Stat, Points]:
