@@ -125,9 +125,9 @@ class _Checker:
             )
         )
 
-    # -- one method per site kind ------------------------------------------
+    # -- on_<kind> judges a site of that kind ------------------------------
 
-    def assign(self, t: A.Assign, old, new) -> None:
+    def on_assign(self, t: A.Assign, old, new) -> None:
         old, new = deep_resolve(old, self.memo), deep_resolve(new, self.memo)
         if not (subtype(new, old) or subtype(old, new)):
             self.diag(
@@ -136,7 +136,7 @@ class _Checker:
                 f"'{original_name(t.targets[0].ident)}' from {old} to {new}",
             )
 
-    def read(self, t: A.Index, table, key: A.Value,
+    def on_read(self, t: A.Index, table, key: A.Value,
              env: Dict[str, InfType]) -> None:
         tobj = deep_resolve(table, self.memo)
         if not isinstance(tobj, TableType):
@@ -172,7 +172,7 @@ class _Checker:
                 table=table_src, access=access_src,
             )
 
-    def call(self, t: A.Call, fn, args) -> None:
+    def on_call(self, t: A.Call, fn, args) -> None:
         fn = deep_resolve(fn, self.memo)
         if isinstance(fn, FuncType):
             if len(args) != len(fn.domain):
@@ -189,7 +189,7 @@ class _Checker:
             self.diag(t, "warning", "type-error",
                       f"calling a value of type {fn}")
 
-    def setmetatable(self, t: A.Call, meta) -> None:
+    def on_setmetatable(self, t: A.Call, meta) -> None:
         unknown = metatable_weakness(meta)[1]
         if unknown:
             self.diag(t, "warning", "weak-table-nondeterminism",
@@ -248,7 +248,7 @@ def typecheck(typed: TypedProgram, defs: ReachingDefs) -> List[Diagnostic]:
     """Judge the sites inference recorded, in walk order."""
     checker = _Checker(typed, defs)
     for site in typed.sites:
-        getattr(checker, site.kind)(site.node, *site.parts)
+        getattr(checker, "on_" + site.kind)(site.node, *site.parts)
     return checker.diagnostics
 
 

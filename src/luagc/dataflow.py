@@ -65,9 +65,29 @@ def alpha_rename(t: A.Term) -> A.Term:
     stack: List[tuple] = [(t, {}, None)]  # (node, env, mark)
     while stack:
         n, env, mark = stack.pop()
-        if mark == "bind":  # the local's expressions are done
+        if mark is None:
+            if isinstance(n, A.Name):
+                done.append(A.Name(env.get(n.ident, n.ident), pos=n.pos))
+            elif isinstance(n, A.Const):
+                done.append(n)
+            elif isinstance(n, A.Local):
+                stack.append((n, env, len(done)))
+                stack.append((n, env, "bind"))
+                stack.extend([(e, env, None) for e in reversed(n.exprs)])
+            elif isinstance(n, A.Function):
+                stack.append((n, env, len(done)))
+                stack.append((n.body, bind(n.params, env), None))
+            else:
+                kids = list(A.children(n))
+                if kids:
+                    stack.append((n, env, len(done)))
+                    kids.reverse()
+                    stack.extend([(c, env, None) for c in kids])
+                else:
+                    done.append(n)
+        elif mark == "bind":  # the local's expressions are done
             stack.append((n.body, bind(n.names, env), None))
-        elif mark is not None:
+        else:
             kids = done[mark:]
             del done[mark:]
             if isinstance(n, A.Local):
@@ -79,19 +99,6 @@ def alpha_rename(t: A.Term) -> A.Term:
             else:
                 it = iter(kids)
                 done.append(A._rebuild(n, lambda _: next(it)))
-        elif isinstance(n, A.Name):
-            done.append(A.Name(env.get(n.ident, n.ident), pos=n.pos))
-        else:
-            stack.append((n, env, len(done)))
-            if isinstance(n, A.Local):
-                stack.append((n, env, "bind"))
-                stack.extend((e, env, None) for e in reversed(n.exprs))
-            elif isinstance(n, A.Function):
-                stack.append((n.body, bind(n.params, env), None))
-            else:
-                kids = list(A.children(n))
-                kids.reverse()
-                stack.extend((c, env, None) for c in kids)
     return done[0]
 
 
