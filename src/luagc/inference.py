@@ -91,8 +91,8 @@ class Site(NamedTuple):
     ``node``, still unresolved:
 
     - ``assign``: a name reassignment, with the old and the new type;
-    - ``read``: a read of a table type, with the table type, the literal
-      key and a copy of the environment at the read;
+    - ``read``: a read of a table type or a type variable, with that
+      type, the literal key and a copy of the environment at the read;
     - ``call``: a call whose callee was a type variable, with the callee
       and the argument types;
     - ``setmetatable``: a ``setmetatable`` call, with the metatable type
@@ -145,7 +145,7 @@ def metatable_weakness(meta: Optional[InfType]) -> Tuple[str, str]:
     unknown ("" when nothing is).  Unknown weakness is full weakness,
     conservatively.
     """
-    meta = resolve(meta) if meta is not None else None
+    meta = resolve(meta)  # type: ignore[arg-type]
     if meta is None or (isinstance(meta, SingletonType)
                         and isinstance(meta.value, A.Nil)):
         return "strong", ""
