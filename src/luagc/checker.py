@@ -49,12 +49,10 @@ from .statictypes import (
     FuncType,
     SType,
     TableType,
+    WEAK_VALUES,
     is_collectible_type,
     subtype,
 )
-
-_WEAK_VALUES = ("wv", "wkv")
-
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -137,7 +135,7 @@ class _Checker:
             )
 
     def on_read(self, t: A.Index, table, key: A.Value,
-             env: Dict[str, InfType]) -> None:
+                envs: Tuple[Dict[str, InfType], ...]) -> None:
         tobj = deep_resolve(table, self.memo)
         if not isinstance(tobj, TableType):
             return
@@ -147,16 +145,18 @@ class _Checker:
                 f"no field [{A.print_value(key)}] in table type {tobj}",
             )
             return
-        if tobj.weakness not in _WEAK_VALUES:
+        if tobj.weakness not in WEAK_VALUES:
             return
         fty = tobj.fields[key]
         access_src = A.to_source(t)
         table_src = A.to_source(t.obj)
         if is_collectible_type(fty):
-            reachable, witness = static_reach_cte(
-                self.points.of(t), fty, env, self.defs
-            )
-            if not reachable:
+            # held at the read and, for a closure called later, still
+            # held as the program leaves its tables
+            found = [static_reach_cte(self.points.of(t), fty, env, self.defs)
+                     for env in envs]
+            witness = found[0][1]
+            if not all(reachable for reachable, _ in found):
                 self.diag(
                     t, "unsafe", "weak-value-not-strongly-reachable",
                     f"access {access_src} reads a collectible value from"
@@ -227,15 +227,8 @@ def static_reach_cte(
         seen.add(id(ty))
         if is_collectible_type(ty) and labels <= ty.labels:
             return True, tuple(witness)
-        if isinstance(ty, TableType):
-            if ty.weakness == "strong":
-                stack.extend(ty.fields.values())
-            elif ty.weakness == "wk":
-                # analyzed keys are literals, hence never collectible, so
-                # ephemeron values count as strong occurrences
-                stack.extend(ty.fields.values())
-            # weak-values tables contribute no strong occurrences here:
-            # their keys are literals and carry no labels
+        if isinstance(ty, TableType) and ty.weakness not in WEAK_VALUES:
+            stack.extend(ty.fields.values())
     return False, tuple(witness)
 
 

@@ -38,6 +38,7 @@ from .statictypes import (
     SingletonType,
     SType,
     TableType,
+    WEAK_VALUES,
     equal_types,
     join,
     singleton_of,
@@ -92,7 +93,9 @@ class Site(NamedTuple):
 
     - ``assign``: a name reassignment, with the old and the new type;
     - ``read``: a read of a table type or a type variable, with that
-      type, the literal key and a copy of the environment at the read;
+      type (a table copied as it is at the read), the literal key and
+      the environment twice, its tables copied as they are at the read
+      and not (no environment for a table whose values are strong);
     - ``call``: a call whose callee was a type variable, with the callee
       and the argument types;
     - ``setmetatable``: a ``setmetatable`` call, with the metatable type
@@ -107,17 +110,19 @@ class Site(NamedTuple):
 @dataclass
 class TypedProgram:
     points: Points
-    decls: Dict[int, Dict[str, SType]]
-    functions: Dict[int, FuncType]
     sites: List[Site]  # in walk order
+    # as the walk left them; deep_resolve gives a solved type
+    decls: Dict[int, Dict[str, InfType]]
+    functions: Dict[int, FuncType]
 
     def describe(self) -> str:
         lines = []
         for point in sorted(self.decls):
             for name, ty in self.decls[point].items():
-                lines.append(f"@{point} local {name}: {ty}")
+                lines.append(f"@{point} local {name}: {deep_resolve(ty)}")
         for point in sorted(self.functions):
-            lines.append(f"@{point} function: {self.functions[point]}")
+            lines.append(
+                f"@{point} function: {deep_resolve(self.functions[point])}")
         return "\n".join(lines)
 
 
@@ -170,7 +175,7 @@ class _Inferencer:
     def __init__(self, points: Points):
         self.points = points
         self.constraints: List[Constraint] = []
-        self.decls: Dict[int, Dict[str, SType]] = {}
+        self.decls: Dict[int, Dict[str, InfType]] = {}
         self.functions: Dict[int, FuncType] = {}
         self.global_type = TableType(
             {A.Str(n): BuiltinFnType(n) for n in
@@ -205,7 +210,7 @@ class _Inferencer:
             ty: InfType = (
                 self.expr(t.exprs[0], env) if t.exprs else singleton_of(A.NIL)
             )
-            self.decls.setdefault(self.points.of(t), {})[name] = ty  # type: ignore[assignment]
+            self.decls.setdefault(self.points.of(t), {})[name] = ty
             env[name] = ty
             t = t.body
         if isinstance(t, (A.Empty, A.Break)):
@@ -333,11 +338,16 @@ class _Inferencer:
         if not isinstance(tobj, (TypeVar, TableType)):
             raise InferenceFailure(f"cannot index a value of type {tobj}", t.pos)
         key = _key_value(tkey, t)
-        self.sites.append(Site("read", t, (tobj, key, dict(env))))
+        # later writes change field maps in place: the read is judged on
+        # snapshots of them, and on the environment both as it is now and
+        # as the program leaves it
+        weak = not isinstance(tobj, TableType) or tobj.weakness in WEAK_VALUES
+        envs = (_frozen(env), dict(env)) if weak else ()
         if isinstance(tobj, TableType):
-            # an absent field reads as dyn; the checker reports it if it
-            # is still absent once the program is solved
+            # an absent field reads as dyn, and the checker reports it
+            self.sites.append(Site("read", t, (tobj.snapshot(), key, envs)))
             return tobj.fields.get(key, DYN)
+        self.sites.append(Site("read", t, (tobj, key, envs)))
         fresh = TypeVar(f"field@{self.points.of(t)}")
         self.constraints.append(Constraint("hasfield", (tobj, key, fresh), t.pos))
         return fresh
@@ -439,6 +449,28 @@ def _key_value(tkey: InfType, node: A.Index) -> A.Value:
     raise OutOfScopeConstruct(
         "table access with a non-literal key is not analyzed", node.pos
     )
+
+
+def _frozen(env: Dict[str, InfType]) -> Dict[str, InfType]:
+    """``env`` with each table that it holds strongly snapshotted."""
+    copies: Dict[int, TableType] = {}
+    todo: List[TableType] = []
+
+    def copy(ty: InfType) -> InfType:
+        ty = resolve(ty)
+        if not isinstance(ty, TableType) or id(ty) in copies:
+            return copies.get(id(ty), ty)
+        out = copies[id(ty)] = ty.snapshot()
+        if ty.weakness not in WEAK_VALUES:
+            todo.append(out)
+        return out
+
+    frozen = {name: copy(ty) for name, ty in env.items()}
+    while todo:
+        table = todo.pop()
+        for k, v in table.fields.items():
+            table.fields[k] = copy(v)
+    return frozen
 
 
 def _stable(a: InfType, b: InfType) -> bool:
@@ -592,13 +624,7 @@ def infer(term: A.Stat, points: Optional[Points] = None) -> TypedProgram:
     _close_constraints(inf.constraints)
     _solve_vars(inf.constraints)
     _verify(inf.constraints)
-
-    decls = {
-        p: {n: deep_resolve(t) for n, t in d.items()}
-        for p, d in inf.decls.items()
-    }
-    functions = {p: deep_resolve(fn) for p, fn in inf.functions.items()}
-    return TypedProgram(points, decls, functions, inf.sites)  # type: ignore[arg-type]
+    return TypedProgram(points, inf.sites, inf.decls, inf.functions)
 
 
 def prepare(term: A.Stat) -> Tuple[A.Stat, Points]:

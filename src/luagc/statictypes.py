@@ -88,6 +88,10 @@ class TableType:
         t = TableType(self.fields, weakness, self.labels)
         return t
 
+    def snapshot(self) -> "TableType":
+        """A copy whose field map later writes to this one leave alone."""
+        return TableType(dict(self.fields), self.weakness, self.labels)
+
     def __str__(self) -> str:
         inner = ", ".join(
             f"[{A.print_value(k)}]: {_brief(v)}" for k, v in self.fields.items()
@@ -120,6 +124,11 @@ def singleton_of(v: A.Value) -> SType:
     if isinstance(v, A.Str):
         return SingletonType(v, "str")
     raise TypeError(f"no singleton type for {v!r}")
+
+
+# Weaknesses whose values are not strong references.  Analyzed keys are
+# literals, never collected, so ephemeron values are strong references.
+WEAK_VALUES = ("wv", "wkv")
 
 
 def is_collectible_type(t: SType) -> bool:

@@ -6,7 +6,7 @@ from luagc.ast import Bool, Nil, Num, Str
 from luagc.checker import check_program, check_term
 from luagc.dataflow import build_cfg
 from luagc.desugar import desugar
-from luagc.inference import InferenceFailure, infer, prepare
+from luagc.inference import InferenceFailure, deep_resolve, infer, prepare
 from luagc.parser import parse
 from luagc.statictypes import (
     BOOL_T,
@@ -154,7 +154,7 @@ class TestInference:
             't1["method"] = function(x) return x + t1["attr1"] end\n'
             't1["attr2"] = (t1["method"] (t1["attr1"]))\n'
         )
-        (fn,) = typed.functions.values()
+        (fn,) = map(deep_resolve, typed.functions.values())
         assert fn.domain == (NUM_T,)
         assert fn.result == NUM_T
 
@@ -162,7 +162,7 @@ class TestInference:
         typed, _, _ = analyzed(
             "local f = function(x) return x end in local y = f(1) in ; end end"
         )
-        (fn,) = typed.functions.values()
+        (fn,) = map(deep_resolve, typed.functions.values())
         assert subtype(singleton_of(Num(1)), fn.domain[0])
         assert not isinstance(fn.domain[0], type(DYN))
 
@@ -182,7 +182,7 @@ class TestInference:
     def test_table_self_reference_through_method(self):
         typed, _, _ = analyzed(corpus_text("weak/field_tracking.lua"))
         (decl,) = [d for d in typed.decls.values() if "t1" in d]
-        t1 = decl["t1"]
+        t1 = deep_resolve(decl["t1"])
         assert isinstance(t1, TableType)
         method = t1.fields[Str("method")]
         assert isinstance(method, FuncType)
@@ -398,6 +398,31 @@ class TestVerdicts:
         r = check_program(LOOP_ROTATION)
         assert r.verdict == "UNSAFE"
         assert [(d.line, d.access) for d in r.unsafe] == [(9, 's2["x"]')]
+
+    # A later write must not hide that GC can clear w[1] before the read,
+    # and a closure called after a write must be judged on what the write
+    # leaves.  The exhaustive explorer observes {0, 1} on each program.
+    @pytest.mark.parametrize("text, line", [
+        ('local w = {[1] = {}}\nsetmetatable(w, {__mode = "v"})\n'
+         'local y = w[1]\nw[1] = 1\nif y then return 1 end\nreturn 0\n', 3),
+        ('local w = {[1] = {}}\nsetmetatable(w, {__mode = "v"})\n'
+         'local s = {[1] = 0}\nlocal y = w[1]\ns[1] = y\n'
+         'if y then return 1 end\nreturn 0\n', 4),
+        ('local h = {}\nlocal w = {[1] = h}\nsetmetatable(w, {__mode = "v"})\n'
+         'local s = {[1] = h}\nh = nil\n'
+         'local f = function() local y = w[1] if y then return 1 end'
+         ' return 0 end\ns[1] = 0\nreturn f()\n', 6),
+    ], ids=["overwritten-after-read", "stored-after-read",
+            "closure-called-after-write"])
+    def test_later_write_does_not_hide_unsafe_read(self, text, line):
+        r = check_program(text)
+        assert r.verdict == "UNSAFE"
+        assert [(d.line, d.access) for d in r.unsafe] == [(line, "w[1]")]
+
+    def test_read_before_write_has_no_field(self):
+        r = check_program("local t = {}\nlocal y = t[1]\nt[1] = 2\nreturn 0\n")
+        assert [(d.line, d.message) for d in r.diagnostics] == [
+            (2, "no field [1] in table type {} strong")]
 
     def test_loop_without_stable_types_is_unknown(self, monkeypatch):
         monkeypatch.setattr(inference, "_LOOP_ROUNDS", 2)
