@@ -19,15 +19,17 @@ errors.  Inference already rejects every other type error.
 Strong reachability is answered statically: every collectible type
 carries its allocation-site labels; from the definitions valid at the
 access point we chase type structure through strong occurrences only
-(strong fields always; ephemeron values too, since analyzed keys are
-literals and literals are never collected) and ask whether some strongly
-held type covers the accessed labels.
+(strong fields and ephemeron values: analyzed keys are literals, never
+collected) and ask whether some strongly held type covers the accessed
+labels.  A read sees the field maps as they were before the walk's later
+writes; a closure may run after them, so the value must also be held in
+the maps as the program leaves them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Callable, Dict, List, Set, Tuple
 
 from . import ast as A
 from .dataflow import OutOfScopeConstruct, ReachingDefs, build_cfg, original_name
@@ -102,6 +104,7 @@ class AnalysisReport:
 class _Checker:
     def __init__(self, typed: TypedProgram, defs: ReachingDefs):
         self.points = typed.points
+        self.log = typed.log
         self.defs = defs
         self.diagnostics: List[Diagnostic] = []
         self.reported: Set[Tuple[int, str, str]] = set()
@@ -135,28 +138,28 @@ class _Checker:
             )
 
     def on_read(self, t: A.Index, table, key: A.Value,
-                envs: Tuple[Dict[str, InfType], ...]) -> None:
+                env: Dict[str, InfType], when: int) -> None:
         tobj = deep_resolve(table, self.memo)
         if not isinstance(tobj, TableType):
             return
-        if key not in tobj.fields:
-            self.diag(
-                t, "warning", "type-error",
-                f"no field [{A.print_value(key)}] in table type {tobj}",
-            )
+        fields = self.log.before(tobj.fields, when)
+        if key not in fields:
+            seen = deep_resolve(TableType(fields, tobj.weakness), self.memo)
+            self.diag(t, "warning", "type-error",
+                      f"no field [{A.print_value(key)}] in table type {seen}")
             return
         if tobj.weakness not in WEAK_VALUES:
             return
-        fty = tobj.fields[key]
+        fty = deep_resolve(fields[key], self.memo)
         access_src = A.to_source(t)
         table_src = A.to_source(t.obj)
         if is_collectible_type(fty):
             # held at the read and, for a closure called later, still
             # held as the program leaves its tables
-            found = [static_reach_cte(self.points.of(t), fty, env, self.defs)
-                     for env in envs]
-            witness = found[0][1]
-            if not all(reachable for reachable, _ in found):
+            point = self.points.of(t)
+            reachable, witness = static_reach_cte(
+                point, fty, env, self.defs, lambda m: self.log.before(m, when))
+            if not (reachable and static_reach_cte(point, fty, env, self.defs)[0]):
                 self.diag(
                     t, "unsafe", "weak-value-not-strongly-reachable",
                     f"access {access_src} reads a collectible value from"
@@ -201,13 +204,15 @@ def static_reach_cte(
     accessed: SType,
     env: Dict[str, InfType],
     defs: ReachingDefs,
+    fields_of: Callable[[dict], dict] = lambda fields: fields,
 ) -> Tuple[bool, Tuple[str, ...]]:
     """Is the accessed collectible value strongly reachable at this point?
 
     Chases the types of the definitions valid at the point through strong
     occurrences only and asks whether some strongly held collectible type
     covers the accessed value's allocation labels.  ``env`` may hold
-    solved type variables.
+    solved type variables; ``fields_of`` gives a table's field map as it
+    is to be seen.
     """
     labels = getattr(accessed, "labels", frozenset())
     witness: List[str] = []
@@ -228,7 +233,7 @@ def static_reach_cte(
         if is_collectible_type(ty) and labels <= ty.labels:
             return True, tuple(witness)
         if isinstance(ty, TableType) and ty.weakness not in WEAK_VALUES:
-            stack.extend(ty.fields.values())
+            stack.extend(fields_of(ty.fields).values())
     return False, tuple(witness)
 
 

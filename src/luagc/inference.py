@@ -93,9 +93,8 @@ class Site(NamedTuple):
 
     - ``assign``: a name reassignment, with the old and the new type;
     - ``read``: a read of a table type or a type variable, with that
-      type (a table copied as it is at the read), the literal key and
-      the environment twice, its tables copied as they are at the read
-      and not (no environment for a table whose values are strong);
+      type, the literal key, a copy of the environment (empty for a table
+      whose values are strong) and the number of field writes before it;
     - ``call``: a call whose callee was a type variable, with the callee
       and the argument types;
     - ``setmetatable``: a ``setmetatable`` call, with the metatable type
@@ -107,23 +106,46 @@ class Site(NamedTuple):
     parts: tuple
 
 
+_ABSENT = object()
+
+
+class FieldLog:
+    """The walk's writes to field maps, numbered in walk order, so that a
+    map changed in place can be seen as it was before a write."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        # id of a map -> (the map, [(number, key, value before)])
+        self.writes: Dict[int, Tuple[dict, List[tuple]]] = {}
+
+    def write(self, fields: dict, key: A.Value, value: InfType) -> None:
+        done = self.writes.setdefault(id(fields), (fields, []))[1]
+        done.append((self.count, key, fields.get(key, _ABSENT)))
+        self.count += 1
+        fields[key] = value
+
+    def before(self, fields: dict, when: int) -> dict:
+        """``fields`` as it was before write number ``when``."""
+        out = fields
+        for n, key, old in reversed(self.writes.get(id(fields), ({}, []))[1]):
+            if n < when:
+                break
+            out = dict(out) if out is fields else out
+            if old is _ABSENT:
+                del out[key]
+            else:
+                out[key] = old
+        return out
+
+
 @dataclass
 class TypedProgram:
     points: Points
     sites: List[Site]  # in walk order
+    log: FieldLog
     # as the walk left them; deep_resolve gives a solved type
     decls: Dict[int, Dict[str, InfType]]
     functions: Dict[int, FuncType]
-
-    def describe(self) -> str:
-        lines = []
-        for point in sorted(self.decls):
-            for name, ty in self.decls[point].items():
-                lines.append(f"@{point} local {name}: {deep_resolve(ty)}")
-        for point in sorted(self.functions):
-            lines.append(
-                f"@{point} function: {deep_resolve(self.functions[point])}")
-        return "\n".join(lines)
 
 
 _BUILTIN_RESULT = {
@@ -185,6 +207,7 @@ class _Inferencer:
         )
         self.return_stack: List[List[InfType]] = []
         self.sites: List[Site] = []
+        self.log = FieldLog()
 
     # -- constraint helpers -------------------------------------------------
 
@@ -338,16 +361,12 @@ class _Inferencer:
         if not isinstance(tobj, (TypeVar, TableType)):
             raise InferenceFailure(f"cannot index a value of type {tobj}", t.pos)
         key = _key_value(tkey, t)
-        # later writes change field maps in place: the read is judged on
-        # snapshots of them, and on the environment both as it is now and
-        # as the program leaves it
         weak = not isinstance(tobj, TableType) or tobj.weakness in WEAK_VALUES
-        envs = (_frozen(env), dict(env)) if weak else ()
+        self.sites.append(Site("read", t, (
+            tobj, key, dict(env) if weak else {}, self.log.count)))
         if isinstance(tobj, TableType):
             # an absent field reads as dyn, and the checker reports it
-            self.sites.append(Site("read", t, (tobj.snapshot(), key, envs)))
             return tobj.fields.get(key, DYN)
-        self.sites.append(Site("read", t, (tobj, key, envs)))
         fresh = TypeVar(f"field@{self.points.of(t)}")
         self.constraints.append(Constraint("hasfield", (tobj, key, fresh), t.pos))
         return fresh
@@ -362,7 +381,7 @@ class _Inferencer:
         if isinstance(tobj, DynType):
             return
         if isinstance(tobj, TableType):
-            tobj.fields[_key_value(tkey, t)] = value  # type: ignore[assignment]
+            self.log.write(tobj.fields, _key_value(tkey, t), value)
             return
         if isinstance(tobj, TypeVar):
             self.constraints.append(
@@ -449,28 +468,6 @@ def _key_value(tkey: InfType, node: A.Index) -> A.Value:
     raise OutOfScopeConstruct(
         "table access with a non-literal key is not analyzed", node.pos
     )
-
-
-def _frozen(env: Dict[str, InfType]) -> Dict[str, InfType]:
-    """``env`` with each table that it holds strongly snapshotted."""
-    copies: Dict[int, TableType] = {}
-    todo: List[TableType] = []
-
-    def copy(ty: InfType) -> InfType:
-        ty = resolve(ty)
-        if not isinstance(ty, TableType) or id(ty) in copies:
-            return copies.get(id(ty), ty)
-        out = copies[id(ty)] = ty.snapshot()
-        if ty.weakness not in WEAK_VALUES:
-            todo.append(out)
-        return out
-
-    frozen = {name: copy(ty) for name, ty in env.items()}
-    while todo:
-        table = todo.pop()
-        for k, v in table.fields.items():
-            table.fields[k] = copy(v)
-    return frozen
 
 
 def _stable(a: InfType, b: InfType) -> bool:
@@ -624,7 +621,7 @@ def infer(term: A.Stat, points: Optional[Points] = None) -> TypedProgram:
     _close_constraints(inf.constraints)
     _solve_vars(inf.constraints)
     _verify(inf.constraints)
-    return TypedProgram(points, inf.sites, inf.decls, inf.functions)
+    return TypedProgram(points, inf.sites, inf.log, inf.decls, inf.functions)
 
 
 def prepare(term: A.Stat) -> Tuple[A.Stat, Points]:

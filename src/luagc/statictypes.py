@@ -87,11 +87,6 @@ class TableType:
     def retag(self, weakness: str) -> "TableType":
         t = TableType(self.fields, weakness, self.labels)
         return t
-
-    def snapshot(self) -> "TableType":
-        """A copy whose field map later writes to this one leave alone."""
-        return TableType(dict(self.fields), self.weakness, self.labels)
-
     def __str__(self) -> str:
         inner = ", ".join(
             f"[{A.print_value(k)}]: {_brief(v)}" for k, v in self.fields.items()
