@@ -394,7 +394,10 @@ class TestVerdicts:
          2, "assignment changes the type of 'x' from <1:num> to <\"s\":str>"),
         ("local t = {[1] = 2} print(t[2])",
          1, "no field [2] in table type {[1]: <2:num>} strong"),
-    ], ids=["call-non-function", "call-arity", "reassignment", "no-field"])
+        ("local t = {}\nlocal y = t[1]\nt[1] = 2\n",
+         2, "no field [1] in table type {} strong"),
+    ], ids=["call-non-function", "call-arity", "reassignment", "no-field",
+            "no-field-before-write"])
     def test_type_error_after_inference(self, text, line, message):
         r = check_program(text)
         assert r.verdict == "SAFE"
@@ -427,11 +430,6 @@ class TestVerdicts:
         r = check_program(text)
         assert r.verdict == "UNSAFE"
         assert [(d.line, d.access) for d in r.unsafe] == [(line, "w[1]")]
-
-    def test_read_before_write_has_no_field(self):
-        r = check_program("local t = {}\nlocal y = t[1]\nt[1] = 2\nreturn 0\n")
-        assert [(d.line, d.message) for d in r.diagnostics] == [
-            (2, "no field [1] in table type {} strong")]
 
     def test_loop_without_stable_types_is_unknown(self, monkeypatch):
         monkeypatch.setattr(inference, "_LOOP_ROUNDS", 2)
