@@ -10,6 +10,11 @@ Two layers live here:
   tuples, call frames, loop frames, error objects).
 
 Terms are frozen dataclasses; reduction never mutates, it rebuilds.
+``rewrite`` is the one tree rebuild: desugaring, substitution, globals
+patching and renaming are each a visit over it, and a rebuilt term shares
+every subtree that did not change.  One table, ``_KIDS``, gives each node
+kind's sub-terms; ``walk``, ``summary`` and ``rewrite`` index it directly,
+and ``children`` is its public accessor.
 Source positions are carried for diagnostics but excluded from equality so
 that structural comparison of reduced terms is meaningful.
 """
@@ -409,6 +414,14 @@ Stat = Union[
 Term = Union[Stat, Expr]
 
 
+_STATS = frozenset(get_args(Stat))
+
+
+def is_stat(t: Term) -> bool:
+    """Is ``t`` a statement (as opposed to an expression)?"""
+    return type(t) in _STATS
+
+
 def _hash_once(cls: type) -> None:
     """Cache the structural hash on each node: terms are immutable, and a
     fresh term shares most of its nodes with the term it came from, so
@@ -448,61 +461,47 @@ def value_locations(v: Value) -> Iterator[Location]:
         yield ("cid", v.n)
 
 
-def children(t: Term) -> Iterator[Term]:
+def _leaf(t: Term) -> Tuple[Term, ...]:
+    return ()
+
+
+def _ctor_kids(t: TableCtor) -> Tuple[Term, ...]:
+    return tuple(x for k, v in t.fields for x in ((v,) if k is None else (k, v)))
+
+
+# Immediate sub-terms of each node kind, in evaluation-relevant left-to-right
+# order.  A binder's names are not sub-terms.
+_KIDS = {
+    Const: _leaf, Name: _leaf, Globals: _leaf, Ref: _leaf, ValueTuple: _leaf,
+    Empty: _leaf, Break: _leaf, ErrTerm: _leaf,
+    Seq: lambda t: (t.first, t.rest),
+    Local: lambda t: t.exprs + (t.body,),
+    Assign: lambda t: t.targets + t.exprs,
+    ExprStat: lambda t: (t.expr,),
+    If: lambda t: (t.cond, t.then_body, t.else_body),
+    While: lambda t: (t.cond, t.body),
+    Return: lambda t: t.exprs,
+    LoopFrame: lambda t: (t.inner,),
+    FinStat: lambda t: (t.inner,),
+    Block: lambda t: t.stats,
+    Index: lambda t: (t.obj, t.key),
+    Call: lambda t: (t.fn,) + t.args,
+    Function: lambda t: (t.body,),
+    TableCtor: _ctor_kids,
+    BinOp: lambda t: (t.lhs, t.rhs),
+    And: lambda t: (t.lhs, t.rhs),
+    Or: lambda t: (t.lhs, t.rhs),
+    Not: lambda t: (t.operand,),
+    Neg: lambda t: (t.operand,),
+    CallFrame: lambda t: (t.body,),
+    ProtectedFrame: lambda t: (t.inner,),
+    FinWrap: lambda t: (t.inner,),
+}
+
+
+def children(t: Term) -> Tuple[Term, ...]:
     """Immediate sub-terms, in evaluation-relevant left-to-right order."""
-    if isinstance(t, (Const, Name, Globals, Ref, ValueTuple, Empty, Break, ErrTerm)):
-        return
-    if isinstance(t, Seq):
-        yield t.first
-        yield t.rest
-    elif isinstance(t, Local):
-        yield from t.exprs
-        yield t.body
-    elif isinstance(t, Assign):
-        yield from t.targets
-        yield from t.exprs
-    elif isinstance(t, ExprStat):
-        yield t.expr
-    elif isinstance(t, If):
-        yield t.cond
-        yield t.then_body
-        yield t.else_body
-    elif isinstance(t, While):
-        yield t.cond
-        yield t.body
-    elif isinstance(t, Return):
-        yield from t.exprs
-    elif isinstance(t, (LoopFrame, FinStat)):
-        yield t.inner
-    elif isinstance(t, Block):
-        yield from t.stats
-    elif isinstance(t, Index):
-        yield t.obj
-        yield t.key
-    elif isinstance(t, Call):
-        yield t.fn
-        yield from t.args
-    elif isinstance(t, Function):
-        yield t.body
-    elif isinstance(t, TableCtor):
-        for k, v in t.fields:
-            if k is not None:
-                yield k
-            yield v
-    elif isinstance(t, BinOp):
-        yield t.lhs
-        yield t.rhs
-    elif isinstance(t, (And, Or)):
-        yield t.lhs
-        yield t.rhs
-    elif isinstance(t, (Not, Neg)):
-        yield t.operand
-    elif isinstance(t, CallFrame):
-        yield t.body
-    elif isinstance(t, (ProtectedFrame, FinWrap)):
-        yield t.inner
-    else:  # pragma: no cover - exhaustiveness guard
-        raise TypeError(f"unknown term {t!r}")
+    return _KIDS[type(t)](t)
 
 
 def walk(t: Term) -> Iterator[Term]:
@@ -515,9 +514,7 @@ def walk(t: Term) -> Iterator[Term]:
     while stack:
         n = stack.pop()
         yield n
-        kids = list(children(n))
-        kids.reverse()
-        stack.extend(kids)
+        stack.extend(reversed(_KIDS[type(n)](n)))
 
 
 def term_locations(t: Term) -> Iterator[Location]:
@@ -552,7 +549,7 @@ def summary(t: Term) -> Summary:
         if n._summary is not None:
             stack.pop()
             continue
-        pending = [c for c in children(n) if c._summary is None]
+        pending = [c for c in _KIDS[type(n)](n) if c._summary is None]
         if pending:
             stack.extend(pending)
         else:
@@ -571,7 +568,7 @@ def _summarize(n: Term) -> Summary:
         locs = tuple(dict.fromkeys(l for v in vals for l in value_locations(v)))
         return (locs, False) if locs else _NOTHING
     marker = isinstance(n, (FinStat, FinWrap))
-    parts = [c._summary for c in children(n) if c._summary is not _NOTHING]
+    parts = [c._summary for c in _KIDS[type(n)](n) if c._summary is not _NOTHING]
     if len(parts) == 1 and (parts[0][1] or not marker):
         return parts[0]
     locs = tuple(dict.fromkeys(l for p in parts for l in p[0]))
@@ -579,81 +576,133 @@ def _summarize(n: Term) -> Summary:
     return (locs, marker) if locs or marker else _NOTHING
 
 
+# ---------------------------------------------------------------------------
+# Rewriting
+# ---------------------------------------------------------------------------
+
+
+def _rebuild_ctor(t: TableCtor, kids: list) -> TableCtor:
+    it = iter(kids)
+    return TableCtor(
+        tuple((None if k is None else next(it), next(it)) for k, _ in t.fields),
+        pos=t.pos,
+    )
+
+
+# A node of each kind from new sub-terms, laid out as ``rewrite`` collects
+# them: as ``children`` gives them, except that a binder's names come just
+# before its body.
+_BUILD = {
+    Seq: lambda t, k: Seq(k[0], k[1], pos=t.pos),
+    Local: lambda t, k: Local(k[-2], tuple(k[:-2]), k[-1], pos=t.pos),
+    Assign: lambda t, k: Assign(
+        tuple(k[:len(t.targets)]), tuple(k[len(t.targets):]), pos=t.pos),
+    ExprStat: lambda t, k: ExprStat(k[0], pos=t.pos),
+    If: lambda t, k: If(k[0], k[1], k[2], pos=t.pos),
+    While: lambda t, k: While(k[0], k[1], pos=t.pos),
+    Return: lambda t, k: Return(tuple(k), pos=t.pos),
+    LoopFrame: lambda t, k: LoopFrame(k[0], pos=t.pos),
+    FinStat: lambda t, k: FinStat(k[0], pos=t.pos),
+    Block: lambda t, k: Block(tuple(k), pos=t.pos),
+    Index: lambda t, k: Index(k[0], k[1], pos=t.pos),
+    Call: lambda t, k: Call(k[0], tuple(k[1:]), pos=t.pos),
+    Function: lambda t, k: Function(k[0], k[1], pos=t.pos),
+    TableCtor: _rebuild_ctor,
+    BinOp: lambda t, k: BinOp(t.op, k[0], k[1], pos=t.pos),
+    And: lambda t, k: And(k[0], k[1], pos=t.pos),
+    Or: lambda t, k: Or(k[0], k[1], pos=t.pos),
+    Not: lambda t, k: Not(k[0], pos=t.pos),
+    Neg: lambda t, k: Neg(k[0], pos=t.pos),
+    CallFrame: lambda t, k: CallFrame(k[0], pos=t.pos),
+    ProtectedFrame: lambda t, k: ProtectedFrame(k[0], pos=t.pos),
+    FinWrap: lambda t, k: FinWrap(k[0], pos=t.pos),
+}
+
+_BIND = -1  # stack mark: a local's expressions are done, bind its names
+
+
+def _same_scope(names: Tuple[str, ...], env):
+    return names, env
+
+
+def rewrite(t: Term, env, visit, bind=_same_scope) -> Term:
+    """Rebuild ``t`` bottom-up, node by node: the one term rewrite.
+
+    ``visit(n, env)`` returns the node to put in ``n``'s place and whether
+    to rewrite that node's sub-terms too.  ``bind(names, env)`` returns a
+    binder's new names and the environment of its body; it runs for a
+    ``Local``'s names once its expressions are done, and for a
+    ``Function``'s parameters on entry, so names are met in pre-order.  A
+    node none of whose sub-terms (or names) changed is kept as the same
+    object, so an untouched subtree keeps its memoized hash and summary.
+
+    A post-order rebuild on an explicit stack, so deep terms need no Python
+    recursion.  An open entry is ``(node, env, None)``.  Once visited, a
+    node goes back on the stack under its sub-terms as ``(node, old, mark)``
+    with its old sub-terms and the length of ``done``; when it comes up
+    again it takes the new sub-terms from ``done`` above the mark.  A
+    ``Local`` also leaves ``(node, env, _BIND)`` under its expressions,
+    which binds its names and opens its body.
+    """
+    done: list = []
+    stack: list = [(t, env, None)]
+    while stack:
+        n, x, mark = stack.pop()
+        if mark is None:
+            n, descend = visit(n, x)
+            cls = type(n)
+            if not descend:
+                done.append(n)
+            elif cls is Local:
+                stack.append((n, n.exprs + (n.names, n.body), len(done)))
+                stack.append((n, x, _BIND))
+                stack.extend([(e, x, None) for e in reversed(n.exprs)])
+            elif cls is Function:
+                stack.append((n, (n.params, n.body), len(done)))
+                names, inner = bind(n.params, x)
+                done.append(names)
+                stack.append((n.body, inner, None))
+            else:
+                kids = _KIDS[cls](n)
+                if kids:
+                    stack.append((n, kids, len(done)))
+                    stack.extend([(c, x, None) for c in reversed(kids)])
+                else:
+                    done.append(n)
+        elif mark == _BIND:
+            names, inner = bind(n.names, x)
+            done.append(names)
+            stack.append((n.body, inner, None))
+        else:
+            new = done[mark:]
+            del done[mark:]
+            for a, b in zip(new, x):
+                if a is not b:
+                    n = _BUILD[type(n)](n, new)
+                    break
+            done.append(n)
+    return done[0]
+
+
 def subst(t: Term, mapping: dict) -> Term:
     """Replace bound names by store references (``mapping``: name -> ref id).
 
-    Stops at binders that shadow a substituted name.
+    Stops at binders that shadow a substituted name; a subtree that
+    mentions no substituted name comes back as the same object.
     """
-    if not mapping:
-        return t
-    if isinstance(t, Name):
-        if t.ident in mapping:
-            return Ref(mapping[t.ident], pos=t.pos)
-        return t
-    if isinstance(t, Local):
-        exprs = tuple(subst(e, mapping) for e in t.exprs)
-        inner = {k: v for k, v in mapping.items() if k not in t.names}
-        return Local(t.names, exprs, subst(t.body, inner), pos=t.pos)
-    if isinstance(t, Function):
-        inner = {k: v for k, v in mapping.items() if k not in t.params}
-        return Function(t.params, subst(t.body, inner), pos=t.pos)
-    return _rebuild(t, lambda c: subst(c, mapping))
+    return rewrite(t, mapping, _subst_visit, _subst_bind)
 
 
-def _rebuild(t: Term, f) -> Term:
-    """Rebuild a node by mapping ``f`` over its sub-terms."""
-    if isinstance(t, (Const, Name, Globals, Ref, ValueTuple, Empty, Break, ErrTerm)):
-        return t
-    if isinstance(t, Seq):
-        return Seq(f(t.first), f(t.rest), pos=t.pos)
-    if isinstance(t, Local):
-        return Local(t.names, tuple(f(e) for e in t.exprs), f(t.body), pos=t.pos)
-    if isinstance(t, Assign):
-        return Assign(
-            tuple(f(x) for x in t.targets), tuple(f(e) for e in t.exprs), pos=t.pos
-        )
-    if isinstance(t, ExprStat):
-        return ExprStat(f(t.expr), pos=t.pos)
-    if isinstance(t, If):
-        return If(f(t.cond), f(t.then_body), f(t.else_body), pos=t.pos)
-    if isinstance(t, While):
-        return While(f(t.cond), f(t.body), pos=t.pos)
-    if isinstance(t, Return):
-        return Return(tuple(f(e) for e in t.exprs), pos=t.pos)
-    if isinstance(t, LoopFrame):
-        return LoopFrame(f(t.inner), pos=t.pos)
-    if isinstance(t, FinStat):
-        return FinStat(f(t.inner), pos=t.pos)
-    if isinstance(t, Block):
-        return Block(tuple(f(s) for s in t.stats), pos=t.pos)
-    if isinstance(t, Index):
-        return Index(f(t.obj), f(t.key), pos=t.pos)
-    if isinstance(t, Call):
-        return Call(f(t.fn), tuple(f(a) for a in t.args), pos=t.pos)
-    if isinstance(t, Function):
-        return Function(t.params, f(t.body), pos=t.pos)
-    if isinstance(t, TableCtor):
-        return TableCtor(
-            tuple((None if k is None else f(k), f(v)) for k, v in t.fields),
-            pos=t.pos,
-        )
-    if isinstance(t, BinOp):
-        return BinOp(t.op, f(t.lhs), f(t.rhs), pos=t.pos)
-    if isinstance(t, And):
-        return And(f(t.lhs), f(t.rhs), pos=t.pos)
-    if isinstance(t, Or):
-        return Or(f(t.lhs), f(t.rhs), pos=t.pos)
-    if isinstance(t, Not):
-        return Not(f(t.operand), pos=t.pos)
-    if isinstance(t, Neg):
-        return Neg(f(t.operand), pos=t.pos)
-    if isinstance(t, CallFrame):
-        return CallFrame(f(t.body), pos=t.pos)
-    if isinstance(t, ProtectedFrame):
-        return ProtectedFrame(f(t.inner), pos=t.pos)
-    if isinstance(t, FinWrap):
-        return FinWrap(f(t.inner), pos=t.pos)
-    raise TypeError(f"unknown term {t!r}")  # pragma: no cover
+def _subst_visit(n: Term, mapping: dict):
+    if type(n) is Name and n.ident in mapping:
+        return Ref(mapping[n.ident], pos=n.pos), False
+    return n, bool(mapping)
+
+
+def _subst_bind(names: Tuple[str, ...], mapping: dict):
+    if any(k in mapping for k in names):
+        mapping = {k: v for k, v in mapping.items() if k not in names}
+    return names, mapping
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +728,7 @@ def print_value(v: Value) -> str:
 
 def to_source(t: Term) -> str:
     """Render a term as (re-parseable, for source terms) program text."""
-    return _pstat(t) if _is_stat(t) else _pexpr(t, 0)
-
-
-def _is_stat(t: Term) -> bool:
-    return isinstance(
-        t, (Empty, Seq, Local, Assign, ExprStat, If, While, Break, Return,
-            LoopFrame, ErrTerm, FinStat, Block)
-    )
+    return _pstat(t) if is_stat(t) else _pexpr(t, 0)
 
 
 def _pstat(t: Stat) -> str:

@@ -1,9 +1,12 @@
 """Program points and reaching definitions.
 
 The analyzer works on a desugared, alpha-renamed tree: every local binder
-gets a unique name so definitions can be tracked globally.  Each AST node
-is a program point (numbered pre-order); every expression, function
-bodies included, shares the in-set of the statement that evaluates it.
+gets a unique name so definitions can be tracked globally.  Renaming is one
+``ast.rewrite``, which keeps a subtree with no renamed name as the same
+object.  Each AST node is a program point (numbered pre-order and keyed by
+identity, so the tree must hold no node twice, as parser output never
+does); every expression, function bodies included, shares the in-set of
+the statement that evaluates it.
 
 Reaching definitions are the classic forward dataflow, ``out = gen + (in -
 kill)``, solved along the syntax tree as for any structured program (Aho,
@@ -42,64 +45,27 @@ class OutOfScopeConstruct(Exception):
 def alpha_rename(t: A.Term) -> A.Term:
     """Make every bound name unique (``x``, ``x#2``, ...).
 
-    A post-order rebuild on an explicit stack, as in
-    ``interp._patch_globals``, so deep terms need no Python recursion: a
-    node's entry goes back on the stack under its children with a mark
-    (the length of ``done``), and takes the entries of ``done`` above the
-    mark once they are done.  Names are made fresh in pre-order, a
-    function's parameters on entry and a local's names once its
-    expressions are done; the new names go on ``done`` ahead of the body.
+    One ``ast.rewrite``, so deep terms need no Python recursion.  Names are
+    made fresh in pre-order: a function's parameters on entry and a local's
+    names once its expressions are done.
     """
     counts: Dict[str, int] = {}
-    done: list = []
 
-    def bind(names: Tuple[str, ...], env: Dict[str, str]) -> Dict[str, str]:
+    def visit(n: A.Term, env: Dict[str, str]):
+        if isinstance(n, A.Name) and env.get(n.ident, n.ident) != n.ident:
+            return A.Name(env[n.ident], pos=n.pos), False
+        return n, True
+
+    def bind(names: Tuple[str, ...], env: Dict[str, str]):
         inner = dict(env)
         for n in names:
             k = counts.get(n, 0)
             counts[n] = k + 1
             inner[n] = n if k == 0 else f"{n}#{k + 1}"
-        done.append(tuple(inner[n] for n in names))
-        return inner
+        fresh = tuple(inner[n] for n in names)
+        return (names if fresh == names else fresh), inner
 
-    stack: List[tuple] = [(t, {}, None)]  # (node, env, mark)
-    while stack:
-        n, env, mark = stack.pop()
-        if mark is None:
-            if isinstance(n, A.Name):
-                done.append(A.Name(env.get(n.ident, n.ident), pos=n.pos))
-            elif isinstance(n, A.Const):
-                done.append(n)
-            elif isinstance(n, A.Local):
-                stack.append((n, env, len(done)))
-                stack.append((n, env, "bind"))
-                stack.extend([(e, env, None) for e in reversed(n.exprs)])
-            elif isinstance(n, A.Function):
-                stack.append((n, env, len(done)))
-                stack.append((n.body, bind(n.params, env), None))
-            else:
-                kids = list(A.children(n))
-                if kids:
-                    stack.append((n, env, len(done)))
-                    kids.reverse()
-                    stack.extend([(c, env, None) for c in kids])
-                else:
-                    done.append(n)
-        elif mark == "bind":  # the local's expressions are done
-            stack.append((n.body, bind(n.names, env), None))
-        else:
-            kids = done[mark:]
-            del done[mark:]
-            if isinstance(n, A.Local):
-                *exprs, names, body = kids
-                done.append(A.Local(names, tuple(exprs), body, pos=n.pos))
-            elif isinstance(n, A.Function):
-                names, body = kids
-                done.append(A.Function(names, body, pos=n.pos))
-            else:
-                it = iter(kids)
-                done.append(A._rebuild(n, lambda _: next(it)))
-    return done[0]
+    return A.rewrite(t, {}, visit, bind)
 
 
 def original_name(name: str) -> str:

@@ -1,6 +1,7 @@
 """Lower parser output to the core grammar the interpreter consumes.
 
-Three rewrites happen here:
+Three rewrites happen here, in one ``ast.rewrite`` pass whose environment
+is the set of names in scope:
 
 * blocks fold into nested ``Seq``/``Local`` statements, giving each local
   declaration an explicit scope (the rest of its block);
@@ -9,176 +10,59 @@ Three rewrites happen here:
 * names not bound by a local or parameter become reads/writes of the
   global-environment table (``x`` -> ``$globals["x"]``).
 
-Desugaring is total on parser output and idempotent.
+Desugaring is total on parser output and idempotent: a term already in
+core form comes back as the same object.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet, Tuple
 
 from .ast import (
-    And,
-    Assign,
-    BinOp,
-    Block,
-    Break,
-    Call,
-    CallFrame,
-    Const,
-    Empty,
-    Expr,
-    ExprStat,
-    FinStat,
-    FinWrap,
-    Function,
-    Globals,
-    If,
-    Index,
-    Local,
-    LoopFrame,
-    Name,
-    Neg,
-    Not,
-    Num,
-    Or,
-    ProtectedFrame,
-    Ref,
-    Return,
-    Seq,
-    Stat,
-    Str,
-    TableCtor,
-    Term,
-    ValueTuple,
-    While,
+    Block, Const, Empty, Globals, Index, Local, Name, Num, Seq, Stat, Str,
+    TableCtor, Term, rewrite,
 )
 
 
 def desugar(t: Term) -> Term:
     """Rewrite a parsed term into core form.  Idempotent."""
-    return _stat(t, frozenset()) if _is_stat(t) else _expr(t, frozenset())
+    return rewrite(t, frozenset(), _visit, _bind)
 
 
-def _is_stat(t: Term) -> bool:
-    return isinstance(
-        t,
-        (Empty, Seq, Local, Assign, ExprStat, If, While, Break, Return,
-         Block, LoopFrame, FinStat),
-    )
+def _fold(b: Block) -> Stat:
+    """Fold a statement list right-to-left: a Lua-style ``local`` takes the
+    rest of the block as its body, any other statement is sequenced before
+    it.  Scopes are settled afterwards, when the rewrite binds the names."""
+    acc = None
+    for s in reversed(b.stats):
+        if acc is None:
+            acc = s
+        elif isinstance(s, Local) and isinstance(s.body, Empty):
+            acc = Local(s.names, s.exprs, acc, pos=s.pos)
+        else:
+            acc = Seq(s, acc, pos=s.pos)
+    return Empty() if acc is None else acc
 
 
-def _fold_block(stats: List[Stat], scope: FrozenSet[str]) -> Stat:
-    """Fold a statement list right-to-left, scoping locals over the rest."""
-    if not stats:
-        return Empty()
-    head, tail = stats[0], stats[1:]
-    if isinstance(head, Local):
-        exprs = tuple(_expr(e, scope) for e in head.exprs)
-        inner_scope = scope | set(head.names)
-        if isinstance(head.body, Empty):
-            # Lua-style declaration: scope is the rest of the block
-            body = _fold_block(tail, inner_scope) if tail else Empty()
-            return Local(head.names, exprs, body, pos=head.pos)
-        # explicitly scoped `local ... in s end`: the tail follows outside
-        node = Local(head.names, exprs, _stat(head.body, inner_scope),
-                     pos=head.pos)
-        if tail:
-            return Seq(node, _fold_block(tail, scope), pos=head.pos)
-        return node
-    first = _stat(head, scope)
-    if not tail:
-        return first
-    return Seq(first, _fold_block(tail, scope), pos=head.pos)
-
-
-def _stat(t: Stat, scope: FrozenSet[str]) -> Stat:
-    if isinstance(t, Block):
-        return _fold_block(list(t.stats), scope)
-    if isinstance(t, Empty):
-        return t
-    if isinstance(t, Seq):
-        return Seq(_stat(t.first, scope), _stat(t.rest, scope), pos=t.pos)
-    if isinstance(t, Local):
-        exprs = tuple(_expr(e, scope) for e in t.exprs)
-        return Local(t.names, exprs, _stat(t.body, scope | set(t.names)), pos=t.pos)
-    if isinstance(t, Assign):
-        targets = tuple(_target(x, scope) for x in t.targets)
-        exprs = tuple(_expr(e, scope) for e in t.exprs)
-        return Assign(targets, exprs, pos=t.pos)
-    if isinstance(t, ExprStat):
-        return ExprStat(_expr(t.expr, scope), pos=t.pos)
-    if isinstance(t, If):
-        return If(
-            _expr(t.cond, scope),
-            _stat(t.then_body, scope),
-            _stat(t.else_body, scope),
-            pos=t.pos,
-        )
-    if isinstance(t, While):
-        return While(_expr(t.cond, scope), _stat(t.body, scope), pos=t.pos)
-    if isinstance(t, (Break,)):
-        return t
-    if isinstance(t, Return):
-        return Return(tuple(_expr(e, scope) for e in t.exprs), pos=t.pos)
-    if isinstance(t, LoopFrame):
-        return LoopFrame(_stat(t.inner, scope), pos=t.pos)
-    if isinstance(t, FinStat):
-        return FinStat(_stat(t.inner, scope), pos=t.pos)
-    raise TypeError(f"cannot desugar statement {t!r}")  # pragma: no cover
-
-
-def _target(t: Expr, scope: FrozenSet[str]) -> Expr:
-    if isinstance(t, Name) and t.ident not in scope:
-        return Index(Globals(pos=t.pos), Const(Str(t.ident), pos=t.pos), pos=t.pos)
-    if isinstance(t, Index):
-        return Index(_expr(t.obj, scope), _expr(t.key, scope), pos=t.pos)
-    if isinstance(t, (Name, Ref)):
-        return t
-    raise TypeError(f"invalid assignment target {t!r}")  # pragma: no cover
-
-
-def _expr(t: Expr, scope: FrozenSet[str]) -> Expr:
-    if isinstance(t, Name):
-        if t.ident in scope:
-            return t
-        return Index(Globals(pos=t.pos), Const(Str(t.ident), pos=t.pos), pos=t.pos)
-    if isinstance(t, (Const, Globals, Ref, ValueTuple)):
-        return t
-    if isinstance(t, Index):
-        return Index(_expr(t.obj, scope), _expr(t.key, scope), pos=t.pos)
-    if isinstance(t, Call):
-        return Call(
-            _expr(t.fn, scope),
-            tuple(_expr(a, scope) for a in t.args),
-            pos=t.pos,
-        )
-    if isinstance(t, Function):
-        return Function(t.params, _stat(t.body, scope | set(t.params)), pos=t.pos)
-    if isinstance(t, TableCtor):
+def _visit(n: Term, scope: FrozenSet[str]):
+    while isinstance(n, Block):
+        n = _fold(n)
+    if isinstance(n, Name):
+        if n.ident in scope:
+            return n, False
+        return Index(Globals(pos=n.pos), Const(Str(n.ident), pos=n.pos),
+                     pos=n.pos), False
+    if isinstance(n, TableCtor) and any(k is None for k, _ in n.fields):
         fields = []
         index = 0
-        for k, v in t.fields:
+        for k, v in n.fields:
             if k is None:
                 index += 1
                 k = Const(Num(float(index)), pos=v.pos)
-            else:
-                k = _expr(k, scope)
-            fields.append((k, _expr(v, scope)))
-        return TableCtor(tuple(fields), pos=t.pos)
-    if isinstance(t, BinOp):
-        return BinOp(t.op, _expr(t.lhs, scope), _expr(t.rhs, scope), pos=t.pos)
-    if isinstance(t, And):
-        return And(_expr(t.lhs, scope), _expr(t.rhs, scope), pos=t.pos)
-    if isinstance(t, Or):
-        return Or(_expr(t.lhs, scope), _expr(t.rhs, scope), pos=t.pos)
-    if isinstance(t, Not):
-        return Not(_expr(t.operand, scope), pos=t.pos)
-    if isinstance(t, Neg):
-        return Neg(_expr(t.operand, scope), pos=t.pos)
-    if isinstance(t, CallFrame):
-        return CallFrame(_stat(t.body, scope), pos=t.pos)
-    if isinstance(t, ProtectedFrame):
-        return ProtectedFrame(_expr(t.inner, scope), pos=t.pos)
-    if isinstance(t, FinWrap):
-        return FinWrap(_expr(t.inner, scope), pos=t.pos)
-    raise TypeError(f"cannot desugar expression {t!r}")  # pragma: no cover
+            fields.append((k, v))
+        n = TableCtor(tuple(fields), pos=n.pos)
+    return n, True
+
+
+def _bind(names: Tuple[str, ...], scope: FrozenSet[str]):
+    return names, scope | set(names)

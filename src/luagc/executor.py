@@ -194,18 +194,15 @@ def _canonicalize(
 
 
 def _rename_term(t: Term, names: Dict[Location, str]) -> Term:
-    def go(n: Term) -> Term:
+    def visit(n: Term, _):
         if isinstance(n, A.Ref):
-            return A.Name("$" + names[("ref", n.r)])
-        if isinstance(n, A.Const):
-            if isinstance(n.value, Tid):
-                return A.Name("$" + names[("tid", n.value.n)])
-            if isinstance(n.value, Cid):
-                return A.Name("$" + names[("cid", n.value.n)])
-            return n
-        return A._rebuild(n, go)
+            return A.Name("$" + names[("ref", n.r)]), False
+        if isinstance(n, A.Const) and isinstance(n.value, (Tid, Cid)):
+            kind = "tid" if isinstance(n.value, Tid) else "cid"
+            return A.Name("$" + names[(kind, n.value.n)]), False
+        return n, True
 
-    return go(t)
+    return A.rewrite(t, None, visit)
 
 
 def result(config: Configuration) -> ProgramResult:
@@ -249,14 +246,6 @@ def finalizer_in_flight(term: Term) -> bool:
     return any(isinstance(n, (FinStat, FinWrap)) for n in walk(term))
 
 
-def _is_statement(t: Term) -> bool:
-    return isinstance(
-        t,
-        (A.Empty, A.Seq, A.Local, A.Assign, A.ExprStat, A.If, A.While,
-         A.Break, A.Return, A.LoopFrame, A.ErrTerm, A.FinStat),
-    )
-
-
 def splice_finalizer(term: Term, cid: int, tid: int) -> Term:
     """Insert the pending finalizer call at the current evaluation point;
     in a final term, ahead of the whole term."""
@@ -271,7 +260,7 @@ def _splice(d: Union[Redex, Finished], cid: int,
     call = Call(Const(Cid(cid)), (Const(Tid(tid)),))
     if isinstance(d, Finished):
         return [], Seq(FinStat(ExprStat(call)), plug(d.frames, d.term))
-    if _is_statement(d.term):
+    if A.is_stat(d.term):
         return d.frames, Seq(FinStat(ExprStat(call)), d.term)
     thunk = Function(("$",), Return((d.term,)))
     return d.frames, Call(thunk, (FinWrap(call),))

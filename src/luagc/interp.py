@@ -816,35 +816,13 @@ def load_term(term: Term) -> Configuration:
 
 
 def _patch_globals(t: Term, gtid: int) -> Term:
-    """Replace every globals placeholder by the environment table.
+    """Replace every globals placeholder by the environment table."""
+    def visit(n: Term, _):
+        if isinstance(n, Globals):
+            return Const(Tid(gtid), pos=n.pos), False
+        return n, True
 
-    A post-order rebuild on an explicit stack, so deep terms need no Python
-    recursion: a node is pushed back with its children and a mark (the
-    length of ``done``) before they are, and once they are done it takes
-    the entries of ``done`` above the mark, in order.  A node none of whose
-    children changed is kept as it is.
-    """
-    done: List[Term] = []
-    stack: List[tuple] = [(t, None, ())]
-    while stack:
-        n, mark, kids = stack.pop()
-        if mark is not None:
-            new = done[mark:]
-            del done[mark:]
-            if any(a is not b for a, b in zip(new, kids)):
-                it = iter(new)
-                n = A._rebuild(n, lambda _: next(it))
-            done.append(n)
-        elif isinstance(n, Globals):
-            done.append(Const(Tid(gtid), pos=n.pos))
-        else:
-            kids = tuple(A.children(n))
-            if kids:
-                stack.append((n, len(done), kids))
-                stack.extend((c, None, ()) for c in reversed(kids))
-            else:
-                done.append(n)
-    return done[0]
+    return A.rewrite(t, None, visit)
 
 
 def load_program(text: str, origin: str = "<inline>") -> Configuration:

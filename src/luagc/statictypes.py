@@ -158,7 +158,7 @@ def subtype(a: SType, b: SType, _seen: Optional[set] = None) -> bool:
     if isinstance(a, BuiltinFnType) or isinstance(b, BuiltinFnType):
         return a == b
     if isinstance(a, FuncType) and isinstance(b, FuncType):
-        return _equal(a, b, _seen or set())
+        return _equal(a, b, _seen or set(), labels=False)
     if isinstance(a, TableType) and isinstance(b, TableType):
         seen = _seen or set()
         key = (id(a), id(b), "sub")
@@ -174,28 +174,34 @@ def subtype(a: SType, b: SType, _seen: Optional[set] = None) -> bool:
     return False
 
 
-def _equal(a: SType, b: SType, seen: set) -> bool:
+def _equal(a: SType, b: SType, seen: set, labels: bool = True) -> bool:
+    """Structural equality; ``labels`` also compares allocation labels,
+    which subtyping ignores."""
     if a is b:
         return True
-    key = (id(a), id(b), "eq")
+    key = (id(a), id(b), "eq", labels)
     if key in seen:
         return True
     seen.add(key)
     if isinstance(a, FuncType) and isinstance(b, FuncType):
-        if len(a.domain) != len(b.domain):
+        if len(a.domain) != len(b.domain) or (labels and a.labels != b.labels):
             return False
         return all(
-            _equal(x, y, seen) for x, y in zip(a.domain, b.domain)
-        ) and _equal(a.result, b.result, seen)
+            _equal(x, y, seen, labels) for x, y in zip(a.domain, b.domain)
+        ) and _equal(a.result, b.result, seen, labels)
     if isinstance(a, TableType) and isinstance(b, TableType):
-        if a.weakness != b.weakness or set(a.fields) != set(b.fields):
+        if (a.weakness != b.weakness or (labels and a.labels != b.labels)
+                or set(a.fields) != set(b.fields)):
             return False
-        return all(_equal(a.fields[k], b.fields[k], seen) for k in a.fields)
+        return all(
+            _equal(a.fields[k], b.fields[k], seen, labels) for k in a.fields
+        )
     return a == b
 
 
 def equal_types(a: SType, b: SType) -> bool:
-    """Structural equality; tables must also agree on weakness."""
+    """Structural equality; tables must also agree on weakness, and tables
+    and functions on their allocation labels."""
     return _equal(a, b, set())
 
 
@@ -243,5 +249,8 @@ def join(a: SType, b: SType, _depth: int = 0) -> SType:
             _WEAK_JOIN[(a.weakness, b.weakness)],
             a.labels | b.labels,
         )
+    if (isinstance(a, FuncType) and isinstance(b, FuncType)
+            and _equal(a, b, set(), labels=False)):
+        return FuncType(a.domain, a.result, a.labels | b.labels)
     # function subtyping is reflexivity, so distinct arrows only meet at dyn
     return DYN

@@ -144,6 +144,13 @@ class TestSubtype:
         assert join(strong, weak).weakness == "wv"
         assert join(weak, strong).weakness == "wv"
 
+    def test_closures_differing_only_in_labels(self):
+        f = FuncType((NUM_T,), NUM_T, frozenset({1}))
+        g = FuncType((NUM_T,), NUM_T, frozenset({2}))
+        # subtyping ignores labels, as it does for tables; a join keeps both
+        assert subtype(f, g) and subtype(g, f)
+        assert join(f, g) == FuncType((NUM_T,), NUM_T, frozenset({1, 2}))
+
 
 # ---------------------------------------------------------------------------
 # Inference
@@ -430,6 +437,21 @@ class TestVerdicts:
         r = check_program(text)
         assert r.verdict == "UNSAFE"
         assert [(d.line, d.access) for d in r.unsafe] == [(line, "w[1]")]
+
+    def test_reassigned_table_keeps_its_own_labels(self):
+        # x's second table has the same shape as a's, but not a's label:
+        # only a holds a's table.  The exhaustive explorer observes {0, 1}.
+        r = check_program(
+            'local n = 1\nlocal a = {}\nlocal x = a\nx = {}\n'
+            'local w = {[1] = x}\nx = nil\nsetmetatable(w, {__mode = "v"})\n'
+            'local y = w[1]\nif y then return 1 end\nreturn 0\n')
+        assert r.verdict == "UNSAFE"
+        assert [(d.line, d.access) for d in r.unsafe] == [(8, "w[1]")]
+
+    def test_reassigned_closure_is_not_a_type_error(self):
+        r = check_program("local f = function() return 0 end\n"
+                          "f = function() return 0 end\nreturn f()\n")
+        assert r.verdict == "SAFE" and r.diagnostics == []
 
     def test_loop_without_stable_types_is_unknown(self, monkeypatch):
         monkeypatch.setattr(inference, "_LOOP_ROUNDS", 2)

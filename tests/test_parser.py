@@ -189,3 +189,22 @@ class TestWalk:
         assert len(nodes) == 3 * 5_000 + 1
         assert [n.value.x for n in nodes if isinstance(n, A.Const)] == list(
             range(4_999, -1, -1))
+
+
+class TestRewrite:
+    def test_desugar_keeps_a_core_term(self):
+        core = desugar(parse(corpus_text("weak/weak_cache.lua")))
+        assert desugar(core) is core
+
+    def test_subst_keeps_untouched_subtrees(self):
+        t = parse_core("local x = 1 local f = function(y) return y end "
+                       "local g = function(x) return x end return x")
+        f_local = t.body
+        fn, gn = f_local.exprs[0], f_local.body.exprs[0]
+        A.summary(fn)
+        out = A.subst(f_local, {"x": 7})
+        # a body that mentions no substituted name, and one whose
+        # parameter shadows it, come back as the same objects
+        assert out.exprs[0] is fn and fn._summary is not None
+        assert out.body.exprs[0] is gn
+        assert out.body.body == A.Return((A.Ref(7),))
