@@ -30,6 +30,7 @@ import json
 import math
 import random
 import sys
+import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -334,6 +335,11 @@ class Machine:
     term is plugged only to splice a finalizer ahead of a final term, and
     when a caller reads ``config``.
 
+    A quiescent cycle is remembered by its two store objects (held
+    weakly) and its root set; a later cycle on the same stores from a
+    superset of those roots would find nothing either, and is skipped.
+    The explorer's ``enumerate_gc_steps`` runs every cycle.
+
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
     runs with GC on.  ``run``, the explorer and ``check_postponement`` all
@@ -355,6 +361,8 @@ class Machine:
         self.rng = (random.Random(schedule.seed)
                     if schedule.policy == "random"
                     or schedule.selector != "maximal" else None)
+        # (sigma, theta, roots) of the last quiescent cycle
+        self._quiet: Optional[tuple] = None
 
     @property
     def config(self) -> Configuration:
@@ -388,8 +396,16 @@ class Machine:
         """One cycle, splicing any selected finalizer; None if it changed
         nothing."""
         state = self.state
+        if self._quiet is not None:
+            sigma, theta, roots = self._quiet
+            if (sigma() is state.sigma and theta() is state.theta
+                    and state.roots() >= roots):
+                return None
         outcome = run_cycle(state, self.schedule.mode, selector,
                             allow_finalizer=not state.finalizer_in_flight)
+        if outcome.quiescent:
+            self._quiet = (weakref.ref(state.sigma), weakref.ref(state.theta),
+                           state.roots())
         if not outcome.changed:
             return None
         _trace_gc(self.trace, self.steps, outcome)

@@ -27,6 +27,15 @@ union of what each context frame holds outside its hole plus the focus,
 each frame summarized once when it is built, like a collector scanning its
 stack frames, so a cycle never walks or plugs the whole term.  A plain
 :class:`~luagc.heap.Configuration`, where no focus exists, walks its term.
+
+A cycle reuses what the heap kept since the last one.  A table is
+immutable and shared by every store holding it, so it memoizes its
+collectible edges (``TableObject.edges``) and, as a metatable, the weakness
+its ``__mode`` gives (``TableObject.mode_weakness``).  ``run_cycle``
+reports a *quiescent* cycle (no garbage, no weak field to clear, no
+finalizer candidate); ``executor.Machine`` skips a later cycle on the same
+store objects from a superset of its roots, since reachability is monotone
+in the roots.  The explorer's ``enumerate_gc_steps`` skips nothing.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field, replace
 from typing import (
-    TYPE_CHECKING, Callable, FrozenSet, Iterable, List, Optional, Set, Tuple,
-    Union,
+    TYPE_CHECKING, Callable, FrozenSet, Iterable, Iterator, List, Optional,
+    Set, Tuple, Union,
 )
 
 from .ast import (
@@ -45,7 +54,6 @@ from .ast import (
     Term,
     Tid,
     Value,
-    is_collectible,
     term_locations,
     value_locations,
 )
@@ -55,8 +63,10 @@ from .heap import (
     Configuration,
     Mark,
     ObjectStore,
+    TableObject,
     ValueStore,
     _bound,
+    _value_loc,
     index_metatable,
     is_marked,
     restrict_stores,
@@ -69,14 +79,6 @@ if TYPE_CHECKING:
     from .interp import Focused
 
 Selector = Optional[Callable[[List[Location]], Iterable[Location]]]
-
-
-def _value_loc(v: Value) -> Optional[Location]:
-    if isinstance(v, Tid):
-        return ("tid", v.n)
-    if isinstance(v, Cid):
-        return ("cid", v.n)
-    return None
 
 
 def all_locations(sigma: ValueStore, theta: ObjectStore) -> List[Location]:
@@ -188,58 +190,54 @@ def _rec_reach(l: Location, locs: List[Location], sigma: dict,
 SOItem = Union[Tuple[str, Value], Tuple[str, Value, Value]]
 
 
-class Weakness(dict):
-    """Table id to weakness in one object store, each derived on first use,
-    so one collection cycle reads a table's ``__mode`` at most once."""
-
-    def __init__(self, theta: ObjectStore):
-        super().__init__()
-        self.theta = theta
-
-    def __missing__(self, tid: int) -> str:
-        w = self[tid] = weakness(tid, self.theta)
-        return w
+def _loc_value(loc: Location) -> Value:
+    kind, n = loc
+    return Tid(n) if kind == "tid" else Cid(n)
 
 
-def strong_occurrences(tid: int, theta: ObjectStore,
-                       weak_of: Optional[Weakness] = None) -> List[SOItem]:
-    """The non-weak collectible occurrences of a table, per its weakness.
+def strong_edges(obj: TableObject,
+                 w: str) -> Iterator[Tuple[int, Optional[Location], Location]]:
+    """``(field index, gate, target)`` of each edge strong reachability
+    follows out of a table of weakness ``w``: ``target`` is reached once
+    ``gate`` is, or unconditionally when ``gate`` is None.
 
-    Weak-values tables contribute their collectible keys; strong tables
-    all collectible keys and values; weak-keys (ephemeron) tables a
-    ``("pair", key, value)`` for each collectible value; fully weak tables
-    nothing.
+    Strong tables hold all collectible keys and values, weak-values tables
+    their collectible keys, weak-keys (ephemeron) tables each collectible
+    value gated by its key (ungated under a key that is not collectible),
+    fully weak tables nothing.
     """
-    w = weakness(tid, theta) if weak_of is None else weak_of[tid]
-    fields = theta.table(tid).fields
-    if w == "wv":
-        return [("plain", k) for k, _ in fields if is_collectible(k)]
-    if w == "strong":
-        out: List[SOItem] = []
-        for k, v in fields:
-            if is_collectible(k):
-                out.append(("plain", k))
-            if is_collectible(v):
-                out.append(("plain", v))
-        return out
-    if w == "wk":
-        return [("pair", k, v) for k, v in fields if is_collectible(v)]
-    return []
+    for idx, kloc, vloc in obj.edges:
+        if w == "wk":
+            if vloc is not None:
+                yield idx, kloc, vloc
+            continue
+        if w != "wkv" and kloc is not None:
+            yield idx, None, kloc
+        if w == "strong" and vloc is not None:
+            yield idx, None, vloc
 
 
-def strong_reach_set(t: Term, sigma: ValueStore, theta: ObjectStore,
-                     weak_of: Optional[Weakness] = None) -> Set[Location]:
+def strong_occurrences(tid: int, theta: ObjectStore) -> List[SOItem]:
+    """A table's ``strong_edges`` as values: ``("plain", target)``, or
+    ``("pair", key, value)`` for an ephemeron field."""
+    w = weakness(tid, theta)
+    obj = theta.table(tid)
+    if weak_keys(w):
+        return [("pair", *obj.fields[idx]) for idx, _, _ in strong_edges(obj, w)]
+    return [("plain", _loc_value(target))
+            for _, _, target in strong_edges(obj, w)]
+
+
+def strong_reach_set(t: Term, sigma: ValueStore,
+                     theta: ObjectStore) -> Set[Location]:
     """Locations strongly reachable from the term's root set."""
-    return strong_reach_set_from(term_locations(t), sigma, theta, weak_of)
+    return strong_reach_set_from(term_locations(t), sigma, theta)
 
 
 def strong_reach_set_from(roots: Iterable[Location], sigma: ValueStore,
-                          theta: ObjectStore,
-                          weak_of: Optional[Weakness] = None) -> Set[Location]:
+                          theta: ObjectStore) -> Set[Location]:
     """Strongly reachable locations: iterated to a fixed point so that an
     ephemeron value joins only once its key has joined."""
-    if weak_of is None:
-        weak_of = Weakness(theta)
     reached: Set[Location] = set()
     frontier = [l for l in roots if _bound(l, sigma, theta)]
     pending_eph: List[Tuple[Location, Location]] = []  # (key loc, value loc)
@@ -262,21 +260,11 @@ def strong_reach_set_from(roots: Iterable[Location], sigma: ValueStore,
                 obj = theta.table(i)
                 if obj.meta is not None:
                     push(("tid", obj.meta))
-                for item in strong_occurrences(i, theta, weak_of):
-                    if item[0] == "plain":
-                        n = _value_loc(item[1])
-                        if n is not None:
-                            push(n)
+                for _, gate, target in strong_edges(obj, weakness(i, theta)):
+                    if gate is None or gate in reached:
+                        push(target)
                     else:
-                        _, k, v = item
-                        vloc = _value_loc(v)
-                        if vloc is None:
-                            continue
-                        kloc = _value_loc(k)
-                        if kloc is None:  # non-collectible key: value is strong
-                            push(vloc)
-                        else:
-                            pending_eph.append((kloc, vloc))
+                        pending_eph.append((gate, target))
             else:
                 for n in theta.closure(i).locations():
                     push(n)
@@ -410,19 +398,15 @@ def marked_tables(theta: ObjectStore) -> List[int]:
     return [i for i in theta.table_ids() if is_marked(theta.table(i).pos)]
 
 
-def not_fin_val(tid: int, theta: ObjectStore,
-                weak_of: Optional[Weakness] = None) -> bool:
+def not_fin_val(tid: int, theta: ObjectStore) -> bool:
     """A table sitting as a value of some weak table may not be finalized
     this cycle; its weak fields must be cleared first."""
-    if weak_of is None:
-        weak_of = Weakness(theta)
-    target = Tid(tid)
-    for i in theta.table_ids():
-        if weak_of[i] == "strong":
+    target = ("tid", tid)
+    for i, obj in theta.tables.items():
+        if weakness(i, theta) == "strong":
             continue
-        for _, v in theta.table(i).fields:
-            if v == target:
-                return False
+        if any(vloc == target for _, _, vloc in obj.edges):
+            return False
     return True
 
 
@@ -439,6 +423,9 @@ class GcOutcome:
     cleared_weak_fields: List[Tuple[int, Value, Value]] = dc_field(default_factory=list)
     discarded: Tuple[Location, ...] = ()
     marked_forbidden: Optional[int] = None
+    # no garbage, no weak field to clear and no finalizer candidate: a
+    # cycle from more roots on the same stores finds nothing either
+    quiescent: bool = False
 
     @property
     def changed(self) -> bool:
@@ -472,21 +459,20 @@ def _consistent_discard(
 
 
 def _retain_ephemeron_values(
-    keep: Set[Location], sigma: ValueStore, theta: ObjectStore,
-    weak_of: Weakness,
+    keep: Set[Location], sigma: ValueStore, theta: ObjectStore
 ) -> Set[Location]:
     """Close ``keep`` over the values of kept ephemeron fields whose key is
     still marked for finalization."""
     while True:
         extra: Set[Location] = set()
         for kind, i in list(keep):
-            if kind != "tid" or not weak_keys(weak_of[i]):
+            if kind != "tid" or not weak_keys(weakness(i, theta)):
                 continue
-            for k, v in theta.table(i).fields:
-                if isinstance(k, Tid) and is_marked(theta.table(k.n).pos):
-                    vloc = _value_loc(v)
-                    if vloc is not None and vloc not in keep:
-                        extra |= reach_set_from([vloc], sigma, theta)
+            for _, kloc, vloc in theta.table(i).edges:
+                if (kloc is not None and kloc[0] == "tid"
+                        and is_marked(theta.table(kloc[1]).pos)
+                        and vloc is not None and vloc not in keep):
+                    extra |= reach_set_from([vloc], sigma, theta)
         extra -= keep
         if not extra:
             return keep
@@ -494,18 +480,17 @@ def _retain_ephemeron_values(
 
 
 def _weak_fields_to_clear(
-    strong: Set[Location], theta: ObjectStore, weak_of: Weakness
+    strong: Set[Location], theta: ObjectStore
 ) -> List[Tuple[int, int, Value, Value]]:
     """``(tid, field index, key, value)`` of every weak field whose weak
     side is not strongly reachable, except ephemeron fields whose key
     still awaits its finalizer."""
     out: List[Tuple[int, int, Value, Value]] = []
-    for i in theta.table_ids():
-        w = weak_of[i]
+    for i, obj in theta.tables.items():
+        w = weakness(i, theta)
         if w == "strong":
             continue
-        for idx, (k, v) in enumerate(theta.table(i).fields):
-            kloc, vloc = _value_loc(k), _value_loc(v)
+        for idx, kloc, vloc in obj.edges:
             eligible = (
                 weak_keys(w) and kloc is not None and kloc not in strong
             ) or (
@@ -513,9 +498,10 @@ def _weak_fields_to_clear(
             )
             if not eligible:
                 continue
-            if weak_keys(w) and isinstance(k, Tid) and is_marked(theta.table(k.n).pos):
+            if (weak_keys(w) and kloc is not None and kloc[0] == "tid"
+                    and is_marked(theta.table(kloc[1]).pos)):
                 continue  # retained until the key's finalizer ran
-            out.append((i, idx, k, v))
+            out.append((i, idx, *obj.fields[idx]))
     return out
 
 
@@ -553,8 +539,7 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
     sigma, theta = c.sigma, c.theta
     roots = c.roots()
     if weak:
-        weak_of = Weakness(theta)
-        reached = strong_reach_set_from(roots, sigma, theta, weak_of)
+        reached = strong_reach_set_from(roots, sigma, theta)
     else:
         reached = reach_set_from(roots, sigma, theta)
     marked = [] if mode == "simple" else marked_tables(theta)
@@ -564,8 +549,8 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
         keep |= reach_set_from([("tid", tid)], sigma, theta)
     cleared: List[Tuple[int, int, Value, Value]] = []
     if weak:
-        keep = _retain_ephemeron_values(keep, sigma, theta, weak_of)
-        cleared = _weak_fields_to_clear(reached, theta, weak_of)
+        keep = _retain_ephemeron_values(keep, sigma, theta)
+        cleared = _weak_fields_to_clear(reached, theta)
 
     garbage = set(all_locations(sigma, theta)) - keep
     if selector is None:
@@ -588,7 +573,7 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
     candidates = [tid for tid in marked if ("tid", tid) not in reached]
     if candidates and allow_finalizer:
         best = max(candidates, key=lambda tid: theta.table(tid).pos)
-        if not weak or not_fin_val(best, theta, weak_of):
+        if not weak or not_fin_val(best, theta):
             v = index_metatable(best, "__gc", kept_theta)
             table = kept_theta.table(best)
             kept_theta = kept_theta.put_table(best, replace(table, pos=FORBIDDEN))
@@ -598,6 +583,7 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
     return GcOutcome(
         kept_sigma, kept_theta, pending, actually_cleared,
         tuple(sorted(discard)), forbidden,
+        not (garbage or cleared or candidates),
     )
 
 

@@ -21,15 +21,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Dict, Iterator, Optional, Set, Tuple, Union
 
 from .ast import (
+    Cid,
     Location,
     Nil,
     Num,
     Stat,
     Str,
     Term,
+    Tid,
     Value,
     summary,
     term_locations,
@@ -66,11 +69,54 @@ def is_marked(mark: Mark) -> bool:
     return isinstance(mark, int)
 
 
+def _value_loc(v: Value) -> Optional[Location]:
+    if isinstance(v, Tid):
+        return ("tid", v.n)
+    if isinstance(v, Cid):
+        return ("cid", v.n)
+    return None
+
+
 @dataclass(frozen=True)
 class TableObject:
+    """A table.  It is immutable and shared by every store holding it (a
+    write makes a new object), so what the collector derives from it is
+    memoized on it: ``edges`` and ``mode_weakness``.  The memos are not
+    fields, so equality and hashing ignore them, and ``replace`` builds a
+    new object without them."""
+
     fields: Tuple[Tuple[Value, Value], ...]  # insertion ordered, no nils
     meta: Optional[int] = None  # tid of the metatable
     pos: Mark = UNSET
+
+    @cached_property
+    def edges(self) -> Tuple[Tuple[int, Optional[Location],
+                                   Optional[Location]], ...]:
+        """``(field index, key location, value location)`` of each field
+        with a collectible key or value; None for a side that is not."""
+        out = []
+        for idx, (k, v) in enumerate(self.fields):
+            kloc, vloc = _value_loc(k), _value_loc(v)
+            if kloc is not None or vloc is not None:
+                out.append((idx, kloc, vloc))
+        return tuple(out)
+
+    @cached_property
+    def mode_weakness(self) -> str:
+        """The weakness this table's ``__mode`` field gives a table whose
+        metatable it is."""
+        mode = self.get(Str("__mode"))
+        if not isinstance(mode, Str):
+            return "strong"
+        k = "k" in mode.s
+        v = "v" in mode.s
+        if k and v:
+            return "wkv"
+        if k:
+            return "wk"
+        if v:
+            return "wv"
+        return "strong"
 
     def get(self, key: Value) -> Value:
         for k, v in self.fields:
@@ -267,19 +313,9 @@ WEAKNESS = ("strong", "wk", "wv", "wkv")
 
 
 def weakness(tid: int, theta: ObjectStore) -> str:
-    """Derive a table's weakness from its metatable's ``__mode`` string."""
-    mode = index_metatable(tid, "__mode", theta)
-    if not isinstance(mode, Str):
-        return "strong"
-    k = "k" in mode.s
-    v = "v" in mode.s
-    if k and v:
-        return "wkv"
-    if k:
-        return "wk"
-    if v:
-        return "wv"
-    return "strong"
+    """A table's weakness, from its metatable's ``__mode`` string."""
+    meta = theta.table(tid).meta
+    return "strong" if meta is None else theta.table(meta).mode_weakness
 
 
 def weak_keys(w: str) -> bool:
@@ -298,6 +334,8 @@ def restrict(c: Configuration, discard: Set[Location]) -> Configuration:
 def restrict_stores(sigma: ValueStore, theta: ObjectStore,
                     discard: Set[Location]) -> Tuple[ValueStore, ObjectStore]:
     """The two stores with the ``discard`` locations unbound."""
+    if not discard:
+        return sigma, theta
     drop_t = {i for kind, i in discard if kind == "tid"}
     drop_c = {i for kind, i in discard if kind == "cid"}
     kept_sigma = ValueStore(

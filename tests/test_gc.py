@@ -1,7 +1,11 @@
+import json
+from dataclasses import replace
+
 import pytest
 
-from luagc import gc
-from luagc.ast import Nil, Num, Str, Tid
+from luagc import executor
+from luagc.ast import Cid, Nil, Num, Str, Tid, is_collectible
+from luagc.executor import ExhaustiveExplorer, Schedule, observations, run
 from luagc.gc import (
     enumerate_gc_steps,
     next_priority,
@@ -17,8 +21,11 @@ from luagc.heap import (
     Configuration,
     ObjectStore,
     TableObject,
+    _value_loc as loc,
+    index_metatable,
     is_marked,
     validate,
+    weakness,
 )
 from luagc.interp import Finished, load_program, step
 
@@ -327,7 +334,8 @@ class TestGcFinWeak:
     def test_weakness_derived_once_per_table(self, monkeypatch):
         # every weakness reader has work: an ephemeron with a marked key
         # (retained value), a weak-values field to clear, a strong table,
-        # and a finalization candidate checked against weak values
+        # and a finalization candidate checked against weak values.  Each
+        # metatable's __mode is read once, however many cycles ask.
         c = build_heap(
             {},
             {
@@ -343,16 +351,20 @@ class TestGcFinWeak:
             [("tid", 7), ("tid", 4)],
         )
         calls = []
-        real = gc.weakness
+        real = TableObject.get
 
-        def counting(tid, theta):
-            calls.append(tid)
-            return real(tid, theta)
+        def counting(self, key):
+            if key == Str("__mode"):
+                calls.append(id(self))
+            return real(self, key)
 
-        monkeypatch.setattr(gc, "weakness", counting)
-        o = run_cycle(c, "fin_weak")
-        assert o.cleared_weak_fields and o.pending_finalizer == (1, 2)
-        assert len(calls) <= len(c.theta.tables)
+        monkeypatch.setattr(TableObject, "get", counting)
+        for _ in range(2):
+            o = run_cycle(c, "fin_weak")
+            assert o.cleared_weak_fields and o.pending_finalizer == (1, 2)
+        metatables = {id(c.theta.table(t.meta))
+                      for t in c.theta.tables.values() if t.meta is not None}
+        assert calls and set(calls) <= metatables
         assert len(calls) == len(set(calls))
 
 
@@ -459,3 +471,130 @@ class TestGcInvariants:
             for mode in ("simple", "fin", "fin_weak"):
                 o = run_cycle(c, mode)
                 validate(Configuration(o.kept_sigma, o.kept_theta, c.term))
+
+
+# __mode is retagged after setmetatable: "k", then "v", then nil
+RETAG_PROGRAM = """
+local m = {}
+local t = {}
+setmetatable(t, m)
+local a = {}
+local b = {}
+m.__mode = "k"
+t[a] = 1
+t[1] = {}
+a = nil
+m.__mode = "v"
+t[2] = {}
+m.__mode = nil
+t[b] = 3
+t[3] = {}
+b = nil
+return t[1] == nil, t[2] == nil, t[3] == nil, t
+"""
+
+
+def without_memos(theta: ObjectStore) -> ObjectStore:
+    """The store with each table rebuilt, so nothing is memoized yet."""
+    return ObjectStore(
+        {i: TableObject(t.fields, t.meta, t.pos) for i, t in theta.tables.items()},
+        theta.closures, theta.next_tid, theta.next_cid,
+    )
+
+
+def field_by_field(tid: int, theta: ObjectStore):
+    """Weakness and strong occurrences read from the fields directly."""
+    mode = index_metatable(tid, "__mode", theta)
+    s = mode.s if isinstance(mode, Str) else ""
+    w = {(False, False): "strong", (True, False): "wk",
+         (False, True): "wv", (True, True): "wkv"}["k" in s, "v" in s]
+    out = []
+    for k, v in theta.table(tid).fields:
+        if w == "wk" and is_collectible(v):
+            out.append(("pair", k, v))
+        if w in ("strong", "wv") and is_collectible(k):
+            out.append(("plain", k))
+        if w == "strong" and is_collectible(v):
+            out.append(("plain", v))
+    return w, out
+
+
+class TestTableMemos:
+    """A table memoizes its edges and, as a metatable, the weakness it
+    gives; neither may go stale or change what equality and hashing see."""
+
+    def test_retagged_metatable_clears_by_current_mode(self, monkeypatch):
+        clears = []
+        real = executor.run_cycle
+
+        def cycle(state, mode, *args, **kwargs):
+            o = real(state, mode, *args, **kwargs)
+            fresh = Configuration(state.sigma, without_memos(state.theta),
+                                  state.term)
+            again = real(fresh, mode, *args, **kwargs)
+            assert again.cleared_weak_fields == o.cleared_weak_fields
+            assert again.discarded == o.discarded
+            for tid, k, v in o.cleared_weak_fields:
+                mode_now = index_metatable(tid, "__mode", state.theta)
+                clears.append((mode_now.s, is_collectible(k), is_collectible(v)))
+            return o
+
+        monkeypatch.setattr(executor, "run_cycle", cycle)
+        rec = run(load_program(RETAG_PROGRAM), Schedule("eager", "fin_weak"))
+        monkeypatch.undo()
+        # t[a] under "k"; t[1] and t[2] under "v"; nothing once strong
+        assert clears == [("k", True, False), ("v", False, True),
+                          ("v", False, True)]
+        assert [v["v"] for v in json.loads(rec.result.key)["v"][:3]] == [
+            True, True, False]
+        # what `observe --explorer exhaustive=400 --mode fin-weak` explores
+        obs = observations(load_program(RETAG_PROGRAM),
+                           ExhaustiveExplorer("fin_weak", 400))
+        assert not obs.truncated and len(obs) > 1
+        assert rec.result.key in obs.keys
+
+    def test_memo_ignored_by_equality_and_hashing(self):
+        c = build_heap(
+            {1: ("tid", 1)},
+            {1: {"fields": [(("tid", 2), ("tid", 3)), (Num(1), ("cid", 1))],
+                 "mode": "k"},
+             2: {}, 3: {"fields": [(Num(1), ("tid", 1))]}},
+            {1: [("ref", 1)]}, [("ref", 1)],
+        )
+        fresh = without_memos(c.theta)
+        for i, t in c.theta.tables.items():
+            t.edges, t.mode_weakness
+            assert "edges" in vars(t) and "edges" not in vars(fresh.table(i))
+            assert t == fresh.table(i) and hash(t) == hash(fresh.table(i))
+        d = Configuration(c.sigma, fresh, c.term)
+        assert executor._state_key(c, 3) == executor._state_key(d, 3)
+        assert hash(executor._state_key(c, 3)) == hash(executor._state_key(d, 3))
+
+    def test_writes_do_not_carry_the_memo(self):
+        m = TableObject(((Str("__mode"), Str("k")), (Tid(2), Tid(3))))
+        assert m.mode_weakness == "wk" and m.edges == (
+            (1, ("tid", 2), ("tid", 3)),)
+        for new in (m.set(Str("__mode"), Str("v")),
+                    replace(m, fields=((Str("__mode"), Str("v")),
+                                       (Tid(2), Tid(3))))):
+            assert new.mode_weakness == "wv"
+        for new in (m.set(Tid(2), Cid(4)), m.set(Num(1), Tid(5)),
+                    m.without(Tid(2)), replace(m, fields=m.fields[:1])):
+            assert new.edges == tuple(
+                (idx, loc(k), loc(v)) for idx, (k, v) in enumerate(new.fields)
+                if is_collectible(k) or is_collectible(v))
+        assert m.set(Str("__mode"), Nil()).mode_weakness == "strong"
+
+    def test_memos_match_field_by_field_derivation(self):
+        import random
+
+        from heapgen import random_heap
+
+        rng = random.Random(4242)
+        for _ in range(300):
+            c = random_heap(rng, max_locs=12, weak=True)
+            for _ in range(2):  # the second pass reads the memos
+                for i in c.theta.tables:
+                    w, occurrences = field_by_field(i, c.theta)
+                    assert weakness(i, c.theta) == w
+                    assert strong_occurrences(i, c.theta) == occurrences
