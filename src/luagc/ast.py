@@ -845,88 +845,81 @@ def _pprefix(t: Expr) -> str:
 # ---------------------------------------------------------------------------
 
 
+# per class: the JSON kind, the node's own (non-term) fields, and the
+# attributes holding its sub-terms; a tuple of terms becomes a list
+_JSON_FIELDS = {
+    Const: ("const", lambda t: {"value": _value_json(t.value)}, ()),
+    Name: ("name", lambda t: {"ident": t.ident}, ()),
+    Globals: ("globals", None, ()),
+    Ref: ("ref", lambda t: {"r": t.r}, ()),
+    ValueTuple: ("values",
+                 lambda t: {"values": [_value_json(v) for v in t.values]}, ()),
+    Index: ("index", None, ("obj", "key")),
+    Call: ("call", None, ("fn", "args")),
+    Function: ("function", lambda t: {"params": list(t.params)}, ("body",)),
+    BinOp: ("binop", lambda t: {"op": t.op}, ("lhs", "rhs")),
+    And: ("and", None, ("lhs", "rhs")),
+    Or: ("or", None, ("lhs", "rhs")),
+    Not: ("not", None, ("operand",)),
+    Neg: ("neg", None, ("operand",)),
+    Empty: ("empty", None, ()),
+    Seq: ("seq", None, ("first", "rest")),
+    Local: ("local", lambda t: {"names": list(t.names)}, ("exprs", "body")),
+    Assign: ("assign", None, ("targets", "exprs")),
+    ExprStat: ("exprstat", None, ("expr",)),
+    If: ("if", None, ("cond", "then_body", "else_body")),
+    While: ("while", None, ("cond", "body")),
+    Break: ("break", None, ()),
+    Return: ("return", None, ("exprs",)),
+    Block: ("block", None, ("stats",)),
+    LoopFrame: ("loopframe", None, ("inner",)),
+    ErrTerm: ("err", lambda t: {"value": _value_json(t.value)}, ()),
+    FinStat: ("finstat", None, ("inner",)),
+    CallFrame: ("callframe", None, ("body",)),
+    ProtectedFrame: ("protected", None, ("inner",)),
+    FinWrap: ("finwrap", None, ("inner",)),
+}
+# the JSON key of an attribute, where the two differ
+_JSON_KEYS = {"then_body": "then", "else_body": "else"}
+
+
 def to_json(t: Term) -> dict:
-    if isinstance(t, Const):
-        return {"kind": "const", "value": _value_json(t.value)}
-    if isinstance(t, Name):
-        return {"kind": "name", "ident": t.ident}
-    if isinstance(t, Globals):
-        return {"kind": "globals"}
-    if isinstance(t, Ref):
-        return {"kind": "ref", "r": t.r}
-    if isinstance(t, ValueTuple):
-        return {"kind": "values", "values": [_value_json(v) for v in t.values]}
-    if isinstance(t, Index):
-        return {"kind": "index", "obj": to_json(t.obj), "key": to_json(t.key)}
-    if isinstance(t, Call):
-        return {"kind": "call", "fn": to_json(t.fn), "args": [to_json(a) for a in t.args]}
-    if isinstance(t, Function):
-        return {"kind": "function", "params": list(t.params), "body": to_json(t.body)}
-    if isinstance(t, TableCtor):
-        return {
-            "kind": "table",
-            "fields": [
-                {"key": None if k is None else to_json(k), "value": to_json(v)}
-                for k, v in t.fields
-            ],
-        }
-    if isinstance(t, BinOp):
-        return {"kind": "binop", "op": t.op, "lhs": to_json(t.lhs), "rhs": to_json(t.rhs)}
-    if isinstance(t, And):
-        return {"kind": "and", "lhs": to_json(t.lhs), "rhs": to_json(t.rhs)}
-    if isinstance(t, Or):
-        return {"kind": "or", "lhs": to_json(t.lhs), "rhs": to_json(t.rhs)}
-    if isinstance(t, Not):
-        return {"kind": "not", "operand": to_json(t.operand)}
-    if isinstance(t, Neg):
-        return {"kind": "neg", "operand": to_json(t.operand)}
-    if isinstance(t, Empty):
-        return {"kind": "empty"}
-    if isinstance(t, Seq):
-        return {"kind": "seq", "first": to_json(t.first), "rest": to_json(t.rest)}
-    if isinstance(t, Local):
-        return {
-            "kind": "local",
-            "names": list(t.names),
-            "exprs": [to_json(e) for e in t.exprs],
-            "body": to_json(t.body),
-        }
-    if isinstance(t, Assign):
-        return {
-            "kind": "assign",
-            "targets": [to_json(x) for x in t.targets],
-            "exprs": [to_json(e) for e in t.exprs],
-        }
-    if isinstance(t, ExprStat):
-        return {"kind": "exprstat", "expr": to_json(t.expr)}
-    if isinstance(t, If):
-        return {
-            "kind": "if",
-            "cond": to_json(t.cond),
-            "then": to_json(t.then_body),
-            "else": to_json(t.else_body),
-        }
-    if isinstance(t, While):
-        return {"kind": "while", "cond": to_json(t.cond), "body": to_json(t.body)}
-    if isinstance(t, Break):
-        return {"kind": "break"}
-    if isinstance(t, Return):
-        return {"kind": "return", "exprs": [to_json(e) for e in t.exprs]}
-    if isinstance(t, Block):
-        return {"kind": "block", "stats": [to_json(s) for s in t.stats]}
-    if isinstance(t, LoopFrame):
-        return {"kind": "loopframe", "inner": to_json(t.inner)}
-    if isinstance(t, ErrTerm):
-        return {"kind": "err", "value": _value_json(t.value)}
-    if isinstance(t, FinStat):
-        return {"kind": "finstat", "inner": to_json(t.inner)}
-    if isinstance(t, CallFrame):
-        return {"kind": "callframe", "body": to_json(t.body)}
-    if isinstance(t, ProtectedFrame):
-        return {"kind": "protected", "inner": to_json(t.inner)}
-    if isinstance(t, FinWrap):
-        return {"kind": "finwrap", "inner": to_json(t.inner)}
-    raise TypeError(f"unknown term {t!r}")  # pragma: no cover
+    """The term as nested dicts and lists, one dict per node.
+
+    An explicit-stack walk, so deep terms need no Python recursion: a
+    node's dict is made with ``None`` in each sub-term slot, and the slot
+    is filled when that sub-term comes off the stack.
+    """
+    top: list = [None]
+    stack: list = [(top, 0, t)]
+    while stack:
+        holder, slot, n = stack.pop()
+        if isinstance(n, TableCtor):
+            fields = []
+            for k, v in n.fields:
+                f = {"key": None, "value": None}
+                fields.append(f)
+                if k is not None:
+                    stack.append((f, "key", k))
+                stack.append((f, "value", v))
+            holder[slot] = {"kind": "table", "fields": fields}
+            continue
+        spec = _JSON_FIELDS.get(type(n))
+        if spec is None:
+            raise TypeError(f"unknown term {n!r}")  # pragma: no cover
+        kind, own, subs = spec
+        d = {"kind": kind, **(own(n) if own else {})}
+        for attr in subs:
+            sub = getattr(n, attr)
+            key = _JSON_KEYS.get(attr, attr)
+            if isinstance(sub, tuple):
+                d[key] = [None] * len(sub)
+                stack.extend((d[key], i, c) for i, c in enumerate(sub))
+            else:
+                d[key] = None
+                stack.append((d, key, sub))
+        holder[slot] = d
+    return top[0]
 
 
 def _value_json(v: Value):

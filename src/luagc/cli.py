@@ -166,6 +166,7 @@ def cmd_observe(args) -> int:
         "truncated": obs.truncated,
         "nodes": obs.nodes,
         "revisits": obs.revisits,
+        "collected": obs.collected,
         "observations": sorted(obs.keys),
     }
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -216,8 +217,49 @@ def cmd_dump_ast(args) -> int:
         return 2
     if args.desugar:
         tree = desugar(tree)
-    print(json.dumps(to_json(tree), indent=2, sort_keys=True))
+    _write_json(to_json(tree), sys.stdout.write)
+    sys.stdout.write("\n")
     return 0
+
+
+def _write_json(obj, write) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` in pieces.
+
+    An explicit stack, so a deeply nested AST dump needs no Python
+    recursion; and written as it is made, since indentation makes the
+    text of a deep tree quadratic in its depth.  A stack entry is a value
+    with its depth, or literal text with depth None.
+    """
+    out: List[str] = []
+    stack: list = [(obj, 0)]
+    while stack:
+        if len(out) >= 256:
+            write("".join(out))
+            out.clear()
+        x, depth = stack.pop()
+        if depth is None:
+            out.append(x)
+            continue
+        if isinstance(x, dict):
+            items = [(json.dumps(k) + ": ", v) for k, v in sorted(x.items())]
+            brackets = "{}"
+        elif isinstance(x, (list, tuple)):
+            items = [("", v) for v in x]
+            brackets = "[]"
+        else:
+            out.append(json.dumps(x))
+            continue
+        if not items:
+            out.append(brackets)
+            continue
+        pad = "\n" + "  " * (depth + 1)
+        seq: list = [(brackets[0], None)]
+        for i, (key, v) in enumerate(items):
+            seq.append(("," * (i > 0) + pad + key, None))
+            seq.append((v, depth + 1))
+        seq.append(("\n" + "  " * depth + brackets[1], None))
+        stack.extend(reversed(seq))
+    write("".join(out))
 
 
 # ---------------------------------------------------------------------------

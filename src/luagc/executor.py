@@ -22,6 +22,16 @@ drain, and its ``advance`` is the only loop that steps a program.
 ``run`` drives one machine to the end; the exhaustive explorer builds one
 per node for the plain step and its drain; ``check_postponement`` steps
 one with explicit cycles.
+
+The explorer collects invisible garbage in place: at a node whose maximal
+cycle only discards (``GcOutcome.garbage_only``), the collected
+configuration is the node's one successor.  It is a GC successor of the
+node, so its observations are among the node's.  Such a cycle discards
+only plainly unreachable locations, since one reached through a weak edge
+would leave a cleared field on a kept table, so the program never reads
+them again and ids stay fresh.  The one place a cycle reads garbage is
+``not_fin_val``: a garbage weak table can block a finalizer, which then
+runs one cycle later with the same observations.
 """
 
 from __future__ import annotations
@@ -55,7 +65,9 @@ from .ast import (
     value_locations,
     walk,
 )
-from .gc import GcOutcome, enumerate_gc_steps, reach_set, run_cycle
+from .gc import (
+    GcOutcome, enumerate_gc_steps, reach_set, run_cycle, subset_steps,
+)
 from .heap import Configuration, HeapError, ObjectStore, ValueStore, restrict
 from .interp import (
     Finished, Focused, Frame, Redex, StuckTerm, decompose, plug, refocus, step,
@@ -338,7 +350,8 @@ class Machine:
     A quiescent cycle is remembered by its two store objects (held
     weakly) and its root set; a later cycle on the same stores from a
     superset of those roots would find nothing either, and is skipped.
-    The explorer's ``enumerate_gc_steps`` runs every cycle.
+    The explorer runs the maximal cycle itself at every node, with no
+    memo, and collects a garbage-only one in place (see ``observations``).
 
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
@@ -504,6 +517,7 @@ class ObservationSet:
     truncated: bool = False
     nodes: int = 0  # configurations expanded (exhaustive exploration)
     revisits: int = 0  # pops skipped as already expanded
+    collected: int = 0  # garbage-only cycles taken in place of a branch
 
     def add(self, r: ProgramResult) -> None:
         self.results[r.key] = r
@@ -570,11 +584,20 @@ def observations(
 ) -> ObservationSet:
     """Observation set over the explored execution space.
 
-    Exhaustive exploration enumerates, at every configuration, the plain
-    step successor and every candidate GC step; it is sound only with
-    respect to the explored space (``step_bound`` program steps per trace,
-    ``node_budget`` distinct expansions overall; exceeding the budget
-    records a distinct truncation marker).
+    Exhaustive exploration runs the maximal cycle at every configuration.
+    If it only discards garbage (``GcOutcome.garbage_only``: something
+    discarded, no weak field of a kept table cleared, no finalizer
+    selected or skipped), the collected configuration is the one successor
+    and ``collected`` counts it; otherwise the successors are the plain
+    step and every candidate GC step.  The reduction loses no observation:
+    the collected configuration is a GC successor of the node; the
+    discarded locations are plainly unreachable, so the program never
+    reads them again; and a finalizer that a garbage weak table blocks
+    (``not_fin_val``) runs one cycle later with the same observations.
+    The search is sound only with respect to the explored space
+    (``step_bound`` program steps per trace, ``node_budget`` distinct
+    expansions overall; exceeding the budget records a distinct truncation
+    marker).
 
     The search explores states, not paths: a visited set holds every
     (configuration, program step count) pair already expanded, and a
@@ -619,12 +642,18 @@ def observations(
             obs.add(BOTTOM_FUEL_RESULT)
             continue
         state = Focused(c.sigma, c.theta, d, c.term)
+        allow = not state.finalizer_in_flight
         try:
-            outcomes = enumerate_gc_steps(
-                state, explorer.mode,
-                "maximal" if explorer.granularity == "maximal" else "subsets",
-                allow_finalizer=not state.finalizer_in_flight,
-            )
+            # the maximal cycle, if it changes anything
+            outcomes = enumerate_gc_steps(state, explorer.mode,
+                                          allow_finalizer=allow)
+            if outcomes and outcomes[0].garbage_only:
+                obs.collected += 1
+                stack.append((_apply_outcome(c, outcomes[0]), steps))
+                continue
+            if outcomes and explorer.granularity != "maximal":
+                outcomes = subset_steps(state, outcomes[0], explorer.mode,
+                                        allow_finalizer=allow)
         except (HeapError, StuckTerm):
             outcomes = []
         for o in outcomes:

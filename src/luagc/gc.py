@@ -35,7 +35,16 @@ its ``__mode`` gives (``TableObject.mode_weakness``).  ``run_cycle``
 reports a *quiescent* cycle (no garbage, no weak field to clear, no
 finalizer candidate); ``executor.Machine`` skips a later cycle on the same
 store objects from a superset of its roots, since reachability is monotone
-in the roots.  The explorer's ``enumerate_gc_steps`` skips nothing.
+in the roots.  The explorer skips no cycle, but branches on fewer: it runs
+the maximal cycle at every node, and when that cycle is *garbage-only*
+(``GcOutcome.garbage_only``) takes its collected configuration as the
+node's one successor.  That configuration is a GC successor of the node,
+so its observations are among the node's.  A garbage-only maximal cycle
+discards only plainly unreachable locations (one reached through a weak
+edge would leave a cleared field on a kept table), so the program never
+reads them again and ids stay fresh.  The one place a cycle reads garbage
+is ``not_fin_val``: a garbage weak table can block a finalizer, which then
+runs one cycle later with the same observations.
 """
 
 from __future__ import annotations
@@ -436,6 +445,18 @@ class GcOutcome:
             or self.marked_forbidden is not None
         )
 
+    @property
+    def garbage_only(self) -> bool:
+        """Does the cycle only discard, clearing no kept table's weak field
+        and neither selecting nor skipping a finalizer?  Of a maximal
+        cycle, the program cannot tell whether it ran."""
+        return bool(
+            self.discarded
+            and not self.cleared_weak_fields
+            and self.pending_finalizer is None
+            and self.marked_forbidden is None
+        )
+
 
 def _consistent_discard(
     proposal: Set[Location],
@@ -598,15 +619,30 @@ def enumerate_gc_steps(
 
     ``maximal`` yields at most one outcome (the maximal cycle, if it makes
     progress).  ``subsets`` enumerates every valid discard subset of the
-    garbage; weak-field clearing stays maximal within each outcome.  With
-    more garbage locations than ``subset_cap`` it falls back to maximal.
+    garbage (``subset_steps``).
     """
     maximal = run_cycle(c, mode, allow_finalizer=allow_finalizer)
-    if granularity == "maximal" or not maximal.discarded:
+    if granularity == "maximal":
+        return [maximal] if maximal.changed else []
+    return subset_steps(c, maximal, mode, subset_cap, allow_finalizer)
+
+
+def subset_steps(
+    c: Union[Configuration, "Focused"],
+    maximal: GcOutcome,
+    mode: str,
+    subset_cap: int = 12,
+    allow_finalizer: bool = True,
+) -> List[GcOutcome]:
+    """Every valid discard subset of the garbage at ``c``, given its
+    maximal cycle ``maximal`` (same mode and ``allow_finalizer``).
+
+    Weak-field clearing stays maximal within each outcome.  With more
+    garbage locations than ``subset_cap`` it falls back to maximal.
+    """
+    if not maximal.discarded or len(maximal.discarded) > subset_cap:
         return [maximal] if maximal.changed else []
     garbage = sorted(maximal.discarded)
-    if len(garbage) > subset_cap:
-        return [maximal] if maximal.changed else []
     outcomes: List[GcOutcome] = []
     for n in range(len(garbage) + 1):
         for combo in itertools.combinations(garbage, n):

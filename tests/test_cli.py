@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from luagc.ast import to_json
 from luagc.cli import main, parse_gc_spec
+from luagc.desugar import desugar
+from luagc.parser import parse
 
 from conftest import CORPUS
 
@@ -98,8 +101,10 @@ class TestObserveCommand:
             reports.append(json.loads(out))
         first, again = reports
         assert first["revisits"] > 0 and first["nodes"] > 0
-        assert (first["nodes"], first["revisits"]) == (again["nodes"],
-                                                       again["revisits"])
+        assert first["collected"] > 0
+        counters = ("nodes", "revisits", "collected")
+        assert ([first[k] for k in counters]
+                == [again[k] for k in counters])
 
     def test_empty_program(self, tmp_path, capsys):
         f = tmp_path / "empty.lua"
@@ -194,6 +199,15 @@ class TestDumpAst:
         path = str(CORPUS / "deterministic" / "arith.lua")
         _, out, _ = run_cli(capsys, "dump-ast", path, "--desugar")
         assert json.loads(out)["kind"] == "local"
+
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.lua")),
+                             ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_dump_is_indented_json(self, path, capsys):
+        # the dump writes its JSON text on an explicit stack; it must be
+        # exactly what json.dumps writes
+        _, out, _ = run_cli(capsys, "dump-ast", str(path), "--desugar")
+        tree = to_json(desugar(parse(path.read_text())))
+        assert out == json.dumps(tree, indent=2, sort_keys=True) + "\n"
 
 
 class TestTraceCommand:

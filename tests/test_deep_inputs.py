@@ -1,11 +1,13 @@
 """Long and deeply nested programs end in a result, not a RecursionError."""
 
 import json
+import sys
 
 import pytest
 
 from luagc import ast as A
 from luagc.checker import check_program
+from luagc.cli import main
 from luagc.desugar import desugar
 from luagc.executor import Schedule, run
 from luagc.interp import load_program
@@ -39,3 +41,36 @@ def test_long_program_runs(text, value):
 def test_long_program_is_analyzed(text):
     r = check_program(text)
     assert r.verdict == "SAFE", r.reason
+
+
+class _Tally:
+    """A stdout that keeps only the length and the number of assignments
+    of what is written: the indented dump of a deep tree is large."""
+
+    PATTERN = '"kind": "assign"'
+
+    def __init__(self):
+        self.size = self.assigns = 0
+        self.tail = ""
+
+    def write(self, s: str) -> int:
+        text = self.tail + s
+        self.assigns += text.count(self.PATTERN)
+        self.tail = text[-(len(self.PATTERN) - 1):]
+        self.size += len(s)
+        return len(s)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_long_block_dumps(tmp_path, monkeypatch):
+    # the dump nests one level per statement; neither building the dicts
+    # nor writing the JSON text may recurse per level
+    path = tmp_path / "block.lua"
+    path.write_text(BLOCK)
+    tally = _Tally()
+    monkeypatch.setattr(sys, "stdout", tally)
+    assert main(["dump-ast", str(path), "--desugar"]) == 0
+    assert tally.assigns == 5_000
+    assert tally.tail.endswith("}\n") and tally.size > 5_000 ** 2

@@ -25,7 +25,9 @@ from luagc.executor import (
 from luagc.heap import Configuration, ValueStore, snapshot_json
 from luagc.interp import Focused, Redex, decompose, load_program, plug
 
-from conftest import CORPUS, corpus_text, deterministic_programs
+from conftest import (
+    CORPUS, corpus_text, deterministic_programs, explore_reduced_and_unreduced,
+)
 from heapgen import build_heap
 
 
@@ -444,6 +446,81 @@ class TestExplorerCoversSchedules:
             assert key in exhaustive.keys, (rel, sched.describe(), key[:80])
 
 
+# the shapes where a garbage-only cycle sits next to a finalizer or a weak
+# table; globals rather than locals keep the garbage, and so the unreduced
+# subset exploration, small
+GARBAGE_EDGE_PROGRAMS = {
+    # the target is held only as the value of a weak-values table that
+    # turns to garbage; it blocks the finalizer (``not_fin_val``) until it
+    # is collected
+    "weak_values_holder": """
+w = setmetatable({}, {__mode = "v"})
+w[1] = setmetatable({}, {__gc = function(o) saved = 1 end})
+w = nil
+collectgarbage()
+return saved
+""",
+    # the ephemeron turns to garbage while its key awaits its finalizer
+    "ephemeron_pending_key": """
+e = setmetatable({}, {__mode = "k"})
+e[setmetatable({}, {__gc = function(o) saved = 1 end})] = true
+e = nil
+collectgarbage()
+return saved
+""",
+    # the finalizer puts its object back into a live weak table, and a
+    # read before the drain may or may not see it there
+    "resurrect_into_weak": """
+w = setmetatable({}, {__mode = "v"})
+setmetatable({}, {__gc = function(o) w[1] = o end})
+local early = w[1] ~= nil
+collectgarbage()
+return early, w[1] ~= nil
+""",
+    # garbage beside a finalizer candidate: that cycle branches, or the
+    # finalizer could no longer run after the increment (n = 3 or 4)
+    "finalizer_beside_garbage": """
+n = 1
+fin = {__gc = function(o) n = n * 2 end}
+g = {}
+x = setmetatable({}, fin)
+x = nil
+g = nil
+n = n + 1
+collectgarbage()
+return n
+""",
+    # the same with a __gc that is no function: the cycle only marks the
+    # table forbidden, which the residue shows while w[x] is kept
+    "skipped_finalizer_beside_garbage": """
+w = setmetatable({}, {__mode = "k"})
+g = {}
+x = setmetatable({}, {__gc = true})
+w[x] = 1
+x = nil
+g = nil
+return w
+""",
+}
+
+
+class TestGarbageOnlyReduction:
+    """Collecting garbage-only cycles in place loses no observation: the
+    explorer's set equals the one that branches on every cycle."""
+
+    @pytest.mark.parametrize("granularity", ["maximal", "subsets"])
+    @pytest.mark.parametrize("mode", ["fin", "fin_weak"])
+    @pytest.mark.parametrize("name", sorted(GARBAGE_EDGE_PROGRAMS))
+    def test_reduced_equals_unreduced(self, name, mode, granularity):
+        explorer = ExhaustiveExplorer(mode, 200, granularity, 20_000)
+        reduced, unreduced = explore_reduced_and_unreduced(
+            load_program(GARBAGE_EDGE_PROGRAMS[name]), explorer)
+        assert not reduced.truncated and not unreduced.truncated
+        assert reduced.keys == unreduced.keys
+        assert reduced.collected > 0
+        assert reduced.nodes < unreduced.nodes
+
+
 SIGNED_ZERO_PROGRAMS = {
     # whether the weak entry survived until it was read picks 0 or -0;
     # collectgarbage() then makes both paths' stores equal, leaving the
@@ -499,11 +576,15 @@ class TestExplorerVisitedSet:
         obs = observations(load_program("local x = 1 while true do x = 1 end"),
                            ExhaustiveExplorer("simple", 30, "maximal", 20_000))
         assert obs.keys == {BOTTOM_FUEL}
-        # the loop repeats its configuration every 5 steps; each step count
-        # still expands two (with and without the unused globals table)
-        assert len(set(calls)) == 2 * 5 + 2
-        assert len(calls) == 2 * 30
-        assert obs.nodes == len(calls) + 2  # plus the two ⊥(fuel) leaves
+        # the loop repeats its configuration every 5 steps, yet each step
+        # count still expands its own; the unused globals table is
+        # collected in place at the start, so one configuration per count
+        # besides the start itself
+        assert obs.collected == 1
+        assert len(set(calls)) == 5 + 2
+        assert len(calls) == 30 + 1
+        assert obs.nodes == len(calls) + 1  # plus the one ⊥(fuel) leaf
+        assert obs.revisits == 0
 
     def test_garbage_churn_expands_each_state_once(self, monkeypatch):
         calls = self.count_expansions(monkeypatch)
@@ -513,9 +594,12 @@ class TestExplorerVisitedSet:
         )
         assert len(obs) == 1 and not obs.truncated
         # no control flow reads a weak table, so every path takes the same
-        # program steps and a configuration fixes its step count
-        assert len(calls) == len(set(calls))
-        assert obs.revisits > 0
+        # program steps and a configuration fixes its step count; with the
+        # garbage collected in place there is one path, met once
+        assert len(calls) == len(set(calls)) == 175
+        assert obs.nodes == len(calls) + 1  # plus the final leaf
+        assert obs.collected == 19
+        assert obs.revisits == 0
 
     @pytest.mark.parametrize("rel,explorer", [
         ("finalizers/finalizer_order.lua", EXPLORER),

@@ -1,15 +1,22 @@
 """Differential properties over randomly generated programs.
 
-The generator produces terminating, GC-interface-free programs (no weak
-tables, no finalizers, no collectgarbage): locals, assignments, bounded
-counter loops, branches, table construction and field traffic, calls and
-prints.  Runtime errors are allowed — an error is a deterministic
-observation like any other.
+The first generator produces terminating, GC-interface-free programs (no
+weak tables, no finalizers, no collectgarbage): locals, assignments,
+bounded counter loops, branches, table construction and field traffic,
+calls and prints.  Runtime errors are allowed — an error is a
+deterministic observation like any other.
 
 Properties: printing parses back to the same tree, desugaring is
 idempotent, every step preserves store well-formedness, and the canonical
 result is identical under the never / eager / periodic / seeded-random
 schedules.
+
+The second generator, ``_WeakGen``, produces straight-line programs over
+the GC interface: weak tables of each ``__mode``, objects whose
+finalizers print, count, resurrect or raise, field stores into weak
+tables, dropped references, ``collectgarbage()`` and weak reads under
+``if``.  Property: the exhaustive explorer, which collects garbage-only
+cycles in place, observes the same set as the unreduced one.
 """
 
 import pytest
@@ -17,10 +24,12 @@ from hypothesis import given, settings, strategies as st
 
 from luagc import ast as A
 from luagc.desugar import desugar
-from luagc.executor import Schedule, run
+from luagc.executor import ExhaustiveExplorer, Schedule, run
 from luagc.heap import validate
 from luagc.interp import Finished, load_program, step
 from luagc.parser import parse
+
+from conftest import explore_reduced_and_unreduced
 
 
 class _Gen:
@@ -205,3 +214,86 @@ def test_analyzer_total_on_generated_programs(text):
     assert report.verdict in ("SAFE", "UNSAFE", "UNKNOWN")
     # no weak tables are ever generated, so unsafe flags are impossible
     assert report.verdict != "UNSAFE"
+
+
+class _WeakGen:
+    """Straight-line weak-table and finalizer programs.
+
+    A program makes one or two weak tables and one to three objects, then
+    runs three to six statements that store objects into the weak tables,
+    drop objects or weak tables, read weak fields under ``if`` and call
+    ``collectgarbage()``.  Everything is global and the metatables are
+    made once up front, so a dropped object or table is one location of
+    garbage and the unreduced subset exploration stays small.  The
+    program returns ``n``, which a counting finalizer doubles and bumps
+    and a weak hit bumps, so it shows their order.
+    """
+
+    FINALIZERS = {
+        "print": 'print("fin")',
+        "count": "n = n * 2 + 1",
+        "resurrect": "keep = o",
+        "resurrect_weak": "w0[1] = o",
+        "raise": 'error("boom")',
+    }
+    PRELUDE = (
+        ["n = 0"]
+        + [f'{m} = {{__mode = "{m}"}}' for m in ("k", "v", "kv")]
+        + [f"fin_{k} = {{__gc = function(o) {body} end}}"
+           for k, body in FINALIZERS.items()]
+    )
+
+    def __init__(self, draw):
+        self.draw = draw
+        self.objects: list = []
+        self.weak: list = []
+
+    def pick(self, names):
+        return self.draw(st.sampled_from(names))
+
+    def make_weak(self) -> str:
+        name = f"w{len(self.weak)}"
+        self.weak.append(name)
+        return f"{name} = setmetatable({{}}, {self.pick(['k', 'v', 'kv'])})"
+
+    def make_object(self) -> str:
+        name = f"o{len(self.objects)}"
+        self.objects.append(name)
+        meta = self.pick([None] + sorted(self.FINALIZERS))
+        if meta is None:
+            return f"{name} = {{}}"
+        return f"{name} = setmetatable({{}}, fin_{meta})"
+
+    def stmt(self) -> str:
+        kind = self.pick(["store", "store", "drop", "read", "collect"])
+        if kind == "drop":
+            return f"{self.pick(self.objects + self.weak)} = nil"
+        if kind == "collect":
+            return "collectgarbage()"
+        table = self.pick(self.weak)
+        key = self.pick(["1"] + self.objects)
+        if kind == "store":
+            return f"{table}[{key}] = {self.pick(['true'] + self.objects)}"
+        return f"if {table}[{key}] then n = n + 1 end"
+
+
+@st.composite
+def weak_programs(draw):
+    g = _WeakGen(draw)
+    makes = ([g.make_weak] * draw(st.integers(1, 2))
+             + [g.make_object] * draw(st.integers(1, 3)))
+    # w0 first: the resurrecting finalizer stores into it
+    made = [makes[0]()] + [f() for f in draw(st.permutations(makes[1:]))]
+    body = [g.stmt() for _ in range(draw(st.integers(3, 6)))]
+    return "\n".join([*g.PRELUDE, *made, *body, "return n"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(weak_programs(), st.sampled_from(["fin", "fin_weak"]),
+       st.sampled_from(["maximal", "subsets"]))
+def test_garbage_only_reduction_on_generated_programs(text, mode, granularity):
+    explorer = ExhaustiveExplorer(mode, 200, granularity, 1_500)
+    reduced, unreduced = explore_reduced_and_unreduced(load_program(text),
+                                                       explorer)
+    if not (reduced.truncated or unreduced.truncated):
+        assert reduced.keys == unreduced.keys, text

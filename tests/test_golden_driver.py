@@ -5,8 +5,9 @@ For every corpus program, ``golden/driver_counts.json`` records:
 - under ``Schedule("never")``: the program step count and the sha256 of the
   canonical result key;
 - under ``ExhaustiveExplorer("fin_weak", 400, "maximal", 20_000)``: the
-  configurations expanded (``nodes``), the revisits skipped and the size of
-  the observation set;
+  configurations expanded (``nodes``), the revisits skipped, the
+  garbage-only cycles collected in place instead of branched on
+  (``collected``) and the size of the observation set;
 - for ``check_postponement(trials=2, seed=3, fuel=2_000)``: the pairs
   checked and the number of failures.
 
@@ -60,6 +61,7 @@ def counts(path: Path) -> dict:
         "never_key": hashlib.sha256(rec.result.key.encode()).hexdigest(),
         "explore_nodes": obs.nodes,
         "explore_revisits": obs.revisits,
+        "explore_collected": obs.collected,
         "explore_results": len(obs),
         "postponement_pairs": report.pairs_checked,
         "postponement_failures": len(report.failures),
