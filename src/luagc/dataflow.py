@@ -191,5 +191,10 @@ def build_cfg(t: A.Stat, points: Points) -> ReachingDefs:
     entry = t  # top-level sequence points map to the first statement
     while isinstance(entry, A.Seq):
         entry = entry.first
-    stat(t, _NONE, None, points.of(entry))
+    try:
+        stat(t, _NONE, None, points.of(entry))
+    finally:
+        # ``stat`` holds itself through its closure; without this the
+        # cycle, and every set in ``rd``, would wait for the cyclic GC
+        del stat
     return rd

@@ -526,30 +526,31 @@ def _close_constraints(constraints: List[Constraint]) -> None:
                 b.lowers.append(a)
 
 
+def _collect_vars(t: InfType, acc: List[TypeVar], visited: set) -> None:
+    """Append to ``acc`` each type variable in ``t`` that it lacks."""
+    t_res = resolve(t)
+    if isinstance(t_res, TypeVar):
+        if t_res not in acc:
+            acc.append(t_res)
+        return
+    if isinstance(t_res, TableType):
+        if id(t_res) in visited:
+            return
+        visited.add(id(t_res))
+        for v in t_res.fields.values():
+            _collect_vars(v, acc, visited)
+    elif isinstance(t_res, FuncType):
+        for d in t_res.domain:
+            _collect_vars(d, acc, visited)
+        _collect_vars(t_res.result, acc, visited)
+
+
 def _solve_vars(constraints: List[Constraint]) -> None:
     seen_vars: List[TypeVar] = []
-
-    def collect(t: InfType, acc: List[TypeVar], visited: set) -> None:
-        t_res = resolve(t)
-        if isinstance(t_res, TypeVar):
-            if t_res not in acc:
-                acc.append(t_res)
-            return
-        if isinstance(t_res, TableType):
-            if id(t_res) in visited:
-                return
-            visited.add(id(t_res))
-            for v in t_res.fields.values():
-                collect(v, acc, visited)
-        elif isinstance(t_res, FuncType):
-            for d in t_res.domain:
-                collect(d, acc, visited)
-            collect(t_res.result, acc, visited)
-
     visited: set = set()
     for c in constraints:
         for part in c.parts:  # a hasfield key is a value and adds nothing
-            collect(part, seen_vars, visited)
+            _collect_vars(part, seen_vars, visited)
 
     for var in seen_vars:
         if var.resolved is not None:

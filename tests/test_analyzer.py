@@ -491,6 +491,26 @@ class TestRobustness:
                 r = check_program(path.read_text(), str(path))
                 assert r.verdict in ("SAFE", "UNSAFE", "UNKNOWN"), path
 
+    def test_analysis_leaves_no_cyclic_garbage(self):
+        # what the analyzer drops is freed at once, not at the cyclic
+        # GC's next pass, so its peak memory does not depend on when
+        # that pass comes
+        import gc
+
+        from conftest import CORPUS
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for sub in ("deterministic", "weak", "finalizers", "safe"):
+                for path in sorted((CORPUS / sub).glob("*.lua")):
+                    gc.collect()
+                    check_program(path.read_text(), str(path))
+                    assert gc.collect() == 0, path
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_weakness_free_programs_never_unsafe(self):
         from conftest import deterministic_programs
 
