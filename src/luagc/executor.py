@@ -40,7 +40,6 @@ import json
 import math
 import random
 import sys
-import weakref
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
@@ -66,7 +65,8 @@ from .ast import (
     walk,
 )
 from .gc import (
-    GcOutcome, enumerate_gc_steps, reach_set, run_cycle, subset_steps,
+    GcOutcome, enumerate_gc_steps, reach_set, run_cycle, still_quiescent,
+    subset_steps,
 )
 from .heap import Configuration, HeapError, ObjectStore, ValueStore, restrict
 from .interp import (
@@ -347,11 +347,14 @@ class Machine:
     term is plugged only to splice a finalizer ahead of a final term, and
     when a caller reads ``config``.
 
-    A quiescent cycle is remembered by its two store objects (held
-    weakly) and its root set; a later cycle on the same stores from a
-    superset of those roots would find nothing either, and is skipped.
-    The explorer runs the maximal cycle itself at every node, with no
-    memo, and collects a garbage-only one in place (see ``observations``).
+    A quiescent cycle is remembered by the stores it kept and its root
+    set.  A later cycle is skipped when ``gc.still_quiescent`` proves from
+    the change since then that it would find nothing either, and the
+    skipped state is remembered in its place, so each proof looks at one
+    step's change (after a collection, look only at what the mutator
+    changed, as remembered sets do in generation scavenging).  The
+    explorer runs the maximal cycle itself at every node, with no memo,
+    and collects a garbage-only one in place (see ``observations``).
 
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
@@ -374,7 +377,8 @@ class Machine:
         self.rng = (random.Random(schedule.seed)
                     if schedule.policy == "random"
                     or schedule.selector != "maximal" else None)
-        # (sigma, theta, roots) of the last quiescent cycle
+        # (sigma, theta, roots) where the last cycle, run or skipped, was
+        # quiescent; None after a cycle that was not
         self._quiet: Optional[tuple] = None
 
     @property
@@ -409,16 +413,13 @@ class Machine:
         """One cycle, splicing any selected finalizer; None if it changed
         nothing."""
         state = self.state
-        if self._quiet is not None:
-            sigma, theta, roots = self._quiet
-            if (sigma() is state.sigma and theta() is state.theta
-                    and state.roots() >= roots):
-                return None
+        if self._quiet is not None and still_quiescent(*self._quiet, state):
+            self._quiet = (state.sigma, state.theta, state.roots())
+            return None
         outcome = run_cycle(state, self.schedule.mode, selector,
                             allow_finalizer=not state.finalizer_in_flight)
-        if outcome.quiescent:
-            self._quiet = (weakref.ref(state.sigma), weakref.ref(state.theta),
-                           state.roots())
+        self._quiet = ((outcome.kept_sigma, outcome.kept_theta, state.roots())
+                       if outcome.quiescent else None)
         if not outcome.changed:
             return None
         _trace_gc(self.trace, self.steps, outcome)

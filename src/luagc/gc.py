@@ -32,19 +32,23 @@ A cycle reuses what the heap kept since the last one.  A table is
 immutable and shared by every store holding it, so it memoizes its
 collectible edges (``TableObject.edges``) and, as a metatable, the weakness
 its ``__mode`` gives (``TableObject.mode_weakness``).  ``run_cycle``
-reports a *quiescent* cycle (no garbage, no weak field to clear, no
-finalizer candidate); ``executor.Machine`` skips a later cycle on the same
-store objects from a superset of its roots, since reachability is monotone
-in the roots.  The explorer skips no cycle, but branches on fewer: it runs
-the maximal cycle at every node, and when that cycle is *garbage-only*
-(``GcOutcome.garbage_only``) takes its collected configuration as the
-node's one successor.  That configuration is a GC successor of the node,
-so its observations are among the node's.  A garbage-only maximal cycle
-discards only plainly unreachable locations (one reached through a weak
-edge would leave a cleared field on a kept table), so the program never
-reads them again and ids stay fresh.  The one place a cycle reads garbage
-is ``not_fin_val``: a garbage weak table can block a finalizer, which then
-runs one cycle later with the same observations.
+reports a *quiescent* cycle: it discarded all its garbage, cleared no kept
+weak field and had no finalizer candidate, so a cycle on the stores it
+kept, from the same roots, would find nothing.  ``still_quiescent`` proves
+from the change since such a cycle that a cycle now would find nothing
+either, and ``executor.Machine`` skips those cycles: after a collection it
+looks only at what the program changed, like the remembered sets of
+generation scavenging.  The explorer skips no cycle, but branches on
+fewer: it runs the maximal cycle at every node, and when that cycle is
+*garbage-only* (``GcOutcome.garbage_only``) takes its collected
+configuration as the node's one successor.  That configuration is a GC
+successor of the node, so its observations are among the node's.  A
+garbage-only maximal cycle discards only plainly unreachable locations
+(one reached through a weak edge would leave a cleared field on a kept
+table), so the program never reads them again and ids stay fresh.  The
+one place a cycle reads garbage is ``not_fin_val``: a garbage weak table
+can block a finalizer, which then runs one cycle later with the same
+observations.
 """
 
 from __future__ import annotations
@@ -432,8 +436,9 @@ class GcOutcome:
     cleared_weak_fields: List[Tuple[int, Value, Value]] = dc_field(default_factory=list)
     discarded: Tuple[Location, ...] = ()
     marked_forbidden: Optional[int] = None
-    # no garbage, no weak field to clear and no finalizer candidate: a
-    # cycle from more roots on the same stores finds nothing either
+    # all garbage discarded, no kept weak field cleared and no finalizer
+    # candidate: a cycle on the kept stores from the same roots finds
+    # nothing (``still_quiescent`` starts from them)
     quiescent: bool = False
 
     @property
@@ -604,8 +609,99 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
     return GcOutcome(
         kept_sigma, kept_theta, pending, actually_cleared,
         tuple(sorted(discard)), forbidden,
-        not (garbage or cleared or candidates),
+        len(discard) == len(garbage) and not (actually_cleared or candidates),
     )
+
+
+def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
+                    roots0: Set[Location],
+                    c: Union[Configuration, "Focused"]) -> bool:
+    """Would a cycle at ``c`` find nothing, given that one from ``roots0``
+    on ``sigma0`` and ``theta0`` was quiescent (``GcOutcome.quiescent``)?
+
+    A quiescent cycle keeps every location, so each is reachable (or
+    kept for a reachable finalizer); that stays true if the change since
+    then cannot cut a path or make a new location garbage:
+
+    * no binding was removed, and closures only grew;
+    * every new location is a root;
+    * every new table has no metatable and no mark;
+    * every changed table had and still has no metatable (so it is strong
+      and unmarked), and its ``__mode`` gives the same weakness;
+    * every location that lost an edge (a dropped root, the old value of
+      an overwritten reference, an old edge of a changed table) is a root,
+      or sits one strong edge from a root in the new stores.
+
+    Weakness and marks then stay as they were, every path the old cycle
+    followed survives or is bypassed at a lost edge, and nothing new waits
+    for a clear or a finalizer.  The rule holds in every mode, since a
+    strong edge is also a plain one.  The change is diffed by identity
+    over the store dicts; with neither store changed only roots are lost.
+    """
+    sigma, theta, roots = c.sigma, c.theta, c.roots()
+    refs = _dict_change(sigma0.bindings, sigma.bindings)
+    tables = _dict_change(theta0.tables, theta.tables)
+    closures = _dict_change(theta0.closures, theta.closures)
+    if refs is None or tables is None or closures is None or closures[1]:
+        return False
+    new = ([("ref", r) for r in refs[0]] + [("tid", i) for i in tables[0]]
+           + [("cid", i) for i in closures[0]])
+    if any(l not in roots for l in new) or any(
+            t.meta is not None or t.pos is not UNSET
+            for t in map(theta.tables.get, tables[0])):
+        return False
+    lost = [l for l in roots0 if l not in roots]
+    for old, v in refs[1]:
+        l = _value_loc(old)
+        if l is not None and l != _value_loc(v):
+            lost.append(l)
+    for old, obj in tables[1]:
+        if (old.meta is not None or obj.meta is not None
+                or old.mode_weakness != obj.mode_weakness):
+            return False
+        kept = {l for _, k, v in obj.edges for l in (k, v)}
+        lost.extend(l for _, k, v in old.edges for l in (k, v)
+                    if l is not None and l not in kept)
+    far = {l for l in lost if l not in roots}
+    return not far or far <= _strong_successors(roots, sigma, theta)
+
+
+def _dict_change(old: dict, new: dict) -> Optional[Tuple[list, list]]:
+    """The keys ``new`` adds to ``old`` and the ``(old, new)`` value pairs
+    it replaces, by identity; None if it drops a key."""
+    if new is old:
+        return [], []
+    added, replaced = [], []
+    for k, v in new.items():
+        was = old.get(k)
+        if was is None:
+            added.append(k)
+        elif was is not v:
+            replaced.append((was, v))
+    if len(new) - len(added) != len(old):
+        return None
+    return added, replaced
+
+
+def _strong_successors(roots: Iterable[Location], sigma: ValueStore,
+                       theta: ObjectStore) -> Set[Location]:
+    """The locations one ungated strong edge from a bound root."""
+    out: Set[Location] = set()
+    for kind, i in roots:
+        if kind == "ref":
+            if i in sigma.bindings:
+                out.update(value_locations(sigma.bindings[i]))
+        elif kind == "tid":
+            obj = theta.tables.get(i)
+            if obj is not None:
+                if obj.meta is not None:
+                    out.add(("tid", obj.meta))
+                out.update(t for _, gate, t in
+                           strong_edges(obj, weakness(i, theta))
+                           if gate is None)
+        elif i in theta.closures:
+            out.update(theta.closures[i].locations())
+    return out
 
 
 def enumerate_gc_steps(

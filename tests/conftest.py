@@ -1,4 +1,6 @@
+import dataclasses
 from pathlib import Path
+from typing import List, NamedTuple
 
 import pytest
 
@@ -51,3 +53,68 @@ def explore_reduced_and_unreduced(config, explorer, fuel: int = 10_000):
         unreduced = executor.observations(config, explorer, fuel)
     assert unreduced.collected == 0
     return reduced, unreduced
+
+
+class MemoRun(NamedTuple):
+    record: object  # the RunRecord
+    ran: List[object]  # outcomes of the cycles run while GC was on
+    skipped: int  # cycles the machine skipped
+
+
+def run_memo_checked(config, schedule, fuel: int = 2_000) -> MemoRun:
+    """``run`` with every cycle the machine skips checked, against the run
+    with the memo off.
+
+    Each skipped cycle is run on the same state: it must be quiescent,
+    change nothing and leave the random-subset RNG as it was.  The memo-off
+    run patches every ``GcOutcome.quiescent`` to False, so it runs every
+    cycle; its record and its RNG state after each cycle must equal the
+    memoized run's.  ``ran`` leaves out the end-of-program drain.
+    """
+    from luagc import executor
+
+    real_cycle, real_collect = executor.run_cycle, executor.Machine.collect
+
+    def observed(memo: bool):
+        cycles: list = []
+        ran: list = []
+        rngs: list = []
+        skipped = 0
+
+        def cycle(*args, **kwargs):
+            o = real_cycle(*args, **kwargs)
+            cycles.append(o)
+            return o if memo else dataclasses.replace(o, quiescent=False)
+
+        def collect(self, selector):
+            nonlocal skipped
+            state, before = self.state, len(cycles)
+            rng = self.rng.getstate() if self.rng else None
+            out = real_collect(self, selector)
+            if len(cycles) > before:
+                if self.gc_on:
+                    ran.append(cycles[before])
+            else:
+                assert out is None and self.state is state
+                o = real_cycle(state, self.schedule.mode, selector,
+                               allow_finalizer=not state.finalizer_in_flight)
+                assert o.quiescent and not o.changed
+                assert o.kept_sigma is state.sigma
+                assert o.kept_theta is state.theta
+                assert (self.rng.getstate() if self.rng else None) == rng
+                skipped += 1
+            rngs.append(self.rng.getstate() if self.rng else None)
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(executor, "run_cycle", cycle)
+            m.setattr(executor.Machine, "collect", collect)
+            rec = executor.run(config, schedule, fuel)
+        return rec, ran, rngs, skipped
+
+    rec, ran, rngs, skipped = observed(memo=True)
+    unmemoized, _, unmemoized_rngs, none_skipped = observed(memo=False)
+    assert none_skipped == 0
+    assert rec == unmemoized
+    assert rngs == unmemoized_rngs
+    return MemoRun(rec, ran, skipped)

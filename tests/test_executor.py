@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -27,6 +26,7 @@ from luagc.interp import Focused, Redex, decompose, load_program, plug
 
 from conftest import (
     CORPUS, corpus_text, deterministic_programs, explore_reduced_and_unreduced,
+    run_memo_checked,
 )
 from heapgen import build_heap
 
@@ -922,59 +922,65 @@ QUIESCENCE_PROGRAMS = {"ephemeron_self_keys": EPHEMERON_SELF_KEYS,
                        "finalizer_chain": FINALIZER_CHAIN}
 
 
+# (skip, run) twins for each clause of ``gc.still_quiescent``, all under
+# eager/fin_weak: globals keep the globals table a root, so each shape's
+# only cycles are the first one and those its key statement forces
+FIN_META = "{__gc = function(o) n = n + 1 end}"
+CTOR_50 = "{" + ", ".join(["{}"] * 50) + "}"
+MEMO_SHAPES = {
+    # a new location must be a root: the constructor's tables are, until
+    # the table that holds them is; a `local` nothing reads is not
+    "ctor_50_fields": (f"t = {CTOR_50}", [""]),
+    "unread_local": ("local k = 1", ["", "D"]),
+    # a lost edge's target must be a root or one strong edge from one: the
+    # old table is still held by the globals table, or by nothing
+    "overwrite_still_held": ("x = {}\nh = x\nx = {}", [""]),
+    "overwrite_last_holder": ("x = {}\nx = {}", ["", "D"]),
+    # a changed table must have no metatable, before and after
+    "store_into_strong": ("w = {}\nw[1] = true", [""]),
+    "store_into_weak_values": (
+        'w = setmetatable({}, {__mode = "v"})\nw[1] = {}',
+        ["", "", "DC", ""]),
+    "setmetatable_nil": ("t = {}\nsetmetatable(t, nil)", [""]),
+    "setmetatable_gc": (f"t = {{}}\nsetmetatable(t, {FIN_META})", ["", ""]),
+    # a changed metatable's __mode must give the same weakness
+    "metatable_field_set": (
+        'm = {}\nt = setmetatable({}, m)\nm.x = "v"', ["", ""]),
+    "metatable_mode_set": (
+        'm = {}\nt = setmetatable({}, m)\nm.__mode = "v"', ["", "", ""]),
+}
+
+
+def found(o) -> str:
+    """What a cycle found: D(iscarded), C(leared), F(inalizer selected)."""
+    return ("D" * bool(o.discarded) + "C" * bool(o.cleared_weak_fields)
+            + "F" * (o.marked_forbidden is not None))
+
+
 class TestQuiescenceMemo:
-    """``Machine.collect`` skips a cycle on the stores of the last
-    quiescent one from a superset of its roots; every skipped cycle must
-    be one that, run, would have found nothing."""
-
-    @staticmethod
-    def check_skips(monkeypatch) -> list:
-        """Run each cycle the machine skips on the same state; record the
-        skipped states."""
-        skipped: list = []
-        cycles: list = []
-        real_cycle, real_collect = executor.run_cycle, executor.Machine.collect
-
-        def cycle(state, *args, **kwargs):
-            cycles.append(state)
-            return real_cycle(state, *args, **kwargs)
-
-        def collect(self, selector):
-            state, before = self.state, len(cycles)
-            rng = self.rng.getstate() if self.rng else None
-            out = real_collect(self, selector)
-            if len(cycles) == before:
-                assert out is None and self.state is state
-                o = real_cycle(state, self.schedule.mode, selector,
-                               allow_finalizer=not state.finalizer_in_flight)
-                assert o.quiescent and not o.changed
-                assert o.kept_sigma is state.sigma
-                assert o.kept_theta is state.theta
-                assert (self.rng.getstate() if self.rng else None) == rng
-                skipped.append(state)
-            return out
-
-        monkeypatch.setattr(executor, "run_cycle", cycle)
-        monkeypatch.setattr(executor.Machine, "collect", collect)
-        return skipped
+    """``Machine.collect`` skips a cycle when ``gc.still_quiescent`` proves
+    from the change since the last quiescent cycle that it would find
+    nothing; every skipped cycle must be one that, run, would have found
+    nothing, and the record must equal the run's with the memo off
+    (``run_memo_checked``)."""
 
     @pytest.mark.parametrize("schedule", STATE_SCHEDULES,
                              ids=["eager_fin_weak", "eager_fin",
                                   "eager_fin_weak_subset"])
     @pytest.mark.parametrize("rel", CORPUS_PROGRAMS
                              + sorted(QUIESCENCE_PROGRAMS))
-    def test_skipped_cycles_are_quiescent(self, rel, schedule, monkeypatch):
+    def test_skipped_cycles_are_quiescent(self, rel, schedule):
         text = QUIESCENCE_PROGRAMS.get(rel) or corpus_text(rel)
-        skipped = self.check_skips(monkeypatch)
-        rec = run(load_program(text), schedule, fuel=2_000)
-        monkeypatch.undo()
-        # the inline programs are shaped so that the skip must fire; some
-        # corpus programs leave garbage at every cycle and never skip
-        assert skipped or rel not in QUIESCENCE_PROGRAMS
-        # with no cycle ever quiescent the machine skips nothing
-        real = executor.run_cycle
-        monkeypatch.setattr(
-            executor, "run_cycle",
-            lambda *a, **k: dataclasses.replace(real(*a, **k),
-                                                quiescent=False))
-        assert rec == run(load_program(text), schedule, fuel=2_000)
+        memo = run_memo_checked(load_program(text), schedule)
+        assert memo.skipped
+
+    @pytest.mark.parametrize("name", sorted(MEMO_SHAPES))
+    def test_clause_shapes(self, name):
+        """The first cycle runs; after it only the cycles the key
+        statement forces do, and they find what they should."""
+        body, expected = MEMO_SHAPES[name]
+        text = f"n = 0\n{body}\nn = n + 1\nreturn n"
+        memo = run_memo_checked(load_program(text),
+                                Schedule("eager", "fin_weak"))
+        assert [found(o) for o in memo.ran] == expected
+        assert memo.skipped > 0

@@ -12,15 +12,18 @@ from luagc.gc import (
     not_fin_val,
     run_cycle,
     set_fin,
+    still_quiescent,
     strong_occurrences,
     strong_reach_set,
 )
 from luagc.heap import (
     FORBIDDEN,
     UNSET,
+    ClosureObject,
     Configuration,
     ObjectStore,
     TableObject,
+    ValueStore,
     _value_loc as loc,
     index_metatable,
     is_marked,
@@ -29,7 +32,7 @@ from luagc.heap import (
 )
 from luagc.interp import Finished, load_program, step
 
-from heapgen import build_heap
+from heapgen import build_heap, closure_body, random_heap, term_of
 
 
 def run_to_gc_request(text):
@@ -598,3 +601,138 @@ class TestTableMemos:
                     w, occurrences = field_by_field(i, c.theta)
                     assert weakness(i, c.theta) == w
                     assert strong_occurrences(i, c.theta) == occurrences
+
+
+def edit_heap(rng, c: Configuration, edits: int) -> Configuration:
+    """``c`` after random well-formed edits of the kinds a program step
+    makes: roots dropped and added, references, fields, metatables,
+    ``__mode`` fields and marks overwritten, and new references, tables
+    and closures, rooted or not."""
+    sigma = dict(c.sigma.bindings)
+    tables = dict(c.theta.tables)
+    closures = dict(c.theta.closures)
+    roots = set(c.roots())
+    next_ref, next_tid, next_cid = (c.sigma.next_id, c.theta.next_tid,
+                                    c.theta.next_cid)
+
+    def value(leaf):
+        pool = [Tid(i) for i in tables] + [Cid(i) for i in closures]
+        return rng.choice(pool + [leaf])
+
+    for _ in range(edits):
+        locs = ([("ref", r) for r in sigma] + [("tid", i) for i in tables]
+                + [("cid", i) for i in closures])
+        kind = rng.choice(["drop_root", "add_root", "ref", "field", "field",
+                           "meta", "mode", "mark", "new_ref", "new_table",
+                           "new_closure"])
+        t = rng.choice(sorted(tables)) if tables else None
+        if kind == "drop_root" and roots:
+            roots.discard(rng.choice(sorted(roots)))
+        elif kind == "add_root" and locs:
+            roots.add(rng.choice(locs))
+        elif kind == "ref" and sigma:
+            sigma[rng.choice(sorted(sigma))] = value(Num(0.0))
+        elif kind == "field" and t is not None:
+            key = value(rng.choice([Num(1.0), Num(2.0)]))
+            new = value(rng.choice([Nil(), Str("x")]))
+            tables[t] = tables[t].set(key, new)
+        elif kind == "meta" and t is not None:
+            tables[t] = replace(tables[t],
+                                meta=rng.choice([None] + sorted(tables)))
+        elif kind == "mode" and t is not None:
+            mode = rng.choice([Str("k"), Str("v"), Str("kv"), Str("x"), Nil()])
+            tables[t] = tables[t].set(Str("__mode"), mode)
+        elif kind == "mark" and t is not None:
+            top = max([o.pos for o in tables.values() if is_marked(o.pos)],
+                      default=0)
+            tables[t] = replace(tables[t],
+                                pos=rng.choice([UNSET, FORBIDDEN, top + 1]))
+        elif kind == "new_ref":
+            sigma[next_ref] = value(Num(0.0))
+            if rng.random() < 0.7:
+                roots.add(("ref", next_ref))
+            next_ref += 1
+        elif kind == "new_table":
+            fields = {value(Num(float(i))): value(Str("x")) for i in range(3)}
+            tables[next_tid] = TableObject(tuple(fields.items()))
+            if rng.random() < 0.7:
+                roots.add(("tid", next_tid))
+            next_tid += 1
+        elif kind == "new_closure":
+            caps = rng.sample(locs, min(len(locs), rng.randint(0, 2)))
+            closures[next_cid] = ClosureObject((), closure_body(caps))
+            if rng.random() < 0.7:
+                roots.add(("cid", next_cid))
+            next_cid += 1
+    return Configuration(ValueStore(sigma, next_ref),
+                         ObjectStore(tables, closures, next_tid, next_cid),
+                         term_of(sorted(roots)))
+
+
+class TestStillQuiescent:
+    """``still_quiescent`` on stores: every state it accepts after random
+    edits of a quiescent heap must have a cycle that finds nothing, and it
+    rejects the changes a program step cannot make."""
+
+    @pytest.mark.parametrize("mode", ["simple", "fin", "fin_weak"])
+    def test_accepted_edits_are_quiescent(self, mode):
+        import random
+
+        rng = random.Random(1313)
+        accepted = rejected = 0
+        for _ in range(600):
+            c = edit_heap(rng, random_heap(rng, max_locs=10, weak=True), 4)
+            base = run_cycle(c, mode)
+            if not base.quiescent:
+                continue
+            c0 = Configuration(base.kept_sigma, base.kept_theta, c.term)
+            assert run_cycle(c0, mode).quiescent
+            c1 = edit_heap(rng, c0, rng.randint(1, 3))
+            validate(c1)
+            if still_quiescent(c0.sigma, c0.theta, c0.roots(), c1):
+                o = run_cycle(c1, mode)
+                assert o.quiescent and not o.changed
+                accepted += 1
+            else:
+                rejected += 1
+        assert accepted > 50 and rejected > 50
+
+    BASE = build_heap({1: ("tid", 1)},
+                      {1: {"fields": [(Num(1.0), ("tid", 2))]}, 2: {}},
+                      {1: [("ref", 1)]}, [("ref", 1), ("cid", 1)])
+    TABLES = BASE.theta.tables
+
+    @pytest.mark.parametrize("tables, closures, new_root, ok", [
+        (None, None, None, True),
+        ({1: TableObject(())}, None, None, False),
+        (None, {1: ClosureObject(("x",), closure_body([]))}, None, False),
+        ({**TABLES, 3: TableObject(())}, None, ("tid", 3), True),
+        ({**TABLES, 3: TableObject((), meta=2)}, None, ("tid", 3), False),
+        ({**TABLES, 3: TableObject((), pos=1)}, None, ("tid", 3), False),
+    ], ids=["unchanged", "table_removed", "closure_replaced", "new_table",
+            "new_table_with_metatable", "new_table_marked"])
+    def test_store_clauses(self, tables, closures, new_root, ok):
+        base, theta = self.BASE, self.BASE.theta
+        assert run_cycle(base, "fin_weak").quiescent
+        c = Configuration(
+            base.sigma,
+            ObjectStore(tables or theta.tables, closures or theta.closures,
+                        theta.next_tid + 1, theta.next_cid + 1),
+            term_of([("ref", 1), ("cid", 1)] + [new_root] * bool(new_root)))
+        assert still_quiescent(base.sigma, theta, base.roots(), c) == ok
+
+    def test_ephemeron_value_is_not_one_strong_edge(self):
+        """An ephemeron value is reached only once its key is; here the
+        key hangs off the value itself, so both become garbage when the
+        reference to the value is overwritten."""
+        c0 = build_heap({1: ("tid", 2)},
+                        {1: {"fields": [(("tid", 3), ("tid", 2))],
+                             "mode": "k"},
+                         2: {"fields": [(Num(1.0), ("tid", 3))]}, 3: {}},
+                        {}, [("ref", 1), ("tid", 1)])
+        assert run_cycle(c0, "fin_weak").quiescent
+        c1 = Configuration(ValueStore({1: Num(0.0)}, c0.sigma.next_id),
+                           c0.theta, c0.term)
+        assert run_cycle(c1, "fin_weak").discarded == (("tid", 2),
+                                                        ("tid", 3))
+        assert not still_quiescent(c0.sigma, c0.theta, c0.roots(), c1)

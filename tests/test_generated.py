@@ -15,8 +15,11 @@ The second generator, ``_WeakGen``, produces straight-line programs over
 the GC interface: weak tables of each ``__mode``, objects whose
 finalizers print, count, resurrect or raise, field stores into weak
 tables, dropped references, ``collectgarbage()`` and weak reads under
-``if``.  Property: the exhaustive explorer, which collects garbage-only
-cycles in place, observes the same set as the unreduced one.
+``if``.  Properties: the exhaustive explorer, which collects garbage-only
+cycles in place, observes the same set as the unreduced one; and an eager
+run, which skips the cycles ``still_quiescent`` proves would find nothing,
+records the same run, and draws the same random subsets, as one with the
+skip off.
 """
 
 import pytest
@@ -29,7 +32,7 @@ from luagc.heap import validate
 from luagc.interp import Finished, load_program, step
 from luagc.parser import parse
 
-from conftest import explore_reduced_and_unreduced
+from conftest import explore_reduced_and_unreduced, run_memo_checked
 
 
 class _Gen:
@@ -297,3 +300,15 @@ def test_garbage_only_reduction_on_generated_programs(text, mode, granularity):
                                                        explorer)
     if not (reduced.truncated or unreduced.truncated):
         assert reduced.keys == unreduced.keys, text
+
+
+@settings(max_examples=60, deadline=None)
+@given(weak_programs(), st.sampled_from(["maximal", "random-subset"]),
+       st.integers(0, 99))
+def test_quiescence_memo_on_generated_programs(text, selector, seed):
+    # every store is a write to the strong globals table, so the skips
+    # lean on the one-hop clause; run_memo_checked asserts each is sound
+    # and that the record and RNG states match the run without skips
+    run_memo_checked(load_program(text),
+                     Schedule("eager", "fin_weak", seed=seed,
+                              selector=selector))
