@@ -706,18 +706,29 @@ def _subst_bind(names: Tuple[str, ...], mapping: dict):
 
 
 # ---------------------------------------------------------------------------
-# Printing
+# Operator precedence
 # ---------------------------------------------------------------------------
 
-_PREC = {
+# The one statement of operator precedence: the parser's expression loop
+# and ``to_source`` both read it.  Each binary operator's level, loosest
+# first; all are left-associative except ``^``.  Unary ``not`` and ``-``
+# bind tighter than every binary operator but ``^``: ``-x ^ 2`` is
+# ``-(x ^ 2)``.
+BINARY_PREC = {
     "or": 1,
     "and": 2,
     "==": 3, "~=": 3, "<": 3, "<=": 3, ">": 3, ">=": 3,
     "+": 4, "-": 4,
     "*": 5, "/": 5, "%": 5,
-    "unary": 6,
     "^": 7,
 }
+UNARY_PREC = 6
+RIGHT_ASSOC = "^"
+
+
+# ---------------------------------------------------------------------------
+# Printing
+# ---------------------------------------------------------------------------
 
 
 def print_value(v: Value) -> str:
@@ -779,6 +790,9 @@ def _pstat(t: Stat) -> str:
     raise TypeError(f"unknown statement {t!r}")  # pragma: no cover
 
 
+_LOGICAL_OPS = {And: "and", Or: "or"}
+
+
 def _pexpr(t: Expr, parent_prec: int) -> str:
     if isinstance(t, Const):
         return print_value(t.value)
@@ -806,23 +820,18 @@ def _pexpr(t: Expr, parent_prec: int) -> str:
             else:
                 parts.append(f"[{_pexpr(k, 0)}] = {_pexpr(v, 0)}")
         return "{" + ", ".join(parts) + "}"
-    if isinstance(t, BinOp):
-        p = _PREC[t.op]
-        extra = 1 if t.op == "^" else 0  # right assoc
-        s = f"{_pexpr(t.lhs, p + extra)} {t.op} {_pexpr(t.rhs, p + 1 - extra)}"
+    if isinstance(t, (BinOp, And, Or)):
+        op = _LOGICAL_OPS.get(type(t)) or t.op
+        p = BINARY_PREC[op]
+        extra = 1 if op == RIGHT_ASSOC else 0
+        s = f"{_pexpr(t.lhs, p + extra)} {op} {_pexpr(t.rhs, p + 1 - extra)}"
         return f"({s})" if p < parent_prec else s
-    if isinstance(t, And):
-        s = f"{_pexpr(t.lhs, 2)} and {_pexpr(t.rhs, 3)}"
-        return f"({s})" if _PREC["and"] < parent_prec else s
-    if isinstance(t, Or):
-        s = f"{_pexpr(t.lhs, 1)} or {_pexpr(t.rhs, 2)}"
-        return f"({s})" if _PREC["or"] < parent_prec else s
-    if isinstance(t, Not):
-        s = f"not {_pexpr(t.operand, _PREC['unary'])}"
-        return f"({s})" if _PREC["unary"] < parent_prec else s
-    if isinstance(t, Neg):
-        s = f"-{_pexpr(t.operand, _PREC['unary'])}"
-        return f"({s})" if _PREC["unary"] < parent_prec else s
+    if isinstance(t, (Not, Neg)):
+        operand = _pexpr(t.operand, UNARY_PREC)
+        # "- -x", not "--x", which would read as a comment
+        op = "not " if isinstance(t, Not) else "- " if operand[:1] == "-" else "-"
+        s = op + operand
+        return f"({s})" if UNARY_PREC < parent_prec else s
     if isinstance(t, CallFrame):
         return f"$call[{_pstat(t.body)}]"
     if isinstance(t, ProtectedFrame):

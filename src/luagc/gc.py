@@ -570,9 +570,7 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
         reached = reach_set_from(roots, sigma, theta)
     marked = [] if mode == "simple" else marked_tables(theta)
 
-    keep = set(reached)
-    for tid in marked:
-        keep |= reach_set_from([("tid", tid)], sigma, theta)
+    keep = reached | reach_set_from([("tid", tid) for tid in marked], sigma, theta)
     cleared: List[Tuple[int, int, Value, Value]] = []
     if weak:
         keep = _retain_ephemeron_values(keep, sigma, theta)
@@ -704,11 +702,15 @@ def _strong_successors(roots: Iterable[Location], sigma: ValueStore,
     return out
 
 
+# The most garbage locations whose subsets ``subset_steps`` enumerates
+# (2^12 cycles); with more it gives the maximal cycle alone.
+SUBSET_CAP = 12
+
+
 def enumerate_gc_steps(
     c: Union[Configuration, "Focused"],
     mode: str = "simple",
     granularity: str = "maximal",
-    subset_cap: int = 12,
     allow_finalizer: bool = True,
 ) -> List[GcOutcome]:
     """All candidate GC steps at a configuration.
@@ -720,23 +722,22 @@ def enumerate_gc_steps(
     maximal = run_cycle(c, mode, allow_finalizer=allow_finalizer)
     if granularity == "maximal":
         return [maximal] if maximal.changed else []
-    return subset_steps(c, maximal, mode, subset_cap, allow_finalizer)
+    return subset_steps(c, maximal, mode, allow_finalizer)
 
 
 def subset_steps(
     c: Union[Configuration, "Focused"],
     maximal: GcOutcome,
     mode: str,
-    subset_cap: int = 12,
     allow_finalizer: bool = True,
 ) -> List[GcOutcome]:
     """Every valid discard subset of the garbage at ``c``, given its
     maximal cycle ``maximal`` (same mode and ``allow_finalizer``).
 
     Weak-field clearing stays maximal within each outcome.  With more
-    garbage locations than ``subset_cap`` it falls back to maximal.
+    garbage locations than ``SUBSET_CAP`` it falls back to maximal.
     """
-    if not maximal.discarded or len(maximal.discarded) > subset_cap:
+    if not maximal.discarded or len(maximal.discarded) > SUBSET_CAP:
         return [maximal] if maximal.changed else []
     garbage = sorted(maximal.discarded)
     outcomes: List[GcOutcome] = []

@@ -1,4 +1,9 @@
-"""Lexer and recursive-descent parser for the Lua subset.
+"""Lexer and parser for the Lua subset.
+
+The lexer is one compiled pattern with one alternative per token class.
+Statements are parsed by recursive descent; expressions by one loop over
+explicit operand and operator stacks, so nested parentheses, unary
+operators and ``^`` chains need no Python recursion.
 
 Accepted grammar (a pragmatic slice of Lua 5.2):
 
@@ -11,23 +16,31 @@ Accepted grammar (a pragmatic slice of Lua 5.2):
               | 'while' exp 'do' block 'end'
               | 'break'
     laststat::= 'return' [explist]
-    exp     ::= precedence climb over: or, and, comparisons, + -, * / %,
-                unary (not, -), ^ (right assoc)
+    exp     ::= unop exp | exp binop exp | atom
+                with the levels of ``ast.BINARY_PREC`` and ``UNARY_PREC``:
+                or, and, comparisons, + -, * / %, unary (not, -),
+                ^ (right assoc)
+    atom    ::= nil | true | false | Number | String | function | table
+              | prefix
     prefix  ::= Name | '(' exp ')' | prefix '[' exp ']' | prefix '.' Name
-              | prefix '(' [explist] ')'
+              | prefix '(' [explist] ')' | prefix String
     table   ::= '{' [field {sep field} [sep]] '}'
     field   ::= '[' exp ']' '=' exp | Name '=' exp | exp
 
-No goto/labels/repeat/for, no varargs, no method sugar, no string-call
-sugar.  String escapes: \\n \\t \\\\ \\" \\'.
+No goto/labels/repeat/for, no varargs, no method sugar.  String
+escapes: \\n \\t \\\\ \\" \\'.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .ast import (
+    BINARY_PREC,
+    RIGHT_ASSOC,
+    UNARY_PREC,
     And,
     Assign,
     BinOp,
@@ -71,13 +84,37 @@ KEYWORDS = {
     "while",
 }
 
-_SYMBOLS = [
-    "==", "~=", "<=", ">=",
-    "+", "-", "*", "/", "%", "^", "<", ">", "=",
-    "(", ")", "{", "}", "[", "]", ";", ",", ".",
-]
+_LITERALS = {"nil": Nil(), "true": Bool(True), "false": Bool(False)}
 
 _ESCAPES = {"n": "\n", "t": "\t", "\\": "\\", '"': '"', "'": "'"}
+
+# What ``str.isdigit`` calls a digit: ``\d`` (the decimal digits) and the
+# other digits, superscripts, circled digits and the like, which no number
+# may contain.  A test checks this class against ``str.isdigit``.
+_DIGIT = (r"\d²-³¹፩-፱᧚⁰⁴-⁹"
+          r"₀-₉①-⑨⑴-⑼⒈-⒐⓪"
+          r"⓵-⓽⓿❶-❾➀-➈➊-➒"
+          r"\U00010a40-\U00010a43\U00010e60-\U00010e68"
+          r"\U00011052-\U0001105a\U0001f100-\U0001f10a")
+
+# One alternative per token class, tried in this order at each position.
+# A ``name`` match whose first character is not a letter or ``_`` (``½``)
+# is an unexpected character; a ``string`` match without its closing quote
+# stops at the first problem, a bad escape or the end of the line.
+_TOKEN = re.compile(rf"""
+    (?P<space>   [ \t\r]+ | --[^\n]* )
+  | (?P<newline> \n )
+  | (?P<number>  (?: [{_DIGIT}] | \.(?=[{_DIGIT}]) ) [{_DIGIT}.]*
+                 (?: [eE] [+-]? [{_DIGIT}]* )? )
+  | (?P<name>    [^\W\d] \w* )
+  | (?P<string>  (?P<quote>["']) (?: \\[{re.escape("".join(_ESCAPES))}]
+                                  | (?!(?P=quote))[^\\\n] )*
+                 (?P<closed>(?P=quote))? )
+  | (?P<symbol>  == | ~= | <= | >= | [-+*/%^<>=(){{}}\[\];,.] )
+  | (?P<other>   . )
+""", re.VERBOSE)
+
+_ESCAPE = re.compile(r"\\(.)")
 
 
 @dataclass(frozen=True)
@@ -90,89 +127,36 @@ class Token:
 
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-
-    def err(msg):
-        raise LuaSyntaxError(msg, line, col)
-
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        if kind == "space":
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if src.startswith("--", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        start = Pos(line, col)
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                j += 1
-                if j < n and src[j] in "+-":
-                    j += 1
-                while j < n and src[j].isdigit():
-                    j += 1
-            text = src[i:j]
+        pos = Pos(line, m.start() - line_start + 1)
+        value: object = text
+        if kind == "number":
             try:
                 value = float(text)
             except ValueError:
-                err(f"malformed number near '{text}'")
-            toks.append(Token("number", text, value, start))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            text = src[i:j]
+                raise LuaSyntaxError(f"malformed number near '{text}'",
+                                     pos.line, pos.col) from None
+        elif kind == "name" and (text[0].isalpha() or text[0] == "_"):
             kind = "keyword" if text in KEYWORDS else "name"
-            toks.append(Token(kind, text, text, start))
-            col += j - i
-            i = j
-            continue
-        if c in "'\"":
-            quote = c
-            j = i + 1
-            buf = []
-            while True:
-                if j >= n or src[j] == "\n":
-                    err("unfinished string")
-                ch = src[j]
-                if ch == quote:
-                    j += 1
-                    break
-                if ch == "\\":
-                    if j + 1 >= n or src[j + 1] not in _ESCAPES:
-                        err("invalid escape sequence")
-                    buf.append(_ESCAPES[src[j + 1]])
-                    j += 2
-                else:
-                    buf.append(ch)
-                    j += 1
-            toks.append(Token("string", src[i:j], "".join(buf), start))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                toks.append(Token("symbol", sym, sym, start))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            err(f"unexpected character {c!r}")
-    toks.append(Token("eof", "<eof>", None, Pos(line, col)))
+        elif kind == "string":
+            if m.group("closed") is None:
+                bad_escape = src.startswith("\\", m.end())
+                raise LuaSyntaxError(
+                    "invalid escape sequence" if bad_escape
+                    else "unfinished string", pos.line, pos.col)
+            value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
+        elif kind != "symbol":
+            raise LuaSyntaxError(f"unexpected character {text[0]!r}",
+                                 pos.line, pos.col)
+        toks.append(Token(kind, text, value, pos))
+    toks.append(Token("eof", "<eof>", None, Pos(line, len(src) - line_start + 1)))
     return toks
 
 
@@ -294,22 +278,25 @@ class _Parser:
         return Local(tuple(names), exprs, Empty(pos=pos), pos=pos)
 
     def parse_if(self) -> If:
+        # each ``elseif`` arm is an ``if`` nested in the previous arm's else
+        # branch, so the arms are read in a loop and folded from the last
+        arms: List[Tuple[Pos, Expr, Block]] = []
         pos = self.expect("keyword", "if").pos
-        cond = self.parse_expr()
-        self.expect("keyword", "then")
-        then_stats = self.parse_block_stats()
+        while True:
+            cond = self.parse_expr()
+            self.expect("keyword", "then")
+            arms.append((pos, cond, Block(tuple(self.parse_block_stats()), pos=pos)))
+            if not self.check("keyword", "elseif"):
+                break
+            pos = self.advance().pos
         node_else: Stat = Empty(pos=pos)
-        if self.check("keyword", "elseif"):
-            # reuse the 'if' machinery: elseif is a nested if
-            p2 = self.cur.pos
-            self.toks[self.i] = Token("keyword", "if", "if", p2)
-            node_else = Block((self.parse_if(),), pos=p2)
-            return If(cond, Block(tuple(then_stats), pos=pos), node_else, pos=pos)
         if self.accept("keyword", "else"):
-            else_stats = self.parse_block_stats()
-            node_else = Block(tuple(else_stats), pos=pos)
+            node_else = Block(tuple(self.parse_block_stats()), pos=pos)
         self.expect("keyword", "end")
-        return If(cond, Block(tuple(then_stats), pos=pos), node_else, pos=pos)
+        for pos, cond, then in reversed(arms):
+            node = If(cond, then, node_else, pos=pos)
+            node_else = Block((node,), pos=pos)
+        return node
 
     def parse_while(self) -> While:
         pos = self.expect("keyword", "while").pos
@@ -346,64 +333,57 @@ class _Parser:
             exprs.append(self.parse_expr())
         return exprs
 
-    # precedence climbing -------------------------------------------------
+    # expressions ---------------------------------------------------------
 
     def parse_expr(self) -> Expr:
-        return self.parse_or()
+        return self._climb(prefix=False)
 
-    def parse_or(self) -> Expr:
-        e = self.parse_and()
-        while self.check("keyword", "or"):
-            pos = self.advance().pos
-            e = Or(e, self.parse_and(), pos=pos)
-        return e
+    def parse_prefix(self) -> Expr:
+        """A name or a parenthesized expression, then its suffixes."""
+        return self._climb(prefix=True)
 
-    def parse_and(self) -> Expr:
-        e = self.parse_cmp()
-        while self.check("keyword", "and"):
-            pos = self.advance().pos
-            e = And(e, self.parse_cmp(), pos=pos)
-        return e
+    def _climb(self, prefix: bool) -> Expr:
+        """Precedence climbing over explicit operand and operator stacks
+        (shunting-yard), so nesting needs no Python recursion.
 
-    def parse_cmp(self) -> Expr:
-        e = self.parse_additive()
-        while self.cur.kind == "symbol" and self.cur.text in (
-            "==", "~=", "<", "<=", ">", ">=",
-        ):
-            op = self.advance()
-            e = BinOp(op.text, e, self.parse_additive(), pos=op.pos)
-        return e
-
-    def parse_additive(self) -> Expr:
-        e = self.parse_multiplicative()
-        while self.cur.kind == "symbol" and self.cur.text in ("+", "-"):
-            op = self.advance()
-            e = BinOp(op.text, e, self.parse_multiplicative(), pos=op.pos)
-        return e
-
-    def parse_multiplicative(self) -> Expr:
-        e = self.parse_unary()
-        while self.cur.kind == "symbol" and self.cur.text in ("*", "/", "%"):
-            op = self.advance()
-            e = BinOp(op.text, e, self.parse_unary(), pos=op.pos)
-        return e
-
-    def parse_unary(self) -> Expr:
-        if self.check("keyword", "not"):
-            pos = self.advance().pos
-            return Not(self.parse_unary(), pos=pos)
-        if self.check("symbol", "-"):
-            pos = self.advance().pos
-            return Neg(self.parse_unary(), pos=pos)
-        return self.parse_pow()
-
-    def parse_pow(self) -> Expr:
-        e = self.parse_atom()
-        if self.check("symbol", "^"):
-            pos = self.advance().pos
-            # right-associative; exponent may itself be unary
-            return BinOp("^", e, self.parse_unary(), pos=pos)
-        return e
+        An operator entry is ``(level, token, arity)`` with the level from
+        ``BINARY_PREC`` or ``UNARY_PREC``; an open parenthesis is level 0,
+        arity 0.  Outside parentheses, a ``prefix`` parse takes no operator
+        and starts only with a name or ``(``.
+        """
+        operands: List[Expr] = []
+        ops: List[Tuple[int, Token, int]] = []
+        depth = 0
+        while True:
+            t = self.cur
+            if t.kind == "symbol" and t.text == "(":
+                ops.append((0, self.advance(), 0))
+                depth += 1
+                continue
+            if (depth or not prefix) and (
+                    t.kind == "symbol" and t.text == "-"
+                    or t.kind == "keyword" and t.text == "not"):
+                ops.append((UNARY_PREC, self.advance(), 1))
+                continue
+            if prefix and not depth and t.kind != "name":
+                self.err(f"unexpected symbol near '{t.text}'")
+            operands.append(self.parse_atom())
+            while depth and self.check("symbol", ")"):
+                _fold(operands, ops, 1)
+                ops.pop()
+                depth -= 1
+                self.advance()
+                operands.append(self.parse_suffixes(operands.pop()))
+            t = self.cur
+            level = (BINARY_PREC.get(t.text)
+                     if t.kind in ("symbol", "keyword") else None)
+            if level is None or (prefix and not depth):
+                if depth:
+                    self.expect("symbol", ")")
+                _fold(operands, ops, 1)
+                return operands[0]
+            _fold(operands, ops, level + 1 if t.text == RIGHT_ASSOC else level)
+            ops.append((level, self.advance(), 2))
 
     def parse_atom(self) -> Expr:
         t = self.cur
@@ -413,21 +393,18 @@ class _Parser:
         if t.kind == "string":
             self.advance()
             return Const(Str(t.value), pos=t.pos)
+        if t.kind == "name":
+            self.advance()
+            return self.parse_suffixes(Name(t.text, pos=t.pos))
         if t.kind == "keyword":
-            if t.text == "nil":
+            if t.text in _LITERALS:
                 self.advance()
-                return Const(Nil(), pos=t.pos)
-            if t.text == "true":
-                self.advance()
-                return Const(Bool(True), pos=t.pos)
-            if t.text == "false":
-                self.advance()
-                return Const(Bool(False), pos=t.pos)
+                return Const(_LITERALS[t.text], pos=t.pos)
             if t.text == "function":
                 return self.parse_function()
         if self.check("symbol", "{"):
             return self.parse_table()
-        return self.parse_prefix()
+        self.err(f"unexpected symbol near '{t.text}'")
 
     def parse_function(self) -> Function:
         pos = self.expect("keyword", "function").pos
@@ -467,17 +444,7 @@ class _Parser:
         self.expect("symbol", "}")
         return TableCtor(tuple(fields), pos=pos)
 
-    def parse_prefix(self) -> Expr:
-        t = self.cur
-        if t.kind == "name":
-            self.advance()
-            e: Expr = Name(t.text, pos=t.pos)
-        elif self.check("symbol", "("):
-            self.advance()
-            e = self.parse_expr()
-            self.expect("symbol", ")")
-        else:
-            self.err(f"unexpected symbol near '{t.text}'")
+    def parse_suffixes(self, e: Expr) -> Expr:
         while True:
             if self.check("symbol", "["):
                 p = self.advance().pos
@@ -501,6 +468,24 @@ class _Parser:
                 e = Call(e, (Const(Str(s.value), pos=s.pos),), pos=s.pos)
             else:
                 return e
+
+
+def _fold(operands: List[Expr], ops: list, floor: int) -> None:
+    """Apply the pending operators of level ``floor`` and above, innermost
+    first; each replaces its operands on the stack by its node."""
+    while ops and ops[-1][0] >= floor:
+        level, tok, arity = ops.pop()
+        if arity == 1:
+            node = Not if tok.text == "not" else Neg
+            operands.append(node(operands.pop(), pos=tok.pos))
+            continue
+        rhs, lhs = operands.pop(), operands.pop()
+        if tok.text == "and":
+            operands.append(And(lhs, rhs, pos=tok.pos))
+        elif tok.text == "or":
+            operands.append(Or(lhs, rhs, pos=tok.pos))
+        else:
+            operands.append(BinOp(tok.text, lhs, rhs, pos=tok.pos))
 
 
 def parse(text: str, origin: str = "<inline>") -> Block:

@@ -4,6 +4,7 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from luagc import ast as A
 from luagc.checker import check_program
@@ -11,7 +12,7 @@ from luagc.cli import main
 from luagc.desugar import desugar
 from luagc.executor import Schedule, run
 from luagc.interp import load_program
-from luagc.parser import parse
+from luagc.parser import KEYWORDS, LuaSyntaxError, parse
 
 # 5,000 statements in one block: a 5,000-deep ``Seq`` chain once folded
 BLOCK = "local t = {}\nlocal i = 7\n" + "t[1] = i\n" * 5_000 + "return t[1]\n"
@@ -21,6 +22,12 @@ BLOCK = "local t = {}\nlocal i = 7\n" + "t[1] = i\n" * 5_000 + "return t[1]\n"
 CHAIN = ("local x0 = 0\n"
          + "".join(f"local x{i} = x{i - 1} + 1\n" for i in range(1, 1_200))
          + "return x1199\n")
+
+# 5,000 levels of nesting in one expression
+PARENS = "return " + "(" * 5_000 + "1" + ")" * 5_000
+NEGS = "return " + "- " * 5_000 + "1"
+NOTS = "return " + "not " * 5_000 + "true"
+POWS = "return " + "1 ^ " * 5_000 + "1"
 
 
 def test_long_block_desugars():
@@ -41,6 +48,47 @@ def test_long_program_runs(text, value):
 def test_long_program_is_analyzed(text):
     r = check_program(text)
     assert r.verdict == "SAFE", r.reason
+
+
+@pytest.mark.parametrize("text, value", [
+    (PARENS, {"t": "num", "v": 1.0}),
+    (NEGS, {"t": "num", "v": 1.0}),
+    (NOTS, {"t": "bool", "v": True}),
+    (POWS, {"t": "num", "v": 1.0}),
+], ids=["parens", "neg", "not", "pow"])
+def test_deep_expression_runs(text, value):
+    assert isinstance(parse(text), A.Block)
+    rec = run(load_program(text), Schedule("never"), fuel=100_000)
+    assert json.loads(rec.result.key)["v"] == [value]
+
+
+def test_deep_parens_are_analyzed():
+    r = check_program(PARENS)
+    assert r.verdict == "SAFE", r.reason
+
+
+def test_deep_parens_dump(tmp_path, capsys):
+    path = tmp_path / "parens.lua"
+    path.write_text(PARENS)
+    assert main(["dump-ast", str(path)]) == 0
+    ret = json.loads(capsys.readouterr().out)["stats"][0]
+    assert ret["exprs"] == [{"kind": "const", "value": {"t": "num", "v": 1.0}}]
+
+
+_SOUP = st.lists(st.sampled_from(sorted(KEYWORDS) + [
+    "==", "~=", "<=", ">=", "+", "-", "*", "/", "%", "^", "<", ">", "=",
+    "(", ")", "{", "}", "[", "]", ";", ",", ".",
+    "x", "f", "1", "2.5", '"s"', "-- c\n", "\n"]), max_size=30)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_SOUP)
+def test_token_soup_parses_or_is_a_syntax_error(tokens):
+    try:
+        t = parse(" ".join(tokens))
+    except LuaSyntaxError:
+        return
+    assert isinstance(t, A.Block)
 
 
 class _Tally:

@@ -1,16 +1,36 @@
 import json
+import re
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from luagc import ast as A
 from luagc.desugar import desugar
-from luagc.parser import LuaSyntaxError, parse, tokenize
+from luagc.parser import _DIGIT, LuaSyntaxError, _Parser, parse, tokenize
 
 from conftest import CORPUS, corpus_text, deterministic_programs
 
 
 def parse_core(text):
     return desugar(parse(text))
+
+
+_BINARY = sorted(op for op in A.BINARY_PREC if op not in ("and", "or"))
+_exprs = st.recursive(
+    st.one_of(
+        st.sampled_from(["x", "y", "abc"]).map(A.Name),
+        st.integers(0, 10**9).map(lambda n: A.Const(A.Num(float(n)))),
+    ),
+    lambda sub: st.one_of(
+        st.builds(A.BinOp, st.sampled_from(_BINARY), sub, sub),
+        st.builds(A.And, sub, sub),
+        st.builds(A.Or, sub, sub),
+        st.builds(A.Not, sub),
+        st.builds(A.Neg, sub),
+    ),
+    max_leaves=12,
+)
 
 
 class TestLexer:
@@ -32,6 +52,49 @@ class TestLexer:
     def test_unfinished_string(self):
         with pytest.raises(LuaSyntaxError):
             tokenize('"open')
+
+    @pytest.mark.parametrize("src, message, line, col", [
+        ("x = 1e", "malformed number near '1e'", 1, 5),
+        ("\n  return 1.2.3", "malformed number near '1.2.3'", 2, 10),
+        ("return ²", "malformed number near '²'", 1, 8),
+        ("return 1²", "malformed number near '1²'", 1, 8),
+        ('x = "open', "unfinished string", 1, 5),
+        ('x = "open\n"', "unfinished string", 1, 5),
+        ('x = "a\\q', "invalid escape sequence", 1, 5),
+        ('x = "a\\q\n', "invalid escape sequence", 1, 5),
+        ("a = b ~ c", "unexpected character '~'", 1, 7),
+        ("a = ½", "unexpected character '½'", 1, 5),
+    ])
+    def test_error(self, src, message, line, col):
+        with pytest.raises(LuaSyntaxError) as e:
+            tokenize(src)
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+    def test_non_ascii_name(self):
+        toks = tokenize("local é = 1")
+        assert [(t.kind, t.text, t.pos.col) for t in toks] == [
+            ("keyword", "local", 1), ("name", "é", 7), ("symbol", "=", 9),
+            ("number", "1", 11), ("eof", "<eof>", 12)]
+
+    def test_arabic_indic_digit(self):
+        num = tokenize("return ١")[1]
+        assert (num.kind, num.value, num.pos.col) == ("number", 1.0, 8)
+
+    def test_eof_after_trailing_comment(self):
+        # the comment's columns count: the EOF token sits just past it
+        eof = tokenize("return 1 + -- c")[-1]
+        assert (eof.kind, eof.pos.line, eof.pos.col) == ("eof", 1, 16)
+        with pytest.raises(LuaSyntaxError) as e:
+            parse("return 1 + -- c")
+        assert (e.value.line, e.value.col) == (1, 16)
+
+    def test_digit_class_is_str_isdigit(self):
+        every = "".join(map(chr, range(sys.maxunicode + 1)))
+        assert re.findall(f"[{_DIGIT}]", every) == [
+            c for c in every if c.isdigit()]
+        # names continue with \w: what str.isalnum takes, and "_"
+        assert re.findall(r"\w", every) == [
+            c for c in every if c.isalnum() or c == "_"]
 
 
 class TestParse:
@@ -75,6 +138,23 @@ class TestParse:
         t = parse("return 1 + 2 * 3 ^ 2 == 19")
         src = A.to_source(t.stats[0])
         assert src == "return 1 + 2 * 3 ^ 2 == 19"
+
+    def test_elseif_leaves_tokens_unchanged(self):
+        toks = tokenize("if a then x = 1 elseif b then x = 2 "
+                        "elseif c then x = 3 else x = 4 end return x")
+        before = list(toks)
+        first = _Parser(toks).parse_chunk()
+        assert toks == before
+        assert _Parser(toks).parse_chunk() == first
+
+    def test_elseif_nests_in_else(self):
+        t = parse("if a then\nx = 1\nelseif b then\nx = 2\nend")
+        outer = t.stats[0]
+        assert outer.pos == A.Pos(1, 1)
+        inner = outer.else_body.stats[0]
+        assert outer.else_body.pos == inner.pos == A.Pos(3, 1)
+        assert isinstance(inner.else_body, A.Empty)
+        assert inner.else_body.pos == A.Pos(3, 1)
 
     def test_empty_source_is_empty_statement(self):
         t = desugar(parse("   \n  "))
@@ -144,6 +224,12 @@ class TestRoundTrip:
         t = desugar(parse("local x = 1 in print(x) end print(2)"))
         assert isinstance(t, A.Seq)
         assert isinstance(t.first, A.Local)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_exprs)
+    @example(A.Neg(A.Neg(A.Name("x"))))  # printed "--x", it read as a comment
+    def test_expression_round_trip(self, e):
+        assert parse("return " + A.to_source(e)) == A.Block((A.Return((e,)),))
 
     def test_json_dump_deterministic(self):
         text = corpus_text("weak/weak_cache.lua")
