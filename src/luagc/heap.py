@@ -275,20 +275,15 @@ def alloc_table(
     theta: ObjectStore, fields: Tuple[Tuple[Value, Value], ...]
 ) -> Tuple[ObjectStore, int]:
     """Allocate a fresh table: no metatable, finalization mark unset."""
-    cleaned = []
-    seen = []
+    # a later entry wins in the first one's position; a nil entry is dropped
+    cleaned = {}
     for k, v in fields:
         check_key(k)
-        if isinstance(v, Nil):
-            continue
-        if k in seen:  # later constructor entries win, order of first wins
-            cleaned = [(ck, (v if ck == k else cv)) for ck, cv in cleaned]
-        else:
-            seen.append(k)
-            cleaned.append((k, v))
+        if not isinstance(v, Nil):
+            cleaned[k] = v
     tid = theta.next_tid
     b = dict(theta.tables)
-    b[tid] = TableObject(tuple(cleaned), None, UNSET)
+    b[tid] = TableObject(tuple(cleaned.items()), None, UNSET)
     return ObjectStore(b, theta.closures, tid + 1, theta.next_cid), tid
 
 

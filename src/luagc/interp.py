@@ -15,6 +15,12 @@ which child it descends into; only the innermost frame, rebuilt around
 ``t``, is inspected afresh, and the ordinary descent goes on from there.
 The cost of a step therefore does not grow with the depth of the context.
 
+Nor does it grow with the width of a node.  In a list slot (a constructor's
+fields, a call's arguments, the expressions of a ``local``, an assignment or
+a ``return``) every element before the hole is a value, so ``refocus``
+rebuilds the node by slicing its tuple around the hole and resumes the scan
+for the next element to evaluate at the hole, not at the first element.
+
 A :class:`Focused` configuration holds the stores with the split of its
 term; the term itself is plugged only when something reads it.  ``step``
 takes either form and returns a :class:`StepResult` whose ``state`` is the
@@ -30,7 +36,13 @@ A focused state also answers what a collection cycle asks of its term
 without plugging it: ``roots()``, the locations occurring in the term, and
 ``finalizer_in_flight``.  Each frame summarizes its node outside the hole
 once (``Frame.summary``); a step builds only the frames below the one it
-rebuilds, so the others keep theirs.
+rebuilds, so the others keep theirs.  A list-slot frame does not walk its
+node's elements for that: it carries the locations of the values before the
+hole, extended by those that became values at each step, and shares the
+summaries of the elements after the hole, taken once per evaluation of the
+list (``_Rest``).  The Python work of a step thus grows with neither the
+depth nor the width of its context; what still grows with the width is
+tuple copying.
 
 This module holds the step relation and program loading only.  Iterating
 the relation, with or without GC, is ``executor.Machine``'s job; under the
@@ -82,11 +94,21 @@ class LuaError(Exception):
 # ---------------------------------------------------------------------------
 
 
+# The slots that hold an expression list, evaluated left to right.  A
+# constructor's fields are one list of positions, each key before its value.
+_LIST_SLOTS = frozenset(("exprs", "args", "field_key", "field_value"))
+
+
 @dataclass(frozen=True)
 class Frame:
     node: Term
     slot: str
     idx: int = 0
+    # In a list slot: the locations of the values before the hole, and the
+    # summaries of the rest of the node (``_Rest``), shared by every frame
+    # of one evaluation of the list.
+    done: Tuple[Location, ...] = field(default=(), compare=False, repr=False)
+    rest: Optional["_Rest"] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def summary(self) -> A.Summary:
@@ -94,9 +116,104 @@ class Frame:
         holds a finalizer marker (the node itself may be one).
 
         The hole is left out by position: once refocused, the slot still
-        holds a stale child, which may be the same object as a sibling.
+        holds a stale child, which may be the same object as a sibling.  In
+        a list slot the locations may repeat and are not in print order.
         """
-        return summary(_replace_child(self.node, self.slot, self.idx, _HOLE))
+        if self.rest is None:
+            return summary(_replace_child(self.node, self.slot, self.idx,
+                                          _HOLE))
+        locs, marker = self.rest.after(_position(self.slot, self.idx))
+        return self.done + locs, marker
+
+
+class _Rest:
+    """The summaries of a list node's positions and of its other children
+    (a ``Local``'s body, a call's function, an assignment's targets), taken
+    from the node as the evaluation of its list found it.  The positions
+    after a hole are not evaluated yet, so each frame of that evaluation
+    reads its suffix here.  Computed on first read: a run that asks no
+    frame for its summary pays nothing."""
+
+    def __init__(self, node: Term):
+        self.node = node
+
+    @cached_property
+    def _flat(self) -> Tuple[Tuple[Location, ...], List[int], int]:
+        """The locations of every position and then of the other children,
+        in order; where each one's share ends; the last one that holds a
+        marker (-1 if none).  The other children come after every
+        position, so every suffix holds them."""
+        locs: List[Location] = []
+        ends: List[int] = []
+        marked = -1
+        for p, e in enumerate(_positions(self.node) + _others(self.node)):
+            if e is not None:
+                elocs, marker = summary(e)
+                locs.extend(elocs)
+                if marker:
+                    marked = p
+            ends.append(len(locs))
+        return tuple(locs), ends, marked
+
+    def after(self, pos: int) -> A.Summary:
+        """The summary of what comes after position ``pos``."""
+        locs, ends, marked = self._flat
+        return locs[ends[pos]:], marked > pos
+
+
+def _positions(t: Term) -> Tuple[Optional[Term], ...]:
+    if isinstance(t, TableCtor):
+        return tuple(x for kv in t.fields for x in kv)
+    return t.args if isinstance(t, Call) else t.exprs
+
+
+def _others(t: Term) -> Tuple[Term, ...]:
+    if isinstance(t, Local):
+        return (t.body,)
+    if isinstance(t, Call):
+        return (t.fn,)
+    if isinstance(t, Assign):
+        return t.targets
+    return ()
+
+
+def _position(slot: str, idx: int) -> int:
+    """A list hole's position: its index, with a constructor's key and
+    value at ``2 * idx`` and ``2 * idx + 1``."""
+    if slot == "field_key":
+        return 2 * idx
+    if slot == "field_value":
+        return 2 * idx + 1
+    return idx
+
+
+def _element(t: Term, p: int) -> Optional[Term]:
+    if isinstance(t, TableCtor):
+        return t.fields[p >> 1][p & 1]
+    return (t.args if isinstance(t, Call) else t.exprs)[p]
+
+
+def _frame(t: Term, slot: str, idx: int,
+           last: Optional[Frame] = None) -> Frame:
+    """The frame of ``t`` with its hole at ``slot``/``idx``.
+
+    In a list slot, ``last`` is the frame this one follows in the same
+    evaluation of the list, if any: the locations before the hole extend
+    its own by the positions that became values since, and the summaries
+    of the rest are its own.  Every position before a list hole holds a
+    value, so the work is that of the positions passed.
+    """
+    if slot not in _LIST_SLOTS:
+        return Frame(t, slot, idx)
+    if last is None:
+        start, done, rest = 0, (), _Rest(t)
+    else:
+        start, done, rest = _position(last.slot, last.idx), last.done, last.rest
+    for p in range(start, _position(slot, idx)):
+        e = _element(t, p)
+        if e is not None:
+            done += tuple(A.value_locations(e.value))
+    return Frame(t, slot, idx, done, rest)
 
 
 _HOLE = Empty()
@@ -122,17 +239,6 @@ class Finished:
 
 def _is_value(e: Term) -> bool:
     return isinstance(e, Const)
-
-
-def _el_done(e: Term, last: bool) -> bool:
-    """Is this expression-list element fully evaluated?
-
-    A trailing value tuple stays splicable; anywhere else it must still be
-    truncated (and is itself the redex).
-    """
-    if isinstance(e, Const):
-        return True
-    return last and isinstance(e, ValueTuple)
 
 
 def flatten_el(exprs: Tuple[A.Expr, ...]) -> List[Value]:
@@ -165,11 +271,18 @@ def refocus(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
 
     ``frames`` must be a context that a decomposition produced, and ``t``
     the term that now fills its hole.  The list is consumed: it becomes the
-    frame list of the result.
+    frame list of the result.  In a list slot the scan for the next element
+    to evaluate resumes at the hole: every element before it is a value.
     """
     if frames:
         f = frames.pop()
         t = _replace_child(f.node, f.slot, f.idx, t)
+        if f.slot in _LIST_SLOTS:
+            d = _next_el(t, f.idx)
+            if d is not None:
+                slot, idx, child = d
+                frames.append(_frame(t, slot, idx, f))
+                t = child
     return _descend(frames, t)
 
 
@@ -179,17 +292,34 @@ def _descend(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
         if isinstance(res, (Redex, Finished)):
             return res
         slot, idx, child = res
-        frames.append(Frame(t, slot, idx))
+        frames.append(_frame(t, slot, idx))
         t = child
 
 
-def _el_descend(node, slot: str, exprs: Tuple[A.Expr, ...]):
-    for i, e in enumerate(exprs):
-        if not _el_done(e, i == len(exprs) - 1):
-            if isinstance(e, ValueTuple):
-                return None  # tuple in non-final slot: redex at the tuple
+def _next_el(t: Term, start: int):
+    """The first element of ``t``'s list from index ``start`` that is not
+    evaluated yet, as ``(slot, index, element)``; None if there is none.
+
+    A trailing value tuple stays splicable; anywhere else it must still be
+    truncated (and is itself the redex).
+    """
+    if isinstance(t, TableCtor):
+        fields = t.fields
+        for i in range(start, len(fields)):
+            k, v = fields[i]
+            if k is not None and not isinstance(k, Const):
+                return ("field_key", i, k)
+            if not isinstance(v, Const):
+                return ("field_value", i, v)
+        return None
+    slot, seq = ("args", t.args) if isinstance(t, Call) else ("exprs", t.exprs)
+    last = len(seq) - 1
+    for i in range(start, last + 1):
+        e = seq[i]
+        if not (isinstance(e, Const)
+                or (i == last and isinstance(e, ValueTuple))):
             return (slot, i, e)
-    return "done"
+    return None
 
 
 def _inspect(t: Term, frames: List[Frame]):
@@ -209,13 +339,8 @@ def _inspect(t: Term, frames: List[Frame]):
             return Redex(frames, t, "seq")
         return ("first", 0, t.first)
     if isinstance(t, Local):
-        d = _el_descend(t, "exprs", t.exprs)
-        if d == "done":
-            return Redex(frames, t, "local")
-        if d is None:
-            i = _tuple_slot(t.exprs)
-            return ("exprs", i, t.exprs[i])
-        return d
+        d = _next_el(t, 0)
+        return Redex(frames, t, "local") if d is None else d
     if isinstance(t, Assign):
         for i, x in enumerate(t.targets):
             if isinstance(x, Ref):
@@ -227,13 +352,8 @@ def _inspect(t: Term, frames: List[Frame]):
                     return ("target_key", i, x.key)
                 continue
             raise StuckTerm(f"unresolved assignment target {x!r}")
-        d = _el_descend(t, "exprs", t.exprs)
-        if d == "done":
-            return Redex(frames, t, "assign")
-        if d is None:
-            i = _tuple_slot(t.exprs)
-            return ("exprs", i, t.exprs[i])
-        return d
+        d = _next_el(t, 0)
+        return Redex(frames, t, "assign") if d is None else d
     if isinstance(t, ExprStat):
         if _is_value(t.expr) or isinstance(t.expr, ValueTuple):
             return Redex(frames, t, "discard")
@@ -253,16 +373,13 @@ def _inspect(t: Term, frames: List[Frame]):
     if isinstance(t, Break):
         return Redex(frames, t, "break")
     if isinstance(t, Return):
-        d = _el_descend(t, "exprs", t.exprs)
-        if d == "done":
-            if any(isinstance(f.node, CallFrame) for f in frames):
-                return Redex(frames, t, "return")
-            return Finished("return", values=tuple(flatten_el(t.exprs)),
-                            frames=frames, term=t)
-        if d is None:
-            i = _tuple_slot(t.exprs)
-            return ("exprs", i, t.exprs[i])
-        return d
+        d = _next_el(t, 0)
+        if d is not None:
+            return d
+        if any(isinstance(f.node, CallFrame) for f in frames):
+            return Redex(frames, t, "return")
+        return Finished("return", values=tuple(flatten_el(t.exprs)),
+                        frames=frames, term=t)
     if isinstance(t, FinStat):
         if isinstance(t.inner, Empty):
             return Redex(frames, t, "fin-done")
@@ -286,22 +403,13 @@ def _inspect(t: Term, frames: List[Frame]):
     if isinstance(t, Call):
         if not _is_value(t.fn):
             return ("fn", 0, t.fn)
-        d = _el_descend(t, "args", t.args)
-        if d == "done":
-            return Redex(frames, t, "call")
-        if d is None:
-            i = _tuple_slot(t.args)
-            return ("args", i, t.args[i])
-        return d
+        d = _next_el(t, 0)
+        return Redex(frames, t, "call") if d is None else d
     if isinstance(t, Function):
         return Redex(frames, t, "closure")
     if isinstance(t, TableCtor):
-        for i, (k, v) in enumerate(t.fields):
-            if k is not None and not _is_value(k):
-                return ("field_key", i, k)
-            if not _is_value(v):
-                return ("field_value", i, v)
-        return Redex(frames, t, "table")
+        d = _next_el(t, 0)
+        return Redex(frames, t, "table") if d is None else d
     if isinstance(t, BinOp):
         if not _is_value(t.lhs):
             return ("lhs", 0, t.lhs)
@@ -331,53 +439,62 @@ def _inspect(t: Term, frames: List[Frame]):
     raise StuckTerm(f"cannot decompose {t!r}")  # pragma: no cover
 
 
-def _tuple_slot(exprs: Tuple[A.Expr, ...]) -> int:
-    for i, e in enumerate(exprs):
-        if isinstance(e, ValueTuple) and i != len(exprs) - 1:
-            return i
-    raise StuckTerm("no tuple slot")  # pragma: no cover
-
-
 # ---------------------------------------------------------------------------
 # Plugging
 # ---------------------------------------------------------------------------
 
 
+def _put(seq: tuple, i: int, x) -> tuple:
+    return seq[:i] + (x,) + seq[i + 1:]
+
+
+def _put_target(n: Assign, i: int, obj: Term, key: Term) -> Assign:
+    return Assign(_put(n.targets, i, Index(obj, key, pos=n.targets[i].pos)),
+                  n.exprs, pos=n.pos)
+
+
+# Each frame kind's node with the child in its hole replaced, keyed by node
+# type and slot.  A list slot is rebuilt by slicing around the hole.
+_PLUG = {
+    (Seq, "first"): lambda n, i, c: Seq(c, n.rest, pos=n.pos),
+    (Local, "exprs"): lambda n, i, c: Local(
+        n.names, _put(n.exprs, i, c), n.body, pos=n.pos),
+    (Assign, "exprs"): lambda n, i, c: Assign(
+        n.targets, _put(n.exprs, i, c), pos=n.pos),
+    (Assign, "target_obj"): lambda n, i, c: _put_target(
+        n, i, c, n.targets[i].key),
+    (Assign, "target_key"): lambda n, i, c: _put_target(
+        n, i, n.targets[i].obj, c),
+    (Return, "exprs"): lambda n, i, c: Return(_put(n.exprs, i, c), pos=n.pos),
+    (ExprStat, "expr"): lambda n, i, c: ExprStat(c, pos=n.pos),
+    (If, "cond"): lambda n, i, c: If(c, n.then_body, n.else_body, pos=n.pos),
+    (Index, "obj"): lambda n, i, c: Index(c, n.key, pos=n.pos),
+    (Index, "key"): lambda n, i, c: Index(n.obj, c, pos=n.pos),
+    (Call, "fn"): lambda n, i, c: Call(c, n.args, pos=n.pos),
+    (Call, "args"): lambda n, i, c: Call(n.fn, _put(n.args, i, c), pos=n.pos),
+    (TableCtor, "field_key"): lambda n, i, c: TableCtor(
+        _put(n.fields, i, (c, n.fields[i][1])), pos=n.pos),
+    (TableCtor, "field_value"): lambda n, i, c: TableCtor(
+        _put(n.fields, i, (n.fields[i][0], c)), pos=n.pos),
+    (BinOp, "lhs"): lambda n, i, c: BinOp(n.op, c, n.rhs, pos=n.pos),
+    (BinOp, "rhs"): lambda n, i, c: BinOp(n.op, n.lhs, c, pos=n.pos),
+    (And, "lhs"): lambda n, i, c: And(c, n.rhs, pos=n.pos),
+    (Or, "lhs"): lambda n, i, c: Or(c, n.rhs, pos=n.pos),
+    (Not, "operand"): lambda n, i, c: Not(c, pos=n.pos),
+    (Neg, "operand"): lambda n, i, c: Neg(c, pos=n.pos),
+    (CallFrame, "body"): lambda n, i, c: CallFrame(c, pos=n.pos),
+    (LoopFrame, "inner"): lambda n, i, c: LoopFrame(c, pos=n.pos),
+    (FinStat, "inner"): lambda n, i, c: FinStat(c, pos=n.pos),
+    (ProtectedFrame, "inner"): lambda n, i, c: ProtectedFrame(c, pos=n.pos),
+    (FinWrap, "inner"): lambda n, i, c: FinWrap(c, pos=n.pos),
+}
+
+
 def _replace_child(node: Term, slot: str, idx: int, child: Term) -> Term:
-    if isinstance(node, Seq) and slot == "first":
-        return replace(node, first=child)
-    if isinstance(node, (Local, Assign, Return, Call)) and slot in ("exprs", "args"):
-        seq = node.exprs if slot == "exprs" else node.args
-        new = tuple(child if i == idx else e for i, e in enumerate(seq))
-        return replace(node, **{slot: new})
-    if isinstance(node, Assign) and slot in ("target_obj", "target_key"):
-        tgt = node.targets[idx]
-        assert isinstance(tgt, Index)
-        tgt = replace(tgt, obj=child) if slot == "target_obj" else replace(tgt, key=child)
-        targets = tuple(tgt if i == idx else x for i, x in enumerate(node.targets))
-        return replace(node, targets=targets)
-    if isinstance(node, ExprStat) and slot == "expr":
-        return replace(node, expr=child)
-    if isinstance(node, (If, While)) and slot == "cond":
-        return replace(node, cond=child)
-    if isinstance(node, (LoopFrame, FinStat, ProtectedFrame, FinWrap)) and slot == "inner":
-        return replace(node, inner=child)
-    if isinstance(node, Index) and slot in ("obj", "key"):
-        return replace(node, **{slot: child})
-    if isinstance(node, Call) and slot == "fn":
-        return replace(node, fn=child)
-    if isinstance(node, TableCtor) and slot in ("field_key", "field_value"):
-        k, v = node.fields[idx]
-        pair = (child, v) if slot == "field_key" else (k, child)
-        fields = tuple(pair if i == idx else f for i, f in enumerate(node.fields))
-        return replace(node, fields=fields)
-    if isinstance(node, (BinOp, And, Or)) and slot in ("lhs", "rhs"):
-        return replace(node, **{slot: child})
-    if isinstance(node, (Not, Neg)) and slot == "operand":
-        return replace(node, operand=child)
-    if isinstance(node, CallFrame) and slot == "body":
-        return replace(node, body=child)
-    raise StuckTerm(f"cannot plug {slot} of {type(node).__name__}")
+    build = _PLUG.get((type(node), slot))
+    if build is None:
+        raise StuckTerm(f"cannot plug {slot} of {type(node).__name__}")
+    return build(node, idx, child)
 
 
 def plug(frames: List[Frame], t: Term) -> Term:

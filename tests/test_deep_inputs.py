@@ -23,6 +23,10 @@ CHAIN = ("local x0 = 0\n"
          + "".join(f"local x{i} = x{i - 1} + 1\n" for i in range(1, 1_200))
          + "return x1199\n")
 
+# one constructor of 5,000 fields, each a local read by its own step
+WIDE = ("local a = 7\nlocal t = {" + ", ".join(["a"] * 5_000)
+        + "}\nreturn t[5000]\n")
+
 # 5,000 levels of nesting in one expression
 PARENS = "return " + "(" * 5_000 + "1" + ")" * 5_000
 NEGS = "return " + "- " * 5_000 + "1"
@@ -37,14 +41,16 @@ def test_long_block_desugars():
     assert not any(isinstance(n, (A.Block, A.Globals)) for n in A.walk(t))
 
 
-@pytest.mark.parametrize("text, value", [(BLOCK, 7.0), (CHAIN, 1199.0)],
-                         ids=["block-5000", "locals-1200"])
+@pytest.mark.parametrize("text, value", [
+    (BLOCK, 7.0), (CHAIN, 1199.0), (WIDE, 7.0),
+], ids=["block-5000", "locals-1200", "ctor-5000"])
 def test_long_program_runs(text, value):
     rec = run(load_program(text), Schedule("never"), fuel=100_000)
     assert json.loads(rec.result.key)["v"] == [{"t": "num", "v": value}]
 
 
-@pytest.mark.parametrize("text", [BLOCK, CHAIN], ids=["block-5000", "locals-1200"])
+@pytest.mark.parametrize("text", [BLOCK, CHAIN, WIDE],
+                         ids=["block-5000", "locals-1200", "ctor-5000"])
 def test_long_program_is_analyzed(text):
     r = check_program(text)
     assert r.verdict == "SAFE", r.reason

@@ -21,8 +21,12 @@ from luagc.executor import (
     run,
     splice_finalizer,
 )
-from luagc.heap import Configuration, ValueStore, snapshot_json
-from luagc.interp import Focused, Redex, decompose, load_program, plug
+from luagc.heap import (
+    Configuration, ObjectStore, ValueStore, alloc_value, snapshot_json,
+)
+from luagc.interp import (
+    Finished, Focused, Redex, decompose, load_program, plug, step,
+)
 
 from conftest import (
     CORPUS, corpus_text, deterministic_programs, explore_reduced_and_unreduced,
@@ -754,6 +758,53 @@ local mt = {__gc = function(o) print("fin") end}
 local x = collectgarbage(setmetatable({}, mt)) + 1
 return x
 """,
+    # list slots: a constructor's unevaluated fields hold locals (`Ref`s)
+    # and closures over them
+    "ctor_refs_and_closures": """
+local a = {}
+local b = {}
+local f = function() return a end
+local t = {a, {b}, function() return b end, f(), [a] = b, b}
+return t[4] == a, t[a] == b
+""",
+    "ctor_nested": """
+local a = {}
+local t = {{a, {a, {}}}, {x = {a}, [a] = {{}, a}}, a}
+return t[3] == t[1][1], t[2].x[1] == a
+""",
+    # the table dies when the `and` drops it; the finalizer thunk is
+    # spliced at the deref of `f`, inside the constructor's next field
+    "ctor_field_splice": """
+local mt = {__gc = function(o) print("fin") end}
+local f = function(x) return x + 1 end
+local t = {(setmetatable({}, mt) and 1), f(2), 3}
+return t[1] + t[2] + t[3]
+""",
+    "call_argument_splice": """
+local mt = {__gc = function(o) print("fin") end}
+local f = function(x) return x + 1 end
+local g = function(x, y, z) return x + y + z end
+return g((setmetatable({}, mt) and 1), f(2), 3)
+""",
+    "ctor_error_in_pcall": """
+local a = {}
+local ok, err = pcall(function()
+  local t = {a, {a}, error("mid"), a, function() return a end}
+  return t
+end)
+return ok, err
+""",
+    # a multi-value call anywhere but last is truncated to one value
+    "multi_value_not_last": """
+local a = {}
+local two = function() return a, {a} end
+local g = function(x, y, z, w) return w end
+local h = function() return two(), a, two() end
+local t = {two(), two(), a}
+local r = g(two(), two(), two())
+local p, q, s, u = h()
+return t[2] == a, r[1] == a, s == a, u[1] == a
+""",
 }
 
 STATE_SCHEDULES = [
@@ -817,6 +868,8 @@ class TestStateDerivedFacts:
         ("finalizer_error_uncaught", "FinStat", [{"t": "str", "v": "boom"}]),
         ("return_through_thunk", "FinWrap", [{"t": "num", "v": 41.0}]),
         ("collectgarbage_in_expression", "FinWrap", [{"t": "num", "v": 1.0}]),
+        ("ctor_field_splice", "FinWrap", [{"t": "num", "v": 7.0}]),
+        ("call_argument_splice", "FinWrap", [{"t": "num", "v": 7.0}]),
     ])
     def test_trap_is_reached(self, name, marker, value, monkeypatch):
         markers: list = []
@@ -862,6 +915,63 @@ class TestStateDerivedFacts:
         shallow = self.summarized_per_cycle(monkeypatch, 50)
         deep = self.summarized_per_cycle(monkeypatch, 400)
         assert deep <= 1.5 * shallow
+
+    # hand-built: no program puts a marker to the right of a list hole, or
+    # in a `local`'s body while its expressions are evaluated
+    @pytest.mark.parametrize("make", [
+        lambda ref, mark: A.Return((ref, mark)),
+        lambda ref, mark: A.Return((A.TableCtor((
+            (A.Const(Num(1)), ref), (A.Const(Num(2)), mark))),)),
+        lambda ref, mark: A.Local(("x",), (ref,), A.FinStat(A.Empty())),
+    ], ids=["return_list", "constructor", "local_body"])
+    def test_marker_after_a_list_hole(self, make):
+        sigma, r = alloc_value(ValueStore(), Num(1))
+        term = make(A.Ref(r), A.FinWrap(A.Const(Num(2))))
+        state = Focused.of(Configuration(sigma, ObjectStore(), term))
+        while True:
+            term = plug(state.at.frames, state.at.term)
+            assert state.roots() == set(A.term_locations(term))
+            assert state.finalizer_in_flight == finalizer_in_flight(term)
+            res = step(state)
+            if isinstance(res, Finished):
+                break
+            state = res.state
+
+    @staticmethod
+    def work_per_step(monkeypatch, text: str) -> float:
+        """Nodes summarized, each with the children it reads, plus
+        ``_inspect`` calls, each with the sub-terms its scan may pass,
+        per step of an eager run."""
+        config = load_program(text)
+        work = 0
+        real_summarize, real_inspect = A._summarize, interp._inspect
+
+        def summarize(n):
+            nonlocal work
+            work += 1 + len(A.children(n))
+            return real_summarize(n)
+
+        def inspect(t, frames):
+            nonlocal work
+            work += 1 + len(A.children(t))
+            return real_inspect(t, frames)
+
+        with monkeypatch.context() as m:
+            m.setattr(A, "_summarize", summarize)
+            m.setattr(interp, "_inspect", inspect)
+            rec = run(config, Schedule("eager", "fin_weak"), fuel=100_000)
+        assert rec.result.kind == "return"
+        return work / rec.steps
+
+    @pytest.mark.parametrize("program", [
+        lambda n: ("local t = {" + ", ".join(f"{{f = {i}}}" for i in range(n))
+                   + "}\nreturn t[1].f\n"),
+        lambda n: "local a = {}\nreturn " + ", ".join(["a"] * n) + "\n",
+    ], ids=["constructor", "return_list"])
+    def test_work_per_step_independent_of_width(self, monkeypatch, program):
+        narrow = self.work_per_step(monkeypatch, program(100))
+        wide = self.work_per_step(monkeypatch, program(400))
+        assert wide <= 1.5 * narrow
 
     def test_runs_plug_only_to_splice(self, monkeypatch):
         plugs = 0

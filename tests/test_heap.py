@@ -20,6 +20,8 @@ from luagc.heap import (
     validate,
     weakness,
 )
+from luagc.executor import Schedule, run
+from luagc.interp import load_program
 
 
 def empty_config(term=None):
@@ -85,6 +87,41 @@ class TestAllocTable:
     def test_nil_valued_fields_skipped(self):
         theta, tid = alloc_table(ObjectStore(), ((Num(1), Nil()),))
         assert theta.table(tid).fields == ()
+
+    # a later non-nil entry wins in the first entry's position; a nil entry
+    # is dropped and leaves an earlier one standing
+    @pytest.mark.parametrize("fields, want", [
+        (((Num(1), Str("a")), (Num(1), Str("b"))), ((Num(1), Str("b")),)),
+        (((Num(1), Str("a")), (Num(1), Nil())), ((Num(1), Str("a")),)),
+        (((Num(1), Nil()), (Num(1), Str("b"))), ((Num(1), Str("b")),)),
+        (((Num(2), Str("x")), (Num(1), Str("y")), (Num(2), Str("z"))),
+         ((Num(2), Str("z")), (Num(1), Str("y")))),
+        (((Num(1), Str("n")), (A.Bool(True), Str("b")), (Str("1"), Str("s"))),
+         ((Num(1), Str("n")), (A.Bool(True), Str("b")), (Str("1"), Str("s")))),
+    ], ids=["later-wins", "nil-dropped", "nil-then-value", "first-position",
+            "distinct-kinds"])
+    def test_duplicate_keys(self, fields, want):
+        theta, tid = alloc_table(ObjectStore(), fields)
+        assert theta.table(tid).fields == want
+
+    @pytest.mark.parametrize("fields", [
+        ((Num(1), Str("a")), (Nil(), Str("b"))),
+        ((Num(1), Str("a")), (Nil(), Nil())),
+        ((Num(1), Str("a")), (Num(float("nan")), Str("b"))),
+        ((Num(float("nan")), Nil()),),
+    ], ids=["nil-key", "nil-key-nil-value", "nan-key", "nan-key-nil-value"])
+    def test_invalid_key_after_valid_entries(self, fields):
+        with pytest.raises(InvalidKey):
+            alloc_table(ObjectStore(), fields)
+
+    def test_constructor_duplicates_through_a_run(self):
+        rec = run(load_program(
+            'local a = {[1] = "a", [1] = "b"}\n'
+            'local b = {[1] = "a", [1] = nil}\n'
+            'local c = {[2] = "x", [1] = "y", [2] = "z"}\n'
+            'return a[1], b[1], c[2], c[1]\n'), Schedule("never"))
+        assert [v["v"] for v in json.loads(rec.result.key)["v"]] == [
+            "b", "a", "z", "y"]
 
 
 class TestMetatableLookup:
