@@ -27,7 +27,6 @@ from .gc import (
     reach_set,
     run_cycle,
     set_fin,
-    strong_occurrences,
     strong_reach_set,
 )
 from .heap import Configuration, ObjectStore, TableObject, ValueStore, validate
@@ -66,7 +65,6 @@ __all__ = [
     "run_cycle",
     "set_fin",
     "step",
-    "strong_occurrences",
     "strong_reach_set",
     "validate",
 ]

@@ -120,11 +120,6 @@ def format_number(x: float) -> str:
     return "%.14g" % x
 
 
-def is_collectible(v: Value) -> bool:
-    """Tables and closures are the values weak tables may drop."""
-    return isinstance(v, (Tid, Cid))
-
-
 def truthy(v: Value) -> bool:
     return not (isinstance(v, Nil) or (isinstance(v, Bool) and not v.flag))
 

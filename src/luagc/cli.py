@@ -70,7 +70,16 @@ def parse_gc_spec(spec: str, mode: str, seed: Optional[int] = None) -> Schedule:
 
 
 def _mode(flag: str) -> str:
-    return {"simple": "simple", "fin": "fin", "fin-weak": "fin_weak"}[flag]
+    modes = {"simple": "simple", "fin": "fin", "fin-weak": "fin_weak"}
+    if flag not in modes:
+        raise ValueError(f"unknown gc mode {flag!r}")
+    return modes[flag]
+
+
+def _error(e) -> int:
+    """Report a bad input on stderr; the exit code of a CLI error."""
+    print(f"error: {e}", file=sys.stderr)
+    return 2
 
 
 def _load(path: str):
@@ -81,10 +90,9 @@ def _load(path: str):
 def cmd_run(args) -> int:
     try:
         config = _load(args.file)
-    except (LuaSyntaxError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    sched = parse_gc_spec(args.gc, _mode(args.mode), args.seed)
+        sched = parse_gc_spec(args.gc, _mode(args.mode), args.seed)
+    except (LuaSyntaxError, OSError, ValueError) as e:
+        return _error(e)
     rec = run(config, sched, fuel=args.fuel)
     for line in rec.output:
         print(line)
@@ -96,10 +104,9 @@ def cmd_run(args) -> int:
 def cmd_trace(args) -> int:
     try:
         config = _load(args.file)
-    except (LuaSyntaxError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    sched = parse_gc_spec(args.gc, _mode(args.mode), args.seed)
+        sched = parse_gc_spec(args.gc, _mode(args.mode), args.seed)
+    except (LuaSyntaxError, OSError, ValueError) as e:
+        return _error(e)
     rec = run(config, sched, fuel=args.fuel, trace_steps=True)
     for event in rec.trace:
         print(json.dumps(event, sort_keys=True))
@@ -127,37 +134,40 @@ def _parse_explorer(spec: str, mode: str, seed: int):
     raise ValueError(f"unknown explorer {spec!r}")
 
 
-def cmd_observe(args) -> int:
-    schedules = None
-    if args.manifest:
-        spec = json.loads(Path(args.manifest).read_text())
-        path = spec["program"]
-        explorer_spec = spec.get("explorer", "exhaustive")
-        fuel = spec.get("fuel", 10_000)
-        mode = spec.get("mode", "fin-weak")
-        seed = spec.get("seed", _default_seed())
-        schedules = spec.get("schedules")  # list of gc policy specs
-        seeds = spec.get("seeds", [])
-        if schedules is not None:
-            base = [parse_gc_spec(s, _mode(mode), seed) for s in schedules]
-            base += [
-                Schedule("random", _mode(mode), seed=s, probability=0.3)
-                for s in seeds
-            ]
-            schedules = ScheduleSampler(tuple(base))
-            explorer_spec = "schedules:" + ",".join(spec["schedules"])
-    else:
-        path = args.file
-        explorer_spec = args.explorer
-        fuel = args.fuel
-        mode = args.mode
+def _observe_inputs(args):
+    """The program path, explorer description, explorer and fuel that an
+    ``observe`` command names, by flags or by a manifest."""
+    if not args.manifest:
+        if args.file is None:
+            raise ValueError("observe needs a program file or --manifest")
         seed = args.seed if args.seed is not None else _default_seed()
+        explorer = _parse_explorer(args.explorer, _mode(args.mode), seed)
+        return args.file, args.explorer, explorer, args.fuel
+    spec = json.loads(Path(args.manifest).read_text())
+    if not isinstance(spec, dict) or "program" not in spec:
+        raise ValueError(f"{args.manifest}: a manifest is a JSON object "
+                         "with a \"program\" entry")
+    mode = _mode(spec.get("mode", "fin-weak"))
+    seed = spec.get("seed", _default_seed())
+    explorer_spec = spec.get("explorer", "exhaustive")
+    schedules = spec.get("schedules")  # list of gc policy specs
+    if schedules is None:
+        explorer = _parse_explorer(explorer_spec, mode, seed)
+    else:
+        base = [parse_gc_spec(s, mode, seed) for s in schedules]
+        base += [Schedule("random", mode, seed=s, probability=0.3)
+                 for s in spec.get("seeds", [])]
+        explorer = ScheduleSampler(tuple(base))
+        explorer_spec = "schedules:" + ",".join(schedules)
+    return spec["program"], explorer_spec, explorer, spec.get("fuel", 10_000)
+
+
+def cmd_observe(args) -> int:
     try:
+        path, explorer_spec, explorer, fuel = _observe_inputs(args)
         config = load_program(Path(path).read_text(), origin=path)
-    except (LuaSyntaxError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    explorer = schedules or _parse_explorer(explorer_spec, _mode(mode), seed)
+    except (LuaSyntaxError, OSError, ValueError) as e:
+        return _error(e)
     obs = observations(config, explorer, fuel=fuel)
     report = {
         "program": path,
@@ -180,8 +190,7 @@ def cmd_check(args) -> int:
         try:
             text = Path(path).read_text()
         except OSError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
+            return _error(e)
         try:
             report = check_program(text, origin=path)
         except LuaSyntaxError as e:
@@ -213,8 +222,7 @@ def cmd_dump_ast(args) -> int:
         text = Path(args.file).read_text()
         tree = parse(text, origin=args.file)
     except (LuaSyntaxError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _error(e)
     if args.desugar:
         tree = desugar(tree)
     _write_json(to_json(tree), sys.stdout.write)
@@ -270,6 +278,10 @@ def _write_json(obj, write) -> None:
 def _load_manifest(corpus_dir: Path) -> List[dict]:
     manifest = corpus_dir / "manifest.json"
     entries = json.loads(manifest.read_text())
+    if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and "path" in e for e in entries):
+        raise ValueError(f"{manifest}: a manifest is a JSON list of objects "
+                         "with a \"path\" entry")
     for e in entries:
         e["path"] = str(corpus_dir / e["path"])
     return entries
@@ -285,13 +297,12 @@ def _schedules_for(mode: str, seeds: List[int]) -> List[Schedule]:
 
 
 def cmd_properties(args) -> int:
-    corpus = Path(args.corpus)
     try:
-        entries = _load_manifest(corpus)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
+        seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [0, 1, 2]
+        entries = _load_manifest(Path(args.corpus))
+        programs = {e["path"]: _load(e["path"]) for e in entries}
+    except (LuaSyntaxError, OSError, ValueError) as e:
+        return _error(e)
     failures: List[dict] = []
     checked = 0
     det = [e for e in entries if e.get("class") == "deterministic"]
@@ -301,7 +312,7 @@ def cmd_properties(args) -> int:
     expected_fail: List[dict] = []
     if args.property == "correctness" or args.property == "determinism":
         for e in det:
-            config = _load(e["path"])
+            config = programs[e["path"]]
             base = run(config, Schedule("never", "simple"), fuel=args.fuel)
             keys = {base.result.key}
             for sched in _schedules_for("simple", seeds):
@@ -315,7 +326,7 @@ def cmd_properties(args) -> int:
                 if e.get("expected", {}).get("deterministic") is not False:
                     continue
                 mode = "fin_weak" if e.get("class") in ("weak", "both") else "fin"
-                config = _load(e["path"])
+                config = programs[e["path"]]
                 keys = {
                     run(config, sched, fuel=args.fuel).result.key
                     for sched in [Schedule("never", mode)]
@@ -328,7 +339,7 @@ def cmd_properties(args) -> int:
     elif args.property == "postponement":
         total_pairs = 0
         for e in det:
-            config = _load(e["path"])
+            config = programs[e["path"]]
             report = check_postponement(config, trials=len(seeds) or 3,
                                         seed=seeds[0] if seeds else 0,
                                         fuel=args.fuel)
@@ -340,7 +351,7 @@ def cmd_properties(args) -> int:
         print(f"pairs checked: {total_pairs}", file=sys.stderr)
     elif args.property == "finalizer-once":
         for e in entries:
-            config = _load(e["path"])
+            config = programs[e["path"]]
             mode = "fin_weak" if e.get("class") in ("weak", "both") else "fin"
             for sched in _schedules_for(mode, seeds) + [
                 Schedule("scripted", mode)
@@ -356,8 +367,7 @@ def cmd_properties(args) -> int:
                          "finalized": finalized}
                     )
     else:
-        print(f"error: unknown property {args.property!r}", file=sys.stderr)
-        return 2
+        return _error(f"unknown property {args.property!r}")
 
     report = {
         "property": args.property,

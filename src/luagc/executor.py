@@ -68,7 +68,9 @@ from .gc import (
     GcOutcome, enumerate_gc_steps, reach_set, run_cycle, still_quiescent,
     subset_steps,
 )
-from .heap import Configuration, HeapError, ObjectStore, ValueStore, restrict
+from .heap import (
+    Configuration, HeapError, ObjectStore, ValueStore, restrict, successors,
+)
 from .interp import (
     Finished, Focused, Frame, Redex, StuckTerm, decompose, plug, refocus, step,
 )
@@ -142,6 +144,10 @@ class NotFinal(Exception):
     pass
 
 
+# The name prefix ``_canonicalize`` gives each kind of location.
+_PREFIX = {"ref": "r", "tid": "t", "cid": "c"}
+
+
 def _canonicalize(
     roots: List[Value], sigma: ValueStore, theta: ObjectStore
 ) -> Tuple[list, dict]:
@@ -160,21 +166,10 @@ def _canonicalize(
         if loc in names:
             continue
         kind = loc[0]
-        prefix = {"ref": "r", "tid": "t", "cid": "c"}[kind]
-        names[loc] = f"{prefix}{counters[kind]}"
+        names[loc] = f"{_PREFIX[kind]}{counters[kind]}"
         counters[kind] += 1
         order.append(loc)
-        if kind == "ref":
-            children = list(value_locations(sigma.bindings[loc[1]]))
-        elif kind == "tid":
-            obj = theta.table(loc[1])
-            children = [n for k, v in obj.fields
-                        for n in (*value_locations(k), *value_locations(v))]
-            if obj.meta is not None:
-                children.append(("tid", obj.meta))
-        else:
-            children = list(theta.closure(loc[1]).locations())
-        stack.extend(reversed(children))
+        stack.extend(reversed(successors(loc, sigma, theta)))
 
     def cval(v: Value):
         if isinstance(v, Tid):
@@ -283,7 +278,8 @@ def _apply_outcome(config: Configuration, outcome: GcOutcome) -> Configuration:
     config = Configuration(outcome.kept_sigma, outcome.kept_theta, config.term)
     if outcome.pending_finalizer is not None:
         cid, tid = outcome.pending_finalizer
-        config = config.with_term(splice_finalizer(config.term, cid, tid))
+        config = Configuration(config.sigma, config.theta,
+                               splice_finalizer(config.term, cid, tid))
     return config
 
 

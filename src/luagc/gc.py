@@ -10,10 +10,12 @@ Reachability comes in two flavours:
   contribute their value only while the key is strongly reachable from the
   root with that field removed.
 
-Both have a production implementation (worklist fixed point over the heap
-graph) and a reference implementation (the literal recursion that consumes
-store bindings / field occurrences as it descends, so it terminates).  The
-test suite checks the two agree.
+Both have a production implementation, a worklist walk over the heap
+graph that :mod:`luagc.heap` defines (``successors`` for the plain edges,
+``strong_edges`` for the strong ones, where only an ephemeron value has a
+gate), and a reference implementation (the literal recursion that
+consumes store bindings / field occurrences as it descends, so it
+terminates).  The test suite checks the two agree.
 
 On top of reachability sits one collection cycle, ``run_cycle``, extended
 twice like the paper's relation: mode ``simple`` drops an unreachable
@@ -30,8 +32,10 @@ stack frames, so a cycle never walks or plugs the whole term.  A plain
 
 A cycle reuses what the heap kept since the last one.  A table is
 immutable and shared by every store holding it, so it memoizes its
-collectible edges (``TableObject.edges``) and, as a metatable, the weakness
-its ``__mode`` gives (``TableObject.mode_weakness``).  ``run_cycle``
+collectible fields (``TableObject.edges``), its out-edges
+(``TableObject.targets`` and its strong edges under each weakness) and,
+as a metatable, the weakness its ``__mode`` gives
+(``TableObject.mode_weakness``).  ``run_cycle``
 reports a *quiescent* cycle: it discarded all its garbage, cleared no kept
 weak field and had no finalizer candidate, so a cycle on the stores it
 kept, from the same roots, would find nothing.  ``still_quiescent`` proves
@@ -56,8 +60,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field, replace
 from typing import (
-    TYPE_CHECKING, Callable, FrozenSet, Iterable, Iterator, List, Optional,
-    Set, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
+    Tuple, Union,
 )
 
 from .ast import (
@@ -76,13 +80,15 @@ from .heap import (
     Configuration,
     Mark,
     ObjectStore,
-    TableObject,
     ValueStore,
     _bound,
     _value_loc,
     index_metatable,
     is_marked,
+    locations,
     restrict_stores,
+    strong_edges,
+    successors,
     weak_keys,
     weak_values,
     weakness,
@@ -94,37 +100,6 @@ if TYPE_CHECKING:
 Selector = Optional[Callable[[List[Location]], Iterable[Location]]]
 
 
-def all_locations(sigma: ValueStore, theta: ObjectStore) -> List[Location]:
-    locs: List[Location] = [("ref", r) for r in sigma.bindings]
-    locs.extend(("tid", i) for i in theta.tables)
-    locs.extend(("cid", i) for i in theta.closures)
-    return locs
-
-
-def _neighbors(loc: Location, sigma: ValueStore, theta: ObjectStore,
-               cleared: Set[Tuple[int, int]] = frozenset()) -> List[Location]:
-    """Outgoing heap-graph edges under plain reachability, skipping the
-    table fields in ``cleared`` (as ``(tid, field index)`` pairs)."""
-    kind, i = loc
-    out: List[Location] = []
-    if kind == "ref":
-        if i in sigma:
-            out.extend(value_locations(sigma.bindings[i]))
-    elif kind == "tid":
-        if theta.has_table(i):
-            obj = theta.table(i)
-            for idx, (k, v) in enumerate(obj.fields):
-                if (i, idx) not in cleared:
-                    out.extend(value_locations(k))
-                    out.extend(value_locations(v))
-            if obj.meta is not None:
-                out.append(("tid", obj.meta))
-    else:
-        if theta.has_closure(i):
-            out.extend(theta.closure(i).locations())
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Plain reachability
 # ---------------------------------------------------------------------------
@@ -133,6 +108,9 @@ def _neighbors(loc: Location, sigma: ValueStore, theta: ObjectStore,
 def reach_set_from(
     roots: Iterable[Location], sigma: ValueStore, theta: ObjectStore
 ) -> Set[Location]:
+    """The bound locations reachable from ``roots`` (worklist DFS).  An
+    unbound successor is skipped: ``restrict`` may unbind a location
+    that others still point to."""
     seen: Set[Location] = set()
     stack = [l for l in roots if _bound(l, sigma, theta)]
     while stack:
@@ -140,7 +118,7 @@ def reach_set_from(
         if l in seen:
             continue
         seen.add(l)
-        for n in _neighbors(l, sigma, theta):
+        for n in successors(l, sigma, theta):
             if n not in seen and _bound(n, sigma, theta):
                 stack.append(n)
     return seen
@@ -200,47 +178,6 @@ def _rec_reach(l: Location, locs: List[Location], sigma: dict,
 # Strong (weak-table-aware) reachability
 # ---------------------------------------------------------------------------
 
-SOItem = Union[Tuple[str, Value], Tuple[str, Value, Value]]
-
-
-def _loc_value(loc: Location) -> Value:
-    kind, n = loc
-    return Tid(n) if kind == "tid" else Cid(n)
-
-
-def strong_edges(obj: TableObject,
-                 w: str) -> Iterator[Tuple[int, Optional[Location], Location]]:
-    """``(field index, gate, target)`` of each edge strong reachability
-    follows out of a table of weakness ``w``: ``target`` is reached once
-    ``gate`` is, or unconditionally when ``gate`` is None.
-
-    Strong tables hold all collectible keys and values, weak-values tables
-    their collectible keys, weak-keys (ephemeron) tables each collectible
-    value gated by its key (ungated under a key that is not collectible),
-    fully weak tables nothing.
-    """
-    for idx, kloc, vloc in obj.edges:
-        if w == "wk":
-            if vloc is not None:
-                yield idx, kloc, vloc
-            continue
-        if w != "wkv" and kloc is not None:
-            yield idx, None, kloc
-        if w == "strong" and vloc is not None:
-            yield idx, None, vloc
-
-
-def strong_occurrences(tid: int, theta: ObjectStore) -> List[SOItem]:
-    """A table's ``strong_edges`` as values: ``("plain", target)``, or
-    ``("pair", key, value)`` for an ephemeron field."""
-    w = weakness(tid, theta)
-    obj = theta.table(tid)
-    if weak_keys(w):
-        return [("pair", *obj.fields[idx]) for idx, _, _ in strong_edges(obj, w)]
-    return [("plain", _loc_value(target))
-            for _, _, target in strong_edges(obj, w)]
-
-
 def strong_reach_set(t: Term, sigma: ValueStore,
                      theta: ObjectStore) -> Set[Location]:
     """Locations strongly reachable from the term's root set."""
@@ -249,49 +186,27 @@ def strong_reach_set(t: Term, sigma: ValueStore,
 
 def strong_reach_set_from(roots: Iterable[Location], sigma: ValueStore,
                           theta: ObjectStore) -> Set[Location]:
-    """Strongly reachable locations: iterated to a fixed point so that an
-    ephemeron value joins only once its key has joined."""
+    """Strongly reachable locations.  A gated edge waits under its gate
+    until the gate is reached, so an ephemeron value joins only once its
+    key has."""
     reached: Set[Location] = set()
-    frontier = [l for l in roots if _bound(l, sigma, theta)]
-    pending_eph: List[Tuple[Location, Location]] = []  # (key loc, value loc)
-
-    def push(loc: Location) -> None:
-        if loc not in reached and _bound(loc, sigma, theta):
-            frontier.append(loc)
-
-    while True:
-        while frontier:
-            l = frontier.pop()
-            if l in reached:
+    stack = [l for l in roots if _bound(l, sigma, theta)]
+    waiting: Dict[Location, List[Location]] = {}  # gate -> targets
+    while stack:
+        l = stack.pop()
+        if l in reached:
+            continue
+        reached.add(l)
+        if l in waiting:
+            stack.extend(waiting.pop(l))
+        for gate, target in strong_edges(l, sigma, theta):
+            if target in reached or not _bound(target, sigma, theta):
                 continue
-            reached.add(l)
-            kind, i = l
-            if kind == "ref":
-                for n in value_locations(sigma.bindings[i]):
-                    push(n)
-            elif kind == "tid":
-                obj = theta.table(i)
-                if obj.meta is not None:
-                    push(("tid", obj.meta))
-                for _, gate, target in strong_edges(obj, weakness(i, theta)):
-                    if gate is None or gate in reached:
-                        push(target)
-                    else:
-                        pending_eph.append((gate, target))
+            if gate is None or gate in reached:
+                stack.append(target)
             else:
-                for n in theta.closure(i).locations():
-                    push(n)
-        activated = False
-        still: List[Tuple[Location, Location]] = []
-        for kloc, vloc in pending_eph:
-            if kloc in reached:
-                push(vloc)
-                activated = True
-            else:
-                still.append((kloc, vloc))
-        pending_eph = still
-        if not activated and not frontier:
-            return reached
+                waiting.setdefault(gate, []).append(target)
+    return reached
 
 
 def reach_cte(
@@ -400,15 +315,14 @@ def set_fin(tid: int, v: Value, theta: ObjectStore) -> Mark:
 
 def next_priority(theta: ObjectStore) -> int:
     best = 0
-    for i in theta.table_ids():
-        pos = theta.table(i).pos
-        if isinstance(pos, int) and pos > best:
-            best = pos
+    for obj in theta.tables.values():
+        if isinstance(obj.pos, int) and obj.pos > best:
+            best = obj.pos
     return best + 1
 
 
 def marked_tables(theta: ObjectStore) -> List[int]:
-    return [i for i in theta.table_ids() if is_marked(theta.table(i).pos)]
+    return [i for i, obj in theta.tables.items() if is_marked(obj.pos)]
 
 
 def not_fin_val(tid: int, theta: ObjectStore) -> bool:
@@ -463,43 +377,23 @@ class GcOutcome:
         )
 
 
-def _consistent_discard(
-    proposal: Set[Location],
-    sigma: ValueStore,
-    theta: ObjectStore,
-    cleared: Set[Tuple[int, int]],
-) -> Set[Location]:
-    """Shrink a discard proposal until no kept location points into it,
-    ignoring the fields about to be cleared."""
-    discard = set(proposal)
-    changed = True
-    while changed:
-        changed = False
-        kept = [l for l in all_locations(sigma, theta) if l not in discard]
-        for l in kept:
-            for n in _neighbors(l, sigma, theta, cleared):
-                if n in discard:
-                    discard.remove(n)
-                    changed = True
-    return discard
-
-
 def _retain_ephemeron_values(
     keep: Set[Location], sigma: ValueStore, theta: ObjectStore
 ) -> Set[Location]:
     """Close ``keep`` over the values of kept ephemeron fields whose key is
-    still marked for finalization."""
+    still marked for finalization: one reach per round, from all such
+    values not kept yet."""
     while True:
-        extra: Set[Location] = set()
-        for kind, i in list(keep):
-            if kind != "tid" or not weak_keys(weakness(i, theta)):
-                continue
-            for _, kloc, vloc in theta.table(i).edges:
-                if (kloc is not None and kloc[0] == "tid"
-                        and is_marked(theta.table(kloc[1]).pos)
-                        and vloc is not None and vloc not in keep):
-                    extra |= reach_set_from([vloc], sigma, theta)
-        extra -= keep
+        held = [
+            vloc
+            for kind, i in keep
+            if kind == "tid" and weak_keys(weakness(i, theta))
+            for _, kloc, vloc in theta.tables[i].edges
+            if kloc is not None and kloc[0] == "tid"
+            and is_marked(theta.tables[kloc[1]].pos)
+            and vloc is not None and vloc not in keep
+        ]
+        extra = reach_set_from(held, sigma, theta) - keep
         if not extra:
             return keep
         keep |= extra
@@ -507,11 +401,11 @@ def _retain_ephemeron_values(
 
 def _weak_fields_to_clear(
     strong: Set[Location], theta: ObjectStore
-) -> List[Tuple[int, int, Value, Value]]:
-    """``(tid, field index, key, value)`` of every weak field whose weak
-    side is not strongly reachable, except ephemeron fields whose key
-    still awaits its finalizer."""
-    out: List[Tuple[int, int, Value, Value]] = []
+) -> List[Tuple[int, Value, Value]]:
+    """``(tid, key, value)`` of every weak field whose weak side is not
+    strongly reachable, except ephemeron fields whose key still awaits
+    its finalizer."""
+    out: List[Tuple[int, Value, Value]] = []
     for i, obj in theta.tables.items():
         w = weakness(i, theta)
         if w == "strong":
@@ -527,7 +421,7 @@ def _weak_fields_to_clear(
             if (weak_keys(w) and kloc is not None and kloc[0] == "tid"
                     and is_marked(theta.table(kloc[1]).pos)):
                 continue  # retained until the key's finalizer ran
-            out.append((i, idx, *obj.fields[idx]))
+            out.append((i, *obj.fields[idx]))
     return out
 
 
@@ -556,8 +450,8 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
 
     All decisions are taken against the pre-collection stores.  The kept
     set is closed under the heap edges that survive clearing, so the
-    maximal cycle discards all garbage; a selector's choice is shrunk
-    until no kept location points into it.
+    maximal cycle discards all garbage; a selector's choice loses what
+    the rest of the heap reaches once the weak fields are cleared.
     """
     if mode not in ("simple", "fin", "fin_weak"):
         raise ValueError(f"unknown gc mode {mode!r}")
@@ -571,26 +465,27 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
     marked = [] if mode == "simple" else marked_tables(theta)
 
     keep = reached | reach_set_from([("tid", tid) for tid in marked], sigma, theta)
-    cleared: List[Tuple[int, int, Value, Value]] = []
+    cleared: List[Tuple[int, Value, Value]] = []
+    cleared_theta = theta
     if weak:
         keep = _retain_ephemeron_values(keep, sigma, theta)
         cleared = _weak_fields_to_clear(reached, theta)
+    if cleared:
+        tables = dict(theta.tables)
+        for i, k, _ in cleared:
+            tables[i] = tables[i].without(k)
+        cleared_theta = ObjectStore(tables, theta.closures, theta.next_tid,
+                                    theta.next_cid)
 
-    garbage = set(all_locations(sigma, theta)) - keep
-    if selector is None:
-        discard = garbage
-    else:
-        discard = _consistent_discard(
-            set(selector(sorted(garbage))) & garbage, sigma, theta,
-            {(i, idx) for i, idx, _, _ in cleared},
-        )
-    kept_sigma, kept_theta = restrict_stores(sigma, theta, discard)
-
-    actually_cleared: List[Tuple[int, Value, Value]] = []
-    for i, _, k, v in cleared:
-        if kept_theta.has_table(i):
-            kept_theta = kept_theta.put_table(i, kept_theta.table(i).without(k))
-            actually_cleared.append((i, k, v))
+    all_locs = locations(sigma, theta)
+    garbage = set(all_locs) - keep
+    discard = garbage
+    if selector is not None:
+        proposal = set(selector(sorted(garbage))) & garbage
+        discard = proposal - reach_set_from(
+            [l for l in all_locs if l not in proposal], sigma, cleared_theta)
+    kept_sigma, kept_theta = restrict_stores(sigma, cleared_theta, discard)
+    actually_cleared = [f for f in cleared if ("tid", f[0]) not in discard]
 
     pending = None
     forbidden = None
@@ -684,22 +579,9 @@ def _dict_change(old: dict, new: dict) -> Optional[Tuple[list, list]]:
 def _strong_successors(roots: Iterable[Location], sigma: ValueStore,
                        theta: ObjectStore) -> Set[Location]:
     """The locations one ungated strong edge from a bound root."""
-    out: Set[Location] = set()
-    for kind, i in roots:
-        if kind == "ref":
-            if i in sigma.bindings:
-                out.update(value_locations(sigma.bindings[i]))
-        elif kind == "tid":
-            obj = theta.tables.get(i)
-            if obj is not None:
-                if obj.meta is not None:
-                    out.add(("tid", obj.meta))
-                out.update(t for _, gate, t in
-                           strong_edges(obj, weakness(i, theta))
-                           if gate is None)
-        elif i in theta.closures:
-            out.update(theta.closures[i].locations())
-    return out
+    return {target for l in roots if _bound(l, sigma, theta)
+            for gate, target in strong_edges(l, sigma, theta)
+            if gate is None}
 
 
 # The most garbage locations whose subsets ``subset_steps`` enumerates

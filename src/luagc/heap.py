@@ -14,6 +14,14 @@ finalizer ran (or was skipped), so no object is ever finalized twice.
 
 Allocation counters live inside the stores: ids are never reused within an
 execution, even after collection, so traces stay comparable.
+
+The heap graph lives here too.  Its nodes are the bound locations
+(``locations``) and its edges are defined once, per kind of location:
+``successors`` gives the plain edges (a reference's value, a table's keys,
+values and metatable, a closure's environment) and ``strong_edges`` the
+ones strong reachability follows, which weak tables prune and ephemerons
+gate.  Every heap walk reads them: the reachability sets and cycle of
+``gc``, the result canonicalization of ``executor`` and ``validate``.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, Iterator, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from .ast import (
     Cid,
@@ -37,7 +45,6 @@ from .ast import (
     summary,
     term_locations,
     to_source,
-    value_locations,
     _value_json,
 )
 
@@ -77,13 +84,19 @@ def _value_loc(v: Value) -> Optional[Location]:
     return None
 
 
+# An edge of strong reachability: ``(gate, target)``, where ``target`` is
+# reached once ``gate`` is, or at once when ``gate`` is None.
+Edge = Tuple[Optional[Location], Location]
+
+
 @dataclass(frozen=True)
 class TableObject:
     """A table.  It is immutable and shared by every store holding it (a
     write makes a new object), so what the collector derives from it is
-    memoized on it: ``edges`` and ``mode_weakness``.  The memos are not
-    fields, so equality and hashing ignore them, and ``replace`` builds a
-    new object without them."""
+    memoized on it: ``edges``, ``targets``, its strong edges under each
+    weakness and ``mode_weakness``.  The memos are not fields, so equality
+    and hashing ignore them, and ``replace`` builds a new object without
+    them."""
 
     fields: Tuple[Tuple[Value, Value], ...]  # insertion ordered, no nils
     meta: Optional[int] = None  # tid of the metatable
@@ -100,6 +113,46 @@ class TableObject:
             if kloc is not None or vloc is not None:
                 out.append((idx, kloc, vloc))
         return tuple(out)
+
+    @cached_property
+    def targets(self) -> Tuple[Location, ...]:
+        """The distinct locations the table points to, in print order: the
+        collectible keys and values of its fields, then its metatable."""
+        out = [l for _, k, v in self.edges for l in (k, v) if l is not None]
+        if self.meta is not None:
+            out.append(("tid", self.meta))
+        return tuple(dict.fromkeys(out))
+
+    @cached_property
+    def _strong(self) -> Dict[str, Tuple[Edge, ...]]:
+        return {}
+
+    def strong_edges(self, w: str) -> Tuple[Edge, ...]:
+        """The distinct edges strong reachability follows out of the table
+        under weakness ``w``, in print order.
+
+        Strong tables hold all collectible keys and values, weak-values
+        tables their collectible keys, weak-keys (ephemeron) tables each
+        collectible value gated by its key (ungated under a key that is
+        not collectible), fully weak tables nothing; the metatable is
+        always held.
+        """
+        memo = self._strong.get(w)
+        if memo is None:
+            out: List[Edge] = []
+            for _, kloc, vloc in self.edges:
+                if w == "wk":
+                    if vloc is not None:
+                        out.append((kloc, vloc))
+                    continue
+                if w != "wkv" and kloc is not None:
+                    out.append((None, kloc))
+                if w == "strong" and vloc is not None:
+                    out.append((None, vloc))
+            if self.meta is not None:
+                out.append((None, ("tid", self.meta)))
+            memo = self._strong[w] = tuple(dict.fromkeys(out))
+        return memo
 
     @cached_property
     def mode_weakness(self) -> str:
@@ -149,13 +202,6 @@ class TableObject:
             self, fields=tuple((k, v) for k, v in self.fields if k != key)
         )
 
-    def locations(self) -> Iterator[Location]:
-        for k, v in self.fields:
-            yield from value_locations(k)
-            yield from value_locations(v)
-        if self.meta is not None:
-            yield ("tid", self.meta)
-
 
 @dataclass(frozen=True)
 class ClosureObject:
@@ -179,9 +225,6 @@ HeapObject = Union[TableObject, ClosureObject]
 class ValueStore:
     bindings: Dict[int, Value] = field(default_factory=dict)
     next_id: int = 1
-
-    def __contains__(self, r: int) -> bool:
-        return r in self.bindings
 
     def lookup(self, r: int) -> Value:
         try:
@@ -218,19 +261,10 @@ class ObjectStore:
         except KeyError:
             raise HeapError(f"dangling closure id #{cid}") from None
 
-    def has_table(self, tid: int) -> bool:
-        return tid in self.tables
-
-    def has_closure(self, cid: int) -> bool:
-        return cid in self.closures
-
     def put_table(self, tid: int, obj: TableObject) -> "ObjectStore":
         b = dict(self.tables)
         b[tid] = obj
         return ObjectStore(b, self.closures, self.next_tid, self.next_cid)
-
-    def table_ids(self) -> Iterator[int]:
-        yield from self.tables
 
 
 @dataclass(frozen=True)
@@ -238,9 +272,6 @@ class Configuration:
     sigma: ValueStore
     theta: ObjectStore
     term: Term
-
-    def with_term(self, term: Term) -> "Configuration":
-        return Configuration(self.sigma, self.theta, term)
 
     def roots(self) -> Set[Location]:
         """The collector's root set: the locations occurring in the term.
@@ -304,9 +335,6 @@ def index_metatable(tid: int, key: str, theta: ObjectStore) -> Value:
     return theta.table(t.meta).get(Str(key))
 
 
-WEAKNESS = ("strong", "wk", "wv", "wkv")
-
-
 def weakness(tid: int, theta: ObjectStore) -> str:
     """A table's weakness, from its metatable's ``__mode`` string."""
     meta = theta.table(tid).meta
@@ -319,6 +347,52 @@ def weak_keys(w: str) -> bool:
 
 def weak_values(w: str) -> bool:
     return w in ("wv", "wkv")
+
+
+# ---------------------------------------------------------------------------
+# The heap graph
+# ---------------------------------------------------------------------------
+
+
+def locations(sigma: ValueStore, theta: ObjectStore) -> List[Location]:
+    """The bound locations: references, then tables, then closures."""
+    locs: List[Location] = [("ref", r) for r in sigma.bindings]
+    locs.extend(("tid", i) for i in theta.tables)
+    locs.extend(("cid", i) for i in theta.closures)
+    return locs
+
+
+def _bound(loc: Location, sigma: ValueStore, theta: ObjectStore) -> bool:
+    kind, i = loc
+    if kind == "ref":
+        return i in sigma.bindings
+    if kind == "tid":
+        return i in theta.tables
+    return i in theta.closures
+
+
+def successors(loc: Location, sigma: ValueStore,
+               theta: ObjectStore) -> Tuple[Location, ...]:
+    """The plain edges out of a bound location, distinct and in print
+    order: what a reference's value names, a table's ``targets``, and the
+    locations a closure's body mentions (its environment)."""
+    kind, i = loc
+    if kind == "tid":
+        return theta.tables[i].targets
+    if kind == "cid":
+        return theta.closures[i].locations()
+    target = _value_loc(sigma.bindings[i])
+    return () if target is None else (target,)
+
+
+def strong_edges(loc: Location, sigma: ValueStore,
+                 theta: ObjectStore) -> Tuple[Edge, ...]:
+    """The edges strong reachability follows out of a bound location.
+    Only a table prunes or gates its plain edges, by its weakness
+    (``TableObject.strong_edges``): only an ephemeron value has a gate."""
+    if loc[0] == "tid":
+        return theta.tables[loc[1]].strong_edges(weakness(loc[1], theta))
+    return tuple([(None, n) for n in successors(loc, sigma, theta)])
 
 
 def restrict(c: Configuration, discard: Set[Location]) -> Configuration:
@@ -351,47 +425,35 @@ def restrict_stores(sigma: ValueStore, theta: ObjectStore,
 # ---------------------------------------------------------------------------
 
 
-def _bound(loc: Location, sigma: ValueStore, theta: ObjectStore) -> bool:
-    kind, i = loc
-    if kind == "ref":
-        return i in sigma
-    if kind == "tid":
-        return theta.has_table(i)
-    return theta.has_closure(i)
-
-
 def validate(c: Configuration) -> None:
     """Check store well-formedness; raises HeapError on violation.
 
-    Every location mentioned in the term or inside a stored object must be
-    bound, table fields must contain no nils, metatable slots must point at
-    tables, and pending finalization priorities must be pairwise distinct.
+    Every location mentioned in the term or at the end of a heap-graph
+    edge must be bound (so a metatable slot names a table), table fields
+    must contain no nils, and pending finalization priorities must be
+    pairwise distinct.
     """
     for loc in term_locations(c.term):
         if not _bound(loc, c.sigma, c.theta):
             raise HeapError(f"term mentions unbound location {loc}")
-    for r, v in c.sigma.bindings.items():
-        for loc in value_locations(v):
-            if not _bound(loc, c.sigma, c.theta):
-                raise HeapError(f"$r{r} holds unbound location {loc}")
+    for loc in locations(c.sigma, c.theta):
+        for n in successors(loc, c.sigma, c.theta):
+            if not _bound(n, c.sigma, c.theta):
+                raise HeapError(f"{_NAME[loc[0]]}{loc[1]} holds unbound "
+                                f"location {n}")
     priorities = []
     for i, obj in c.theta.tables.items():
         for k, v in obj.fields:
             if isinstance(k, Nil) or isinstance(v, Nil):
                 raise HeapError(f"table #{i} stores a nil key or value")
-        for loc in obj.locations():
-            if not _bound(loc, c.sigma, c.theta):
-                raise HeapError(f"table #{i} holds unbound location {loc}")
-        if obj.meta is not None and not c.theta.has_table(obj.meta):
-            raise HeapError(f"table #{i} has a non-table metatable")
         if is_marked(obj.pos):
             priorities.append(obj.pos)
-    for i, clo in c.theta.closures.items():
-        for loc in clo.locations():
-            if not _bound(loc, c.sigma, c.theta):
-                raise HeapError(f"closure #{i} holds unbound location {loc}")
     if len(priorities) != len(set(priorities)):
         raise HeapError("finalization priorities are not pairwise distinct")
+
+
+# How ``validate`` names a location of each kind.
+_NAME = {"ref": "$r", "tid": "table #", "cid": "closure #"}
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from . import ast as A
+from .heap import weak_keys, weak_values
 
 PRIMS = ("nil", "num", "bool", "str")
 
@@ -209,16 +210,11 @@ def equal_types(a: SType, b: SType) -> bool:
 # Joins (least common supertype, used at control-flow merges)
 # ---------------------------------------------------------------------------
 
-_WEAK_JOIN = {
-    ("strong", "strong"): "strong",
-    ("strong", "wk"): "wk", ("wk", "strong"): "wk",
-    ("strong", "wv"): "wv", ("wv", "strong"): "wv",
-    ("strong", "wkv"): "wkv", ("wkv", "strong"): "wkv",
-    ("wk", "wk"): "wk", ("wv", "wv"): "wv", ("wkv", "wkv"): "wkv",
-    ("wk", "wv"): "wkv", ("wv", "wk"): "wkv",
-    ("wk", "wkv"): "wkv", ("wkv", "wk"): "wkv",
-    ("wv", "wkv"): "wkv", ("wkv", "wv"): "wkv",
-}
+def _weak_join(a: str, b: str) -> str:
+    """Weak keys if either side has them, and weak values likewise."""
+    k = weak_keys(a) or weak_keys(b)
+    v = weak_values(a) or weak_values(b)
+    return "w" + "k" * k + "v" * v if k or v else "strong"
 
 
 def join(a: SType, b: SType, _depth: int = 0) -> SType:
@@ -246,7 +242,7 @@ def join(a: SType, b: SType, _depth: int = 0) -> SType:
                 common[k] = join(a.fields[k], b.fields[k], _depth + 1)
         return TableType(
             common,
-            _WEAK_JOIN[(a.weakness, b.weakness)],
+            _weak_join(a.weakness, b.weakness),
             a.labels | b.labels,
         )
     if (isinstance(a, FuncType) and isinstance(b, FuncType)

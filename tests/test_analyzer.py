@@ -144,6 +144,19 @@ class TestSubtype:
         assert join(strong, weak).weakness == "wv"
         assert join(weak, strong).weakness == "wv"
 
+    def test_join_weakness_of_every_pair(self):
+        # row: left weakness, column: right weakness, both in this order
+        order = ("strong", "wk", "wv", "wkv")
+        table = [["strong", "wk", "wv", "wkv"],
+                 ["wk", "wk", "wkv", "wkv"],
+                 ["wv", "wkv", "wv", "wkv"],
+                 ["wkv", "wkv", "wkv", "wkv"]]
+        for a, row in zip(order, table):
+            for b, want in zip(order, row):
+                ja = TableType({Str("x"): NUM_T}, a)
+                jb = TableType({Str("x"): NUM_T}, b)
+                assert join(ja, jb).weakness == want, (a, b)
+
     def test_closures_differing_only_in_labels(self):
         f = FuncType((NUM_T,), NUM_T, frozenset({1}))
         g = FuncType((NUM_T,), NUM_T, frozenset({2}))

@@ -236,3 +236,36 @@ class TestEmptyCorpus:
         assert code == 0
         assert "empty corpus" in err
         assert json.loads(out)["programs"] == 0
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+ARITH = str(CORPUS / "deterministic" / "arith.lua")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", ARITH, "--gc", "bogus"],
+    ["run", ARITH, "--gc", "periodic=x"],
+    ["observe", ARITH, "--explorer", "bogus"],
+    ["observe", ARITH, "--explorer", "exhaustive=x"],
+    ["properties", str(CORPUS), "--property", "correctness", "--seeds", "a"],
+    ["observe", "--manifest", str(CORPUS / "no-such-manifest.json")],
+    ["observe"],
+], ids=lambda argv: " ".join(a.replace(str(CORPUS), "corpus") for a in argv))
+def test_malformed_input_is_one_error_line(argv, capsys):
+    assert_one_error_line(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("manifest", [
+    '[{"path": "bad.lua", "class": "deterministic"}]',
+    '[{"class": "deterministic"}]',
+    '{"path": "bad.lua"}',
+], ids=["syntax-error", "no-path", "not-a-list"])
+def test_malformed_corpus_is_one_error_line(manifest, tmp_path, capsys):
+    (tmp_path / "bad.lua").write_text("local = ")
+    (tmp_path / "manifest.json").write_text(manifest)
+    assert_one_error_line(*run_cli(
+        capsys, "properties", str(tmp_path), "--property", "correctness"))

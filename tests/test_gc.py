@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from luagc import executor
-from luagc.ast import Cid, Nil, Num, Str, Tid, is_collectible
+from luagc.ast import Cid, Nil, Num, Str, Tid
 from luagc.executor import ExhaustiveExplorer, Schedule, observations, run
 from luagc.gc import (
     enumerate_gc_steps,
@@ -13,7 +13,6 @@ from luagc.gc import (
     run_cycle,
     set_fin,
     still_quiescent,
-    strong_occurrences,
     strong_reach_set,
 )
 from luagc.heap import (
@@ -27,6 +26,8 @@ from luagc.heap import (
     _value_loc as loc,
     index_metatable,
     is_marked,
+    locations,
+    strong_edges,
     validate,
     weakness,
 )
@@ -175,41 +176,34 @@ class TestGcFin:
         assert ("tid", 2) not in o.discarded
 
 
-class TestStrongOccurrences:
+class TestStrongEdges:
     def test_strong_table_all_collectibles(self):
         c = build_heap({}, {1: {"fields": [(Num(1), ("tid", 2))]}, 2: {}},
                        {}, [("tid", 1)])
-        so = strong_occurrences(1, c.theta)
-        assert so == [("plain", Tid(2))]
+        assert strong_edges(("tid", 1), c.sigma, c.theta) == (
+            (None, ("tid", 2)),)
+
+    def weak_table(self, mode):
+        c = build_heap(
+            {},
+            {1: {"fields": [(("tid", 2), ("tid", 3))], "mode": mode},
+             2: {}, 3: {}},
+            {}, [("tid", 1)],
+        )
+        return strong_edges(("tid", 1), c.sigma, c.theta), (
+            None, ("tid", c.theta.table(1).meta))
 
     def test_weak_values_keys_only(self):
-        c = build_heap(
-            {},
-            {1: {"fields": [(("tid", 2), ("tid", 3))], "mode": "v"},
-             2: {}, 3: {}},
-            {}, [("tid", 1)],
-        )
-        so = strong_occurrences(1, c.theta)
-        assert so == [("plain", Tid(2))]
+        edges, meta = self.weak_table("v")
+        assert edges == ((None, ("tid", 2)), meta)
 
     def test_weak_keys_pairs(self):
-        c = build_heap(
-            {},
-            {1: {"fields": [(("tid", 2), ("tid", 3))], "mode": "k"},
-             2: {}, 3: {}},
-            {}, [("tid", 1)],
-        )
-        so = strong_occurrences(1, c.theta)
-        assert so == [("pair", Tid(2), Tid(3))]
+        edges, meta = self.weak_table("k")
+        assert edges == ((("tid", 2), ("tid", 3)), meta)
 
-    def test_fully_weak_empty(self):
-        c = build_heap(
-            {},
-            {1: {"fields": [(("tid", 2), ("tid", 3))], "mode": "kv"},
-             2: {}, 3: {}},
-            {}, [("tid", 1)],
-        )
-        assert strong_occurrences(1, c.theta) == []
+    def test_fully_weak_only_the_metatable(self):
+        edges, meta = self.weak_table("kv")
+        assert edges == (meta,)
 
 
 class TestGcFinWeak:
@@ -415,6 +409,33 @@ class TestInterpreterIntegration:
         validate(Configuration(o.kept_sigma, o.kept_theta, config.term))
 
 
+def fixpoint_discard(proposal, sigma, theta, cleared):
+    """A selector's proposal shrunk until no location outside it points
+    into it, table fields in ``cleared`` (``(tid, field index)`` pairs)
+    not counting: the rescan-until-stable form of the discard."""
+    def edges(kind, i):
+        if kind == "ref":
+            return [loc(sigma.bindings[i])]
+        if kind == "cid":
+            return list(theta.closure(i).locations())
+        obj = theta.table(i)
+        fields = [loc(x) for idx, kv in enumerate(obj.fields)
+                  if (i, idx) not in cleared for x in kv]
+        return fields + [("tid", obj.meta)] * (obj.meta is not None)
+
+    discard = set(proposal)
+    changed = True
+    while changed:
+        changed = False
+        for l in locations(sigma, theta):
+            if l not in discard:
+                for n in edges(*l):
+                    if n in discard:
+                        discard.remove(n)
+                        changed = True
+    return discard
+
+
 class TestGcInvariants:
     """Store-level properties every cycle must satisfy."""
 
@@ -475,6 +496,32 @@ class TestGcInvariants:
                 o = run_cycle(c, mode)
                 validate(Configuration(o.kept_sigma, o.kept_theta, c.term))
 
+    @pytest.mark.parametrize("mode", ["simple", "fin", "fin_weak"])
+    def test_selector_discard_matches_fixpoint(self, mode):
+        import random
+
+        rng = random.Random(2024)
+        for c in self.heaps():
+            tables = dict(c.theta.tables)
+            for prio, i in enumerate(rng.sample(sorted(tables), len(tables) // 3)):
+                tables[i] = replace(tables[i], pos=prio + 1)
+            theta = ObjectStore(tables, c.theta.closures, c.theta.next_tid,
+                                c.theta.next_cid)
+            c = Configuration(c.sigma, theta, c.term)
+            proposal = []
+
+            def selector(garbage):
+                proposal[:] = [l for l in garbage if rng.random() < 0.5]
+                return proposal
+
+            o = run_cycle(c, mode, selector=selector)
+            # a clear removes every field with the cleared key
+            cleared = {(i, idx) for i, key, _ in o.cleared_weak_fields
+                       for idx, (k, _) in enumerate(theta.table(i).fields)
+                       if k == key}
+            assert set(o.discarded) == fixpoint_discard(
+                proposal, c.sigma, theta, cleared)
+
 
 # __mode is retagged after setmetatable: "k", then "v", then nil
 RETAG_PROGRAM = """
@@ -505,21 +552,31 @@ def without_memos(theta: ObjectStore) -> ObjectStore:
     )
 
 
+def collectible(v) -> bool:
+    return isinstance(v, (Tid, Cid))
+
+
 def field_by_field(tid: int, theta: ObjectStore):
-    """Weakness and strong occurrences read from the fields directly."""
+    """Weakness, plain targets and strong edges read from the fields
+    directly."""
     mode = index_metatable(tid, "__mode", theta)
     s = mode.s if isinstance(mode, Str) else ""
     w = {(False, False): "strong", (True, False): "wk",
          (False, True): "wv", (True, True): "wkv"}["k" in s, "v" in s]
-    out = []
-    for k, v in theta.table(tid).fields:
-        if w == "wk" and is_collectible(v):
-            out.append(("pair", k, v))
-        if w in ("strong", "wv") and is_collectible(k):
-            out.append(("plain", k))
-        if w == "strong" and is_collectible(v):
-            out.append(("plain", v))
-    return w, out
+    table = theta.table(tid)
+    plain, strong = [], []
+    for k, v in table.fields:
+        plain += [loc(x) for x in (k, v) if collectible(x)]
+        if w == "wk" and collectible(v):
+            strong.append((loc(k), loc(v)))
+        if w in ("strong", "wv") and collectible(k):
+            strong.append((None, loc(k)))
+        if w == "strong" and collectible(v):
+            strong.append((None, loc(v)))
+    if table.meta is not None:
+        plain.append(("tid", table.meta))
+        strong.append((None, ("tid", table.meta)))
+    return w, tuple(dict.fromkeys(plain)), tuple(dict.fromkeys(strong))
 
 
 class TestTableMemos:
@@ -539,7 +596,7 @@ class TestTableMemos:
             assert again.discarded == o.discarded
             for tid, k, v in o.cleared_weak_fields:
                 mode_now = index_metatable(tid, "__mode", state.theta)
-                clears.append((mode_now.s, is_collectible(k), is_collectible(v)))
+                clears.append((mode_now.s, collectible(k), collectible(v)))
             return o
 
         monkeypatch.setattr(executor, "run_cycle", cycle)
@@ -585,7 +642,7 @@ class TestTableMemos:
                     m.without(Tid(2)), replace(m, fields=m.fields[:1])):
             assert new.edges == tuple(
                 (idx, loc(k), loc(v)) for idx, (k, v) in enumerate(new.fields)
-                if is_collectible(k) or is_collectible(v))
+                if collectible(k) or collectible(v))
         assert m.set(Str("__mode"), Nil()).mode_weakness == "strong"
 
     def test_memos_match_field_by_field_derivation(self):
@@ -598,9 +655,10 @@ class TestTableMemos:
             c = random_heap(rng, max_locs=12, weak=True)
             for _ in range(2):  # the second pass reads the memos
                 for i in c.theta.tables:
-                    w, occurrences = field_by_field(i, c.theta)
+                    w, plain, strong = field_by_field(i, c.theta)
                     assert weakness(i, c.theta) == w
-                    assert strong_occurrences(i, c.theta) == occurrences
+                    assert c.theta.table(i).targets == plain
+                    assert strong_edges(("tid", i), c.sigma, c.theta) == strong
 
 
 def edit_heap(rng, c: Configuration, edits: int) -> Configuration:

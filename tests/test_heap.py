@@ -68,7 +68,7 @@ class TestAllocTable:
     def test_table_and_closure_id_spaces_disjoint(self):
         theta, tid = alloc_table(ObjectStore(), ())
         theta, cid = alloc_closure(theta, (), A.Empty())
-        assert theta.has_table(tid) and theta.has_closure(cid)
+        assert tid in theta.tables and cid in theta.closures
 
     def test_nested_reference_stays_well_formed(self):
         theta, t0 = alloc_table(ObjectStore(), ())
@@ -190,6 +190,22 @@ class TestValidate:
         cfg = Configuration(ValueStore(), theta, A.ExprStat(A.Const(Tid(tid))))
         with pytest.raises(HeapError):
             validate(cfg)
+
+    @pytest.mark.parametrize("holder", ["ref", "table", "closure"])
+    def test_names_the_holder_of_an_unbound_location(self, holder):
+        sigma, theta = ValueStore(), ObjectStore()
+        if holder == "ref":
+            sigma, _ = alloc_value(sigma, Tid(9))
+            message = "$r1 holds unbound location ('tid', 9)"
+        elif holder == "table":
+            theta, _ = alloc_table(theta, ((Num(1), Tid(9)),))
+            message = "table #1 holds unbound location ('tid', 9)"
+        else:
+            theta, _ = alloc_closure(theta, (), A.Return((A.Ref(9),)))
+            message = "closure #1 holds unbound location ('ref', 9)"
+        with pytest.raises(HeapError) as info:
+            validate(Configuration(sigma, theta, A.Empty()))
+        assert str(info.value) == message
 
     def test_duplicate_priorities(self):
         theta, t1 = alloc_table(ObjectStore(), ())

@@ -232,10 +232,10 @@ class TestDeterminismAndPreservation:
     def test_unreachable_stays_unreachable(self):
         # locations unreachable before a program step stay unreachable
         config = load_program(corpus_text("deterministic/garbage_churn.lua"))
-        from luagc.gc import all_locations
+        from luagc.heap import locations
 
         for _ in range(600):
-            before = set(all_locations(config.sigma, config.theta))
+            before = set(locations(config.sigma, config.theta))
             unreachable = before - reach_set(
                 config.term, config.sigma, config.theta
             )
