@@ -235,7 +235,10 @@ def result_of_finished(d: Finished,
         label = "error"
     values, stores = _canonicalize(roots, config.sigma, config.theta)
     key = json.dumps({"k": label, "v": values, "s": stores}, sort_keys=True)
-    return ProgramResult(label, key)
+    # a program's result repeats across the runs of it that a caller keeps
+    # (schedule sweeps, repeated runs), and an interned key lets their
+    # records share one string, as the trace's location names do
+    return ProgramResult(label, sys.intern(key))
 
 
 BOTTOM_FUEL_RESULT = ProgramResult("bottom", BOTTOM_FUEL)

@@ -430,8 +430,10 @@ def validate(c: Configuration) -> None:
 
     Every location mentioned in the term or at the end of a heap-graph
     edge must be bound (so a metatable slot names a table), table fields
-    must contain no nils, and pending finalization priorities must be
-    pairwise distinct.
+    must contain no nils and no repeated key (``alloc_table`` and
+    ``TableObject.set`` keep keys distinct, and clearing a weak field drops
+    its key), and pending finalization priorities must be pairwise
+    distinct.
     """
     for loc in term_locations(c.term):
         if not _bound(loc, c.sigma, c.theta):
@@ -443,9 +445,13 @@ def validate(c: Configuration) -> None:
                                 f"location {n}")
     priorities = []
     for i, obj in c.theta.tables.items():
+        keys = set()
         for k, v in obj.fields:
             if isinstance(k, Nil) or isinstance(v, Nil):
                 raise HeapError(f"table #{i} stores a nil key or value")
+            if k in keys:
+                raise HeapError(f"table #{i} repeats the key {k!r}")
+            keys.add(k)
         if is_marked(obj.pos):
             priorities.append(obj.pos)
     if len(priorities) != len(set(priorities)):

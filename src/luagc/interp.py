@@ -5,6 +5,12 @@ evaluation context and a redex, reduce the redex, plug the result back.
 ``decompose`` returns the unique context/redex split (or a terminal
 classification), and ``step`` performs exactly one reduction.
 
+Both halves are tables.  Decomposition dispatches on the node's type
+(``_DECOMPOSE``): an entry says whether its node is a redex, and under
+which rule, ends the program, or descends into one child.  Contraction
+dispatches on the rule name (``_CONTRACT``): an entry returns the new
+stores, the term that fills the hole and the rule name the trace shows.
+
 The context is a list of frames, outermost first; each frame is a node with
 the slot its hole sits in.  A stepping loop does not decompose again from
 the root after each reduction: it *refocuses* (Danvy & Nielsen, *Refocusing
@@ -30,7 +36,9 @@ list is owned by the stepping loop: ``step`` on a focused configuration
 reuses it for the successor, so a stepped-from state must not be read again.
 
 Control effects (errors, break, return, pcall) unwind the context in a
-single step by cutting the frame list back to the matching delimiter.
+single step by cutting the frame list back to the matching delimiter,
+which is looked for from the top of the frame list: a ``return`` costs
+the distance to its call, not the depth of the context.
 
 A focused state also answers what a collection cycle asks of its term
 without plugging it: ``roots()``, the locations occurring in the term, and
@@ -54,7 +62,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import List, Optional, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from . import ast as A
 from .ast import (
@@ -99,31 +107,49 @@ class LuaError(Exception):
 _LIST_SLOTS = frozenset(("exprs", "args", "field_key", "field_value"))
 
 
-@dataclass(frozen=True)
 class Frame:
-    node: Term
-    slot: str
-    idx: int = 0
-    # In a list slot: the locations of the values before the hole, and the
-    # summaries of the rest of the node (``_Rest``), shared by every frame
-    # of one evaluation of the list.
-    done: Tuple[Location, ...] = field(default=(), compare=False, repr=False)
-    rest: Optional["_Rest"] = field(default=None, compare=False, repr=False)
+    """A node of the context with the slot its hole sits in.
 
-    @cached_property
+    In a list slot, ``done`` holds the locations of the values before the
+    hole and ``rest`` the summaries of the rest of the node (``_Rest``),
+    shared by every frame of one evaluation of the list.  Frames are
+    compared by identity: a refocused frame's slot still holds a stale
+    child.
+    """
+
+    __slots__ = ("node", "slot", "idx", "done", "rest", "_summary")
+
+    def __init__(self, node: Term, slot: str, idx: int = 0,
+                 done: Tuple[Location, ...] = (),
+                 rest: Optional["_Rest"] = None):
+        self.node = node
+        self.slot = slot
+        self.idx = idx
+        self.done = done
+        self.rest = rest
+        self._summary: Optional[A.Summary] = None
+
+    def __repr__(self) -> str:
+        return f"Frame({self.node!r}, {self.slot!r}, {self.idx})"
+
+    @property
     def summary(self) -> A.Summary:
         """The locations of ``node`` outside the hole, and whether that part
-        holds a finalizer marker (the node itself may be one).
+        holds a finalizer marker (the node itself may be one).  Computed on
+        first read.
 
         The hole is left out by position: once refocused, the slot still
         holds a stale child, which may be the same object as a sibling.  In
         a list slot the locations may repeat and are not in print order.
         """
-        if self.rest is None:
-            return summary(_replace_child(self.node, self.slot, self.idx,
-                                          _HOLE))
-        locs, marker = self.rest.after(_position(self.slot, self.idx))
-        return self.done + locs, marker
+        if self._summary is None:
+            if self.rest is None:
+                self._summary = summary(_replace_child(
+                    self.node, self.slot, self.idx, _HOLE))
+            else:
+                locs, marker = self.rest.after(_position(self.slot, self.idx))
+                self._summary = self.done + locs, marker
+        return self._summary
 
 
 class _Rest:
@@ -193,18 +219,16 @@ def _element(t: Term, p: int) -> Optional[Term]:
     return (t.args if isinstance(t, Call) else t.exprs)[p]
 
 
-def _frame(t: Term, slot: str, idx: int,
-           last: Optional[Frame] = None) -> Frame:
-    """The frame of ``t`` with its hole at ``slot``/``idx``.
+def _list_frame(t: Term, slot: str, idx: int,
+                last: Optional[Frame] = None) -> Frame:
+    """The frame of ``t`` with its hole at list slot ``slot``/``idx``.
 
-    In a list slot, ``last`` is the frame this one follows in the same
-    evaluation of the list, if any: the locations before the hole extend
-    its own by the positions that became values since, and the summaries
-    of the rest are its own.  Every position before a list hole holds a
-    value, so the work is that of the positions passed.
+    ``last`` is the frame this one follows in the same evaluation of the
+    list, if any: the locations before the hole extend its own by the
+    positions that became values since, and the summaries of the rest are
+    its own.  Every position before a list hole holds a value, so the work
+    is that of the positions passed.
     """
-    if slot not in _LIST_SLOTS:
-        return Frame(t, slot, idx)
     if last is None:
         start, done, rest = 0, (), _Rest(t)
     else:
@@ -219,11 +243,19 @@ def _frame(t: Term, slot: str, idx: int,
 _HOLE = Empty()
 
 
-@dataclass(frozen=True)
 class Redex:
-    frames: List[Frame]
-    term: Term
-    rule: str
+    """A redex ``term`` in the context ``frames``, reduced by ``rule``.
+    Compared by identity, like its frames."""
+
+    __slots__ = ("frames", "term", "rule")
+
+    def __init__(self, frames: List[Frame], term: Term, rule: str):
+        self.frames = frames
+        self.term = term
+        self.rule = rule
+
+    def __repr__(self) -> str:
+        return f"Redex({self.rule!r}, {self.term!r})"
 
 
 @dataclass(frozen=True)
@@ -237,8 +269,9 @@ class Finished:
     term: Optional[Term] = field(default=None, compare=False, repr=False)
 
 
-def _is_value(e: Term) -> bool:
-    return isinstance(e, Const)
+# What a fully evaluated expression in statement or result position is: one
+# value, or the values of a call.
+_RESULTS = (Const, ValueTuple)
 
 
 def flatten_el(exprs: Tuple[A.Expr, ...]) -> List[Value]:
@@ -281,19 +314,25 @@ def refocus(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
             d = _next_el(t, f.idx)
             if d is not None:
                 slot, idx, child = d
-                frames.append(_frame(t, slot, idx, f))
+                frames.append(_list_frame(t, slot, idx, f))
                 t = child
     return _descend(frames, t)
 
 
 def _descend(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
+    """Descend from ``t``, whose context is ``frames``, to the redex or the
+    final node, pushing a frame per node passed."""
     while True:
-        res = _inspect(t, frames)
-        if isinstance(res, (Redex, Finished)):
+        res = _DECOMPOSE.get(type(t), _stuck)(t, frames)
+        if type(res) is tuple:
+            slot, idx, child = res
+            frames.append(_list_frame(t, slot, idx) if slot in _LIST_SLOTS
+                          else Frame(t, slot, idx))
+            t = child
+        elif type(res) is str:
+            return Redex(frames, t, res)
+        else:
             return res
-        slot, idx, child = res
-        frames.append(_frame(t, slot, idx))
-        t = child
 
 
 def _next_el(t: Term, start: int):
@@ -303,140 +342,197 @@ def _next_el(t: Term, start: int):
     A trailing value tuple stays splicable; anywhere else it must still be
     truncated (and is itself the redex).
     """
-    if isinstance(t, TableCtor):
+    if type(t) is TableCtor:
         fields = t.fields
         for i in range(start, len(fields)):
             k, v = fields[i]
-            if k is not None and not isinstance(k, Const):
+            if k is not None and type(k) is not Const:
                 return ("field_key", i, k)
-            if not isinstance(v, Const):
+            if type(v) is not Const:
                 return ("field_value", i, v)
         return None
-    slot, seq = ("args", t.args) if isinstance(t, Call) else ("exprs", t.exprs)
+    slot, seq = ("args", t.args) if type(t) is Call else ("exprs", t.exprs)
     last = len(seq) - 1
     for i in range(start, last + 1):
         e = seq[i]
-        if not (isinstance(e, Const)
-                or (i == last and isinstance(e, ValueTuple))):
+        if not (type(e) is Const or (i == last and type(e) is ValueTuple)):
             return (slot, i, e)
     return None
 
 
-def _inspect(t: Term, frames: List[Frame]):
-    """One dispatch step: redex here, terminal here, or descend."""
-    # ---- statements -----------------------------------------------------
-    if isinstance(t, Empty):
-        if not frames:
-            return Finished("empty", frames=frames, term=t)
-        raise StuckTerm("empty statement in context position")
-    if isinstance(t, ErrTerm):
-        if not frames:
-            return Finished("error", error_value=t.value, frames=frames,
-                            term=t)
-        raise StuckTerm("error object in context position")
-    if isinstance(t, Seq):
-        if isinstance(t.first, Empty):
-            return Redex(frames, t, "seq")
-        return ("first", 0, t.first)
-    if isinstance(t, Local):
-        d = _next_el(t, 0)
-        return Redex(frames, t, "local") if d is None else d
-    if isinstance(t, Assign):
-        for i, x in enumerate(t.targets):
-            if isinstance(x, Ref):
-                continue
-            if isinstance(x, Index):
-                if not _is_value(x.obj):
-                    return ("target_obj", i, x.obj)
-                if not _is_value(x.key):
-                    return ("target_key", i, x.key)
-                continue
-            raise StuckTerm(f"unresolved assignment target {x!r}")
-        d = _next_el(t, 0)
-        return Redex(frames, t, "assign") if d is None else d
-    if isinstance(t, ExprStat):
-        if _is_value(t.expr) or isinstance(t.expr, ValueTuple):
-            return Redex(frames, t, "discard")
-        return ("expr", 0, t.expr)
-    if isinstance(t, If):
-        if _is_value(t.cond):
-            return Redex(frames, t, "if")
-        return ("cond", 0, t.cond)
-    if isinstance(t, While):
-        return Redex(frames, t, "loop-enter")
-    if isinstance(t, LoopFrame):
-        if isinstance(t.inner, While):
-            return Redex(frames, t, "loop-restart")
-        if isinstance(t.inner, Empty):
-            return Redex(frames, t, "loop-exit")
-        return ("inner", 0, t.inner)
-    if isinstance(t, Break):
-        return Redex(frames, t, "break")
-    if isinstance(t, Return):
-        d = _next_el(t, 0)
-        if d is not None:
-            return d
-        if any(isinstance(f.node, CallFrame) for f in frames):
-            return Redex(frames, t, "return")
-        return Finished("return", values=tuple(flatten_el(t.exprs)),
-                        frames=frames, term=t)
-    if isinstance(t, FinStat):
-        if isinstance(t.inner, Empty):
-            return Redex(frames, t, "fin-done")
-        return ("inner", 0, t.inner)
+def _innermost(frames: List[Frame], delimiter: type) -> int:
+    """The index of the innermost ``delimiter`` frame, looked for from the
+    top of the frame list; -1 if there is none."""
+    for i in range(len(frames) - 1, -1, -1):
+        if type(frames[i].node) is delimiter:
+            return i
+    return -1
 
-    # ---- expressions ----------------------------------------------------
-    if isinstance(t, Const):
+
+# Decomposition, keyed by node type.  An entry is given a node and its
+# context and returns the name of the rule that reduces the node, a
+# ``Finished`` if the node ends the program, or the ``(slot, index, child)``
+# to descend into.  Its ``rules`` are the rule names it can return.  A node
+# type without an entry is stuck wherever it occurs (``_stuck``).
+_DECOMPOSE: Dict[type, Callable[[Term, List[Frame]],
+                                 Union[str, Finished, tuple]]] = {}
+
+
+def _decomposes(*types: type, rules: Tuple[str, ...] = ()):
+    """Register the decorated function as the entry of ``types``."""
+    def register(fn):
+        fn.rules = rules
+        for ty in types:
+            _DECOMPOSE[ty] = fn
+        return fn
+    return register
+
+
+def _stuck(t: Term, frames: List[Frame]):
+    if type(t) is Const:
         raise StuckTerm("a bare value is not a program")
-    if isinstance(t, ValueTuple):
-        return Redex(frames, t, "truncate")
-    if isinstance(t, Ref):
-        return Redex(frames, t, "deref")
-    if isinstance(t, (Name, Globals)):
+    if type(t) in (Name, Globals):
         raise StuckTerm(f"unresolved name {A.to_source(t)}")
-    if isinstance(t, Index):
-        if not _is_value(t.obj):
-            return ("obj", 0, t.obj)
-        if not _is_value(t.key):
-            return ("key", 0, t.key)
-        return Redex(frames, t, "index")
-    if isinstance(t, Call):
-        if not _is_value(t.fn):
-            return ("fn", 0, t.fn)
-        d = _next_el(t, 0)
-        return Redex(frames, t, "call") if d is None else d
-    if isinstance(t, Function):
-        return Redex(frames, t, "closure")
-    if isinstance(t, TableCtor):
-        d = _next_el(t, 0)
-        return Redex(frames, t, "table") if d is None else d
-    if isinstance(t, BinOp):
-        if not _is_value(t.lhs):
-            return ("lhs", 0, t.lhs)
-        if not _is_value(t.rhs):
-            return ("rhs", 0, t.rhs)
-        return Redex(frames, t, "binop")
-    if isinstance(t, (And, Or)):
-        if not _is_value(t.lhs):
-            return ("lhs", 0, t.lhs)
-        return Redex(frames, t, "shortcut")
-    if isinstance(t, (Not, Neg)):
-        if not _is_value(t.operand):
-            return ("operand", 0, t.operand)
-        return Redex(frames, t, "unop")
-    if isinstance(t, CallFrame):
-        if isinstance(t.body, Empty):
-            return Redex(frames, t, "call-finish")
-        return ("body", 0, t.body)
-    if isinstance(t, ProtectedFrame):
-        if _is_value(t.inner) or isinstance(t.inner, ValueTuple):
-            return Redex(frames, t, "pcall-ok")
-        return ("inner", 0, t.inner)
-    if isinstance(t, FinWrap):
-        if _is_value(t.inner) or isinstance(t.inner, ValueTuple):
-            return Redex(frames, t, "fin-done")
-        return ("inner", 0, t.inner)
-    raise StuckTerm(f"cannot decompose {t!r}")  # pragma: no cover
+    raise StuckTerm(f"cannot decompose {t!r}")
+
+
+# The node types that are a redex wherever they occur.
+for _ty, _rule in ((While, "loop-enter"), (Break, "break"),
+                   (ValueTuple, "truncate"), (Ref, "deref"),
+                   (Function, "closure")):
+    _decomposes(_ty, rules=(_rule,))(lambda t, frames, rule=_rule: rule)
+del _ty, _rule
+
+
+# ---- statements -----------------------------------------------------------
+
+@_decomposes(Empty)
+def _d_empty(t, frames):
+    if frames:
+        raise StuckTerm("empty statement in context position")
+    return Finished("empty", frames=frames, term=t)
+
+
+@_decomposes(ErrTerm)
+def _d_error(t, frames):
+    if frames:
+        raise StuckTerm("error object in context position")
+    return Finished("error", error_value=t.value, frames=frames, term=t)
+
+
+@_decomposes(Seq, rules=("seq",))
+def _d_seq(t, frames):
+    return "seq" if type(t.first) is Empty else ("first", 0, t.first)
+
+
+@_decomposes(Local, rules=("local",))
+def _d_local(t, frames):
+    return _next_el(t, 0) or "local"
+
+
+@_decomposes(Assign, rules=("assign",))
+def _d_assign(t, frames):
+    for i, x in enumerate(t.targets):
+        if type(x) is Index:
+            if type(x.obj) is not Const:
+                return ("target_obj", i, x.obj)
+            if type(x.key) is not Const:
+                return ("target_key", i, x.key)
+        elif type(x) is not Ref:
+            raise StuckTerm(f"unresolved assignment target {x!r}")
+    return _next_el(t, 0) or "assign"
+
+
+@_decomposes(ExprStat, rules=("discard",))
+def _d_expr_stat(t, frames):
+    return "discard" if type(t.expr) in _RESULTS else ("expr", 0, t.expr)
+
+
+@_decomposes(If, rules=("if",))
+def _d_if(t, frames):
+    return "if" if type(t.cond) is Const else ("cond", 0, t.cond)
+
+
+@_decomposes(LoopFrame, rules=("loop-restart", "loop-exit"))
+def _d_loop_frame(t, frames):
+    if type(t.inner) is While:
+        return "loop-restart"
+    if type(t.inner) is Empty:
+        return "loop-exit"
+    return ("inner", 0, t.inner)
+
+
+@_decomposes(Return, rules=("return",))
+def _d_return(t, frames):
+    d = _next_el(t, 0)
+    if d is not None:
+        return d
+    if _innermost(frames, CallFrame) >= 0:
+        return "return"
+    return Finished("return", values=tuple(flatten_el(t.exprs)),
+                    frames=frames, term=t)
+
+
+@_decomposes(FinStat, rules=("fin-done",))
+def _d_fin_stat(t, frames):
+    return "fin-done" if type(t.inner) is Empty else ("inner", 0, t.inner)
+
+
+# ---- expressions ----------------------------------------------------------
+
+@_decomposes(Index, rules=("index",))
+def _d_index(t, frames):
+    if type(t.obj) is not Const:
+        return ("obj", 0, t.obj)
+    if type(t.key) is not Const:
+        return ("key", 0, t.key)
+    return "index"
+
+
+@_decomposes(Call, rules=("call",))
+def _d_call(t, frames):
+    if type(t.fn) is not Const:
+        return ("fn", 0, t.fn)
+    return _next_el(t, 0) or "call"
+
+
+@_decomposes(TableCtor, rules=("table",))
+def _d_table(t, frames):
+    return _next_el(t, 0) or "table"
+
+
+@_decomposes(BinOp, rules=("binop",))
+def _d_binop(t, frames):
+    if type(t.lhs) is not Const:
+        return ("lhs", 0, t.lhs)
+    if type(t.rhs) is not Const:
+        return ("rhs", 0, t.rhs)
+    return "binop"
+
+
+@_decomposes(And, Or, rules=("shortcut",))
+def _d_shortcut(t, frames):
+    return "shortcut" if type(t.lhs) is Const else ("lhs", 0, t.lhs)
+
+
+@_decomposes(Not, Neg, rules=("unop",))
+def _d_unop(t, frames):
+    return "unop" if type(t.operand) is Const else ("operand", 0, t.operand)
+
+
+@_decomposes(CallFrame, rules=("call-finish",))
+def _d_call_frame(t, frames):
+    return "call-finish" if type(t.body) is Empty else ("body", 0, t.body)
+
+
+@_decomposes(ProtectedFrame, rules=("pcall-ok",))
+def _d_protected(t, frames):
+    return "pcall-ok" if type(t.inner) in _RESULTS else ("inner", 0, t.inner)
+
+
+@_decomposes(FinWrap, rules=("fin-done",))
+def _d_fin_wrap(t, frames):
+    return "fin-done" if type(t.inner) in _RESULTS else ("inner", 0, t.inner)
 
 
 # ---------------------------------------------------------------------------
@@ -612,13 +708,13 @@ def step(config: Union[Configuration, Focused]) -> Union[StepResult, Finished]:
     :class:`Focused` one is stepped from its split, whose frame list the
     successor takes over.
     """
-    state = config if isinstance(config, Focused) else Focused.of(config)
+    state = config if type(config) is Focused else Focused.of(config)
     d = state.at
-    if isinstance(d, Finished):
+    if type(d) is Finished:
         return d
     out: List[str] = []
     try:
-        sigma, theta, hole, rule, gc_request = _apply(
+        sigma, theta, hole, rule, gc_request = _CONTRACT[d.rule](
             d, state.sigma, state.theta, out)
     except LuaError as e:
         hole = _unwind_error(d.frames, e.value)
@@ -630,11 +726,11 @@ def step(config: Union[Configuration, Focused]) -> Union[StepResult, Finished]:
 def _unwind(frames: List[Frame], delimiter: type) -> bool:
     """Cut ``frames`` back to just outside the innermost ``delimiter``
     frame; False (and ``frames`` untouched) if there is none."""
-    for i in range(len(frames) - 1, -1, -1):
-        if isinstance(frames[i].node, delimiter):
-            del frames[i:]
-            return True
-    return False
+    i = _innermost(frames, delimiter)
+    if i < 0:
+        return False
+    del frames[i:]
+    return True
 
 
 def _unwind_error(frames: List[Frame], v: Value) -> Term:
@@ -644,152 +740,176 @@ def _unwind_error(frames: List[Frame], v: Value) -> Term:
     return ErrTerm(v)
 
 
-def _apply(d: Redex, sigma: ValueStore, theta: ObjectStore,
-           out: List[str]) -> _Contracted:
+def _bind(sigma: ValueStore, names: Tuple[str, ...], vals: List[Value]):
+    """Allocate a reference per name, holding its value adjusted to the
+    names; the new store and the name-to-reference substitution."""
+    mapping = {}
+    for name, v in zip(names, adjust(vals, len(names))):
+        sigma, r = alloc_value(sigma, v)
+        mapping[name] = r
+    return sigma, mapping
+
+
+# Contraction, keyed by rule name.  An entry is given the redex, the stores
+# and the list that ``print`` appends to.  The statement and expression
+# rules whose result is fixed by the redex alone are the lambdas in the
+# table itself.
+
+def _c_local(d: Redex, sigma, theta, out) -> _Contracted:
     t = d.term
-    rule = d.rule
+    sigma, mapping = _bind(sigma, t.names, flatten_el(t.exprs))
+    return sigma, theta, A.subst(t.body, mapping), "local", False
 
-    def done_with(new_term, new_sigma=None, new_theta=None, rule_name=None,
-                  gc_request=False) -> _Contracted:
-        s = new_sigma if new_sigma is not None else sigma
-        th = new_theta if new_theta is not None else theta
-        return s, th, new_term, rule_name or rule, gc_request
 
-    # ---- statements -----------------------------------------------------
-    if rule == "seq":
-        assert isinstance(t, Seq)
-        return done_with(t.rest)
-    if rule == "local":
-        assert isinstance(t, Local)
-        vals = adjust(flatten_el(t.exprs), len(t.names))
-        mapping = {}
-        for name, v in zip(t.names, vals):
-            sigma, r = alloc_value(sigma, v)
-            mapping[name] = r
-        return done_with(A.subst(t.body, mapping), new_sigma=sigma)
-    if rule == "assign":
-        assert isinstance(t, Assign)
-        vals = adjust(flatten_el(t.exprs), len(t.targets))
-        for target, v in zip(t.targets, vals):
-            if isinstance(target, Ref):
-                sigma = sigma.bind(target.r, v)
-            else:
-                assert isinstance(target, Index)
-                obj = target.obj.value  # type: ignore[union-attr]
-                key = target.key.value  # type: ignore[union-attr]
-                theta = _table_write(theta, obj, key, v)
-        return done_with(Empty(), new_sigma=sigma, new_theta=theta)
-    if rule == "discard":
-        return done_with(Empty())
-    if rule == "if":
-        assert isinstance(t, If)
-        cond = t.cond.value  # type: ignore[union-attr]
-        return done_with(
-            t.then_body if truthy(cond) else t.else_body,
-            rule_name="if-true" if truthy(cond) else "if-false",
-        )
-    if rule == "loop-enter":
-        assert isinstance(t, While)
-        return done_with(LoopFrame(t, pos=t.pos))
-    if rule == "loop-restart":
-        assert isinstance(t, LoopFrame) and isinstance(t.inner, While)
-        w = t.inner
-        unrolled = If(w.cond, Seq(w.body, w, pos=w.pos), Empty(), pos=w.pos)
-        return done_with(LoopFrame(unrolled, pos=t.pos))
-    if rule == "loop-exit":
-        return done_with(Empty())
-    if rule == "break":
-        if _unwind(d.frames, LoopFrame):
-            return done_with(Empty())
-        raise StuckTerm("break outside any loop")
-    if rule == "return":
-        assert isinstance(t, Return)
-        vals = tuple(flatten_el(t.exprs))
-        if _unwind(d.frames, CallFrame):
-            return done_with(ValueTuple(vals))
-        raise StuckTerm("return-unwind without a call frame")
-    if rule == "fin-done":
-        if isinstance(t, FinStat):
-            return done_with(Empty())
-        assert isinstance(t, FinWrap)
-        return done_with(t.inner)
-
-    # ---- expressions ----------------------------------------------------
-    if rule == "deref":
-        assert isinstance(t, Ref)
-        return done_with(Const(sigma.lookup(t.r)))
-    if rule == "truncate":
-        assert isinstance(t, ValueTuple)
-        v = t.values[0] if t.values else Nil()
-        return done_with(Const(v))
-    if rule == "index":
-        assert isinstance(t, Index)
-        obj = t.obj.value  # type: ignore[union-attr]
-        key = t.key.value  # type: ignore[union-attr]
-        new_term, rname = _index_read(theta, obj, key, t.pos)
-        return done_with(new_term, rule_name=rname)
-    if rule == "call":
-        assert isinstance(t, Call)
-        fn = t.fn.value  # type: ignore[union-attr]
-        args = flatten_el(t.args)
-        if isinstance(fn, Cid):
-            clo = theta.closure(fn.n)
-            vals = adjust(args, len(clo.params))
-            mapping = {}
-            for name, v in zip(clo.params, vals):
-                sigma, r = alloc_value(sigma, v)
-                mapping[name] = r
-            body = A.subst(clo.body, mapping)
-            return done_with(CallFrame(body, pos=t.pos), new_sigma=sigma)
-        if isinstance(fn, A.Builtin):
-            return _call_builtin(fn.name, args, t, theta, done_with, out)
-        raise LuaError.msg(f"attempt to call a {type_name(fn)} value")
-    if rule == "closure":
-        assert isinstance(t, Function)
-        theta2, cid = alloc_closure(theta, t.params, t.body)
-        return done_with(Const(Cid(cid)), new_theta=theta2)
-    if rule == "table":
-        assert isinstance(t, TableCtor)
-        pairs = []
-        for k, v in t.fields:
-            assert k is not None
-            pairs.append((k.value, v.value))  # type: ignore[union-attr]
-        try:
-            theta2, tid = alloc_table(theta, tuple(pairs))
-        except InvalidKey as e:
-            raise LuaError.msg(str(e)) from None
-        return done_with(Const(Tid(tid)), new_theta=theta2)
-    if rule == "binop":
-        assert isinstance(t, BinOp)
-        lhs = t.lhs.value  # type: ignore[union-attr]
-        rhs = t.rhs.value  # type: ignore[union-attr]
-        return done_with(Const(_binop(t.op, lhs, rhs)))
-    if rule == "shortcut":
-        lhs = t.lhs.value  # type: ignore[union-attr]
-        if isinstance(t, And):
-            return done_with(t.rhs if truthy(lhs) else Const(lhs), rule_name="and")
-        assert isinstance(t, Or)
-        return done_with(Const(lhs) if truthy(lhs) else t.rhs, rule_name="or")
-    if rule == "unop":
-        v = t.operand.value  # type: ignore[union-attr]
-        if isinstance(t, Not):
-            return done_with(Const(A.Bool(not truthy(v))), rule_name="not")
-        if not isinstance(v, Num):
-            raise LuaError.msg(
-                f"attempt to perform arithmetic on a {type_name(v)} value"
-            )
-        return done_with(Const(Num(-v.x)), rule_name="neg")
-    if rule == "call-finish":
-        return done_with(ValueTuple(()))
-    if rule == "pcall-ok":
-        assert isinstance(t, ProtectedFrame)
-        if isinstance(t.inner, Const):
-            vals: Tuple[Value, ...] = (t.inner.value,)
+def _c_assign(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    vals = adjust(flatten_el(t.exprs), len(t.targets))
+    for target, v in zip(t.targets, vals):
+        if type(target) is Ref:
+            sigma = sigma.bind(target.r, v)
         else:
-            assert isinstance(t.inner, ValueTuple)
-            vals = t.inner.values
-        return done_with(ValueTuple((A.TRUE,) + vals))
-    raise StuckTerm(f"no rule for {rule}")  # pragma: no cover
+            theta = _table_write(theta, target.obj.value, target.key.value, v)
+    return sigma, theta, Empty(), "assign", False
+
+
+def _c_if(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    if truthy(t.cond.value):
+        return sigma, theta, t.then_body, "if-true", False
+    return sigma, theta, t.else_body, "if-false", False
+
+
+def _c_loop_restart(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    w = t.inner
+    unrolled = If(w.cond, Seq(w.body, w, pos=w.pos), Empty(), pos=w.pos)
+    return sigma, theta, LoopFrame(unrolled, pos=t.pos), "loop-restart", False
+
+
+def _c_break(d: Redex, sigma, theta, out) -> _Contracted:
+    if not _unwind(d.frames, LoopFrame):
+        raise StuckTerm("break outside any loop")
+    return sigma, theta, Empty(), "break", False
+
+
+def _c_return(d: Redex, sigma, theta, out) -> _Contracted:
+    vals = tuple(flatten_el(d.term.exprs))
+    if not _unwind(d.frames, CallFrame):
+        raise StuckTerm("return-unwind without a call frame")
+    return sigma, theta, ValueTuple(vals), "return", False
+
+
+def _c_fin_done(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    hole = Empty() if type(t) is FinStat else t.inner
+    return sigma, theta, hole, "fin-done", False
+
+
+def _c_truncate(d: Redex, sigma, theta, out) -> _Contracted:
+    values = d.term.values
+    return sigma, theta, Const(values[0] if values else Nil()), "truncate", False
+
+
+def _c_index(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    hole, rule = _index_read(theta, t.obj.value, t.key.value, t.pos)
+    return sigma, theta, hole, rule, False
+
+
+def _c_call(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    fn = t.fn.value
+    args = flatten_el(t.args)
+    if isinstance(fn, Cid):
+        clo = theta.closure(fn.n)
+        sigma, mapping = _bind(sigma, clo.params, args)
+        body = CallFrame(A.subst(clo.body, mapping), pos=t.pos)
+        return sigma, theta, body, "call", False
+    if isinstance(fn, A.Builtin):
+        theta, hole, gc_request = _call_builtin(fn.name, args, t, theta, out)
+        return sigma, theta, hole, f"builtin:{fn.name}", gc_request
+    raise LuaError.msg(f"attempt to call a {type_name(fn)} value")
+
+
+def _c_closure(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    theta, cid = alloc_closure(theta, t.params, t.body)
+    return sigma, theta, Const(Cid(cid)), "closure", False
+
+
+def _c_table(d: Redex, sigma, theta, out) -> _Contracted:
+    pairs = tuple((k.value, v.value) for k, v in d.term.fields)
+    try:
+        theta, tid = alloc_table(theta, pairs)
+    except InvalidKey as e:
+        raise LuaError.msg(str(e)) from None
+    return sigma, theta, Const(Tid(tid)), "table", False
+
+
+def _c_binop(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    return (sigma, theta, Const(_binop(t.op, t.lhs.value, t.rhs.value)),
+            "binop", False)
+
+
+def _c_shortcut(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    lhs = t.lhs.value
+    if type(t) is And:
+        return sigma, theta, t.rhs if truthy(lhs) else Const(lhs), "and", False
+    return sigma, theta, Const(lhs) if truthy(lhs) else t.rhs, "or", False
+
+
+def _c_unop(d: Redex, sigma, theta, out) -> _Contracted:
+    t = d.term
+    v = t.operand.value
+    if type(t) is Not:
+        return sigma, theta, Const(A.Bool(not truthy(v))), "not", False
+    if not isinstance(v, Num):
+        raise LuaError.msg(
+            f"attempt to perform arithmetic on a {type_name(v)} value")
+    return sigma, theta, Const(Num(-v.x)), "neg", False
+
+
+def _c_pcall_ok(d: Redex, sigma, theta, out) -> _Contracted:
+    inner = d.term.inner
+    vals = (inner.value,) if type(inner) is Const else inner.values
+    return sigma, theta, ValueTuple((A.TRUE,) + vals), "pcall-ok", False
+
+
+_CONTRACT: Dict[str, Callable[[Redex, ValueStore, ObjectStore, List[str]],
+                               _Contracted]] = {
+    # ---- statements -------------------------------------------------------
+    "seq": lambda d, sigma, theta, out: (
+        sigma, theta, d.term.rest, "seq", False),
+    "local": _c_local,
+    "assign": _c_assign,
+    "discard": lambda d, sigma, theta, out: (
+        sigma, theta, Empty(), "discard", False),
+    "if": _c_if,
+    "loop-enter": lambda d, sigma, theta, out: (
+        sigma, theta, LoopFrame(d.term, pos=d.term.pos), "loop-enter", False),
+    "loop-restart": _c_loop_restart,
+    "loop-exit": lambda d, sigma, theta, out: (
+        sigma, theta, Empty(), "loop-exit", False),
+    "break": _c_break,
+    "return": _c_return,
+    "fin-done": _c_fin_done,
+    # ---- expressions ------------------------------------------------------
+    "deref": lambda d, sigma, theta, out: (
+        sigma, theta, Const(sigma.lookup(d.term.r)), "deref", False),
+    "truncate": _c_truncate,
+    "index": _c_index,
+    "call": _c_call,
+    "closure": _c_closure,
+    "table": _c_table,
+    "binop": _c_binop,
+    "shortcut": _c_shortcut,
+    "unop": _c_unop,
+    "call-finish": lambda d, sigma, theta, out: (
+        sigma, theta, ValueTuple(()), "call-finish", False),
+    "pcall-ok": _c_pcall_ok,
+}
 
 
 def _table_write(theta: ObjectStore, obj: Value, key: Value, v: Value) -> ObjectStore:
@@ -804,14 +924,15 @@ def _table_write(theta: ObjectStore, obj: Value, key: Value, v: Value) -> Object
 
 
 def _index_read(theta: ObjectStore, obj: Value, key: Value, pos):
+    """The term an index reads, and the rule name it is traced under."""
     if not isinstance(obj, Tid):
         raise LuaError.msg(f"attempt to index a {type_name(obj)} value")
     table = theta.table(obj.n)
     if table.has(key):
-        return Const(table.get(key)), None
+        return Const(table.get(key)), "index"
     handler = index_metatable(obj.n, "__index", theta)
     if isinstance(handler, Nil):
-        return Const(Nil()), None
+        return Const(Nil()), "index"
     if isinstance(handler, Tid):
         # repeat the access on the handler table
         return Index(Const(handler), Const(key), pos=pos), "index-meta"
@@ -865,25 +986,26 @@ def _binop(op: str, a: Value, b: Value) -> Value:
     raise StuckTerm(f"unknown operator {op}")  # pragma: no cover
 
 
-def _call_builtin(name: str, args: List[Value], t, theta, done_with, out):
-    rule_name = f"builtin:{name}"
+def _call_builtin(name: str, args: List[Value], t: Call, theta: ObjectStore,
+                  out: List[str]) -> Tuple[ObjectStore, Term, bool]:
+    """A builtin call's object store, result and drain request."""
     if name == "print":
         out.append("\t".join(render(v) for v in args))
-        return done_with(ValueTuple(()), rule_name=rule_name)
+        return theta, ValueTuple(()), False
     if name == "tostring":
         v = args[0] if args else Nil()
         if isinstance(v, (Tid, Cid, A.Builtin)):
             raise LuaError.msg(
                 f"{type_name(v)} identity is not observable in this model"
             )
-        return done_with(Const(Str(render(v))), rule_name=rule_name)
+        return theta, Const(Str(render(v))), False
     if name == "error":
         raise LuaError(args[0] if args else Nil())
     if name == "pcall":
         if not args:
             raise LuaError.msg("bad argument #1 to 'pcall' (value expected)")
         inner = Call(Const(args[0]), tuple(Const(a) for a in args[1:]), pos=t.pos)
-        return done_with(ProtectedFrame(inner, pos=t.pos), rule_name=rule_name)
+        return theta, ProtectedFrame(inner, pos=t.pos), False
     if name == "setmetatable":
         if not args or not isinstance(args[0], Tid):
             raise LuaError.msg(
@@ -901,20 +1023,20 @@ def _call_builtin(name: str, args: List[Value], t, theta, done_with, out):
         mark = set_fin(tid, meta, theta)
         new_meta = meta.n if isinstance(meta, Tid) else None
         theta = theta.put_table(tid, replace(table, meta=new_meta, pos=mark))
-        return done_with(Const(args[0]), new_theta=theta, rule_name=rule_name)
+        return theta, Const(args[0]), False
     if name == "getmetatable":
         v = args[0] if args else Nil()
         if not isinstance(v, Tid):
-            return done_with(Const(Nil()), rule_name=rule_name)
+            return theta, Const(Nil()), False
         table = theta.table(v.n)
         if table.meta is None:
-            return done_with(Const(Nil()), rule_name=rule_name)
+            return theta, Const(Nil()), False
         guard = index_metatable(v.n, "__metatable", theta)
         if not isinstance(guard, Nil):
-            return done_with(Const(guard), rule_name=rule_name)
-        return done_with(Const(Tid(table.meta)), rule_name=rule_name)
+            return theta, Const(guard), False
+        return theta, Const(Tid(table.meta)), False
     if name == "collectgarbage":
-        return done_with(Const(Num(0.0)), rule_name=rule_name, gc_request=True)
+        return theta, Const(Num(0.0)), True
     raise LuaError.msg(f"attempt to call unknown builtin '{name}'")
 
 

@@ -178,11 +178,18 @@ def random_heap(rng: random.Random, max_locs: int = 12,
     tables: Dict[int, dict] = {}
     for t in tids:
         fields = []
+        keys = set()
         for i in range(rng.randint(0, 3)):
             if rng.random() < 0.3:
                 k: object = some_loc() or Num(float(i + 1))
             else:
                 k = Num(float(i + 1))
+            # no program builds a table that repeats a key: a location
+            # drawn twice falls back to this field's number, which no
+            # other field has
+            if k in keys:
+                k = Num(float(i + 1))
+            keys.add(k)
             v = some_loc() or Str("leaf")
             fields.append((k, v))
         meta = rng.choice([None] + tids) if rng.random() < 0.4 else None

@@ -633,6 +633,19 @@ def recursion_program(depth: int) -> str:
     )
 
 
+def on_dispatch(m, hook) -> None:
+    """Make every entry of the decomposition table, which ``_descend``
+    dispatches through, call ``hook(node)`` first."""
+    def wrap(entry):
+        def hooked(t, frames):
+            hook(t)
+            return entry(t, frames)
+        return hooked
+
+    m.setattr(interp, "_DECOMPOSE",
+              {ty: wrap(e) for ty, e in interp._DECOMPOSE.items()})
+
+
 class TestRefocusing:
     """The scheduled driver refocuses from the hole after each step; its
     focus must always be the root decomposition of the term it stands for."""
@@ -675,26 +688,73 @@ class TestRefocusing:
             assert result(ref) == rec.result
 
     @staticmethod
-    def inspects_per_step(monkeypatch, depth: int) -> float:
+    def dispatches_per_step(monkeypatch, depth: int) -> float:
         config = load_program(recursion_program(depth))
         calls = 0
-        real = interp._inspect
 
-        def counting(t, frames):
+        def count(t):
             nonlocal calls
             calls += 1
-            return real(t, frames)
 
         with monkeypatch.context() as m:
-            m.setattr(interp, "_inspect", counting)
+            on_dispatch(m, count)
             rec = run(config, Schedule("never"), fuel=100_000)
         assert rec.result.kind == "return"
         return calls / rec.steps
 
     def test_descent_per_step_independent_of_depth(self, monkeypatch):
-        shallow = self.inspects_per_step(monkeypatch, 50)
-        deep = self.inspects_per_step(monkeypatch, 400)
+        shallow = self.dispatches_per_step(monkeypatch, 50)
+        deep = self.dispatches_per_step(monkeypatch, 400)
+        # every step refocuses, so each dispatches at least once
+        assert shallow >= 1 and deep >= 1
         assert deep <= 1.5 * shallow
+
+    @staticmethod
+    def frames_read_per_step(monkeypatch, text: str) -> int:
+        """The most frames one step of a ``never`` run of ``text`` reads
+        (each read of a frame's node counts)."""
+        base, node = interp.Frame, interp.Frame.node
+        reads = most = 0
+
+        class CountingFrame(base):
+            __slots__ = ()
+
+            @property
+            def node(self):
+                nonlocal reads
+                reads += 1
+                return node.__get__(self)
+
+            @node.setter
+            def node(self, n):
+                node.__set__(self, n)
+
+        real = executor.step
+
+        def stepping(state):
+            nonlocal reads, most
+            reads = 0
+            res = real(state)
+            most = max(most, reads)
+            return res
+
+        with monkeypatch.context() as m:
+            m.setattr(interp, "Frame", CountingFrame)
+            m.setattr(executor, "step", stepping)
+            rec = run(load_program(text), Schedule("never"), fuel=100_000)
+        assert rec.result.kind == "return" and most > 0
+        return most
+
+    @pytest.mark.parametrize("program", [
+        # the call sits under `depth` pending additions
+        lambda depth: ("local f = function() return 1 end\nreturn "
+                       + "0 + (" * depth + "f()" + ")" * depth + "\n"),
+        recursion_program,
+    ], ids=["call_under_additions", "recursion"])
+    def test_return_reads_frames_to_its_call(self, monkeypatch, program):
+        shallow = self.frames_read_per_step(monkeypatch, program(50))
+        deep = self.frames_read_per_step(monkeypatch, program(400))
+        assert deep <= shallow
 
     def test_deep_recursion_completes(self):
         rec = run(load_program(recursion_program(400)), Schedule("never"),
@@ -940,25 +1000,24 @@ class TestStateDerivedFacts:
     @staticmethod
     def work_per_step(monkeypatch, text: str) -> float:
         """Nodes summarized, each with the children it reads, plus
-        ``_inspect`` calls, each with the sub-terms its scan may pass,
+        decomposition dispatches, each with the sub-terms its scan may pass,
         per step of an eager run."""
         config = load_program(text)
         work = 0
-        real_summarize, real_inspect = A._summarize, interp._inspect
+        real_summarize = A._summarize
 
         def summarize(n):
             nonlocal work
             work += 1 + len(A.children(n))
             return real_summarize(n)
 
-        def inspect(t, frames):
+        def inspect(t):
             nonlocal work
             work += 1 + len(A.children(t))
-            return real_inspect(t, frames)
 
         with monkeypatch.context() as m:
             m.setattr(A, "_summarize", summarize)
-            m.setattr(interp, "_inspect", inspect)
+            on_dispatch(m, inspect)
             rec = run(config, Schedule("eager", "fin_weak"), fuel=100_000)
         assert rec.result.kind == "return"
         return work / rec.steps

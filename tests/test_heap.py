@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from luagc.heap import (
 )
 from luagc.executor import Schedule, run
 from luagc.interp import load_program
+
+from heapgen import random_heap
 
 
 def empty_config(term=None):
@@ -206,6 +209,20 @@ class TestValidate:
         with pytest.raises(HeapError) as info:
             validate(Configuration(sigma, theta, A.Empty()))
         assert str(info.value) == message
+
+    def test_repeated_key(self):
+        theta, _ = alloc_table(ObjectStore(), ())
+        theta = theta.put_table(1, TableObject(
+            ((Num(1), Str("a")), (Str("k"), Str("b")), (Num(1), Str("c")))))
+        with pytest.raises(HeapError) as info:
+            validate(Configuration(ValueStore(), theta, A.Empty()))
+        assert str(info.value) == "table #1 repeats the key 1"
+
+    @pytest.mark.parametrize("max_locs", [6, 12, 20])
+    def test_random_heaps_are_valid(self, max_locs):
+        for seed in range(300):
+            validate(random_heap(random.Random(seed), max_locs=max_locs,
+                                 weak=seed % 2 == 1))
 
     def test_duplicate_priorities(self):
         theta, t1 = alloc_table(ObjectStore(), ())

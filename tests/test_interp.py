@@ -1,20 +1,24 @@
+from typing import get_args
+
 import pytest
 
 from luagc import ast as A
+from luagc import interp
 from luagc.ast import Num, Str
-from luagc.executor import Machine, Schedule
+from luagc.executor import Machine, Schedule, run
 from luagc.gc import reach_set
 from luagc.heap import validate
 from luagc.interp import (
     Finished,
     Focused,
     Redex,
+    StuckTerm,
     decompose,
     load_program,
     step,
 )
 
-from conftest import corpus_text, deterministic_programs
+from conftest import CORPUS, corpus_text, deterministic_programs
 
 
 def machine(text, fuel=10_000) -> Machine:
@@ -70,6 +74,55 @@ class TestDecompose:
             assert plug(d.frames, d.term) == config.term
             res = step(config)
             config = res.config
+
+
+# The node types that are stuck wherever they occur: a bare value, a name
+# that loading did not resolve, and the parser's statement list.
+STUCK = {A.Const, A.Name, A.Globals, A.Block}
+
+
+class TestDispatchTables:
+    """Every node type decomposes by a table entry or is stuck, and every
+    rule a decomposition entry can return has a contraction entry, so a
+    missing entry fails here rather than in a program run."""
+
+    def test_every_node_type_has_an_entry_or_is_stuck(self):
+        for ty in get_args(A.Term):
+            assert (ty in interp._DECOMPOSE) != (ty in STUCK), ty.__name__
+
+    @pytest.mark.parametrize("node", [
+        A.Const(Num(1)), A.Name("x"), A.Globals(), A.Block(()),
+    ], ids=lambda n: type(n).__name__)
+    def test_stuck_node_types_raise(self, node):
+        with pytest.raises(StuckTerm):
+            decompose(node)
+
+    def test_every_rule_has_exactly_one_contraction(self):
+        rules = {r for e in interp._DECOMPOSE.values() for r in e.rules}
+        # a rule without a contraction, or a contraction no entry returns
+        assert rules == set(interp._CONTRACT)
+
+    def test_corpus_redexes_have_declared_rules(self, monkeypatch):
+        met = set()
+
+        def checked(entry):
+            def decompose_checked(t, frames):
+                res = entry(t, frames)
+                if type(res) is str:
+                    assert res in entry.rules, (type(t).__name__, res)
+                    met.add(res)
+                return res
+            return decompose_checked
+
+        monkeypatch.setattr(interp, "_DECOMPOSE", {
+            ty: checked(e) for ty, e in interp._DECOMPOSE.items()})
+        texts = [p.read_text() for p in sorted(CORPUS.glob("*/*.lua"))]
+        # no corpus program calls pcall on a function that returns
+        texts.append("return pcall(function() return 1 end)")
+        for schedule in (Schedule("never"), Schedule("eager", "fin_weak")):
+            for text in texts:
+                run(load_program(text), schedule, fuel=2_000)
+        assert met == set(interp._CONTRACT)
 
 
 class TestStepBasics:
