@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple, Union, get_args
+from typing import TYPE_CHECKING, Iterator, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,8 @@ class Builtin:
         return f"function: builtin:{self.name}"
 
 
-Value = Union[Nil, Bool, Num, Str, Tid, Cid, Builtin]
+if TYPE_CHECKING:
+    Value = Union[Nil, Bool, Num, Str, Tid, Cid, Builtin]
 
 NIL = Nil()
 TRUE = Bool(True)
@@ -269,25 +270,17 @@ class FinWrap:
     pos: Optional[Pos] = _pos_field()
 
 
-Expr = Union[
-    Const,
-    Name,
-    Globals,
-    Ref,
-    ValueTuple,
-    Index,
-    Call,
-    Function,
-    TableCtor,
-    BinOp,
-    And,
-    Or,
-    Not,
-    Neg,
-    CallFrame,
-    ProtectedFrame,
-    FinWrap,
-]
+# The expression and statement node kinds.  The ``Union`` aliases exist only
+# for type checkers: a runtime ``typing`` alias is cached by ``typing`` and
+# would keep the classes, and so this module, alive after a fresh import.
+EXPR_TYPES = (Const, Name, Globals, Ref, ValueTuple, Index, Call, Function,
+              TableCtor, BinOp, And, Or, Not, Neg, CallFrame, ProtectedFrame,
+              FinWrap)
+
+if TYPE_CHECKING:
+    Expr = Union[Const, Name, Globals, Ref, ValueTuple, Index, Call, Function,
+                 TableCtor, BinOp, And, Or, Not, Neg, CallFrame,
+                 ProtectedFrame, FinWrap]
 
 
 # ---------------------------------------------------------------------------
@@ -390,26 +383,17 @@ class Block:
     pos: Optional[Pos] = _pos_field()
 
 
-Stat = Union[
-    Empty,
-    Seq,
-    Local,
-    Assign,
-    ExprStat,
-    If,
-    While,
-    Break,
-    Return,
-    LoopFrame,
-    ErrTerm,
-    FinStat,
-    Block,
-]
+STAT_TYPES = (Empty, Seq, Local, Assign, ExprStat, If, While, Break, Return,
+              LoopFrame, ErrTerm, FinStat, Block)
+TERM_TYPES = STAT_TYPES + EXPR_TYPES
 
-Term = Union[Stat, Expr]
+if TYPE_CHECKING:
+    Stat = Union[Empty, Seq, Local, Assign, ExprStat, If, While, Break, Return,
+                 LoopFrame, ErrTerm, FinStat, Block]
+    Term = Union[Stat, Expr]
 
 
-_STATS = frozenset(get_args(Stat))
+_STATS = frozenset(STAT_TYPES)
 
 
 def is_stat(t: Term) -> bool:
@@ -436,7 +420,7 @@ def _hash_once(cls: type) -> None:
 
 # Memo slots read by ``__hash__`` and ``summary``; they are not dataclass
 # fields, so equality, ``replace`` and printing ignore them.
-for _cls in get_args(Term):
+for _cls in TERM_TYPES:
     _cls._hash = None
     _cls._summary = None
     _hash_once(_cls)

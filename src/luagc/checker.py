@@ -23,20 +23,21 @@ access point we chase type structure through strong occurrences only
 collected) and ask whether some strongly held type covers the accessed
 labels.  A read sees the field maps as they were before the walk's later
 writes; a closure may run after them, so the value must also be held in
-the maps as the program leaves them.
+the maps as the program leaves them.  Reachability is decided from the
+valid definitions alone; the sorted witness of a diagnostic and the source
+text of the read are built only for a read that is reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from . import ast as A
 from .dataflow import OutOfScopeConstruct, ReachingDefs, build_cfg, original_name
 from .desugar import desugar
 from .inference import (
     InferenceFailure,
-    InfType,
     TypedProgram,
     deep_resolve,
     infer,
@@ -49,12 +50,16 @@ from .statictypes import (
     BuiltinFnType,
     DynType,
     FuncType,
-    SType,
     TableType,
     WEAK_VALUES,
     is_collectible_type,
     subtype,
 )
+
+if TYPE_CHECKING:
+    from .inference import InfType
+    from .statictypes import SType
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -151,29 +156,39 @@ class _Checker:
         if tobj.weakness not in WEAK_VALUES:
             return
         fty = deep_resolve(fields[key], self.memo)
-        access_src = A.to_source(t)
-        table_src = A.to_source(t.obj)
         if is_collectible_type(fty):
             # held at the read and, for a closure called later, still
             # held as the program leaves its tables
             point = self.points.of(t)
-            reachable, witness = static_reach_cte(
-                point, fty, env, self.defs, lambda m: self.log.before(m, when))
-            if not (reachable and static_reach_cte(point, fty, env, self.defs)[0]):
-                self.diag(
+            if not (static_reach_cte(point, fty, env, self.defs,
+                                     lambda m: self.log.before(m, when))
+                    and static_reach_cte(point, fty, env, self.defs)):
+                self.weak_read(
                     t, "unsafe", "weak-value-not-strongly-reachable",
-                    f"access {access_src} reads a collectible value from"
-                    f" weak table {table_src} and no strong reference"
-                    " to it is known here",
-                    table=table_src, access=access_src, witness=witness,
+                    "access {access} reads a collectible value from weak"
+                    " table {table} and no strong reference to it is known"
+                    " here",
+                    lambda: witness(self.defs.at(point), env),
                 )
         elif isinstance(fty, DynType):
-            self.diag(
+            self.weak_read(
                 t, "warning", "weak-table-nondeterminism",
-                f"access {access_src} reads from weak table {table_src}"
-                " but the value's collectibility is unknown",
-                table=table_src, access=access_src,
+                "access {access} reads from weak table {table} but the"
+                " value's collectibility is unknown",
             )
+
+    def weak_read(self, t: A.Index, severity: str, reason: str,
+                  template: str,
+                  witness_of: Callable[[], Tuple[str, ...]] = tuple) -> None:
+        """Report a read of weak table ``t.obj``; ``template`` names the
+        sources ``{access}`` and ``{table}``.  The sources and the witness
+        are built only for a read not reported yet."""
+        if (self.points.of(t), severity, reason) in self.reported:
+            return
+        access, table = A.to_source(t), A.to_source(t.obj)
+        self.diag(t, severity, reason,
+                  template.format(access=access, table=table),
+                  table=table, access=access, witness=witness_of())
 
     def on_call(self, t: A.Call, fn, args) -> None:
         fn = deep_resolve(fn, self.memo)
@@ -205,7 +220,7 @@ def static_reach_cte(
     env: Dict[str, InfType],
     defs: ReachingDefs,
     fields_of: Callable[[dict], dict] = lambda fields: fields,
-) -> Tuple[bool, Tuple[str, ...]]:
+) -> bool:
     """Is the accessed collectible value strongly reachable at this point?
 
     Chases the types of the definitions valid at the point through strong
@@ -215,15 +230,12 @@ def static_reach_cte(
     is to be seen.
     """
     labels = getattr(accessed, "labels", frozenset())
-    witness: List[str] = []
     if not labels:
-        return False, ()
-    valid = defs.at(point)
-    stack: List[InfType] = []
-    for name, defpoint in sorted(valid):
-        if name in env:
-            witness.append(f"{original_name(name)}@{defpoint}")
-            stack.append(env[name])
+        return False
+    # ``env`` lists names in binding order, so the stack tries the types
+    # of the latest bindings first; the answer does not depend on order
+    valid = {name for name, _ in defs.at(point)}
+    stack: List[InfType] = [ty for name, ty in env.items() if name in valid]
     seen: Set[int] = set()
     while stack:
         ty = resolve(stack.pop())
@@ -231,10 +243,18 @@ def static_reach_cte(
             continue
         seen.add(id(ty))
         if is_collectible_type(ty) and labels <= ty.labels:
-            return True, tuple(witness)
+            return True
         if isinstance(ty, TableType) and ty.weakness not in WEAK_VALUES:
             stack.extend(fields_of(ty.fields).values())
-    return False, tuple(witness)
+    return False
+
+
+def witness(valid: FrozenSet[Tuple[str, int]],
+            env: Dict[str, InfType]) -> Tuple[str, ...]:
+    """The valid definitions ``static_reach_cte`` consults, sorted, as
+    ``name@point``: a diagnostic's witness."""
+    return tuple(f"{original_name(name)}@{defpoint}"
+                 for name, defpoint in sorted(valid) if name in env)
 
 
 # ---------------------------------------------------------------------------

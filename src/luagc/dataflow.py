@@ -14,13 +14,16 @@ Sethi & Ullman, *Compilers*, 1986, section 10.5): a sequence threads the
 set, ``if`` unions its arms, ``return`` and ``break`` end it (a ``break``
 hands its set to the loop's exit), and a ``while`` re-walks its body until
 the set at its head is stable.  For gen/kill sets that takes at most two
-walks of each loop body per walk of the loop.
+walks of each loop body per walk of the loop.  Gen and kill are set
+operations: a per-name index holds every definition generated so far, so
+a statement kills by one set difference against it and gens by a union,
+with no Python loop over the live set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import ast as A
 
@@ -115,17 +118,26 @@ class ReachingDefs:
         return self.in_sets.get(stmt, frozenset())
 
 
-def _define(live: FrozenSet[Definition], names: Tuple[str, ...],
-            point: int) -> FrozenSet[Definition]:
-    """``gen + (live - kill)`` for a statement binding ``names``."""
-    return frozenset((n, point) for n in names).union(
-        d for d in live if d[0] not in names
-    )
+def _define(live: FrozenSet[Definition], names: Tuple[str, ...], point: int,
+            index: Dict[str, Set[Definition]]) -> FrozenSet[Definition]:
+    """``gen + (live - kill)`` for a statement binding ``names``.
+
+    ``index`` maps a name to every definition of it generated so far; all
+    of ``live`` was generated, so ``index[n]`` holds each live definition
+    of ``n`` and killing is one set difference.
+    """
+    if not names:
+        return live
+    gen = [(n, point) for n in names]
+    for d in gen:
+        index.setdefault(d[0], set()).add(d)
+    return live.difference(*(index[n] for n in names)).union(gen)
 
 
 def build_cfg(t: A.Stat, points: Points) -> ReachingDefs:
     """Reaching definitions for every statement point, along the syntax tree."""
     rd = ReachingDefs()
+    index: Dict[str, Set[Definition]] = {}  # name -> its definitions so far
 
     def enter(t: A.Stat, live: FrozenSet[Definition], exprs) -> int:
         """Record ``live`` on entry to ``t``; map the points of the
@@ -150,12 +162,13 @@ def build_cfg(t: A.Stat, points: Points) -> ReachingDefs:
                 t = t.rest
             else:
                 owner = enter(t, live, t.exprs)
-                live = _define(live, t.names, owner)
+                live = _define(live, t.names, owner, index)
                 t = t.body
         if isinstance(t, A.Assign):
             p = enter(t, live, t.targets + t.exprs)
             return _define(
-                live, tuple(x.ident for x in t.targets if isinstance(x, A.Name)), p
+                live, tuple(x.ident for x in t.targets if isinstance(x, A.Name)),
+                p, index,
             )
         if isinstance(t, A.Empty):
             enter(t, live, ())

@@ -16,12 +16,15 @@ core form comes back as the same object.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Tuple
+from typing import TYPE_CHECKING, FrozenSet, Tuple
 
 from .ast import (
-    Block, Const, Empty, Globals, Index, Local, Name, Num, Seq, Stat, Str,
-    TableCtor, Term, rewrite,
+    Block, Const, Empty, Globals, Index, Local, Name, Num, Seq, Str, TableCtor,
+    rewrite,
 )
+
+if TYPE_CHECKING:
+    from .ast import Stat, Term
 
 
 def desugar(t: Term) -> Term:

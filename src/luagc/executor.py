@@ -42,7 +42,7 @@ import random
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from . import ast as A
 from .ast import (
@@ -56,9 +56,7 @@ from .ast import (
     Location,
     Return,
     Seq,
-    Term,
     Tid,
-    Value,
     _value_json,
     to_source,
     value_locations,
@@ -74,6 +72,9 @@ from .heap import (
 from .interp import (
     Finished, Focused, Frame, Redex, StuckTerm, decompose, plug, refocus, step,
 )
+
+if TYPE_CHECKING:
+    from .ast import Term, Value
 
 BOTTOM_FUEL = "⊥(fuel)"
 BOTTOM_BUDGET = "⊥(budget)"

@@ -68,9 +68,7 @@ from .ast import (
     Cid,
     Location,
     Nil,
-    Term,
     Tid,
-    Value,
     term_locations,
     value_locations,
 )
@@ -78,7 +76,6 @@ from .heap import (
     FORBIDDEN,
     UNSET,
     Configuration,
-    Mark,
     ObjectStore,
     ValueStore,
     _bound,
@@ -95,6 +92,8 @@ from .heap import (
 )
 
 if TYPE_CHECKING:
+    from .ast import Term, Value
+    from .heap import Mark
     from .interp import Focused
 
 Selector = Optional[Callable[[List[Location]], Iterable[Location]]]

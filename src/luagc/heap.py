@@ -30,23 +30,23 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
 
 from .ast import (
     Cid,
     Location,
     Nil,
     Num,
-    Stat,
     Str,
-    Term,
     Tid,
-    Value,
     summary,
     term_locations,
     to_source,
     _value_json,
 )
+
+if TYPE_CHECKING:
+    from .ast import Stat, Term, Value
 
 
 class HeapError(Exception):
@@ -68,7 +68,8 @@ UNSET = _MarkSentinel("unset")
 #: finalization already happened (or was skipped); may never be re-marked
 FORBIDDEN = _MarkSentinel("forbidden")
 
-Mark = Union[_MarkSentinel, int]
+if TYPE_CHECKING:
+    Mark = Union[_MarkSentinel, int]
 
 
 def is_marked(mark: Mark) -> bool:
@@ -218,7 +219,8 @@ class ClosureObject:
         return tuple(i for kind, i in self.locations() if kind == "ref")
 
 
-HeapObject = Union[TableObject, ClosureObject]
+if TYPE_CHECKING:
+    HeapObject = Union[TableObject, ClosureObject]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ reachability question is answered in terms of those labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import ast as A
 from .dataflow import OutOfScopeConstruct, Points, alpha_rename, number_points
@@ -36,7 +36,6 @@ from .statictypes import (
     NUM_T,
     STR_T,
     SingletonType,
-    SType,
     TableType,
     WEAK_VALUES,
     equal_types,
@@ -44,6 +43,9 @@ from .statictypes import (
     singleton_of,
     subtype,
 )
+
+if TYPE_CHECKING:
+    from .statictypes import SType
 
 
 class InferenceFailure(Exception):
@@ -69,7 +71,8 @@ class TypeVar:
         return f"?{self.idx}"
 
 
-InfType = Union[SType, TypeVar]
+if TYPE_CHECKING:
+    InfType = Union[SType, TypeVar]
 
 
 @dataclass
@@ -191,6 +194,7 @@ def metatable_weakness(meta: Optional[InfType]) -> Tuple[str, str]:
 
 
 _LOOP_ROUNDS = 8
+_OPERATORS = frozenset({A.BinOp, A.And, A.Or, A.Not, A.Neg})
 
 
 class _Inferencer:
@@ -312,6 +316,47 @@ class _Inferencer:
     # -- expressions ----------------------------------------------------------
 
     def expr(self, t: A.Expr, env: Dict[str, InfType]) -> InfType:
+        """The type of ``t``.  A chain of operators (``BinOp``, ``And``,
+        ``Or``, ``Not``, ``Neg``) is walked in post-order on an explicit
+        stack, so a deep chain needs no Python recursion: the operands are
+        typed left to right, then the operator adds its constraints."""
+        if type(t) not in _OPERATORS:
+            return self.operand(t, env)
+        types: List[InfType] = []
+        stack = [(t, False)]
+        while stack:
+            n, typed = stack.pop()
+            if type(n) not in _OPERATORS:
+                types.append(self.operand(n, env))
+            elif typed:
+                types.append(self.operator(n, types))
+            else:
+                stack.append((n, True))
+                stack.extend((k, False) for k in reversed(A.children(n)))
+        return types[0]
+
+    def operator(self, t: A.Expr, types: List[InfType]) -> InfType:
+        """Pop the types of ``t``'s operands off ``types``; ``t``'s type."""
+        if isinstance(t, A.Not):
+            types.pop()
+            return BOOL_T
+        if isinstance(t, A.Neg):
+            self.want_subtype(types.pop(), NUM_T, t.pos)
+            return NUM_T
+        rt, lt = types.pop(), types.pop()
+        if isinstance(t, A.BinOp):
+            if t.op in ("==", "~=", "<", "<=", ">", ">="):
+                return BOOL_T
+            self.want_subtype(lt, NUM_T, t.pos)
+            self.want_subtype(rt, NUM_T, t.pos)
+            return NUM_T
+        a, b = resolve(lt), resolve(rt)  # ``and`` / ``or``
+        if isinstance(a, TypeVar) or isinstance(b, TypeVar):
+            return DYN
+        return join(a, b)
+
+    def operand(self, t: A.Expr, env: Dict[str, InfType]) -> InfType:
+        """The type of an expression that is not an operator."""
         if isinstance(t, A.Const):
             return singleton_of(t.value)
         if isinstance(t, A.Name):
@@ -326,25 +371,6 @@ class _Inferencer:
             return self.function(t, env)
         if isinstance(t, A.TableCtor):
             return self.table(t, env)
-        if isinstance(t, A.BinOp):
-            lt, rt = self.expr(t.lhs, env), self.expr(t.rhs, env)
-            if t.op in ("==", "~=", "<", "<=", ">", ">="):
-                return BOOL_T
-            self.want_subtype(lt, NUM_T, t.pos)
-            self.want_subtype(rt, NUM_T, t.pos)
-            return NUM_T
-        if isinstance(t, (A.And, A.Or)):
-            lt, rt = self.expr(t.lhs, env), self.expr(t.rhs, env)
-            a, b = resolve(lt), resolve(rt)
-            if isinstance(a, TypeVar) or isinstance(b, TypeVar):
-                return DYN
-            return join(a, b)
-        if isinstance(t, A.Not):
-            self.expr(t.operand, env)
-            return BOOL_T
-        if isinstance(t, A.Neg):
-            self.want_subtype(self.expr(t.operand, env), NUM_T, t.pos)
-            return NUM_T
         raise OutOfScopeConstruct(
             f"expression not supported by the analyzer: {type(t).__name__}",
             getattr(t, "pos", None),

@@ -62,15 +62,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from . import ast as A
 from .ast import (
     And, Assign, BinOp, Break, Call, CallFrame, Cid, Const, Empty, ErrTerm,
     ExprStat, FinStat, FinWrap, Function, Globals, If, Index, Local,
     Location, LoopFrame, Name, Neg, Nil, Not, Num, Or, ProtectedFrame, Ref,
-    Return, Seq, Stat, Str, TableCtor, Term, Tid, Value, ValueTuple, While,
-    format_number, summary, truthy, type_name,
+    Return, Seq, Str, TableCtor, Tid, ValueTuple, While, format_number, summary,
+    truthy, type_name,
 )
 from .heap import (
     Configuration, InvalidKey, ObjectStore, ValueStore, alloc_closure,
@@ -79,6 +79,9 @@ from .heap import (
 from .gc import set_fin
 from .parser import parse
 from .desugar import desugar
+
+if TYPE_CHECKING:
+    from .ast import Stat, Term, Value
 
 
 class StuckTerm(Exception):
@@ -698,7 +701,8 @@ def render(v: Value) -> str:
 
 # What a contraction leaves: the new stores, the term that fills the hole
 # of the (possibly cut back) context, the rule name and the drain request.
-_Contracted = Tuple[ValueStore, ObjectStore, Term, str, bool]
+if TYPE_CHECKING:
+    _Contracted = Tuple[ValueStore, ObjectStore, Term, str, bool]
 
 
 def step(config: Union[Configuration, Focused]) -> Union[StepResult, Finished]:

@@ -1,9 +1,12 @@
 """Lexer and parser for the Lua subset.
 
 The lexer is one compiled pattern with one alternative per token class.
+A token is a light record (a named tuple of kind, text, value, line and
+column); its ``Pos`` is built only when a node or an error asks for it.
 Statements are parsed by recursive descent; expressions by one loop over
 explicit operand and operator stacks, so nested parentheses, unary
-operators and ``^`` chains need no Python recursion.
+operators and ``^`` chains need no Python recursion.  The parser keeps the
+current token in an attribute.
 
 Accepted grammar (a pragmatic slice of Lua 5.2):
 
@@ -34,8 +37,8 @@ escapes: \\n \\t \\\\ \\" \\'.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .ast import (
     BINARY_PREC,
@@ -50,7 +53,7 @@ from .ast import (
     Call,
     Const,
     Empty,
-    Expr,
+    ExprStat,
     Function,
     If,
     Index,
@@ -63,11 +66,13 @@ from .ast import (
     Or,
     Pos,
     Return,
-    Stat,
     Str,
     TableCtor,
     While,
 )
+
+if TYPE_CHECKING:
+    from .ast import Expr, Stat
 
 
 class LuaSyntaxError(Exception):
@@ -117,16 +122,22 @@ _TOKEN = re.compile(rf"""
 _ESCAPE = re.compile(r"\\(.)")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name" | "number" | "string" | "symbol" | "keyword" | "eof"
-    text: str
-    value: object
-    pos: Pos
+class Token(namedtuple("Token", "kind text value line col")):
+    """``kind`` is "name", "number", "string", "symbol", "keyword" or
+    "eof"; ``value`` is the number or the unescaped string."""
+
+    __slots__ = ()
+
+    @property
+    def pos(self) -> Pos:
+        return Pos(self.line, self.col)
 
 
 def tokenize(src: str) -> List[Token]:
     toks: List[Token] = []
+    # ``tuple.__new__`` builds a token without the named tuple's own
+    # Python-level ``__new__``, a third of the cost of ``Token(...)``
+    append, new = toks.append, tuple.__new__
     line, line_start = 1, 0
     for m in _TOKEN.finditer(src):
         kind, text = m.lastgroup, m.group()
@@ -135,14 +146,14 @@ def tokenize(src: str) -> List[Token]:
         if kind == "newline":
             line, line_start = line + 1, m.end()
             continue
-        pos = Pos(line, m.start() - line_start + 1)
+        col = m.start() - line_start + 1
         value: object = text
         if kind == "number":
             try:
                 value = float(text)
             except ValueError:
                 raise LuaSyntaxError(f"malformed number near '{text}'",
-                                     pos.line, pos.col) from None
+                                     line, col) from None
         elif kind == "name" and (text[0].isalpha() or text[0] == "_"):
             kind = "keyword" if text in KEYWORDS else "name"
         elif kind == "string":
@@ -150,13 +161,13 @@ def tokenize(src: str) -> List[Token]:
                 bad_escape = src.startswith("\\", m.end())
                 raise LuaSyntaxError(
                     "invalid escape sequence" if bad_escape
-                    else "unfinished string", pos.line, pos.col)
+                    else "unfinished string", line, col)
             value = _ESCAPE.sub(lambda e: _ESCAPES[e[1]], text[1:-1])
         elif kind != "symbol":
             raise LuaSyntaxError(f"unexpected character {text[0]!r}",
-                                 pos.line, pos.col)
-        toks.append(Token(kind, text, value, pos))
-    toks.append(Token("eof", "<eof>", None, Pos(line, len(src) - line_start + 1)))
+                                 line, col)
+        append(new(Token, (kind, text, value, line, col)))
+    append(Token("eof", "<eof>", None, line, len(src) - line_start + 1))
     return toks
 
 
@@ -164,44 +175,42 @@ class _Parser:
     def __init__(self, tokens: List[Token]):
         self.toks = tokens
         self.i = 0
+        self.tok = tokens[0]  # the current token
         self.loop_depth = 0
 
     # -- token plumbing ---------------------------------------------------
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.i]
-
     def advance(self) -> Token:
-        t = self.cur
+        t = self.tok
         if t.kind != "eof":
             self.i += 1
+            self.tok = self.toks[self.i]
         return t
 
     def check(self, kind: str, text: Optional[str] = None) -> bool:
-        t = self.cur
+        t = self.tok
         return t.kind == kind and (text is None or t.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
-        if self.check(kind, text):
+        t = self.tok
+        if t.kind == kind and (text is None or t.text == text):
             return self.advance()
         return None
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if self.check(kind, text):
+        t = self.tok
+        if t.kind == kind and (text is None or t.text == text):
             return self.advance()
-        want = text or kind
-        got = self.cur.text
-        raise LuaSyntaxError(f"'{want}' expected near '{got}'",
-                             self.cur.pos.line, self.cur.pos.col)
+        raise LuaSyntaxError(f"'{text or kind}' expected near '{t.text}'",
+                             t.line, t.col)
 
     def err(self, msg: str):
-        raise LuaSyntaxError(msg, self.cur.pos.line, self.cur.pos.col)
+        raise LuaSyntaxError(msg, self.tok.line, self.tok.col)
 
     # -- grammar ------------------------------------------------------------
 
     def parse_chunk(self) -> Block:
-        pos = self.cur.pos
+        pos = self.tok.pos
         stats = self.parse_block_stats()
         self.expect("eof")
         return Block(tuple(stats), pos=pos)
@@ -222,10 +231,9 @@ class _Parser:
         return stats
 
     def _block_end(self) -> bool:
-        return self.cur.kind == "eof" or (
-            self.cur.kind == "keyword"
-            and self.cur.text in ("end", "else", "elseif")
-        )
+        t = self.tok
+        return t.kind == "eof" or (
+            t.kind == "keyword" and t.text in ("end", "else", "elseif"))
 
     def parse_return(self) -> Return:
         pos = self.expect("keyword", "return").pos
@@ -238,7 +246,7 @@ class _Parser:
         return Return(exprs, pos=pos)
 
     def parse_statement(self) -> Stat:
-        t = self.cur
+        t = self.tok
         if t.kind == "keyword":
             if t.text == "local":
                 return self.parse_local()
@@ -309,7 +317,7 @@ class _Parser:
         return While(cond, Block(tuple(stats), pos=pos), pos=pos)
 
     def parse_exprstat(self) -> Stat:
-        pos = self.cur.pos
+        pos = self.tok.pos
         first = self.parse_prefix()
         if self.check("symbol", ",") or self.check("symbol", "="):
             targets = [first]
@@ -323,8 +331,6 @@ class _Parser:
             return Assign(tuple(targets), exprs, pos=pos)
         if not isinstance(first, Call):
             self.err("syntax error: expression is not a statement")
-        from .ast import ExprStat
-
         return ExprStat(first, pos=pos)
 
     def parse_explist(self) -> List[Expr]:
@@ -355,7 +361,7 @@ class _Parser:
         ops: List[Tuple[int, Token, int]] = []
         depth = 0
         while True:
-            t = self.cur
+            t = self.tok
             if t.kind == "symbol" and t.text == "(":
                 ops.append((0, self.advance(), 0))
                 depth += 1
@@ -374,7 +380,7 @@ class _Parser:
                 depth -= 1
                 self.advance()
                 operands.append(self.parse_suffixes(operands.pop()))
-            t = self.cur
+            t = self.tok
             level = (BINARY_PREC.get(t.text)
                      if t.kind in ("symbol", "keyword") else None)
             if level is None or (prefix and not depth):
@@ -386,7 +392,7 @@ class _Parser:
             ops.append((level, self.advance(), 2))
 
     def parse_atom(self) -> Expr:
-        t = self.cur
+        t = self.tok
         if t.kind == "number":
             self.advance()
             return Const(Num(float(t.value)), pos=t.pos)
@@ -432,7 +438,7 @@ class _Parser:
                 self.expect("symbol", "]")
                 self.expect("symbol", "=")
                 fields.append((key, self.parse_expr()))
-            elif self.cur.kind == "name" and self.toks[self.i + 1].text == "=" \
+            elif self.tok.kind == "name" and self.toks[self.i + 1].text == "=" \
                     and self.toks[self.i + 1].kind == "symbol":
                 nm = self.advance()
                 self.advance()  # '='
@@ -446,28 +452,27 @@ class _Parser:
 
     def parse_suffixes(self, e: Expr) -> Expr:
         while True:
-            if self.check("symbol", "["):
-                p = self.advance().pos
+            t = self.tok
+            if t.kind == "string":
+                # string-argument call sugar: f "lit"
+                self.advance()
+                p = t.pos
+                e = Call(e, (Const(Str(t.value), pos=p),), pos=p)
+                continue
+            if t.kind != "symbol" or t.text not in ("[", ".", "("):
+                return e
+            self.advance()
+            if t.text == "[":
                 key = self.parse_expr()
                 self.expect("symbol", "]")
-                e = Index(e, key, pos=p)
-            elif self.check("symbol", "."):
-                p = self.advance().pos
+                e = Index(e, key, pos=t.pos)
+            elif t.text == ".":
                 nm = self.expect("name")
-                e = Index(e, Const(Str(nm.text), pos=nm.pos), pos=p)
-            elif self.check("symbol", "("):
-                p = self.advance().pos
-                args: List[Expr] = []
-                if not self.check("symbol", ")"):
-                    args = self.parse_explist()
-                self.expect("symbol", ")")
-                e = Call(e, tuple(args), pos=p)
-            elif self.cur.kind == "string":
-                # string-argument call sugar: f "lit"
-                s = self.advance()
-                e = Call(e, (Const(Str(s.value), pos=s.pos),), pos=s.pos)
+                e = Index(e, Const(Str(nm.text), pos=nm.pos), pos=t.pos)
             else:
-                return e
+                args = [] if self.check("symbol", ")") else self.parse_explist()
+                self.expect("symbol", ")")
+                e = Call(e, tuple(args), pos=t.pos)
 
 
 def _fold(operands: List[Expr], ops: list, floor: int) -> None:

@@ -14,7 +14,7 @@ about those labels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from . import ast as A
 from .heap import weak_keys, weak_values
@@ -101,7 +101,9 @@ def _brief(t: "SType") -> str:
     return str(t)
 
 
-SType = Union[PrimType, SingletonType, DynType, FuncType, TableType, BuiltinFnType]
+if TYPE_CHECKING:
+    SType = Union[PrimType, SingletonType, DynType, FuncType, TableType,
+                  BuiltinFnType]
 
 DYN = DynType()
 NIL_T = PrimType("nil")

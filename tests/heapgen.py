@@ -6,6 +6,8 @@ random generator samples larger heaps (tables, closures, refs, weakness,
 metatables) from a seeded RNG.
 """
 
+from __future__ import annotations
+
 import random
 from typing import Dict, Iterable, List, Optional, Tuple
 

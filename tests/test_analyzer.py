@@ -317,6 +317,49 @@ class TestReachingDefs:
         assert reassigned in defs.at(points.of(loop))
         assert reassigned in defs.at(points.of(loop.cond))
 
+    @staticmethod
+    def x_points(defs, point):
+        return {p for name, p in defs.at(point) if name.split("#")[0] == "x"}
+
+    def test_loop_assignment_kills_definition_from_earlier_walk(self):
+        # the second walk of the body enters with `x = 5` live; `x = x + 1`
+        # must kill it although it was generated after `x = x + 1` was
+        renamed, points, defs = self.prep(
+            "local x = 0\n"
+            "while x < 3 do\n"
+            "  x = x + 1\n"
+            "  print(x)\n"
+            "  x = 5\n"
+            "end\n"
+            "print(x)\n"
+        )
+        (local,) = [n for n in A.walk(renamed) if isinstance(n, A.Local)]
+        (loop,) = [n for n in A.walk(renamed) if isinstance(n, A.While)]
+        first, last = [n for n in A.walk(renamed) if isinstance(n, A.Assign)]
+        inside, after = [n for n in A.walk(renamed)
+                         if isinstance(n, A.ExprStat)]
+        assert self.x_points(defs, points.of(inside)) == {points.of(first)}
+        assert self.x_points(defs, points.of(last)) == {points.of(first)}
+        both = {points.of(local), points.of(last)}
+        assert self.x_points(defs, points.of(loop)) == both
+        assert self.x_points(defs, points.of(after)) == both
+
+    def test_both_if_arms_reach_the_join(self):
+        # each arm kills `local x`; neither may kill the other's definition
+        renamed, points, defs = self.prep(
+            "local x = 1\n"
+            "local c = 2\n"
+            "if c > 1 then x = 2 else x = 3 end\n"
+            "print(x)\n"
+        )
+        local = [n for n in A.walk(renamed) if isinstance(n, A.Local)][0]
+        then_def, else_def = [n for n in A.walk(renamed)
+                              if isinstance(n, A.Assign)]
+        (call,) = [n for n in A.walk(renamed) if isinstance(n, A.ExprStat)]
+        assert self.x_points(defs, points.of(else_def)) == {points.of(local)}
+        assert self.x_points(defs, points.of(call)) == {
+            points.of(then_def), points.of(else_def)}
+
 
 # ---------------------------------------------------------------------------
 # Verdicts

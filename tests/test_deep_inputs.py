@@ -73,6 +73,12 @@ def test_deep_parens_are_analyzed():
     assert r.verdict == "SAFE", r.reason
 
 
+@pytest.mark.parametrize("text", [NEGS, NOTS, POWS], ids=["neg", "not", "pow"])
+def test_deep_operator_chain_is_analyzed(text):
+    r = check_program(text)
+    assert (r.verdict, r.reason, r.diagnostics) == ("SAFE", "", [])
+
+
 def test_deep_parens_dump(tmp_path, capsys):
     path = tmp_path / "parens.lua"
     path.write_text(PARENS)
