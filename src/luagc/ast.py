@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -522,6 +522,8 @@ def summary(t: Term) -> Summary:
     body) is walked once however often it is asked about.  Iterative
     post-order, so deep terms need no Python recursion.
     """
+    if t._summary is not None:
+        return t._summary
     stack = [t]
     while stack:
         n = stack[-1]
@@ -546,8 +548,13 @@ def _summarize(n: Term) -> Summary:
         vals = (n.value,) if isinstance(n, Const) else n.values
         locs = tuple(dict.fromkeys(l for v in vals for l in value_locations(v)))
         return (locs, False) if locs else _NOTHING
-    marker = isinstance(n, (FinStat, FinWrap))
-    parts = [c._summary for c in _KIDS[type(n)](n) if c._summary is not _NOTHING]
+    return combine(_KIDS[type(n)](n), isinstance(n, (FinStat, FinWrap)))
+
+
+def combine(kids: Tuple[Term, ...], marker: bool) -> Summary:
+    """The summary of a node with the children ``kids``, all summarized
+    already, that is itself a marker if ``marker``."""
+    parts = [c._summary for c in kids if c._summary is not _NOTHING]
     if len(parts) == 1 and (parts[0][1] or not marker):
         return parts[0]
     locs = tuple(dict.fromkeys(l for p in parts for l in p[0]))
@@ -716,116 +723,201 @@ def print_value(v: Value) -> str:
     return repr(v)
 
 
-def to_source(t: Term) -> str:
-    """Render a term as (re-parseable, for source terms) program text."""
-    return _pstat(t) if is_stat(t) else _pexpr(t, 0)
+def to_source(t: Term, limit: Optional[int] = None) -> str:
+    """Render a term as (re-parseable, for source terms) program text.
+
+    With ``limit``, only the first ``limit`` characters, the same as
+    ``to_source(t)[:limit]``: printing stops once they are out, so the
+    rest of the term is never visited.
+
+    An explicit-stack printer, so deep terms need no Python recursion.  A
+    stack item is a string to emit or a ``(term, prec)`` pair, where
+    ``prec`` is the precedence of the enclosing expression, or ``_STAT``
+    for a statement position; a pair is replaced by its node's pieces
+    (``_STAT_PIECES``, ``_EXPR_PIECES``), pushed in reverse.
+    """
+    out: List[str] = []
+    size = 0
+    stack: list = [(t, _STAT if is_stat(t) else 0)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            out.append(item)
+            size += len(item)
+            if limit is not None and size >= limit:
+                break
+            continue
+        n, prec = item
+        if prec == _STAT:
+            pieces = _STAT_PIECES.get(type(n))
+            if pieces is None:
+                raise TypeError(f"unknown statement {n!r}")
+            parts = pieces(n)
+        else:
+            pieces = _EXPR_PIECES.get(type(n))
+            if pieces is None:
+                raise TypeError(f"unknown expression {n!r}")
+            parts = pieces(n, prec)
+        parts.reverse()
+        stack.extend(parts)
+    text = "".join(out)
+    return text if limit is None else text[:limit]
 
 
-def _pstat(t: Stat) -> str:
-    if isinstance(t, Empty):
-        return ";"
-    if isinstance(t, Seq):
-        return f"{_pstat(t.first)} {_pstat(t.rest)}"
-    if isinstance(t, Local):
-        names = ", ".join(t.names)
-        exprs = ", ".join(_pexpr(e, 0) for e in t.exprs)
-        rhs = f" = {exprs}" if t.exprs else ""
-        if isinstance(t.body, Empty):
-            return f"local {names}{rhs}"
-        return f"local {names}{rhs} in {_pstat(t.body)} end"
-    if isinstance(t, Assign):
-        lhs = ", ".join(_pexpr(x, 0) for x in t.targets)
-        rhs = ", ".join(_pexpr(e, 0) for e in t.exprs)
-        return f"{lhs} = {rhs}"
-    if isinstance(t, ExprStat):
-        return _pexpr(t.expr, 0)
-    if isinstance(t, If):
-        if isinstance(t.else_body, Empty):
-            return f"if {_pexpr(t.cond, 0)} then {_pstat(t.then_body)} end"
-        return (
-            f"if {_pexpr(t.cond, 0)} then {_pstat(t.then_body)}"
-            f" else {_pstat(t.else_body)} end"
-        )
-    if isinstance(t, While):
-        return f"while {_pexpr(t.cond, 0)} do {_pstat(t.body)} end"
-    if isinstance(t, Break):
-        return "break"
-    if isinstance(t, Return):
-        exprs = ", ".join(_pexpr(e, 0) for e in t.exprs)
-        return f"return {exprs}".rstrip()
-    if isinstance(t, LoopFrame):
-        return f"$loop[{_pstat(t.inner)}]"
-    if isinstance(t, ErrTerm):
-        return f"$err {print_value(t.value)}"
-    if isinstance(t, FinStat):
-        return f"$fin[{_pstat(t.inner)}]"
-    if isinstance(t, Block):
-        if not t.stats:
-            return ";"
-        return " ".join(
-            f"do {_pstat(s)} end" if isinstance(s, Block) else _pstat(s)
-            for s in t.stats
-        )
-    raise TypeError(f"unknown statement {t!r}")  # pragma: no cover
+# The ``prec`` of a statement position in ``to_source``'s stack items.
+_STAT = -1
+
+
+def _listed(terms, prec: int = 0) -> list:
+    """The pieces of ``terms`` separated by commas."""
+    out: list = []
+    for e in terms:
+        if out:
+            out.append(", ")
+        out.append((e, prec))
+    return out
+
+
+def _local_pieces(t: Local) -> list:
+    out: list = ["local " + ", ".join(t.names)]
+    if t.exprs:
+        out.append(" = ")
+        out.extend(_listed(t.exprs))
+    if not isinstance(t.body, Empty):
+        out.extend((" in ", (t.body, _STAT), " end"))
+    return out
+
+
+def _if_pieces(t: If) -> list:
+    out: list = ["if ", (t.cond, 0), " then ", (t.then_body, _STAT)]
+    if not isinstance(t.else_body, Empty):
+        out.extend((" else ", (t.else_body, _STAT)))
+    out.append(" end")
+    return out
+
+
+def _block_pieces(t: Block) -> list:
+    out: list = []
+    for s in t.stats:
+        if out:
+            out.append(" ")
+        if isinstance(s, Block):
+            out.extend(("do ", (s, _STAT), " end"))
+        else:
+            out.append((s, _STAT))
+    return out or [";"]
+
+
+# A statement's pieces, keyed by node type.
+_STAT_PIECES = {
+    Empty: lambda t: [";"],
+    Seq: lambda t: [(t.first, _STAT), " ", (t.rest, _STAT)],
+    Local: _local_pieces,
+    Assign: lambda t: _listed(t.targets) + [" = "] + _listed(t.exprs),
+    ExprStat: lambda t: [(t.expr, 0)],
+    If: _if_pieces,
+    While: lambda t: ["while ", (t.cond, 0), " do ", (t.body, _STAT), " end"],
+    Break: lambda t: ["break"],
+    Return: lambda t: (["return "] + _listed(t.exprs) if t.exprs
+                       else ["return"]),
+    LoopFrame: lambda t: ["$loop[", (t.inner, _STAT), "]"],
+    ErrTerm: lambda t: ["$err " + print_value(t.value)],
+    FinStat: lambda t: ["$fin[", (t.inner, _STAT), "]"],
+    Block: _block_pieces,
+}
 
 
 _LOGICAL_OPS = {And: "and", Or: "or"}
 
-
-def _pexpr(t: Expr, parent_prec: int) -> str:
-    if isinstance(t, Const):
-        return print_value(t.value)
-    if isinstance(t, Name):
-        return t.ident
-    if isinstance(t, Globals):
-        return "$globals"
-    if isinstance(t, Ref):
-        return f"$r{t.r}"
-    if isinstance(t, ValueTuple):
-        return "$values(" + ", ".join(print_value(v) for v in t.values) + ")"
-    if isinstance(t, Index):
-        return f"{_pprefix(t.obj)}[{_pexpr(t.key, 0)}]"
-    if isinstance(t, Call):
-        args = ", ".join(_pexpr(a, 0) for a in t.args)
-        return f"{_pprefix(t.fn)}({args})"
-    if isinstance(t, Function):
-        params = ", ".join(t.params)
-        return f"function ({params}) {_pstat(t.body)} end"
-    if isinstance(t, TableCtor):
-        parts = []
-        for k, v in t.fields:
-            if k is None:
-                parts.append(_pexpr(v, 0))
-            else:
-                parts.append(f"[{_pexpr(k, 0)}] = {_pexpr(v, 0)}")
-        return "{" + ", ".join(parts) + "}"
-    if isinstance(t, (BinOp, And, Or)):
-        op = _LOGICAL_OPS.get(type(t)) or t.op
-        p = BINARY_PREC[op]
-        extra = 1 if op == RIGHT_ASSOC else 0
-        s = f"{_pexpr(t.lhs, p + extra)} {op} {_pexpr(t.rhs, p + 1 - extra)}"
-        return f"({s})" if p < parent_prec else s
-    if isinstance(t, (Not, Neg)):
-        operand = _pexpr(t.operand, UNARY_PREC)
-        # "- -x", not "--x", which would read as a comment
-        op = "not " if isinstance(t, Not) else "- " if operand[:1] == "-" else "-"
-        s = op + operand
-        return f"({s})" if UNARY_PREC < parent_prec else s
-    if isinstance(t, CallFrame):
-        return f"$call[{_pstat(t.body)}]"
-    if isinstance(t, ProtectedFrame):
-        return f"$protected[{_pexpr(t.inner, 0)}]"
-    if isinstance(t, FinWrap):
-        return f"$finexpr[{_pexpr(t.inner, 0)}]"
-    raise TypeError(f"unknown expression {t!r}")  # pragma: no cover
+# The expressions printed bare in callee and indexee position.
+_PREFIX_EXPRS = (Name, Index, Call, Ref, Globals, CallFrame, ProtectedFrame)
 
 
-def _pprefix(t: Expr) -> str:
+def _prefix(t: Expr) -> list:
     """Callee / indexee position: wrap non-prefix expressions in parens."""
-    s = _pexpr(t, 0)
-    if isinstance(t, (Name, Index, Call, Ref, Globals, CallFrame, ProtectedFrame)):
-        return s
-    return f"({s})"
+    if isinstance(t, _PREFIX_EXPRS):
+        return [(t, 0)]
+    return ["(", (t, 0), ")"]
+
+
+def _ctor_pieces(t: TableCtor, prec: int) -> list:
+    out: list = ["{"]
+    for k, v in t.fields:
+        if len(out) > 1:
+            out.append(", ")
+        if k is None:
+            out.append((v, 0))
+        else:
+            out.extend(("[", (k, 0), "] = ", (v, 0)))
+    out.append("}")
+    return out
+
+
+def _binary_pieces(t, prec: int) -> list:
+    op = _LOGICAL_OPS.get(type(t)) or t.op
+    p = BINARY_PREC[op]
+    extra = 1 if op == RIGHT_ASSOC else 0
+    out = [(t.lhs, p + extra), f" {op} ", (t.rhs, p + 1 - extra)]
+    return ["(", *out, ")"] if p < prec else out
+
+
+def _unary_pieces(t, prec: int) -> list:
+    # "- -x", not "--x", which would read as a comment
+    if isinstance(t, Not):
+        op = "not "
+    else:
+        op = "- " if _starts_with_minus(t.operand, UNARY_PREC) else "-"
+    out = [op, (t.operand, UNARY_PREC)]
+    return ["(", *out, ")"] if UNARY_PREC < prec else out
+
+
+def _starts_with_minus(t: Expr, prec: int) -> bool:
+    """Does ``t``, printed under precedence ``prec``, begin with "-"?  Only
+    its leftmost spine can tell, walked without printing it."""
+    while True:
+        if isinstance(t, Const):
+            return print_value(t.value)[:1] == "-"
+        if isinstance(t, Name):
+            return t.ident[:1] == "-"
+        if isinstance(t, (BinOp, And, Or)):
+            op = _LOGICAL_OPS.get(type(t)) or t.op
+            p = BINARY_PREC[op]
+            if p < prec:
+                return False
+            t, prec = t.lhs, p + (1 if op == RIGHT_ASSOC else 0)
+        elif isinstance(t, (Not, Neg)):
+            return isinstance(t, Neg) and UNARY_PREC >= prec
+        elif isinstance(t, (Index, Call)):
+            t = t.obj if isinstance(t, Index) else t.fn
+            if not isinstance(t, _PREFIX_EXPRS):
+                return False
+            prec = 0
+        else:
+            return False
+
+
+# An expression's pieces under the enclosing precedence, keyed by node type.
+_EXPR_PIECES = {
+    Const: lambda t, prec: [print_value(t.value)],
+    Name: lambda t, prec: [t.ident],
+    Globals: lambda t, prec: ["$globals"],
+    Ref: lambda t, prec: [f"$r{t.r}"],
+    ValueTuple: lambda t, prec: [
+        "$values(" + ", ".join(print_value(v) for v in t.values) + ")"],
+    Index: lambda t, prec: _prefix(t.obj) + ["[", (t.key, 0), "]"],
+    Call: lambda t, prec: _prefix(t.fn) + ["("] + _listed(t.args) + [")"],
+    Function: lambda t, prec: [
+        "function (" + ", ".join(t.params) + ") ", (t.body, _STAT), " end"],
+    TableCtor: _ctor_pieces,
+    BinOp: _binary_pieces,
+    And: _binary_pieces,
+    Or: _binary_pieces,
+    Not: _unary_pieces,
+    Neg: _unary_pieces,
+    CallFrame: lambda t, prec: ["$call[", (t.body, _STAT), "]"],
+    ProtectedFrame: lambda t, prec: ["$protected[", (t.inner, 0), "]"],
+    FinWrap: lambda t, prec: ["$finexpr[", (t.inner, 0), "]"],
+}
 
 
 # ---------------------------------------------------------------------------

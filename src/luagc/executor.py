@@ -70,7 +70,7 @@ from .heap import (
     Configuration, HeapError, ObjectStore, ValueStore, restrict, successors,
 )
 from .interp import (
-    Finished, Focused, Frame, Redex, StuckTerm, decompose, plug, refocus, step,
+    Finished, Focused, Frame, Redex, StuckTerm, decompose, plug, step,
 )
 
 if TYPE_CHECKING:
@@ -342,19 +342,24 @@ class Machine:
     from the hole instead of decomposing from the root.  A GC cycle takes
     its root set and whether a finalizer is in flight from the focused
     state (``Focused.roots``, ``Focused.finalizer_in_flight``), so neither
-    plugs nor walks the term.  A cycle that only changes the stores keeps
-    the focus; a finalizer splice refocuses from the hole it fills.  The
-    term is plugged only to splice a finalizer ahead of a final term, and
-    when a caller reads ``config``.
+    plugs nor walks the term; the state's root counts pass from step to
+    step with its frames and follow only what each step changed, so the
+    per-step bookkeeping of ``eager`` does not grow with the depth of the
+    context.  A cycle that only changes the stores keeps the focus and the
+    counts; a finalizer splice refocuses from the hole it fills.  The term
+    is plugged only to splice a finalizer ahead of a final term, and when
+    a caller reads ``config``.
 
-    A quiescent cycle is remembered by the stores it kept and its root
-    set.  A later cycle is skipped when ``gc.still_quiescent`` proves from
-    the change since then that it would find nothing either, and the
-    skipped state is remembered in its place, so each proof looks at one
-    step's change (after a collection, look only at what the mutator
-    changed, as remembered sets do in generation scavenging).  The
-    explorer runs the maximal cycle itself at every node, with no memo,
-    and collects a garbage-only one in place (see ``observations``).
+    A quiescent cycle is remembered by the stores it kept, its root set
+    and whether its quiescence lasts only while a finalizer is in flight
+    (``GcOutcome.held_for_flight``).  A later cycle is skipped when that
+    still holds and ``gc.still_quiescent`` proves from the change since
+    then that it would find nothing either, and the skipped state is
+    remembered in its place, so each proof looks at one step's change
+    (after a collection, look only at what the mutator changed, as
+    remembered sets do in generation scavenging).  The explorer runs the
+    maximal cycle itself at every node, with no memo, and collects a
+    garbage-only one in place (see ``observations``).
 
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
@@ -377,8 +382,8 @@ class Machine:
         self.rng = (random.Random(schedule.seed)
                     if schedule.policy == "random"
                     or schedule.selector != "maximal" else None)
-        # (sigma, theta, roots) where the last cycle, run or skipped, was
-        # quiescent; None after a cycle that was not
+        # (sigma, theta, roots, held_for_flight) where the last cycle, run
+        # or skipped, was quiescent; None after a cycle that was not
         self._quiet: Optional[tuple] = None
 
     @property
@@ -405,7 +410,7 @@ class Machine:
         self.state = res.state
         if self.trace_steps:
             self.trace.append({"step": index, "kind": "l_step", "rule": res.rule,
-                               "redex": res.redex_src[:120]})
+                               "redex": to_source(res.redex, 120)})
         if res.gc_request and self.gc_on:
             self.drain_pending = True
 
@@ -413,12 +418,15 @@ class Machine:
         """One cycle, splicing any selected finalizer; None if it changed
         nothing."""
         state = self.state
-        if self._quiet is not None and still_quiescent(*self._quiet, state):
-            self._quiet = (state.sigma, state.theta, state.roots())
+        quiet = self._quiet
+        if (quiet is not None and (not quiet[3] or state.finalizer_in_flight)
+                and still_quiescent(quiet[0], quiet[1], quiet[2], state)):
+            self._quiet = (state.sigma, state.theta, state.roots(), quiet[3])
             return None
         outcome = run_cycle(state, self.schedule.mode, selector,
                             allow_finalizer=not state.finalizer_in_flight)
-        self._quiet = ((outcome.kept_sigma, outcome.kept_theta, state.roots())
+        self._quiet = ((outcome.kept_sigma, outcome.kept_theta, state.roots(),
+                        outcome.held_for_flight)
                        if outcome.quiescent else None)
         if not outcome.changed:
             return None
@@ -428,8 +436,8 @@ class Machine:
                                            outcome.kept_theta)
         else:
             frames, spliced = _splice(state.at, *outcome.pending_finalizer)
-            self.state = Focused(outcome.kept_sigma, outcome.kept_theta,
-                                 refocus(frames, spliced))
+            self.state = state.refocused(outcome.kept_sigma,
+                                         outcome.kept_theta, frames, spliced)
         return outcome
 
     def advance(self, until_settled: bool = False) -> bool:
@@ -741,7 +749,7 @@ def check_postponement(
                     if not _swapped_matches(pre, outcome, m.config):
                         report.failures.append(
                             {"trial": trial, "step": m.steps - 1,
-                             "pre": to_source(pre.term)[:160]}
+                             "pre": to_source(pre.term, 160)}
                         )
                     continue
             m.step()

@@ -24,25 +24,34 @@ next finalizer by priority, and ``fin_weak`` switches to strong
 reachability and clears weak fields.
 
 The cycle takes its root set from the state it is given (``roots()``).  A
-running program is a focused state (``interp.Focused``): its roots are the
-union of what each context frame holds outside its hole plus the focus,
-each frame summarized once when it is built, like a collector scanning its
-stack frames, so a cycle never walks or plugs the whole term.  A plain
-:class:`~luagc.heap.Configuration`, where no focus exists, walks its term.
+running program is a focused state (``interp.Focused``): its roots are
+what the context frames hold outside their holes plus the focus, kept as
+occurrence counts that each step updates by the frames it changed, like a
+collector's remembered set, so a cycle never walks or plugs the whole
+term.  A plain :class:`~luagc.heap.Configuration`, where no focus exists,
+walks its term.
 
 A cycle reuses what the heap kept since the last one.  A table is
 immutable and shared by every store holding it, so it memoizes its
 collectible fields (``TableObject.edges``), its out-edges
 (``TableObject.targets`` and its strong edges under each weakness) and,
 as a metatable, the weakness its ``__mode`` gives
-(``TableObject.mode_weakness``).  ``run_cycle``
-reports a *quiescent* cycle: it discarded all its garbage, cleared no kept
-weak field and had no finalizer candidate, so a cycle on the stores it
-kept, from the same roots, would find nothing.  ``still_quiescent`` proves
-from the change since such a cycle that a cycle now would find nothing
-either, and ``executor.Machine`` skips those cycles: after a collection it
-looks only at what the program changed, like the remembered sets of
-generation scavenging.  The explorer skips no cycle, but branches on
+(``TableObject.mode_weakness``).  The object store indexes the tables
+that have a metatable or a mark (``ObjectStore.meta_index``); every other
+table is strong and unmarked, so the marks, the weak tables to clear and
+the ephemerons to retain are looked for there, in ascending tid order.
+
+``run_cycle`` reports a *quiescent* cycle, one after which a cycle on the
+stores it kept, from the same roots, would find nothing: it discarded all
+its garbage, with it every weak side it cleared (the strong reach kept
+nothing more, and lost no key it had followed), and it had no finalizer
+candidate, or only candidates held back because a finalizer was in flight
+(``held_for_flight``: quiescent only while one stays in flight).
+``still_quiescent`` proves from the change since such a cycle that a cycle
+now would find nothing either, and ``executor.Machine`` skips those
+cycles: after a collection it looks only at what the program changed,
+like the remembered sets of generation scavenging.  The explorer skips no
+cycle, but branches on
 fewer: it runs the maximal cycle at every node, and when that cycle is
 *garbage-only* (``GcOutcome.garbage_only``) takes its collected
 configuration as the node's one successor.  That configuration is a GC
@@ -312,26 +321,30 @@ def set_fin(tid: int, v: Value, theta: ObjectStore) -> Mark:
     return next_priority(theta)
 
 
+# Marks and weakness are read only from the tables of the store's
+# ``meta_index``: a table outside it has no metatable and no mark.
+
 def next_priority(theta: ObjectStore) -> int:
     best = 0
-    for obj in theta.tables.values():
-        if isinstance(obj.pos, int) and obj.pos > best:
-            best = obj.pos
+    for i in theta.meta_order:
+        pos = theta.tables[i].pos
+        if is_marked(pos) and pos > best:
+            best = pos
     return best + 1
 
 
 def marked_tables(theta: ObjectStore) -> List[int]:
-    return [i for i, obj in theta.tables.items() if is_marked(obj.pos)]
+    return [i for i in theta.meta_order if is_marked(theta.tables[i].pos)]
 
 
 def not_fin_val(tid: int, theta: ObjectStore) -> bool:
     """A table sitting as a value of some weak table may not be finalized
     this cycle; its weak fields must be cleared first."""
     target = ("tid", tid)
-    for i, obj in theta.tables.items():
+    for i in theta.meta_order:
         if weakness(i, theta) == "strong":
             continue
-        if any(vloc == target for _, _, vloc in obj.edges):
+        if any(vloc == target for _, _, vloc in theta.tables[i].edges):
             return False
     return True
 
@@ -349,10 +362,13 @@ class GcOutcome:
     cleared_weak_fields: List[Tuple[int, Value, Value]] = dc_field(default_factory=list)
     discarded: Tuple[Location, ...] = ()
     marked_forbidden: Optional[int] = None
-    # all garbage discarded, no kept weak field cleared and no finalizer
-    # candidate: a cycle on the kept stores from the same roots finds
-    # nothing (``still_quiescent`` starts from them)
+    # a cycle on the kept stores from the same roots finds nothing
+    # (``still_quiescent`` starts from them): all garbage was discarded,
+    # with it every cleared weak side, and no finalizer could be selected
     quiescent: bool = False
+    # ... but only while a finalizer stays in flight: there were candidates,
+    # held back because one was
+    held_for_flight: bool = False
 
     @property
     def changed(self) -> bool:
@@ -382,14 +398,15 @@ def _retain_ephemeron_values(
     """Close ``keep`` over the values of kept ephemeron fields whose key is
     still marked for finalization: one reach per round, from all such
     values not kept yet."""
+    tables = theta.tables
+    ephemerons = [i for i in theta.meta_order if weak_keys(weakness(i, theta))]
     while True:
         held = [
             vloc
-            for kind, i in keep
-            if kind == "tid" and weak_keys(weakness(i, theta))
-            for _, kloc, vloc in theta.tables[i].edges
+            for i in ephemerons if ("tid", i) in keep
+            for _, kloc, vloc in tables[i].edges
             if kloc is not None and kloc[0] == "tid"
-            and is_marked(theta.tables[kloc[1]].pos)
+            and is_marked(tables[kloc[1]].pos)
             and vloc is not None and vloc not in keep
         ]
         extra = reach_set_from(held, sigma, theta) - keep
@@ -405,10 +422,11 @@ def _weak_fields_to_clear(
     strongly reachable, except ephemeron fields whose key still awaits
     its finalizer."""
     out: List[Tuple[int, Value, Value]] = []
-    for i, obj in theta.tables.items():
+    for i in theta.meta_order:
         w = weakness(i, theta)
         if w == "strong":
             continue
+        obj = theta.tables[i]
         for idx, kloc, vloc in obj.edges:
             eligible = (
                 weak_keys(w) and kloc is not None and kloc not in strong
@@ -474,7 +492,7 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
         for i, k, _ in cleared:
             tables[i] = tables[i].without(k)
         cleared_theta = ObjectStore(tables, theta.closures, theta.next_tid,
-                                    theta.next_cid)
+                                    theta.next_cid, theta.meta_index)
 
     all_locs = locations(sigma, theta)
     garbage = set(all_locs) - keep
@@ -498,11 +516,24 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
             forbidden = best
             if isinstance(v, Cid):
                 pending = (v.n, best)
+    quiescent = len(discard) == len(garbage) and (
+        not candidates or not allow_finalizer) and (
+        not actually_cleared
+        or keep == reached and _followed_edges_kept(actually_cleared, theta))
     return GcOutcome(
         kept_sigma, kept_theta, pending, actually_cleared,
-        tuple(sorted(discard)), forbidden,
-        len(discard) == len(garbage) and not (actually_cleared or candidates),
+        tuple(sorted(discard)), forbidden, quiescent,
+        quiescent and bool(candidates),
     )
+
+
+def _followed_edges_kept(cleared: List[Tuple[int, Value, Value]],
+                         theta: ObjectStore) -> bool:
+    """Does clearing ``cleared`` keep every edge strong reachability
+    followed?  Of a cleared field it followed only a weak-values table's
+    collectible key, which may then have lost its last holder."""
+    return not any(_value_loc(k) is not None and weakness(i, theta) == "wv"
+                   for i, k, _ in cleared)
 
 
 def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
@@ -511,9 +542,10 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
     """Would a cycle at ``c`` find nothing, given that one from ``roots0``
     on ``sigma0`` and ``theta0`` was quiescent (``GcOutcome.quiescent``)?
 
-    A quiescent cycle keeps every location, so each is reachable (or
-    kept for a reachable finalizer); that stays true if the change since
-    then cannot cut a path or make a new location garbage:
+    A quiescent cycle keeps every location, so each is reachable, or
+    kept for a finalizer (held back candidates included); that stays true
+    if the change since then cannot cut a path or make a new location
+    garbage:
 
     * no binding was removed, and closures only grew;
     * every new location is a root;
@@ -528,7 +560,9 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
     followed survives or is bypassed at a lost edge, and nothing new waits
     for a clear or a finalizer.  The rule holds in every mode, since a
     strong edge is also a plain one.  The change is diffed by identity
-    over the store dicts; with neither store changed only roots are lost.
+    over the store dicts; the lost roots are ``roots0`` minus the roots
+    now.  A ``held_for_flight`` cycle vouches only while a finalizer is
+    in flight, which the caller checks.
     """
     sigma, theta, roots = c.sigma, c.theta, c.roots()
     refs = _dict_change(sigma0.bindings, sigma.bindings)
@@ -542,19 +576,19 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
             t.meta is not None or t.pos is not UNSET
             for t in map(theta.tables.get, tables[0])):
         return False
-    lost = [l for l in roots0 if l not in roots]
+    far = roots0 - roots  # the lost roots
     for old, v in refs[1]:
         l = _value_loc(old)
         if l is not None and l != _value_loc(v):
-            lost.append(l)
+            far.add(l)
     for old, obj in tables[1]:
         if (old.meta is not None or obj.meta is not None
                 or old.mode_weakness != obj.mode_weakness):
             return False
         kept = {l for _, k, v in obj.edges for l in (k, v)}
-        lost.extend(l for _, k, v in old.edges for l in (k, v)
-                    if l is not None and l not in kept)
-    far = {l for l in lost if l not in roots}
+        far.update(l for _, k, v in old.edges for l in (k, v)
+                   if l is not None and l not in kept)
+    far -= roots
     return not far or far <= _strong_successors(roots, sigma, theta)
 
 

@@ -30,7 +30,9 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple, Union,
+)
 
 from .ast import (
     Cid,
@@ -244,12 +246,34 @@ class ValueStore:
 
 @dataclass(frozen=True)
 class ObjectStore:
-    """Tables and closures; the two id spaces are disjoint."""
+    """Tables and closures; the two id spaces are disjoint.
+
+    ``meta_index`` holds the tids of the tables that have a metatable or a
+    finalization mark other than ``UNSET``: every other table is strong and
+    unmarked, so a cycle asks only these about weakness and marks.  A store
+    computes it on first read, and each write from a store that has it
+    passes it on updated, so a run that never collects never computes it.
+    Equality ignores it.
+    """
 
     tables: Dict[int, TableObject] = field(default_factory=dict)
     closures: Dict[int, ClosureObject] = field(default_factory=dict)
     next_tid: int = 1
     next_cid: int = 1
+    _meta: Optional[FrozenSet[int]] = field(
+        default=None, compare=False, repr=False)
+
+    @property
+    def meta_index(self) -> FrozenSet[int]:
+        if self._meta is None:
+            object.__setattr__(self, "_meta", frozenset(
+                i for i, t in self.tables.items() if _indexed(t)))
+        return self._meta
+
+    @cached_property
+    def meta_order(self) -> Tuple[int, ...]:
+        """``meta_index`` in ascending tid order."""
+        return tuple(sorted(self.meta_index))
 
     def table(self, tid: int) -> TableObject:
         try:
@@ -266,7 +290,16 @@ class ObjectStore:
     def put_table(self, tid: int, obj: TableObject) -> "ObjectStore":
         b = dict(self.tables)
         b[tid] = obj
-        return ObjectStore(b, self.closures, self.next_tid, self.next_cid)
+        index = self._meta
+        if index is not None and _indexed(obj) != (tid in index):
+            index = index ^ {tid}
+        return ObjectStore(b, self.closures, self.next_tid, self.next_cid,
+                           index)
+
+
+def _indexed(obj: TableObject) -> bool:
+    """Does ``ObjectStore.meta_index`` hold this table?"""
+    return obj.meta is not None or obj.pos is not UNSET
 
 
 @dataclass(frozen=True)
@@ -317,7 +350,8 @@ def alloc_table(
     tid = theta.next_tid
     b = dict(theta.tables)
     b[tid] = TableObject(tuple(cleaned.items()), None, UNSET)
-    return ObjectStore(b, theta.closures, tid + 1, theta.next_cid), tid
+    return ObjectStore(b, theta.closures, tid + 1, theta.next_cid,
+                       theta._meta), tid
 
 
 def alloc_closure(
@@ -326,7 +360,8 @@ def alloc_closure(
     cid = theta.next_cid
     b = dict(theta.closures)
     b[cid] = ClosureObject(params, body)
-    return ObjectStore(theta.tables, b, theta.next_tid, cid + 1), cid
+    return ObjectStore(theta.tables, b, theta.next_tid, cid + 1,
+                       theta._meta), cid
 
 
 def index_metatable(tid: int, key: str, theta: ObjectStore) -> Value:
@@ -393,7 +428,9 @@ def strong_edges(loc: Location, sigma: ValueStore,
     Only a table prunes or gates its plain edges, by its weakness
     (``TableObject.strong_edges``): only an ephemeron value has a gate."""
     if loc[0] == "tid":
-        return theta.tables[loc[1]].strong_edges(weakness(loc[1], theta))
+        obj = theta.tables[loc[1]]
+        return obj.strong_edges(
+            "strong" if obj.meta is None else weakness(loc[1], theta))
     return tuple([(None, n) for n in successors(loc, sigma, theta)])
 
 
@@ -418,6 +455,7 @@ def restrict_stores(sigma: ValueStore, theta: ObjectStore,
         {i: o for i, o in theta.closures.items() if i not in drop_c},
         theta.next_tid,
         theta.next_cid,
+        None if theta._meta is None else theta._meta - drop_t,
     )
     return kept_sigma, kept_theta
 

@@ -30,8 +30,8 @@ for the next element to evaluate at the hole, not at the first element.
 A :class:`Focused` configuration holds the stores with the split of its
 term; the term itself is plugged only when something reads it.  ``step``
 takes either form and returns a :class:`StepResult` whose ``state`` is the
-next focused configuration; its ``config`` and ``redex_src`` are computed
-on first read, so a loop that reads neither pays for neither.  The frame
+next focused configuration; its ``config`` is plugged on first read, so a
+loop that does not read it does not pay for it.  The frame
 list is owned by the stepping loop: ``step`` on a focused configuration
 reuses it for the successor, so a stepped-from state must not be read again.
 
@@ -43,14 +43,21 @@ the distance to its call, not the depth of the context.
 A focused state also answers what a collection cycle asks of its term
 without plugging it: ``roots()``, the locations occurring in the term, and
 ``finalizer_in_flight``.  Each frame summarizes its node outside the hole
-once (``Frame.summary``); a step builds only the frames below the one it
-rebuilds, so the others keep theirs.  A list-slot frame does not walk its
+once (``Frame.summary``), by combining the memoized summaries of the
+hole's siblings (``_SIBLINGS``).  A list-slot frame does not walk its
 node's elements for that: it carries the locations of the values before the
 hole, extended by those that became values at each step, and shares the
 summaries of the elements after the hole, taken once per evaluation of the
-list (``_Rest``).  The Python work of a step thus grows with neither the
-depth nor the width of its context; what still grows with the width is
-tuple copying.
+list (``_Rest``).  The root set itself is kept as occurrence counts of the
+frames' locations (``_Counted``), carried from a state to its successor
+with the frame list, as a remembered set is (Ungar, *Generation
+Scavenging*, 1984).  A step only changes the top of the context, so the
+counts are brought up to date by uncounting the frames it lost and
+counting those it pushed; a list frame that follows one of the same
+evaluation applies only its delta, the values it added and the positions
+it passed.  ``roots()`` is then the counted locations plus the focus's.
+The Python work of a step thus grows with neither the depth nor the width
+of its context; what still grows with the width is tuple copying.
 
 This module holds the step relation and program loading only.  Iterating
 the relation, with or without GC, is ``executor.Machine``'s job; under the
@@ -141,14 +148,20 @@ class Frame:
         holds a finalizer marker (the node itself may be one).  Computed on
         first read.
 
-        The hole is left out by position: once refocused, the slot still
-        holds a stale child, which may be the same object as a sibling.  In
-        a list slot the locations may repeat and are not in print order.
+        Outside a list slot it combines the memoized summaries of the
+        hole's siblings (``_SIBLINGS``), in print order.  The hole is left
+        out by position: once refocused, the slot still holds a stale
+        child, which may be the same object as a sibling.  In a list slot
+        the locations may repeat and are not in print order.
         """
         if self._summary is None:
+            node = self.node
             if self.rest is None:
-                self._summary = summary(_replace_child(
-                    self.node, self.slot, self.idx, _HOLE))
+                siblings = _SIBLINGS[type(node), self.slot](node, self.idx)
+                for s in siblings:
+                    if s._summary is None:
+                        summary(s)
+                self._summary = A.combine(siblings, type(node) in _MARKERS)
             else:
                 locs, marker = self.rest.after(_position(self.slot, self.idx))
                 self._summary = self.done + locs, marker
@@ -163,8 +176,9 @@ class _Rest:
     reads its suffix here.  Computed on first read: a run that asks no
     frame for its summary pays nothing."""
 
-    def __init__(self, node: Term):
+    def __init__(self, node: Term, slot: str):
         self.node = node
+        self.slot = slot
 
     @cached_property
     def _flat(self) -> Tuple[Tuple[Location, ...], List[int], int]:
@@ -175,7 +189,8 @@ class _Rest:
         locs: List[Location] = []
         ends: List[int] = []
         marked = -1
-        for p, e in enumerate(_positions(self.node) + _others(self.node)):
+        others = _SIBLINGS[type(self.node), self.slot](self.node, 0)
+        for p, e in enumerate(_positions(self.node) + others):
             if e is not None:
                 elocs, marker = summary(e)
                 locs.extend(elocs)
@@ -194,16 +209,6 @@ def _positions(t: Term) -> Tuple[Optional[Term], ...]:
     if isinstance(t, TableCtor):
         return tuple(x for kv in t.fields for x in kv)
     return t.args if isinstance(t, Call) else t.exprs
-
-
-def _others(t: Term) -> Tuple[Term, ...]:
-    if isinstance(t, Local):
-        return (t.body,)
-    if isinstance(t, Call):
-        return (t.fn,)
-    if isinstance(t, Assign):
-        return t.targets
-    return ()
 
 
 def _position(slot: str, idx: int) -> int:
@@ -233,7 +238,7 @@ def _list_frame(t: Term, slot: str, idx: int,
     is that of the positions passed.
     """
     if last is None:
-        start, done, rest = 0, (), _Rest(t)
+        start, done, rest = 0, (), _Rest(t, slot)
     else:
         start, done, rest = _position(last.slot, last.idx), last.done, last.rest
     for p in range(start, _position(slot, idx)):
@@ -241,9 +246,6 @@ def _list_frame(t: Term, slot: str, idx: int,
         if e is not None:
             done += tuple(A.value_locations(e.value))
     return Frame(t, slot, idx, done, rest)
-
-
-_HOLE = Empty()
 
 
 class Redex:
@@ -589,6 +591,43 @@ _PLUG = {
 }
 
 
+# The hole's siblings, keyed like ``_PLUG``: the other children of the
+# node, in print order, with the hole left out by position.  In a list slot
+# they are the children outside the list (``_Rest`` covers its positions).
+_SIBLINGS = {
+    (Seq, "first"): lambda n, i: (n.rest,),
+    (Local, "exprs"): lambda n, i: (n.body,),
+    (Assign, "exprs"): lambda n, i: n.targets,
+    (Assign, "target_obj"): lambda n, i: (
+        n.targets[:i] + (n.targets[i].key,) + n.targets[i + 1:] + n.exprs),
+    (Assign, "target_key"): lambda n, i: (
+        n.targets[:i] + (n.targets[i].obj,) + n.targets[i + 1:] + n.exprs),
+    (Return, "exprs"): lambda n, i: (),
+    (ExprStat, "expr"): lambda n, i: (),
+    (If, "cond"): lambda n, i: (n.then_body, n.else_body),
+    (Index, "obj"): lambda n, i: (n.key,),
+    (Index, "key"): lambda n, i: (n.obj,),
+    (Call, "fn"): lambda n, i: n.args,
+    (Call, "args"): lambda n, i: (n.fn,),
+    (TableCtor, "field_key"): lambda n, i: (),
+    (TableCtor, "field_value"): lambda n, i: (),
+    (BinOp, "lhs"): lambda n, i: (n.rhs,),
+    (BinOp, "rhs"): lambda n, i: (n.lhs,),
+    (And, "lhs"): lambda n, i: (n.rhs,),
+    (Or, "lhs"): lambda n, i: (n.rhs,),
+    (Not, "operand"): lambda n, i: (),
+    (Neg, "operand"): lambda n, i: (),
+    (CallFrame, "body"): lambda n, i: (),
+    (LoopFrame, "inner"): lambda n, i: (),
+    (FinStat, "inner"): lambda n, i: (),
+    (ProtectedFrame, "inner"): lambda n, i: (),
+    (FinWrap, "inner"): lambda n, i: (),
+}
+
+# The node types that are finalizer markers.
+_MARKERS = (FinStat, FinWrap)
+
+
 def _replace_child(node: Term, slot: str, idx: int, child: Term) -> Term:
     build = _PLUG.get((type(node), slot))
     if build is None:
@@ -607,22 +646,102 @@ def plug(frames: List[Frame], t: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
+class _Counted:
+    """The root set of a frame list, kept as occurrence counts.
+
+    ``counts`` maps each location to the number of times the summaries of
+    the ``frames`` counted hold it, and ``markers`` is the number of those
+    frames that hold a marker.  It is carried from a state to its
+    successor with the frame list, and ``sync`` brings it up to date at the
+    cost of what changed, not of the depth of the context.
+    """
+
+    __slots__ = ("counts", "frames", "markers")
+
+    def __init__(self) -> None:
+        self.counts: Dict[Location, int] = {}
+        self.frames: List[Frame] = []
+        self.markers = 0
+
+    def sync(self, frames: List[Frame]) -> None:
+        """Count ``frames`` instead of the frames counted so far.
+
+        Frames are only pushed and popped, so walking down from the top to
+        the first frame already counted finds where the two lists part:
+        the counted frames above it are uncounted and the new ones
+        counted.  A new list frame that follows a lost one of the same
+        evaluation (same ``_Rest``) only applies its delta.
+        """
+        counted = self.frames
+        i = min(len(counted), len(frames))
+        while i and counted[i - 1] is not frames[i - 1]:
+            i -= 1
+        j = i
+        if (i < len(counted) and i < len(frames)
+                and frames[i].rest is not None
+                and frames[i].rest is counted[i].rest):
+            self._advance(counted[i], frames[i])
+            j = i + 1
+        for f in counted[j:]:
+            self._add(f, -1)
+        for f in frames[j:]:
+            self._add(f, 1)
+        counted[i:] = frames[i:]
+
+    def _add(self, f: Frame, sign: int) -> None:
+        locs, marker = f.summary
+        if locs:
+            self._count(locs, sign)
+        if marker:
+            self.markers += sign
+
+    def _advance(self, old: Frame, new: Frame) -> None:
+        """Recount a list frame as ``new``, a later frame of its evaluation:
+        the values that ``new`` adds to ``old.done`` join, and the
+        positions it passed leave."""
+        self._count(new.done[len(old.done):], 1)
+        locs, ends, marked = new.rest._flat
+        p0, p1 = _position(old.slot, old.idx), _position(new.slot, new.idx)
+        self._count(locs[ends[p0]:ends[p1]], -1)
+        self.markers += (marked > p1) - (marked > p0)
+
+    def _count(self, locs: Tuple[Location, ...], sign: int) -> None:
+        counts = self.counts
+        for l in locs:
+            n = counts.get(l, 0) + sign
+            if n:
+                counts[l] = n
+            else:
+                del counts[l]
+
+
 @dataclass
 class Focused:
     """A configuration held as its stores and the split of its term.
 
-    ``term`` is ``plug(at.frames, at.term)``, built on first read.
+    ``term`` is ``plug(at.frames, at.term)``, built on first read.  The
+    root counts of the frames (``_Counted``) pass to the successor with
+    the frame list.
     """
 
     sigma: ValueStore
     theta: ObjectStore
     at: Union[Redex, Finished]
     _term: Optional[Term] = field(default=None, repr=False)
+    _counted: _Counted = field(default_factory=_Counted, repr=False,
+                               compare=False)
 
     @classmethod
     def of(cls, config: Configuration) -> "Focused":
         return cls(config.sigma, config.theta, decompose(config.term),
                    config.term)
+
+    def refocused(self, sigma: ValueStore, theta: ObjectStore,
+                  frames: List[Frame], t: Term) -> "Focused":
+        """The state with stores ``sigma`` and ``theta`` whose term is
+        ``t`` in the hole of ``frames``, this state's frame list, which it
+        takes over (``refocus``) with its root counts."""
+        return Focused(sigma, theta, refocus(frames, t), None, self._counted)
 
     @property
     def term(self) -> Term:
@@ -636,17 +755,15 @@ class Focused:
 
     @cached_property
     def _scan(self) -> Tuple[Set[Location], bool]:
-        locs, in_flight = summary(self.at.term)
-        roots = set(locs)
-        for f in self.at.frames:
-            flocs, marker = f.summary
-            roots.update(flocs)
-            in_flight = in_flight or marker
-        return roots, in_flight
+        counted = self._counted
+        counted.sync(self.at.frames)
+        locs, marker = summary(self.at.term)
+        return counted.counts.keys() | locs, marker or counted.markers > 0
 
     def roots(self) -> Set[Location]:
         """The locations occurring in the term, the collector's root set:
-        the frames' summaries plus the focus.  Read-only."""
+        the locations the frames' summaries count plus the focus's.
+        Read-only."""
         return self._scan[0]
 
     @property
@@ -657,15 +774,15 @@ class Focused:
         return self._scan[1]
 
     def with_stores(self, sigma: ValueStore, theta: ObjectStore) -> "Focused":
-        return Focused(sigma, theta, self.at, self._term)
+        return Focused(sigma, theta, self.at, self._term, self._counted)
 
 
 class StepResult:
     """One reduction: the focused successor ``state``, the rule applied,
-    the printed lines and whether ``collectgarbage()`` asked for a drain.
-    ``config`` and ``redex_src`` are built on first read."""
+    the printed lines, whether ``collectgarbage()`` asked for a drain and
+    the ``redex`` reduced.  ``config`` is built on first read."""
 
-    __slots__ = ("state", "rule", "output", "gc_request", "_redex")
+    __slots__ = ("state", "rule", "output", "gc_request", "redex")
 
     def __init__(self, state: Focused, rule: str, output: List[str],
                  gc_request: bool, redex: Term):
@@ -673,15 +790,11 @@ class StepResult:
         self.rule = rule
         self.output = output
         self.gc_request = gc_request
-        self._redex = redex
+        self.redex = redex
 
     @property
     def config(self) -> Configuration:
         return self.state.config
-
-    @property
-    def redex_src(self) -> str:
-        return A.to_source(self._redex)
 
 
 BUILTINS = (
@@ -723,7 +836,8 @@ def step(config: Union[Configuration, Focused]) -> Union[StepResult, Finished]:
     except LuaError as e:
         hole = _unwind_error(d.frames, e.value)
         sigma, theta, rule, gc_request = state.sigma, state.theta, "raise", False
-    nxt = Focused(sigma, theta, refocus(d.frames, hole))
+    nxt = Focused(sigma, theta, refocus(d.frames, hole), None,
+                  state._counted)
     return StepResult(nxt, rule, out, gc_request, d.term)
 
 

@@ -79,6 +79,30 @@ def test_deep_operator_chain_is_analyzed(text):
     assert (r.verdict, r.reason, r.diagnostics) == ("SAFE", "", [])
 
 
+@pytest.mark.parametrize("text", [BLOCK, NEGS, NOTS, POWS],
+                         ids=["block-5000", "neg", "not", "pow"])
+def test_deep_term_prints(text):
+    t = desugar(parse(text))
+    full = A.to_source(t)
+    assert len(full) > 5_000
+    assert A.to_source(t, 120) == full[:120]
+
+
+def test_long_block_traces(tmp_path, capsys):
+    # a step's redex is printed only as far as the trace keeps it: the
+    # first `local` is the whole block
+    path = tmp_path / "block.lua"
+    path.write_text(BLOCK)
+    assert main(["trace", str(path), "--fuel", "100000"]) == 0
+    out, err = capsys.readouterr()
+    steps = [e for e in map(json.loads, out.splitlines())
+             if e["kind"] == "l_step"]
+    assert err == "result: return\n"
+    assert steps[0]["rule"] == "table" and steps[1]["rule"] == "local"
+    assert len(steps[1]["redex"]) == 120
+    assert all(len(e["redex"]) <= 120 for e in steps)
+
+
 def test_deep_parens_dump(tmp_path, capsys):
     path = tmp_path / "parens.lua"
     path.write_text(PARENS)

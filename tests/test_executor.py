@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -976,6 +977,86 @@ class TestStateDerivedFacts:
         deep = self.summarized_per_cycle(monkeypatch, 400)
         assert deep <= 1.5 * shallow
 
+    def test_frame_summaries_from_siblings(self, monkeypatch):
+        """Every frame kind has a sibling entry, and a frame's summary is
+        that of its node with an empty hole; a list frame's as a set, since
+        its locations may repeat."""
+        assert set(interp._SIBLINGS) == set(interp._PLUG)
+        kinds = set()
+        real_step = executor.step
+
+        def hook(state, *args, **kwargs):
+            for f in state.at.frames:
+                holed = A.summary(interp._replace_child(f.node, f.slot, f.idx,
+                                                        A.Empty()))
+                if f.rest is None:
+                    assert f.summary == holed
+                else:
+                    assert (set(f.summary[0]), f.summary[1]) == (
+                        set(holed[0]), holed[1])
+                kinds.add((type(f.node), f.slot))
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "step", hook)
+        texts = [program_text(rel)
+                 for rel in CORPUS_PROGRAMS + sorted(MARKER_TRAPS)]
+        # no corpus program negates an expression that takes a step
+        texts.append("local x = 1\nreturn -(x + 1)")
+        for text in texts:
+            run(load_program(text), Schedule("eager", "fin"), fuel=2_000)
+        assert kinds == set(interp._PLUG)
+
+    @staticmethod
+    def counted_per_step(monkeypatch, depth: int) -> float:
+        config = load_program(recursion_program(depth))
+        counted = 0
+        real_add = interp._Counted._add
+        real_advance = interp._Counted._advance
+
+        def add(self, f, sign):
+            nonlocal counted
+            counted += 1
+            real_add(self, f, sign)
+
+        def advance(self, old, new):
+            nonlocal counted
+            counted += 1
+            real_advance(self, old, new)
+
+        with monkeypatch.context() as m:
+            m.setattr(interp._Counted, "_add", add)
+            m.setattr(interp._Counted, "_advance", advance)
+            rec = run(config, Schedule("eager", "fin_weak"), fuel=100_000)
+        assert rec.result.kind == "return"
+        return counted / rec.steps
+
+    def test_frames_counted_per_step_independent_of_depth(self, monkeypatch):
+        # the root counts follow what each step changed, not the stack
+        shallow = self.counted_per_step(monkeypatch, 50)
+        deep = self.counted_per_step(monkeypatch, 400)
+        assert deep <= 1.5 * shallow
+
+    @staticmethod
+    def traced_peak(depth: int) -> int:
+        # each level's frame holds a reference to its own `n`
+        config = load_program(
+            "local f = nil\n"
+            "f = function(n) if n < 1 then return 0 end"
+            " return f(n - 1) + n end\n"
+            f"return f({depth})\n")
+        tracemalloc.start()
+        try:
+            rec = run(config, Schedule("eager", "fin_weak"), fuel=100_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rec.result.kind == "return"
+        return peak
+
+    def test_root_counts_take_memory_linear_in_depth(self):
+        # a cumulative root set on every frame would grow quadratically
+        assert self.traced_peak(600) <= 2.5 * self.traced_peak(300)
+
     # hand-built: no program puts a marker to the right of a list hole, or
     # in a `local`'s body while its expressions are evaluated
     @pytest.mark.parametrize("make", [
@@ -1109,7 +1190,12 @@ MEMO_SHAPES = {
     "store_into_strong": ("w = {}\nw[1] = true", [""]),
     "store_into_weak_values": (
         'w = setmetatable({}, {__mode = "v"})\nw[1] = {}',
-        ["", "", "DC", ""]),
+        ["", "", "DC"]),
+    # a cleared weak-values field may have held its key last: the cycle
+    # that clears it is not quiescent, and the next one discards the key
+    "store_into_weak_values_table_key": (
+        'w = setmetatable({}, {__mode = "v"})\nw[{}] = {}',
+        ["", "", "DC", "D"]),
     "setmetatable_nil": ("t = {}\nsetmetatable(t, nil)", [""]),
     "setmetatable_gc": (f"t = {{}}\nsetmetatable(t, {FIN_META})", ["", ""]),
     # a changed metatable's __mode must give the same weakness

@@ -779,6 +779,46 @@ class TestStillQuiescent:
             term_of([("ref", 1), ("cid", 1)] + [new_root] * bool(new_root)))
         assert still_quiescent(base.sigma, theta, base.roots(), c) == ok
 
+    @pytest.mark.parametrize("allow", [True, False],
+                             ids=["finalizer_allowed", "finalizer_in_flight"])
+    @pytest.mark.parametrize("mode", ["simple", "fin", "fin_weak"])
+    def test_quiescent_cycle_leaves_nothing(self, mode, allow):
+        """From a quiescent cycle's kept stores and the same roots, a cycle
+        finds nothing: also after it cleared weak fields, and while a
+        finalizer in flight holds candidates back."""
+        import random
+
+        rng = random.Random(2718)
+        cleared = held = 0
+        for _ in range(400):
+            # the edits mark tables for finalization, as no random heap does
+            c = edit_heap(rng, random_heap(rng, max_locs=10, weak=True), 4)
+            o = run_cycle(c, mode, allow_finalizer=allow)
+            assert not (o.held_for_flight and allow)
+            if not o.quiescent:
+                continue
+            cleared += bool(o.cleared_weak_fields)
+            held += o.held_for_flight
+            c0 = Configuration(o.kept_sigma, o.kept_theta, c.term)
+            again = run_cycle(c0, mode, allow_finalizer=allow)
+            assert again.quiescent and not again.changed
+            assert again.held_for_flight == o.held_for_flight
+        assert cleared > 0 if mode == "fin_weak" else not cleared
+        assert held > 0 if mode != "simple" and not allow else not held
+
+    def test_cleared_weak_value_leaves_key_garbage(self):
+        """A weak-values field is cleared while its key is reached only
+        through it; the cycle is not quiescent, as the key is garbage
+        once the field is gone."""
+        c = build_heap({}, {1: {"fields": [(("tid", 2), ("tid", 3))],
+                                "mode": "v"}, 2: {}, 3: {}},
+                       {}, [("tid", 1)])
+        o = run_cycle(c, "fin_weak")
+        assert o.cleared_weak_fields and o.discarded == (("tid", 3),)
+        assert not o.quiescent
+        c0 = Configuration(o.kept_sigma, o.kept_theta, c.term)
+        assert run_cycle(c0, "fin_weak").discarded == (("tid", 2),)
+
     def test_ephemeron_value_is_not_one_strong_edge(self):
         """An ephemeron value is reached only once its key is; here the
         key hangs off the value itself, so both become garbage when the

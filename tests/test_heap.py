@@ -1,11 +1,14 @@
 import json
 import random
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from luagc import ast as A
 from luagc.ast import Cid, Nil, Num, Str, Tid
 from luagc.heap import (
+    FORBIDDEN,
     UNSET,
     Configuration,
     HeapError,
@@ -17,6 +20,7 @@ from luagc.heap import (
     alloc_table,
     alloc_value,
     index_metatable,
+    restrict_stores,
     snapshot_json,
     validate,
     weakness,
@@ -252,6 +256,76 @@ class TestTableObject:
         t = t.set(Num(1), Str("one"))
         assert t.get(A.Bool(True)) == Str("bool")
         assert t.get(Num(1)) == Str("one")
+
+
+# One store operation: a kind and a number that picks its table.
+STORE_OPS = st.lists(st.tuples(
+    st.sampled_from(["table", "closure", "meta", "mark", "forbid", "plain",
+                     "write", "restrict"]),
+    st.integers(0, 50)), max_size=40)
+
+
+class TestMetaIndex:
+    """``ObjectStore.meta_index`` holds exactly the tables with a metatable
+    or a mark other than ``UNSET``, however the store was made."""
+
+    @staticmethod
+    def scanned(theta: ObjectStore) -> frozenset:
+        return frozenset(i for i, t in theta.tables.items()
+                         if t.meta is not None or t.pos is not UNSET)
+
+    @settings(max_examples=150, deadline=None)
+    @given(STORE_OPS)
+    def test_index_matches_full_scan(self, ops):
+        sigma, theta = ValueStore(), ObjectStore()
+        for op, k in ops:
+            tids = sorted(theta.tables)
+            if op == "table":
+                theta, _ = alloc_table(theta, ((Num(1), Num(k)),))
+            elif op == "closure":
+                theta, _ = alloc_closure(theta, (), A.Empty())
+            elif tids:
+                tid = tids[k % len(tids)]
+                t = theta.table(tid)
+                if op == "meta":
+                    t = replace(t, meta=tids[k // 2 % len(tids)])
+                elif op == "mark":
+                    t = replace(t, pos=k + 1)
+                elif op == "forbid":
+                    t = replace(t, pos=FORBIDDEN)
+                elif op == "plain":
+                    t = replace(t, meta=None, pos=UNSET)
+                elif op == "write":
+                    t = t.set(Num(2), Num(k))
+                if op == "restrict":
+                    sigma, theta = restrict_stores(sigma, theta,
+                                                   {("tid", tid)})
+                else:
+                    theta = theta.put_table(tid, t)
+            scan = self.scanned(theta)
+            assert theta.meta_index == scan
+            assert theta.meta_order == tuple(sorted(scan))
+            # built from the same dicts, a store computes the same index
+            rebuilt = ObjectStore(dict(theta.tables), dict(theta.closures),
+                                  theta.next_tid, theta.next_cid)
+            assert rebuilt.meta_index == scan
+
+    def test_equality_ignores_the_index(self):
+        theta, tid = alloc_table(ObjectStore(), ())
+        theta = theta.put_table(tid, replace(theta.table(tid), pos=1))
+        other = ObjectStore(theta.tables, theta.closures, theta.next_tid,
+                            theta.next_cid, frozenset())
+        assert other == theta and other.meta_index != theta.meta_index
+
+    def test_cycles_keep_the_index(self):
+        from luagc.gc import run_cycle
+
+        rng = random.Random(4242)
+        for _ in range(200):
+            c = random_heap(rng, max_locs=10, weak=True)
+            for mode in ("simple", "fin", "fin_weak"):
+                theta = run_cycle(c, mode).kept_theta
+                assert theta.meta_index == self.scanned(theta)
 
 
 def test_snapshot_roundtrips_as_json():

@@ -231,6 +231,35 @@ class TestRoundTrip:
     def test_expression_round_trip(self, e):
         assert parse("return " + A.to_source(e)) == A.Block((A.Return((e,)),))
 
+    @pytest.mark.parametrize("path", sorted(CORPUS.glob("*/*.lua")),
+                             ids=lambda p: f"{p.parent.name}/{p.stem}")
+    def test_prefix_is_cut_from_the_whole(self, path):
+        from luagc.executor import splice_finalizer
+        from luagc.interp import load_program
+
+        term = load_program(path.read_text()).term
+        for t in (term, splice_finalizer(term, 1, 1)):
+            for n in A.walk(t):
+                full = A.to_source(n)
+                for k in {0, 1, 9, 120, len(full) - 1, len(full) + 1}:
+                    assert A.to_source(n, max(k, 0)) == full[:max(k, 0)]
+
+    @pytest.mark.parametrize("e, text", [
+        (A.Neg(A.Const(A.Num(-1.0))), "- -1"),
+        (A.Neg(A.BinOp("^", A.Const(A.Num(-2.0)), A.Name("x"))), "- -2 ^ x"),
+        (A.Neg(A.BinOp("+", A.Const(A.Num(-2.0)), A.Name("x"))),
+         "-(-2 + x)"),
+        (A.Neg(A.Call(A.Neg(A.Name("f")), ())), "-(-f)()"),
+        (A.Neg(A.Index(A.Name("t"), A.Const(A.Num(1.0)))), "-t[1]"),
+        (A.Not(A.Neg(A.Name("x"))), "not -x"),
+    ], ids=["negative_constant", "power_base", "parenthesized_sum",
+            "parenthesized_callee", "index", "not"])
+    def test_minus_before_minus_is_spaced(self, e, text):
+        # "--" would read as a comment; only the operand's leftmost
+        # spine decides, without printing it
+        assert A.to_source(e) == text
+        assert A.to_source(e, 2) == text[:2]
+
     def test_json_dump_deterministic(self):
         text = corpus_text("weak/weak_cache.lua")
         a = json.dumps(A.to_json(parse(text)), sort_keys=True)

@@ -13,7 +13,9 @@ The soak also checks the delta rule the eager machine skips cycles by: it
 keeps the stores and roots of the last quiescent cycle (its kept stores
 when it discarded all its garbage), and wherever ``still_quiescent`` says
 a cycle could be skipped, the cycle it runs must be quiescent and change
-nothing.
+nothing.  A cycle that was quiescent only because a finalizer in flight
+held its candidates back (``held_for_flight``) vouches for no cycle after
+the finalizer ends.
 """
 
 import pytest
@@ -46,7 +48,8 @@ def soak(path, mode) -> int:
     would have skipped."""
     config = load_program(path.read_text(), str(path))
     validate(config)
-    quiet = None  # (sigma, theta, roots) of the last quiescent cycle
+    # (sigma, theta, roots, held_for_flight) of the last quiescent cycle
+    quiet = None
     skips = 0
     for _ in range(700):
         allow_fin = not finalizer_in_flight(config.term)
@@ -54,10 +57,12 @@ def soak(path, mode) -> int:
         forced = run_cycle(config, mode, selector=lambda g: g,
                            allow_finalizer=allow_fin)
         assert forced == outcome, mode
-        if quiet is not None and still_quiescent(*quiet, config):
+        if (quiet is not None and (not quiet[3] or not allow_fin)
+                and still_quiescent(*quiet[:3], config)):
             assert outcome.quiescent and not outcome.changed, mode
             skips += 1
-        quiet = ((outcome.kept_sigma, outcome.kept_theta, config.roots())
+        quiet = ((outcome.kept_sigma, outcome.kept_theta, config.roots(),
+                  outcome.held_for_flight)
                  if outcome.quiescent else None)
         if outcome.changed:
             config = _apply_outcome(config, outcome)
