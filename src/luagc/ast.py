@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -508,10 +508,12 @@ def term_locations(t: Term) -> Iterator[Location]:
                 yield from value_locations(v)
 
 
-# The distinct locations of a term in print order (first occurrences, as
-# ``term_locations`` yields them), and whether it holds a finalizer marker.
-Summary = Tuple[Tuple[Location, ...], bool]
-_NOTHING: Summary = ((), False)
+# A term's occurrences: each location that occurs in it, with how often, in
+# first-occurrence print order (``Counter(term_locations(t))``), and how
+# many finalizer markers (``FinStat``/``FinWrap``) it holds.  A memo is
+# shared between nodes and must not be mutated.
+Summary = Tuple[Dict[Location, int], int]
+_NOTHING: Summary = ({}, 0)
 
 
 def summary(t: Term) -> Summary:
@@ -541,25 +543,40 @@ def summary(t: Term) -> Summary:
 
 def _summarize(n: Term) -> Summary:
     """One node's summary from its children's, sharing a child's when the
-    node adds nothing to it."""
+    node adds nothing to it.
+
+    When it does, the locations enter in order by C-level updates; only
+    the children other than the largest are walked in Python, to add up
+    the counts of the locations they share with the others."""
     if isinstance(n, Ref):
-        return ((("ref", n.r),), False)
+        return {("ref", n.r): 1}, 0
     if isinstance(n, (Const, ValueTuple)):
-        vals = (n.value,) if isinstance(n, Const) else n.values
-        locs = tuple(dict.fromkeys(l for v in vals for l in value_locations(v)))
-        return (locs, False) if locs else _NOTHING
-    return combine(_KIDS[type(n)](n), isinstance(n, (FinStat, FinWrap)))
-
-
-def combine(kids: Tuple[Term, ...], marker: bool) -> Summary:
-    """The summary of a node with the children ``kids``, all summarized
-    already, that is itself a marker if ``marker``."""
-    parts = [c._summary for c in kids if c._summary is not _NOTHING]
-    if len(parts) == 1 and (parts[0][1] or not marker):
-        return parts[0]
-    locs = tuple(dict.fromkeys(l for p in parts for l in p[0]))
-    marker = marker or any(p[1] for p in parts)
-    return (locs, marker) if locs or marker else _NOTHING
+        counts: Dict[Location, int] = {}
+        for v in ((n.value,) if isinstance(n, Const) else n.values):
+            for l in value_locations(v):
+                counts[l] = counts.get(l, 0) + 1
+        return (counts, 0) if counts else _NOTHING
+    parts = [c._summary for c in _KIDS[type(n)](n)
+             if c._summary is not _NOTHING]
+    marker = isinstance(n, (FinStat, FinWrap))
+    if len(parts) < 2:
+        if not marker:
+            return parts[0] if parts else _NOTHING
+        counts, markers = parts[0] if parts else _NOTHING
+        return counts, markers + 1
+    counts = {}
+    for p in parts:
+        counts.update(p[0])
+    big = max(range(len(parts)), key=lambda i: len(parts[i][0]))
+    extra: Dict[Location, int] = {}
+    for i, p in enumerate(parts):
+        if i != big:
+            for l, k in p[0].items():
+                extra[l] = extra.get(l, 0) + k
+    most = parts[big][0]
+    for l, k in extra.items():
+        counts[l] = most.get(l, 0) + k
+    return counts, sum(p[1] for p in parts) + marker
 
 
 # ---------------------------------------------------------------------------

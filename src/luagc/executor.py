@@ -41,7 +41,7 @@ import math
 import random
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from . import ast as A
@@ -287,38 +287,40 @@ def _apply_outcome(config: Configuration, outcome: GcOutcome) -> Configuration:
     return config
 
 
-def _trace_gc(trace: List[dict], step_index: int, outcome: GcOutcome) -> None:
+def _trace_gc(trace: List[tuple], step_index: int, outcome: GcOutcome) -> None:
     if outcome.discarded:
-        trace.append(
-            {
-                "step": step_index,
-                "kind": "collect",
-                # ids repeat across runs of one program, and interned names
-                # let the records a caller keeps share them
-                "discarded": [sys.intern(f"{k}{i}")
-                              for k, i in outcome.discarded],
-            }
-        )
+        # ids repeat across runs of one program, and interned names let the
+        # records a caller keeps share them
+        trace.append((step_index, "collect",
+                      tuple(sys.intern(f"{k}{i}") for k, i in outcome.discarded)))
     for tid, k, v in outcome.cleared_weak_fields:
-        trace.append(
-            {
-                "step": step_index,
-                "kind": "clear_weak_field",
-                "table": tid,
-                "key": repr(k),
-                "value": repr(v),
-            }
-        )
+        trace.append((step_index, "clear_weak_field", tid, repr(k), repr(v)))
     if outcome.marked_forbidden is not None and outcome.pending_finalizer is None:
-        trace.append(
-            {"step": step_index, "kind": "finalize_skip",
-             "table": outcome.marked_forbidden}
-        )
+        trace.append((step_index, "finalize_skip", outcome.marked_forbidden))
     if outcome.pending_finalizer is not None:
         cid, tid = outcome.pending_finalizer
-        trace.append(
-            {"step": step_index, "kind": "finalize", "table": tid, "closure": cid}
-        )
+        trace.append((step_index, "finalize", tid, cid))
+
+
+# The keys of each kind of trace event after "step" and "kind", in the
+# order its tuple holds their values.
+_EVENT_KEYS = {
+    "l_step": ("rule", "redex"),
+    "collect": ("discarded",),
+    "clear_weak_field": ("table", "key", "value"),
+    "finalize_skip": ("table",),
+    "finalize": ("table", "closure"),
+    "finalizer_error": ("table", "error"),
+}
+
+
+def _event(e: tuple) -> dict:
+    """A trace event as its dict: ``step``, ``kind``, then its values."""
+    d = {"step": e[0], "kind": e[1]}
+    d.update(zip(_EVENT_KEYS[e[1]], e[2:]))
+    if e[1] == "collect":
+        d["discarded"] = list(d["discarded"])
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +330,19 @@ def _trace_gc(trace: List[dict], step_index: int, outcome: GcOutcome) -> None:
 
 @dataclass
 class RunRecord:
+    """A run's result, printed lines, trace and step count.  The trace is
+    kept as ``events``, one tuple per event: the step, the kind and the
+    values of the kind's keys (``_EVENT_KEYS``).  ``trace`` gives them as
+    dicts, built on first read."""
+
     result: ProgramResult
     output: List[str] = field(default_factory=list)
-    trace: List[dict] = field(default_factory=list)
+    events: List[tuple] = field(default_factory=list)
     steps: int = 0
+
+    @cached_property
+    def trace(self) -> List[dict]:
+        return [_event(e) for e in self.events]
 
 
 class Machine:
@@ -342,24 +353,27 @@ class Machine:
     from the hole instead of decomposing from the root.  A GC cycle takes
     its root set and whether a finalizer is in flight from the focused
     state (``Focused.roots``, ``Focused.finalizer_in_flight``), so neither
-    plugs nor walks the term; the state's root counts pass from step to
-    step with its frames and follow only what each step changed, so the
-    per-step bookkeeping of ``eager`` does not grow with the depth of the
-    context.  A cycle that only changes the stores keeps the focus and the
-    counts; a finalizer splice refocuses from the hole it fills.  The term
-    is plugged only to splice a finalizer ahead of a final term, and when
-    a caller reads ``config``.
+    plugs nor walks the term: both read the term's occurrence counts,
+    which each step moves by its redex, its contractum and the frames it
+    cut, so the per-step bookkeeping of ``eager`` grows with neither the
+    depth nor the width of the context.  A cycle that only changes the
+    stores keeps the focus and the counts; a finalizer splice moves them
+    by the term it puts in the hole.  The term is plugged only to splice
+    a finalizer ahead of a final term, and when a caller reads ``config``.
 
-    A quiescent cycle is remembered by the stores it kept, its root set
-    and whether its quiescence lasts only while a finalizer is in flight
+    A quiescent cycle is remembered by the stores it kept and whether its
+    quiescence lasts only while a finalizer is in flight
     (``GcOutcome.held_for_flight``).  A later cycle is skipped when that
     still holds and ``gc.still_quiescent`` proves from the change since
-    then that it would find nothing either, and the skipped state is
-    remembered in its place, so each proof looks at one step's change
-    (after a collection, look only at what the mutator changed, as
-    remembered sets do in generation scavenging).  The explorer runs the
-    maximal cycle itself at every node, with no memo, and collects a
-    garbage-only one in place (see ``observations``).
+    then that it would find nothing either: the stores are diffed by
+    identity, and the roots lost are the locations whose count fell to
+    zero since the last collect (``Focused.lost_roots``).  If the counts
+    were built afresh since, nothing is known lost and the cycle runs.
+    The skipped state is remembered in its place, so each proof looks at
+    one step's change (after a collection, look only at what the mutator
+    changed, as remembered sets do in generation scavenging).  The
+    explorer runs the maximal cycle itself at every node, with no memo,
+    and collects a garbage-only one in place (see ``observations``).
 
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
@@ -377,13 +391,13 @@ class Machine:
         self.gc_on = schedule.policy != "never"
         self.drain_pending = False
         self.output: List[str] = []
-        self.trace: List[dict] = []
+        self.trace: List[tuple] = []  # events, as ``RunRecord.events``
         # only the random policy and the random-subset selector draw from it
         self.rng = (random.Random(schedule.seed)
                     if schedule.policy == "random"
                     or schedule.selector != "maximal" else None)
-        # (sigma, theta, roots, held_for_flight) where the last cycle, run
-        # or skipped, was quiescent; None after a cycle that was not
+        # (sigma, theta, held_for_flight) where the last cycle, run or
+        # skipped, was quiescent; None after a cycle that was not
         self._quiet: Optional[tuple] = None
 
     @property
@@ -409,8 +423,8 @@ class Machine:
         self.steps += 1
         self.state = res.state
         if self.trace_steps:
-            self.trace.append({"step": index, "kind": "l_step", "rule": res.rule,
-                               "redex": to_source(res.redex, 120)})
+            self.trace.append((index, "l_step", res.rule,
+                               to_source(res.redex, 120)))
         if res.gc_request and self.gc_on:
             self.drain_pending = True
 
@@ -419,13 +433,15 @@ class Machine:
         nothing."""
         state = self.state
         quiet = self._quiet
-        if (quiet is not None and (not quiet[3] or state.finalizer_in_flight)
-                and still_quiescent(quiet[0], quiet[1], quiet[2], state)):
-            self._quiet = (state.sigma, state.theta, state.roots(), quiet[3])
+        lost = state.lost_roots()
+        if (quiet is not None and lost is not None
+                and (not quiet[2] or state.finalizer_in_flight)
+                and still_quiescent(quiet[0], quiet[1], lost, state)):
+            self._quiet = (state.sigma, state.theta, quiet[2])
             return None
         outcome = run_cycle(state, self.schedule.mode, selector,
                             allow_finalizer=not state.finalizer_in_flight)
-        self._quiet = ((outcome.kept_sigma, outcome.kept_theta, state.roots(),
+        self._quiet = ((outcome.kept_sigma, outcome.kept_theta,
                         outcome.held_for_flight)
                        if outcome.quiescent else None)
         if not outcome.changed:
@@ -475,12 +491,11 @@ class Machine:
             if not self.advance():
                 return
             if self.state.at.kind == "error":
-                self.trace.append(
-                    {"step": self.steps, "kind": "finalizer_error",
-                     "table": outcome.pending_finalizer[1],
-                     "error": repr(self.state.at.error_value)}
-                )
-            self.state = final.with_stores(self.state.sigma, self.state.theta)
+                self.trace.append((self.steps, "finalizer_error",
+                                   outcome.pending_finalizer[1],
+                                   repr(self.state.at.error_value)))
+            # the finalizer's steps moved the occurrences ``final`` had
+            self.state = Focused(self.state.sigma, self.state.theta, final.at)
 
 
 def run(

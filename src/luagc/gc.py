@@ -25,11 +25,10 @@ reachability and clears weak fields.
 
 The cycle takes its root set from the state it is given (``roots()``).  A
 running program is a focused state (``interp.Focused``): its roots are
-what the context frames hold outside their holes plus the focus, kept as
-occurrence counts that each step updates by the frames it changed, like a
-collector's remembered set, so a cycle never walks or plugs the whole
-term.  A plain :class:`~luagc.heap.Configuration`, where no focus exists,
-walks its term.
+the keys of the term's occurrence counts, which each step moves by its
+redex and contractum and the frames it cut, so a cycle never walks or
+plugs the whole term.  A plain :class:`~luagc.heap.Configuration`, where
+no focus exists, walks its term.
 
 A cycle reuses what the heap kept since the last one.  A table is
 immutable and shared by every store holding it, so it memoizes its
@@ -50,6 +49,7 @@ candidate, or only candidates held back because a finalizer was in flight
 ``still_quiescent`` proves from the change since such a cycle that a cycle
 now would find nothing either, and ``executor.Machine`` skips those
 cycles: after a collection it looks only at what the program changed,
+the store entries it replaced and the roots whose count fell to zero,
 like the remembered sets of generation scavenging.  The explorer skips no
 cycle, but branches on
 fewer: it runs the maximal cycle at every node, and when that cycle is
@@ -417,11 +417,11 @@ def _retain_ephemeron_values(
 
 def _weak_fields_to_clear(
     strong: Set[Location], theta: ObjectStore
-) -> List[Tuple[int, Value, Value]]:
-    """``(tid, key, value)`` of every weak field whose weak side is not
-    strongly reachable, except ephemeron fields whose key still awaits
+) -> Dict[int, List[int]]:
+    """The field indices, by table, of every weak field whose weak side is
+    not strongly reachable, except ephemeron fields whose key still awaits
     its finalizer."""
-    out: List[Tuple[int, Value, Value]] = []
+    out: Dict[int, List[int]] = {}
     for i in theta.meta_order:
         w = weakness(i, theta)
         if w == "strong":
@@ -438,7 +438,7 @@ def _weak_fields_to_clear(
             if (weak_keys(w) and kloc is not None and kloc[0] == "tid"
                     and is_marked(theta.table(kloc[1]).pos)):
                 continue  # retained until the key's finalizer ran
-            out.append((i, *obj.fields[idx]))
+            out.setdefault(i, []).append(idx)
     return out
 
 
@@ -486,13 +486,15 @@ def run_cycle(c: Union[Configuration, "Focused"], mode: str,
     cleared_theta = theta
     if weak:
         keep = _retain_ephemeron_values(keep, sigma, theta)
-        cleared = _weak_fields_to_clear(reached, theta)
-    if cleared:
-        tables = dict(theta.tables)
-        for i, k, _ in cleared:
-            tables[i] = tables[i].without(k)
-        cleared_theta = ObjectStore(tables, theta.closures, theta.next_tid,
-                                    theta.next_cid, theta.meta_index)
+        drop = _weak_fields_to_clear(reached, theta)
+        if drop:
+            tables = dict(theta.tables)
+            for i, idxs in drop.items():
+                obj = tables[i]
+                cleared.extend((i, *obj.fields[idx]) for idx in idxs)
+                tables[i] = obj.without_fields(idxs)
+            cleared_theta = ObjectStore(tables, theta.closures, theta.next_tid,
+                                        theta.next_cid, theta.meta_index)
 
     all_locs = locations(sigma, theta)
     garbage = set(all_locs) - keep
@@ -537,10 +539,11 @@ def _followed_edges_kept(cleared: List[Tuple[int, Value, Value]],
 
 
 def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
-                    roots0: Set[Location],
+                    lost: Iterable[Location],
                     c: Union[Configuration, "Focused"]) -> bool:
-    """Would a cycle at ``c`` find nothing, given that one from ``roots0``
-    on ``sigma0`` and ``theta0`` was quiescent (``GcOutcome.quiescent``)?
+    """Would a cycle at ``c`` find nothing, given that one on ``sigma0``
+    and ``theta0`` was quiescent (``GcOutcome.quiescent``), and that the
+    roots lost since then are among ``lost``?
 
     A quiescent cycle keeps every location, so each is reachable, or
     kept for a finalizer (held back candidates included); that stays true
@@ -560,11 +563,16 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
     followed survives or is bypassed at a lost edge, and nothing new waits
     for a clear or a finalizer.  The rule holds in every mode, since a
     strong edge is also a plain one.  The change is diffed by identity
-    over the store dicts; the lost roots are ``roots0`` minus the roots
-    now.  A ``held_for_flight`` cycle vouches only while a finalizer is
-    in flight, which the caller checks.
+    over the store dicts.  ``lost`` may be any superset of the dropped
+    roots: the old root set, or the locations whose occurrence count fell
+    to zero in the steps since (``interp.Focused.lost_roots``); one that
+    is a root again is no loss.  A ``held_for_flight`` cycle vouches only
+    while a finalizer is in flight, which the caller checks.
     """
-    sigma, theta, roots = c.sigma, c.theta, c.roots()
+    sigma, theta = c.sigma, c.theta
+    if sigma is sigma0 and theta is theta0 and not lost:
+        return True
+    roots = c.roots()
     refs = _dict_change(sigma0.bindings, sigma.bindings)
     tables = _dict_change(theta0.tables, theta.tables)
     closures = _dict_change(theta0.closures, theta.closures)
@@ -576,7 +584,7 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
             t.meta is not None or t.pos is not UNSET
             for t in map(theta.tables.get, tables[0])):
         return False
-    far = roots0 - roots  # the lost roots
+    far = set(lost)
     for old, v in refs[1]:
         l = _value_loc(old)
         if l is not None and l != _value_loc(v):
@@ -588,7 +596,7 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
         kept = {l for _, k, v in obj.edges for l in (k, v)}
         far.update(l for _, k, v in old.edges for l in (k, v)
                    if l is not None and l not in kept)
-    far -= roots
+    far = {l for l in far if l not in roots}
     return not far or far <= _strong_successors(roots, sigma, theta)
 
 

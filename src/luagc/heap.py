@@ -31,7 +31,8 @@ import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import (
-    TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple, Union,
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, KeysView, List, Optional, Set,
+    Tuple, Union,
 )
 
 from .ast import (
@@ -200,10 +201,11 @@ class TableObject:
             out.append((key, value))
         return replace(self, fields=tuple(out))
 
-    def without(self, key: Value) -> "TableObject":
-        return replace(
-            self, fields=tuple((k, v) for k, v in self.fields if k != key)
-        )
+    def without_fields(self, idxs: Iterable[int]) -> "TableObject":
+        """The table without the fields at the indices ``idxs``."""
+        gone = set(idxs)
+        return replace(self, fields=tuple(
+            f for j, f in enumerate(self.fields) if j not in gone))
 
 
 @dataclass(frozen=True)
@@ -211,9 +213,9 @@ class ClosureObject:
     params: Tuple[str, ...]
     body: Stat
 
-    def locations(self) -> Tuple[Location, ...]:
+    def locations(self) -> KeysView[Location]:
         """The distinct locations the body mentions, in print order."""
-        return summary(self.body)[0]
+        return summary(self.body)[0].keys()
 
     @property
     def captured_refs(self) -> Tuple[int, ...]:
@@ -409,7 +411,7 @@ def _bound(loc: Location, sigma: ValueStore, theta: ObjectStore) -> bool:
 
 
 def successors(loc: Location, sigma: ValueStore,
-               theta: ObjectStore) -> Tuple[Location, ...]:
+               theta: ObjectStore) -> Iterable[Location]:
     """The plain edges out of a bound location, distinct and in print
     order: what a reference's value names, a table's ``targets``, and the
     locations a closure's body mentions (its environment)."""

@@ -42,22 +42,16 @@ the distance to its call, not the depth of the context.
 
 A focused state also answers what a collection cycle asks of its term
 without plugging it: ``roots()``, the locations occurring in the term, and
-``finalizer_in_flight``.  Each frame summarizes its node outside the hole
-once (``Frame.summary``), by combining the memoized summaries of the
-hole's siblings (``_SIBLINGS``).  A list-slot frame does not walk its
-node's elements for that: it carries the locations of the values before the
-hole, extended by those that became values at each step, and shares the
-summaries of the elements after the hole, taken once per evaluation of the
-list (``_Rest``).  The root set itself is kept as occurrence counts of the
-frames' locations (``_Counted``), carried from a state to its successor
-with the frame list, as a remembered set is (Ungar, *Generation
-Scavenging*, 1984).  A step only changes the top of the context, so the
-counts are brought up to date by uncounting the frames it lost and
-counting those it pushed; a list frame that follows one of the same
-evaluation applies only its delta, the values it added and the positions
-it passed.  ``roots()`` is then the counted locations plus the focus's.
-The Python work of a step thus grows with neither the depth nor the width
-of its context; what still grows with the width is tuple copying.
+``finalizer_in_flight``.  Both read one multiset of occurrences, each
+location's count and the number of finalizer markers (``_Occurrences``),
+built once from the memoized ``ast.summary`` of the term.  A step then
+moves it, as incremental reference counting does (Deutsch & Bobrow,
+CACM 1976): a contraction replaces its redex by its contractum, and an
+unwind also cuts frames, each of which takes away its node without the
+child it was pushed over; refocusing moves no occurrence.  So the counts
+follow the redex, not the context: a step subtracts the redex's summary
+and each cut frame's share, and adds the contractum's.  The locations
+whose count falls to zero are the roots the step lost.
 
 This module holds the step relation and program loading only.  Iterating
 the relation, with or without GC, is ``executor.Machine``'s job; under the
@@ -68,8 +62,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, KeysView, List, Optional, Sequence, Set,
+    Tuple, Union,
+)
 
 from . import ast as A
 from .ast import (
@@ -118,146 +114,35 @@ _LIST_SLOTS = frozenset(("exprs", "args", "field_key", "field_value"))
 
 
 class Frame:
-    """A node of the context with the slot its hole sits in.
+    """A node of the context with the slot its hole sits in, and the
+    ``child`` the hole held when the frame was pushed.  Once refocused, the
+    slot still holds that stale child, so the node outside the hole is
+    ``node`` without ``child``.  Frames are compared by identity."""
 
-    In a list slot, ``done`` holds the locations of the values before the
-    hole and ``rest`` the summaries of the rest of the node (``_Rest``),
-    shared by every frame of one evaluation of the list.  Frames are
-    compared by identity: a refocused frame's slot still holds a stale
-    child.
-    """
+    __slots__ = ("node", "slot", "idx", "child")
 
-    __slots__ = ("node", "slot", "idx", "done", "rest", "_summary")
-
-    def __init__(self, node: Term, slot: str, idx: int = 0,
-                 done: Tuple[Location, ...] = (),
-                 rest: Optional["_Rest"] = None):
+    def __init__(self, node: Term, slot: str, idx: int, child: Term):
         self.node = node
         self.slot = slot
         self.idx = idx
-        self.done = done
-        self.rest = rest
-        self._summary: Optional[A.Summary] = None
+        self.child = child
 
     def __repr__(self) -> str:
         return f"Frame({self.node!r}, {self.slot!r}, {self.idx})"
 
-    @property
-    def summary(self) -> A.Summary:
-        """The locations of ``node`` outside the hole, and whether that part
-        holds a finalizer marker (the node itself may be one).  Computed on
-        first read.
-
-        Outside a list slot it combines the memoized summaries of the
-        hole's siblings (``_SIBLINGS``), in print order.  The hole is left
-        out by position: once refocused, the slot still holds a stale
-        child, which may be the same object as a sibling.  In a list slot
-        the locations may repeat and are not in print order.
-        """
-        if self._summary is None:
-            node = self.node
-            if self.rest is None:
-                siblings = _SIBLINGS[type(node), self.slot](node, self.idx)
-                for s in siblings:
-                    if s._summary is None:
-                        summary(s)
-                self._summary = A.combine(siblings, type(node) in _MARKERS)
-            else:
-                locs, marker = self.rest.after(_position(self.slot, self.idx))
-                self._summary = self.done + locs, marker
-        return self._summary
-
-
-class _Rest:
-    """The summaries of a list node's positions and of its other children
-    (a ``Local``'s body, a call's function, an assignment's targets), taken
-    from the node as the evaluation of its list found it.  The positions
-    after a hole are not evaluated yet, so each frame of that evaluation
-    reads its suffix here.  Computed on first read: a run that asks no
-    frame for its summary pays nothing."""
-
-    def __init__(self, node: Term, slot: str):
-        self.node = node
-        self.slot = slot
-
-    @cached_property
-    def _flat(self) -> Tuple[Tuple[Location, ...], List[int], int]:
-        """The locations of every position and then of the other children,
-        in order; where each one's share ends; the last one that holds a
-        marker (-1 if none).  The other children come after every
-        position, so every suffix holds them."""
-        locs: List[Location] = []
-        ends: List[int] = []
-        marked = -1
-        others = _SIBLINGS[type(self.node), self.slot](self.node, 0)
-        for p, e in enumerate(_positions(self.node) + others):
-            if e is not None:
-                elocs, marker = summary(e)
-                locs.extend(elocs)
-                if marker:
-                    marked = p
-            ends.append(len(locs))
-        return tuple(locs), ends, marked
-
-    def after(self, pos: int) -> A.Summary:
-        """The summary of what comes after position ``pos``."""
-        locs, ends, marked = self._flat
-        return locs[ends[pos]:], marked > pos
-
-
-def _positions(t: Term) -> Tuple[Optional[Term], ...]:
-    if isinstance(t, TableCtor):
-        return tuple(x for kv in t.fields for x in kv)
-    return t.args if isinstance(t, Call) else t.exprs
-
-
-def _position(slot: str, idx: int) -> int:
-    """A list hole's position: its index, with a constructor's key and
-    value at ``2 * idx`` and ``2 * idx + 1``."""
-    if slot == "field_key":
-        return 2 * idx
-    if slot == "field_value":
-        return 2 * idx + 1
-    return idx
-
-
-def _element(t: Term, p: int) -> Optional[Term]:
-    if isinstance(t, TableCtor):
-        return t.fields[p >> 1][p & 1]
-    return (t.args if isinstance(t, Call) else t.exprs)[p]
-
-
-def _list_frame(t: Term, slot: str, idx: int,
-                last: Optional[Frame] = None) -> Frame:
-    """The frame of ``t`` with its hole at list slot ``slot``/``idx``.
-
-    ``last`` is the frame this one follows in the same evaluation of the
-    list, if any: the locations before the hole extend its own by the
-    positions that became values since, and the summaries of the rest are
-    its own.  Every position before a list hole holds a value, so the work
-    is that of the positions passed.
-    """
-    if last is None:
-        start, done, rest = 0, (), _Rest(t, slot)
-    else:
-        start, done, rest = _position(last.slot, last.idx), last.done, last.rest
-    for p in range(start, _position(slot, idx)):
-        e = _element(t, p)
-        if e is not None:
-            done += tuple(A.value_locations(e.value))
-    return Frame(t, slot, idx, done, rest)
-
 
 class Redex:
     """A redex ``term`` in the context ``frames``, reduced by ``rule``.
-    Compared by identity, like its frames."""
+    An unwind reducing it keeps the frames it cut in ``cut``.  Compared by
+    identity, like its frames."""
 
-    __slots__ = ("frames", "term", "rule")
+    __slots__ = ("frames", "term", "rule", "cut")
 
     def __init__(self, frames: List[Frame], term: Term, rule: str):
         self.frames = frames
         self.term = term
         self.rule = rule
+        self.cut: Sequence[Frame] = ()
 
     def __repr__(self) -> str:
         return f"Redex({self.rule!r}, {self.term!r})"
@@ -319,7 +204,7 @@ def refocus(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
             d = _next_el(t, f.idx)
             if d is not None:
                 slot, idx, child = d
-                frames.append(_list_frame(t, slot, idx, f))
+                frames.append(Frame(t, slot, idx, child))
                 t = child
     return _descend(frames, t)
 
@@ -331,8 +216,7 @@ def _descend(frames: List[Frame], t: Term) -> Union[Redex, Finished]:
         res = _DECOMPOSE.get(type(t), _stuck)(t, frames)
         if type(res) is tuple:
             slot, idx, child = res
-            frames.append(_list_frame(t, slot, idx) if slot in _LIST_SLOTS
-                          else Frame(t, slot, idx))
+            frames.append(Frame(t, slot, idx, child))
             t = child
         elif type(res) is str:
             return Redex(frames, t, res)
@@ -591,43 +475,6 @@ _PLUG = {
 }
 
 
-# The hole's siblings, keyed like ``_PLUG``: the other children of the
-# node, in print order, with the hole left out by position.  In a list slot
-# they are the children outside the list (``_Rest`` covers its positions).
-_SIBLINGS = {
-    (Seq, "first"): lambda n, i: (n.rest,),
-    (Local, "exprs"): lambda n, i: (n.body,),
-    (Assign, "exprs"): lambda n, i: n.targets,
-    (Assign, "target_obj"): lambda n, i: (
-        n.targets[:i] + (n.targets[i].key,) + n.targets[i + 1:] + n.exprs),
-    (Assign, "target_key"): lambda n, i: (
-        n.targets[:i] + (n.targets[i].obj,) + n.targets[i + 1:] + n.exprs),
-    (Return, "exprs"): lambda n, i: (),
-    (ExprStat, "expr"): lambda n, i: (),
-    (If, "cond"): lambda n, i: (n.then_body, n.else_body),
-    (Index, "obj"): lambda n, i: (n.key,),
-    (Index, "key"): lambda n, i: (n.obj,),
-    (Call, "fn"): lambda n, i: n.args,
-    (Call, "args"): lambda n, i: (n.fn,),
-    (TableCtor, "field_key"): lambda n, i: (),
-    (TableCtor, "field_value"): lambda n, i: (),
-    (BinOp, "lhs"): lambda n, i: (n.rhs,),
-    (BinOp, "rhs"): lambda n, i: (n.lhs,),
-    (And, "lhs"): lambda n, i: (n.rhs,),
-    (Or, "lhs"): lambda n, i: (n.rhs,),
-    (Not, "operand"): lambda n, i: (),
-    (Neg, "operand"): lambda n, i: (),
-    (CallFrame, "body"): lambda n, i: (),
-    (LoopFrame, "inner"): lambda n, i: (),
-    (FinStat, "inner"): lambda n, i: (),
-    (ProtectedFrame, "inner"): lambda n, i: (),
-    (FinWrap, "inner"): lambda n, i: (),
-}
-
-# The node types that are finalizer markers.
-_MARKERS = (FinStat, FinWrap)
-
-
 def _replace_child(node: Term, slot: str, idx: int, child: Term) -> Term:
     build = _PLUG.get((type(node), slot))
     if build is None:
@@ -646,73 +493,60 @@ def plug(frames: List[Frame], t: Term) -> Term:
 # ---------------------------------------------------------------------------
 
 
-class _Counted:
-    """The root set of a frame list, kept as occurrence counts.
+class _Occurrences:
+    """The occurrences in a focused state's term, as a multiset.
 
-    ``counts`` maps each location to the number of times the summaries of
-    the ``frames`` counted hold it, and ``markers`` is the number of those
-    frames that hold a marker.  It is carried from a state to its
-    successor with the frame list, and ``sync`` brings it up to date at the
-    cost of what changed, not of the depth of the context.
+    ``counts`` maps each location occurring in the term to how often it
+    does, and ``markers`` counts the term's finalizer markers.  A step
+    moves them by what it changed (``move``), and records in ``lost`` the
+    locations whose count fell to zero since the set was last taken; it is
+    None until then, since counts built afresh know no earlier roots.
     """
 
-    __slots__ = ("counts", "frames", "markers")
+    __slots__ = ("counts", "markers", "lost")
 
-    def __init__(self) -> None:
-        self.counts: Dict[Location, int] = {}
-        self.frames: List[Frame] = []
-        self.markers = 0
+    def __init__(self, at: Union[Redex, Finished], term: Optional[Term]):
+        counts, self.markers = summary(at.term if term is None else term)
+        self.counts = dict(counts)
+        self.lost: Optional[Set[Location]] = None
+        if term is None:
+            for f in at.frames:
+                self.move(f.child, f.node)
 
-    def sync(self, frames: List[Frame]) -> None:
-        """Count ``frames`` instead of the frames counted so far.
+    def move(self, out: Term, into: Term, cut: Sequence[Frame] = ()) -> None:
+        """Count the term after ``into`` replaced ``out`` in the hole, and
+        the frames ``cut`` were cut away around it: each cut frame's share
+        is its node without the child it was pushed over.
 
-        Frames are only pushed and popped, so walking down from the top to
-        the first frame already counted finds where the two lists part:
-        the counted frames above it are uncounted and the new ones
-        counted.  A new list frame that follows a lost one of the same
-        evaluation (same ``_Rest``) only applies its delta.
-        """
-        counted = self.frames
-        i = min(len(counted), len(frames))
-        while i and counted[i - 1] is not frames[i - 1]:
-            i -= 1
-        j = i
-        if (i < len(counted) and i < len(frames)
-                and frames[i].rest is not None
-                and frames[i].rest is counted[i].rest):
-            self._advance(counted[i], frames[i])
-            j = i + 1
-        for f in counted[j:]:
-            self._add(f, -1)
-        for f in frames[j:]:
-            self._add(f, 1)
-        counted[i:] = frames[i:]
-
-    def _add(self, f: Frame, sign: int) -> None:
-        locs, marker = f.summary
-        if locs:
-            self._count(locs, sign)
-        if marker:
-            self.markers += sign
-
-    def _advance(self, old: Frame, new: Frame) -> None:
-        """Recount a list frame as ``new``, a later frame of its evaluation:
-        the values that ``new`` adds to ``old.done`` join, and the
-        positions it passed leave."""
-        self._count(new.done[len(old.done):], 1)
-        locs, ends, marked = new.rest._flat
-        p0, p1 = _position(old.slot, old.idx), _position(new.slot, new.idx)
-        self._count(locs[ends[p0]:ends[p1]], -1)
-        self.markers += (marked > p1) - (marked > p0)
-
-    def _count(self, locs: Tuple[Location, ...], sign: int) -> None:
+        ``into`` is added first and only what the term held is taken away,
+        so a count falls to zero only for a location the term lost."""
+        new, old = summary(into), summary(out)
+        if new is old and not cut:
+            return
+        dropped = [old]
+        for f in cut:
+            (locs, markers), child = summary(f.node), summary(f.child)
+            share = dict(locs)
+            for l, k in child[0].items():
+                share[l] -= k
+            dropped.append((share, markers - child[1]))
         counts = self.counts
-        for l in locs:
-            n = counts.get(l, 0) + sign
-            if n:
-                counts[l] = n
-            else:
-                del counts[l]
+        for l, k in new[0].items():
+            counts[l] = counts.get(l, 0) + k
+        self.markers += new[1]
+        lost = self.lost
+        for locs, markers in dropped:
+            self.markers -= markers
+            for l, k in locs.items():
+                if not k:
+                    continue
+                k = counts[l] - k
+                if k:
+                    counts[l] = k
+                else:
+                    del counts[l]
+                    if lost is not None:
+                        lost.add(l)
 
 
 @dataclass
@@ -720,16 +554,18 @@ class Focused:
     """A configuration held as its stores and the split of its term.
 
     ``term`` is ``plug(at.frames, at.term)``, built on first read.  The
-    root counts of the frames (``_Counted``) pass to the successor with
-    the frame list.
+    occurrences in the term (``_Occurrences``) are counted on the first
+    read of ``roots()`` or ``finalizer_in_flight``; from then on each step
+    moves them by its redex and contractum and the frames it cut, and
+    passes them to the successor with the frame list.
     """
 
     sigma: ValueStore
     theta: ObjectStore
     at: Union[Redex, Finished]
     _term: Optional[Term] = field(default=None, repr=False)
-    _counted: _Counted = field(default_factory=_Counted, repr=False,
-                               compare=False)
+    _occurrences: Optional[_Occurrences] = field(default=None, repr=False,
+                                                 compare=False)
 
     @classmethod
     def of(cls, config: Configuration) -> "Focused":
@@ -739,9 +575,13 @@ class Focused:
     def refocused(self, sigma: ValueStore, theta: ObjectStore,
                   frames: List[Frame], t: Term) -> "Focused":
         """The state with stores ``sigma`` and ``theta`` whose term is
-        ``t`` in the hole of ``frames``, this state's frame list, which it
-        takes over (``refocus``) with its root counts."""
-        return Focused(sigma, theta, refocus(frames, t), None, self._counted)
+        ``t`` in the hole of ``frames``, a prefix of this state's frame
+        list, which it takes over (``refocus``) with the occurrences:
+        ``t`` replaces the focus, and the frames past ``frames`` are cut."""
+        occ = self._occurrences
+        if occ is not None:
+            occ.move(self.at.term, t, self.at.frames[len(frames):])
+        return Focused(sigma, theta, refocus(frames, t), None, occ)
 
     @property
     def term(self) -> Term:
@@ -753,28 +593,34 @@ class Focused:
     def config(self) -> Configuration:
         return Configuration(self.sigma, self.theta, self.term)
 
-    @cached_property
-    def _scan(self) -> Tuple[Set[Location], bool]:
-        counted = self._counted
-        counted.sync(self.at.frames)
-        locs, marker = summary(self.at.term)
-        return counted.counts.keys() | locs, marker or counted.markers > 0
+    def _counted(self) -> _Occurrences:
+        if self._occurrences is None:
+            self._occurrences = _Occurrences(self.at, self._term)
+        return self._occurrences
 
-    def roots(self) -> Set[Location]:
+    def roots(self) -> KeysView[Location]:
         """The locations occurring in the term, the collector's root set:
-        the locations the frames' summaries count plus the focus's.
-        Read-only."""
-        return self._scan[0]
+        a live view of the counts."""
+        return self._counted().counts.keys()
 
     @property
     def finalizer_in_flight(self) -> bool:
         """Does the term hold a ``FinStat``/``FinWrap`` marker?  A pending
         ``FinWrap`` argument of a spliced thunk call sits in its frame's
         node; a marker cut away by an unwind left with its frame."""
-        return self._scan[1]
+        return self._counted().markers > 0
+
+    def lost_roots(self) -> Optional[Set[Location]]:
+        """The locations whose count fell to zero in the steps since the
+        last call: a superset of the roots lost since then, as one may
+        occur again.  None on the first call after the counts were built,
+        when nothing is known of what was lost."""
+        occ = self._counted()
+        lost, occ.lost = occ.lost, set()
+        return lost
 
     def with_stores(self, sigma: ValueStore, theta: ObjectStore) -> "Focused":
-        return Focused(sigma, theta, self.at, self._term, self._counted)
+        return Focused(sigma, theta, self.at, self._term, self._occurrences)
 
 
 class StepResult:
@@ -834,27 +680,37 @@ def step(config: Union[Configuration, Focused]) -> Union[StepResult, Finished]:
         sigma, theta, hole, rule, gc_request = _CONTRACT[d.rule](
             d, state.sigma, state.theta, out)
     except LuaError as e:
-        hole = _unwind_error(d.frames, e.value)
+        hole = _unwind_error(d, e.value)
         sigma, theta, rule, gc_request = state.sigma, state.theta, "raise", False
-    nxt = Focused(sigma, theta, refocus(d.frames, hole), None,
-                  state._counted)
+    occ = state._occurrences
+    if occ is not None:
+        occ.move(d.term, hole, d.cut)
+    nxt = Focused(sigma, theta, refocus(d.frames, hole), None, occ)
     return StepResult(nxt, rule, out, gc_request, d.term)
 
 
-def _unwind(frames: List[Frame], delimiter: type) -> bool:
-    """Cut ``frames`` back to just outside the innermost ``delimiter``
-    frame; False (and ``frames`` untouched) if there is none."""
-    i = _innermost(frames, delimiter)
+def _cut(d: Redex, i: int) -> None:
+    """Cut the context of ``d`` back to its first ``i`` frames, keeping
+    the ones cut in ``d.cut``."""
+    d.cut = d.frames[i:]
+    del d.frames[i:]
+
+
+def _unwind(d: Redex, delimiter: type) -> bool:
+    """Cut the context of ``d`` back to just outside the innermost
+    ``delimiter`` frame; False (and the context untouched) if there is
+    none."""
+    i = _innermost(d.frames, delimiter)
     if i < 0:
         return False
-    del frames[i:]
+    _cut(d, i)
     return True
 
 
-def _unwind_error(frames: List[Frame], v: Value) -> Term:
-    if _unwind(frames, ProtectedFrame):
+def _unwind_error(d: Redex, v: Value) -> Term:
+    if _unwind(d, ProtectedFrame):
         return ValueTuple((A.FALSE, v))
-    frames.clear()
+    _cut(d, 0)
     return ErrTerm(v)
 
 
@@ -905,14 +761,14 @@ def _c_loop_restart(d: Redex, sigma, theta, out) -> _Contracted:
 
 
 def _c_break(d: Redex, sigma, theta, out) -> _Contracted:
-    if not _unwind(d.frames, LoopFrame):
+    if not _unwind(d, LoopFrame):
         raise StuckTerm("break outside any loop")
     return sigma, theta, Empty(), "break", False
 
 
 def _c_return(d: Redex, sigma, theta, out) -> _Contracted:
     vals = tuple(flatten_el(d.term.exprs))
-    if not _unwind(d.frames, CallFrame):
+    if not _unwind(d, CallFrame):
         raise StuckTerm("return-unwind without a call frame")
     return sigma, theta, ValueTuple(vals), "return", False
 

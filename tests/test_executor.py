@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -875,6 +876,20 @@ STATE_SCHEDULES = [
 ]
 
 
+def occurrences_walked(t) -> tuple:
+    """A term's occurrence counts and number of finalizer markers, by a
+    walk of the whole term."""
+    return (Counter(A.term_locations(t)),
+            sum(isinstance(n, (A.FinStat, A.FinWrap)) for n in A.walk(t)))
+
+
+def occurrences(state: Focused) -> tuple:
+    """The occurrence counts and marker count a focused state keeps."""
+    state.roots()
+    occ = state._occurrences
+    return dict(occ.counts), occ.markers
+
+
 def program_text(name: str) -> str:
     return MARKER_TRAPS[name] if name in MARKER_TRAPS else corpus_text(name)
 
@@ -892,6 +907,7 @@ class TestStateDerivedFacts:
             term = plug(state.at.frames, state.at.term)
             assert state.roots() == set(A.term_locations(term))
             assert state.finalizer_in_flight == finalizer_in_flight(term)
+            assert occurrences(state) == occurrences_walked(term)
             markers.append({type(n).__name__ for n in A.walk(term)
                             if isinstance(n, (A.FinStat, A.FinWrap))})
 
@@ -941,13 +957,14 @@ class TestStateDerivedFacts:
 
     @pytest.mark.parametrize("rel", CORPUS_PROGRAMS + sorted(MARKER_TRAPS))
     def test_summary_matches_term_walks(self, rel):
-        # every node of the loaded term and of it with a call spliced in
+        # every node of the loaded term and of it with a call spliced in,
+        # the locations in first-occurrence print order
         term = load_program(program_text(rel)).term
         for t in (term, splice_finalizer(term, 1, 1)):
             for n in A.walk(t):
-                assert A.summary(n) == (
-                    tuple(dict.fromkeys(A.term_locations(n))),
-                    finalizer_in_flight(n))
+                counts, markers = A.summary(n)
+                assert (counts, markers) == occurrences_walked(n)
+                assert list(counts) == list(dict.fromkeys(A.term_locations(n)))
 
     @staticmethod
     def summarized_per_cycle(monkeypatch, depth: int) -> float:
@@ -977,11 +994,10 @@ class TestStateDerivedFacts:
         deep = self.summarized_per_cycle(monkeypatch, 400)
         assert deep <= 1.5 * shallow
 
-    def test_frame_summaries_from_siblings(self, monkeypatch):
-        """Every frame kind has a sibling entry, and a frame's summary is
-        that of its node with an empty hole; a list frame's as a set, since
-        its locations may repeat."""
-        assert set(interp._SIBLINGS) == set(interp._PLUG)
+    def test_frame_shares_from_pushed_child(self, monkeypatch):
+        """Every frame kind is reached, and a frame's share of the term, its
+        node's summary without that of the child it was pushed over, is the
+        summary of its node with an empty hole."""
         kinds = set()
         real_step = executor.step
 
@@ -989,11 +1005,11 @@ class TestStateDerivedFacts:
             for f in state.at.frames:
                 holed = A.summary(interp._replace_child(f.node, f.slot, f.idx,
                                                         A.Empty()))
-                if f.rest is None:
-                    assert f.summary == holed
-                else:
-                    assert (set(f.summary[0]), f.summary[1]) == (
-                        set(holed[0]), holed[1])
+                node, child = A.summary(f.node), A.summary(f.child)
+                share = Counter(node[0])
+                share.subtract(child[0])
+                assert +share == Counter(holed[0]) and -share == Counter()
+                assert node[1] - child[1] == holed[1]
                 kinds.add((type(f.node), f.slot))
             return real_step(state, *args, **kwargs)
 
@@ -1008,30 +1024,35 @@ class TestStateDerivedFacts:
 
     @staticmethod
     def counted_per_step(monkeypatch, depth: int) -> float:
+        """Summary work per step of an eager run: nodes summarized, each
+        with the children it reads, and the counts moved, each location of
+        the summaries a step adds or subtracts."""
         config = load_program(recursion_program(depth))
-        counted = 0
-        real_add = interp._Counted._add
-        real_advance = interp._Counted._advance
+        work = 0
+        real_summarize = A._summarize
+        real_move = interp._Occurrences.move
 
-        def add(self, f, sign):
-            nonlocal counted
-            counted += 1
-            real_add(self, f, sign)
+        def summarize(n):
+            nonlocal work
+            work += 1 + len(A.children(n))
+            return real_summarize(n)
 
-        def advance(self, old, new):
-            nonlocal counted
-            counted += 1
-            real_advance(self, old, new)
+        def move(self, out, into, cut=()):
+            nonlocal work
+            work += sum(len(A.summary(t)[0])
+                        for t in (out, into, *(x for f in cut
+                                               for x in (f.node, f.child))))
+            real_move(self, out, into, cut)
 
         with monkeypatch.context() as m:
-            m.setattr(interp._Counted, "_add", add)
-            m.setattr(interp._Counted, "_advance", advance)
+            m.setattr(A, "_summarize", summarize)
+            m.setattr(interp._Occurrences, "move", move)
             rec = run(config, Schedule("eager", "fin_weak"), fuel=100_000)
         assert rec.result.kind == "return"
-        return counted / rec.steps
+        return work / rec.steps
 
     def test_frames_counted_per_step_independent_of_depth(self, monkeypatch):
-        # the root counts follow what each step changed, not the stack
+        # the counts follow each step's redex, not the stack
         shallow = self.counted_per_step(monkeypatch, 50)
         deep = self.counted_per_step(monkeypatch, 400)
         assert deep <= 1.5 * shallow
@@ -1130,6 +1151,168 @@ class TestStateDerivedFacts:
             rec = run(config, Schedule("eager", "fin_weak"), fuel=2_000)
             splices = sum(e["kind"] == "finalize" for e in rec.trace)
             assert plugs <= splices + 1, rel
+
+
+# programs whose unwinds cut frames holding the only occurrence of a
+# location
+UNWINDS = {
+    # the break cuts `t[1] = n`, the only occurrence of `t`'s reference
+    "break_drops_only_occurrence": """
+local n = 0
+while true do
+  local t = {}
+  n = n + 1
+  if n > 0 then break end
+  t[1] = n
+end
+return n
+""",
+    "return_from_nested_blocks": """
+local f = function(a)
+  local s = {a}
+  while true do
+    local u = {s}
+    if a > 0 then
+      do
+        local v = {u}
+        return v, s[1]
+      end
+    end
+    u[1] = a
+  end
+end
+local r, x = f(3)
+return x
+""",
+    "error_caught_by_pcall": """
+local keep = {}
+local ok, e = pcall(function()
+  local t = {keep}
+  local g = function(x) error(x) end
+  g(t)
+  t[2] = keep
+end)
+return ok, e[1] == keep
+""",
+    "error_uncaught": """
+local t = {}
+local f = function(x) local y = {x} error("stop") return y end
+local z = f(t)
+return z
+""",
+}
+
+UNWIND_RULES = {"break_drops_only_occurrence": "break",
+                "return_from_nested_blocks": "return",
+                "error_caught_by_pcall": "raise", "error_uncaught": "raise"}
+
+# a finalizer spliced ahead of a statement, of an expression (as a pending
+# `FinWrap` argument) and of the final term, after the result
+SPLICES = {
+    "statement": """
+local mt = {__gc = function(o) print("fin") end}
+local t = setmetatable({}, mt)
+t = nil
+local n = 1
+n = n + 1
+return n
+""",
+    "expression": MARKER_TRAPS["expression_splice"],
+    "final": """
+local mt = {__gc = function(o) print("fin") end}
+local t = setmetatable({}, mt)
+return (t and 1)
+""",
+}
+
+
+class TestOccurrenceMoves:
+    """A focused state's occurrence counts are moved by each step's redex,
+    contractum and cut frames, and by each finalizer splice; they must
+    equal the counts of a walk of the whole term, and the roots each step
+    or collect reports lost must hold every root that went."""
+
+    @staticmethod
+    def check_lost(monkeypatch) -> None:
+        """Every set of lost roots a machine takes holds every root that
+        stopped occurring since it last took one."""
+        real = Focused.lost_roots
+        seen: dict = {}
+
+        def lost_roots(state):
+            lost = real(state)
+            occ = state._occurrences
+            now = set(occ.counts)
+            if lost is not None:
+                assert seen[id(occ)][1] - now <= lost
+            seen[id(occ)] = (occ, now)
+            return lost
+
+        monkeypatch.setattr(Focused, "lost_roots", lost_roots)
+
+    @pytest.mark.parametrize("name", sorted(UNWINDS))
+    def test_step_moves_counts_exactly(self, name):
+        state = Focused.of(load_program(UNWINDS[name]))
+        assert state.lost_roots() is None  # counted afresh: nothing known
+        lost_at_unwind = []
+        while True:
+            before = occurrences_walked(plug(state.at.frames, state.at.term))
+            res = step(state)
+            if isinstance(res, Finished):
+                break
+            state = res.state
+            after = occurrences_walked(state.term)
+            assert occurrences(state) == after
+            lost = state.lost_roots()
+            assert lost == set(before[0]) - set(after[0])
+            if res.rule == UNWIND_RULES[name]:
+                lost_at_unwind.append(lost)
+        assert lost_at_unwind and all(lost_at_unwind)
+
+    @pytest.mark.parametrize("schedule", STATE_SCHEDULES,
+                             ids=["eager_fin_weak", "eager_fin",
+                                  "eager_fin_weak_subset"])
+    @pytest.mark.parametrize("name", sorted(UNWINDS))
+    def test_run_moves_counts(self, name, schedule, monkeypatch):
+        markers: list = []
+        TestStateDerivedFacts.check_states(monkeypatch, markers)
+        self.check_lost(monkeypatch)
+        rec = run(load_program(UNWINDS[name]), schedule, fuel=2_000)
+        assert rec.result.kind == ("error" if name == "error_uncaught"
+                                   else "return")
+        assert len(markers) > rec.steps
+
+    @pytest.mark.parametrize("where", sorted(SPLICES))
+    def test_splice_moves_counts(self, where, monkeypatch):
+        markers: list = []
+        TestStateDerivedFacts.check_states(monkeypatch, markers)
+        self.check_lost(monkeypatch)
+        spliced = []
+        real = executor._splice
+
+        def splice(d, cid, tid):
+            spliced.append("final" if isinstance(d, Finished)
+                           else "statement" if A.is_stat(d.term)
+                           else "expression")
+            return real(d, cid, tid)
+
+        monkeypatch.setattr(executor, "_splice", splice)
+        rec = run(load_program(SPLICES[where]), Schedule("eager", "fin"))
+        assert spliced == [where] and rec.output == ["fin"]
+        assert any(markers)
+
+    def test_unwound_table_collected_next_cycle(self):
+        # the break drops the last occurrence of `t`'s reference, so the
+        # cycle before the next step discards it and its table
+        rec = run(load_program(UNWINDS["break_drops_only_occurrence"]),
+                  Schedule("eager", "fin_weak"), trace_steps=True)
+        events = rec.trace
+        brk = next(e["step"] for e in events
+                   if e["kind"] == "l_step" and e["rule"] == "break")
+        collected = [e for e in events if e["kind"] == "collect"
+                     and e["step"] == brk + 1]
+        assert collected and any(n.startswith("tid")
+                                 for n in collected[0]["discarded"])
 
 
 # weak-keyed entries whose value holds its own key: half the keys are held

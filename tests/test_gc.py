@@ -223,6 +223,39 @@ class TestGcFinWeak:
         assert not o.kept_theta.table(1).fields
         validate(Configuration(o.kept_sigma, o.kept_theta, c.term))
 
+    def test_clearing_rebuilds_each_table_once(self, monkeypatch):
+        # a weak-keys and a weak-values table, each with many fields to
+        # clear and one to keep: one cycle builds one new object per
+        # cleared table, keeping the other fields in order
+        n = 300
+        held = 10 + 2 * n
+        c = build_heap(
+            {1: ("tid", held)},
+            {1: {"fields": [(("tid", 10 + i), Num(i)) for i in range(n)]
+                 + [(("tid", held), Num(-1))], "mode": "k"},
+             2: {"fields": [(Num(-1), ("tid", held))]
+                 + [(Num(i), ("tid", 10 + n + i)) for i in range(n)],
+                 "mode": "v"},
+             **{10 + i: {} for i in range(2 * n + 1)}},
+            {}, [("tid", 1), ("tid", 2), ("ref", 1)],
+        )
+        built = []
+        real_init = TableObject.__init__
+
+        def init(self, *args, **kwargs):
+            built.append(self)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TableObject, "__init__", init)
+        o = run_cycle(c, "fin_weak")
+        monkeypatch.undo()
+        assert o.cleared_weak_fields == (
+            [(1, Tid(10 + i), Num(i)) for i in range(n)]
+            + [(2, Num(i), Tid(10 + n + i)) for i in range(n)])
+        assert len(built) == 2
+        assert o.kept_theta.table(1).fields == ((Tid(held), Num(-1)),)
+        assert o.kept_theta.table(2).fields == ((Num(-1), Tid(held)),)
+
     def test_strongly_held_value_survives(self):
         c = build_heap(
             {1: ("tid", 2)},
@@ -639,7 +672,7 @@ class TestTableMemos:
                                        (Tid(2), Tid(3))))):
             assert new.mode_weakness == "wv"
         for new in (m.set(Tid(2), Cid(4)), m.set(Num(1), Tid(5)),
-                    m.without(Tid(2)), replace(m, fields=m.fields[:1])):
+                    m.without_fields([1]), replace(m, fields=m.fields[:1])):
             assert new.edges == tuple(
                 (idx, loc(k), loc(v)) for idx, (k, v) in enumerate(new.fields)
                 if collectible(k) or collectible(v))
