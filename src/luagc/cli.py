@@ -41,6 +41,14 @@ def _default_seed() -> int:
         return 0
 
 
+def _tokens(spec: str, arg: str, most: int) -> List[str]:
+    """The comma-separated arguments of ``spec``, at most ``most``."""
+    parts = [p for p in arg.split(",") if p]
+    if len(parts) > most:
+        raise ValueError(f"{spec!r}: at most {most} arguments")
+    return parts
+
+
 def parse_gc_spec(spec: str, mode: str, seed: Optional[int] = None) -> Schedule:
     """Parse ``never | eager | periodic=K | random=SEED,P | scripted=I,J,...``."""
     seed = _default_seed() if seed is None else seed
@@ -51,14 +59,15 @@ def parse_gc_spec(spec: str, mode: str, seed: Optional[int] = None) -> Schedule:
         return Schedule("eager", mode, seed=seed)
     if name == "periodic":
         period = int(arg) if arg else 3
+        if period < 1:
+            raise ValueError(f"{spec!r}: the period must be at least 1")
         return Schedule("periodic", mode, period=period, seed=seed)
     if name == "random":
-        if arg:
-            parts = arg.split(",")
-            seed = int(parts[0])
-            prob = float(parts[1]) if len(parts) > 1 else 0.25
-        else:
-            prob = 0.25
+        parts = _tokens(spec, arg, 2)
+        seed = int(parts[0]) if parts else seed
+        prob = float(parts[1]) if len(parts) > 1 else 0.25
+        if not 0 <= prob <= 1:
+            raise ValueError(f"{spec!r}: the probability must be in [0, 1]")
         return Schedule("random", mode, seed=seed, probability=prob)
     if name == "scripted":
         script = tuple(int(x) for x in arg.split(",") if x) if arg else ()
@@ -117,13 +126,18 @@ def cmd_trace(args) -> int:
 def _parse_explorer(spec: str, mode: str, seed: int):
     name, _, arg = spec.partition("=")
     if name == "exhaustive":
-        parts = [p for p in arg.split(",") if p]
+        parts = _tokens(spec, arg, 2)
         step_bound = int(parts[0]) if parts else 200
-        granularity = "subsets" if "subsets" in parts[1:] else "maximal"
+        granularity = parts[1] if len(parts) > 1 else "maximal"
+        if step_bound < 0 or granularity not in ("maximal", "subsets"):
+            raise ValueError(f"{spec!r}: expected exhaustive=STEPS"
+                             "[,maximal|subsets] with STEPS at least 0")
         return ExhaustiveExplorer(mode, step_bound, granularity)
     if name == "sample":
-        parts = [p for p in arg.split(",") if p]
+        parts = _tokens(spec, arg, 2)
         n = int(parts[0]) if parts else 10
+        if n < 0:
+            raise ValueError(f"{spec!r}: the sample count must be at least 0")
         base = int(parts[1]) if len(parts) > 1 else seed
         schedules = [Schedule("never", mode), Schedule("eager", mode)]
         schedules += [
@@ -410,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("observe", help="observation set (JSON)")
     sp.add_argument("file", nargs="?")
     sp.add_argument("--explorer", default="exhaustive",
-                    help="exhaustive[=STEPS[,subsets]] | sample=N[,SEED]")
+                    help="exhaustive[=STEPS[,maximal|subsets]] "
+                    "| sample=N[,SEED]")
     sp.add_argument("--manifest", help="experiment manifest (JSON)")
     common(sp)
     sp.set_defaults(fn=cmd_observe)

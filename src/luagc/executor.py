@@ -23,10 +23,20 @@ drain, and its ``advance`` is the only loop that steps a program.
 per node for the plain step and its drain; ``check_postponement`` steps
 one with explicit cycles.
 
+The explorer's nodes are focused states too, so no node decomposes its
+term from the root and none recounts its occurrences.  The plain
+successor is the machine's state after its step and drain: it takes over
+the node's frame list, occurrence counts, lost roots and quiescence memo.
+A GC successor is a branch of the node (``Focused.branch``) with its own
+copy of the split and the counts, since the plain step consumes the
+node's; a selected finalizer is spliced at that copy.  Both drivers skip
+a cycle by one rule on the memo the state carries
+(``Focused.memo_vouches``).
+
 The explorer collects invisible garbage in place: at a node whose maximal
-cycle only discards (``GcOutcome.garbage_only``), the collected
-configuration is the node's one successor.  It is a GC successor of the
-node, so its observations are among the node's.  Such a cycle discards
+cycle only discards (``GcOutcome.garbage_only``), the collected state is
+the node's one successor.  It is a GC successor of the node, so its
+observations are among the node's.  Such a cycle discards
 only plainly unreachable locations, since one reached through a weak edge
 would leave a cleared field on a kept table, so the program never reads
 them again and ids stay fresh.  The one place a cycle reads garbage is
@@ -63,8 +73,7 @@ from .ast import (
     walk,
 )
 from .gc import (
-    GcOutcome, enumerate_gc_steps, reach_set, run_cycle, still_quiescent,
-    subset_steps,
+    GcOutcome, enumerate_gc_steps, reach_set, run_cycle, subset_steps,
 )
 from .heap import (
     Configuration, HeapError, ObjectStore, ValueStore, restrict, successors,
@@ -278,13 +287,16 @@ def _splice(d: Union[Redex, Finished], cid: int,
     return d.frames, Call(thunk, (FinWrap(call),))
 
 
-def _apply_outcome(config: Configuration, outcome: GcOutcome) -> Configuration:
-    config = Configuration(outcome.kept_sigma, outcome.kept_theta, config.term)
-    if outcome.pending_finalizer is not None:
-        cid, tid = outcome.pending_finalizer
-        config = Configuration(config.sigma, config.theta,
-                               splice_finalizer(config.term, cid, tid))
-    return config
+def _gc_successor(state: Focused, outcome: GcOutcome, mode: str) -> Focused:
+    """The explorer's successor of ``state`` by a GC step: a branch with
+    the kept stores and the outcome's memo, the selected finalizer spliced
+    at its own copy of the split."""
+    nxt = state.branch(outcome.kept_sigma, outcome.kept_theta)
+    nxt.remember(outcome, mode)
+    if outcome.pending_finalizer is None:
+        return nxt
+    frames, spliced = _splice(nxt.at, *outcome.pending_finalizer)
+    return nxt.refocused(nxt.sigma, nxt.theta, frames, spliced)
 
 
 def _trace_gc(trace: List[tuple], step_index: int, outcome: GcOutcome) -> None:
@@ -361,19 +373,20 @@ class Machine:
     by the term it puts in the hole.  The term is plugged only to splice
     a finalizer ahead of a final term, and when a caller reads ``config``.
 
-    A quiescent cycle is remembered by the stores it kept and whether its
-    quiescence lasts only while a finalizer is in flight
-    (``GcOutcome.held_for_flight``).  A later cycle is skipped when that
-    still holds and ``gc.still_quiescent`` proves from the change since
-    then that it would find nothing either: the stores are diffed by
-    identity, and the roots lost are the locations whose count fell to
-    zero since the last collect (``Focused.lost_roots``).  If the counts
-    were built afresh since, nothing is known lost and the cycle runs.
-    The skipped state is remembered in its place, so each proof looks at
-    one step's change (after a collection, look only at what the mutator
-    changed, as remembered sets do in generation scavenging).  The
-    explorer runs the maximal cycle itself at every node, with no memo,
-    and collects a garbage-only one in place (see ``observations``).
+    A quiescent cycle is remembered on the state (``Focused.remember``,
+    kept with the counts and the lost roots, so every successor that
+    takes them over takes it over too) by the stores it kept and whether
+    its quiescence lasts only while a finalizer is in flight
+    (``GcOutcome.held_for_flight``).  A later cycle is skipped when
+    ``Focused.memo_vouches`` proves from the change since then that it
+    would find nothing either: the stores are diffed by identity, and the
+    roots lost are the locations whose count fell to zero since the last
+    collect (``Focused.lost_roots``).  If the counts were built afresh
+    since, nothing is known lost and the cycle runs.  The skipped state
+    is remembered in its place, so each proof looks at one step's change
+    (after a collection, look only at what the mutator changed, as
+    remembered sets do in generation scavenging).  The explorer's nodes
+    skip their maximal cycle by the same memo (see ``observations``).
 
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
@@ -396,9 +409,6 @@ class Machine:
         self.rng = (random.Random(schedule.seed)
                     if schedule.policy == "random"
                     or schedule.selector != "maximal" else None)
-        # (sigma, theta, held_for_flight) where the last cycle, run or
-        # skipped, was quiescent; None after a cycle that was not
-        self._quiet: Optional[tuple] = None
 
     @property
     def config(self) -> Configuration:
@@ -431,19 +441,13 @@ class Machine:
     def collect(self, selector) -> Optional[GcOutcome]:
         """One cycle, splicing any selected finalizer; None if it changed
         nothing."""
-        state = self.state
-        quiet = self._quiet
-        lost = state.lost_roots()
-        if (quiet is not None and lost is not None
-                and (not quiet[2] or state.finalizer_in_flight)
-                and still_quiescent(quiet[0], quiet[1], lost, state)):
-            self._quiet = (state.sigma, state.theta, quiet[2])
+        state, mode = self.state, self.schedule.mode
+        allow = not state.finalizer_in_flight
+        if state.memo_vouches(mode, allow):
             return None
-        outcome = run_cycle(state, self.schedule.mode, selector,
-                            allow_finalizer=not state.finalizer_in_flight)
-        self._quiet = ((outcome.kept_sigma, outcome.kept_theta,
-                        outcome.held_for_flight)
-                       if outcome.quiescent else None)
+        outcome = run_cycle(state, mode, selector, allow_finalizer=allow)
+        # the successor goes on with the kept stores, and with the memo
+        state.remember(outcome, mode)
         if not outcome.changed:
             return None
         _trace_gc(self.trace, self.steps, outcome)
@@ -554,8 +558,9 @@ class ObservationSet:
         return len(self.results)
 
 
-def _state_key(c: Configuration, steps: int) -> tuple:
-    """Hashable key of an explorer node.
+def _state_key(c: Union[Focused, Configuration], steps: int) -> tuple:
+    """Hashable key of an explorer node: a focused state, or the root
+    configuration before it is focused.
 
     Equal keys mean equal configurations except that ``Num`` equality
     ignores the sign of zero; ``_same_zero_signs`` settles that.  Store
@@ -572,7 +577,8 @@ def _state_key(c: Configuration, steps: int) -> tuple:
     )
 
 
-def _same_zero_signs(a: Configuration, b: Configuration) -> bool:
+def _same_zero_signs(a: Configuration,
+                     b: Union[Focused, Configuration]) -> bool:
     """Given equal state keys, are the configurations identical?
 
     Key equality leaves only the sign of float zeros open, so this walks
@@ -608,8 +614,8 @@ def observations(
 ) -> ObservationSet:
     """Observation set over the explored execution space.
 
-    Exhaustive exploration runs the maximal cycle at every configuration.
-    If it only discards garbage (``GcOutcome.garbage_only``: something
+    Exhaustive exploration runs the maximal cycle at every node.  If it
+    only discards garbage (``GcOutcome.garbage_only``: something
     discarded, no weak field of a kept table cleared, no finalizer
     selected or skipped), the collected configuration is the one successor
     and ``collected`` counts it; otherwise the successors are the plain
@@ -622,6 +628,17 @@ def observations(
     (``step_bound`` program steps per trace, ``node_budget`` distinct
     expansions overall; exceeding the budget records a distinct truncation
     marker).
+
+    Nodes are focused states.  The plain successor is the drain
+    machine's state after the step: it keeps the node's frame list,
+    occurrence counts, lost roots and memo.  That memo is the one the
+    node's maximal cycle left if the cycle changed nothing and was
+    quiescent: an unchanged cycle keeps the very same stores, but is not
+    quiescent while ``not_fin_val`` blocks its best finalizer candidate.
+    A GC successor is a branch with its own copy of the split and counts,
+    nothing lost yet, and its outcome's memo if that outcome is
+    quiescent.  A node whose memo vouches runs no cycle: its
+    ``enumerate_gc_steps`` call returns ``[]``, as the cycle would have.
 
     The search explores states, not paths: a visited set holds every
     (configuration, program step count) pair already expanded, and a
@@ -640,12 +657,13 @@ def observations(
     # one schedule for every node's drain: GC on, no scheduled cycles
     drain = Schedule("scripted", explorer.mode)
     visited: Dict[tuple, List[Configuration]] = {}
-    stack: List[Tuple[Configuration, int]] = [(config, 0)]
+    # focused states; the root is focused when it is expanded
+    stack: List[Tuple[Union[Focused, Configuration], int]] = [(config, 0)]
     while stack:
-        c, steps = stack.pop()
-        key = _state_key(c, steps)
+        s, steps = stack.pop()
+        key = _state_key(s, steps)
         seen = visited.setdefault(key, [])
-        if any(_same_zero_signs(s, c) for s in seen):
+        if any(_same_zero_signs(v, s) for v in seen):
             obs.revisits += 1
             continue
         if obs.nodes >= explorer.node_budget:
@@ -653,19 +671,18 @@ def observations(
             obs.truncated = True
             break
         obs.nodes += 1
-        seen.append(c)
+        seen.append(Configuration(s.sigma, s.theta, s.term))
         try:
-            d = decompose(c.term)
+            state = s if type(s) is Focused else Focused.of(s)
         except (HeapError, StuckTerm):
             obs.add(STUCK_RESULT)
             continue
-        if isinstance(d, Finished):
-            obs.add(result_of_finished(d, c))
+        if isinstance(state.at, Finished):
+            obs.add(result_of_finished(state.at, state))
             continue
         if steps >= explorer.step_bound:
             obs.add(BOTTOM_FUEL_RESULT)
             continue
-        state = Focused(c.sigma, c.theta, d, c.term)
         allow = not state.finalizer_in_flight
         try:
             # the maximal cycle, if it changes anything
@@ -673,7 +690,8 @@ def observations(
                                           allow_finalizer=allow)
             if outcomes and outcomes[0].garbage_only:
                 obs.collected += 1
-                stack.append((_apply_outcome(c, outcomes[0]), steps))
+                stack.append((_gc_successor(state, outcomes[0], explorer.mode),
+                               steps))
                 continue
             if outcomes and explorer.granularity != "maximal":
                 outcomes = subset_steps(state, outcomes[0], explorer.mode,
@@ -681,7 +699,8 @@ def observations(
         except (HeapError, StuckTerm):
             outcomes = []
         for o in outcomes:
-            stack.append((_apply_outcome(c, o), steps))
+            stack.append((_gc_successor(state, o, explorer.mode), steps))
+        # the plain step takes over the node's frame list, counts and memo
         m = Machine(state, drain, explorer.step_bound, steps)
         try:
             m.step()
@@ -696,7 +715,7 @@ def observations(
             if isinstance(m.state.at, Finished):
                 obs.add(result_of_finished(m.state.at, m.state))
                 continue
-        stack.append((m.config, m.steps))
+        stack.append((m.state, m.steps))
     return obs
 
 

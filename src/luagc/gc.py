@@ -47,15 +47,17 @@ nothing more, and lost no key it had followed), and it had no finalizer
 candidate, or only candidates held back because a finalizer was in flight
 (``held_for_flight``: quiescent only while one stays in flight).
 ``still_quiescent`` proves from the change since such a cycle that a cycle
-now would find nothing either, and ``executor.Machine`` skips those
-cycles: after a collection it looks only at what the program changed,
-the store entries it replaced and the roots whose count fell to zero,
-like the remembered sets of generation scavenging.  The explorer skips no
-cycle, but branches on
-fewer: it runs the maximal cycle at every node, and when that cycle is
-*garbage-only* (``GcOutcome.garbage_only``) takes its collected
-configuration as the node's one successor.  That configuration is a GC
-successor of the node, so its observations are among the node's.  A
+now would find nothing either: after a collection it looks only at what
+the program changed, the store entries it replaced and the roots whose
+count fell to zero, like the remembered sets of generation scavenging.
+A focused state carries the memo of its last quiescent cycle with its
+counts, and ``Focused.memo_vouches`` is the one rule by which both
+drivers skip a cycle: ``executor.Machine.collect``, and
+``enumerate_gc_steps`` at each explorer node.  The explorer also branches
+on fewer cycles: when a node's maximal cycle is *garbage-only*
+(``GcOutcome.garbage_only``) it takes the collected state as the node's
+one successor.  That state is a GC successor of the node, so its
+observations are among the node's.  A
 garbage-only maximal cycle discards only plainly unreachable locations
 (one reached through a weak edge would leave a cleared field on a kept
 table), so the program never reads them again and ids stay fresh.  The
@@ -641,8 +643,18 @@ def enumerate_gc_steps(
     ``maximal`` yields at most one outcome (the maximal cycle, if it makes
     progress).  ``subsets`` enumerates every valid discard subset of the
     garbage (``subset_steps``).
+
+    A focused state whose memo vouches (``Focused.memo_vouches``) has
+    none, and the cycle does not run.  Otherwise the state keeps its
+    stores, so it remembers the maximal cycle only if that changed
+    nothing.
     """
+    focused = type(c) is not Configuration
+    if focused and c.memo_vouches(mode, allow_finalizer):
+        return []
     maximal = run_cycle(c, mode, allow_finalizer=allow_finalizer)
+    if focused and not maximal.changed:
+        c.remember(maximal, mode)
     if granularity == "maximal":
         return [maximal] if maximal.changed else []
     return subset_steps(c, maximal, mode, allow_finalizer)

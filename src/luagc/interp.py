@@ -34,6 +34,8 @@ next focused configuration; its ``config`` is plugged on first read, so a
 loop that does not read it does not pay for it.  The frame
 list is owned by the stepping loop: ``step`` on a focused configuration
 reuses it for the successor, so a stepped-from state must not be read again.
+A state that must outlive a step of its parent, as an explorer's GC
+successor does, is a ``branch``: its own copy of the frame list and counts.
 
 Control effects (errors, break, return, pcall) unwind the context in a
 single step by cutting the frame list back to the matching delimiter,
@@ -79,12 +81,13 @@ from .heap import (
     Configuration, InvalidKey, ObjectStore, ValueStore, alloc_closure,
     alloc_table, alloc_value, check_key, index_metatable,
 )
-from .gc import set_fin
+from .gc import set_fin, still_quiescent
 from .parser import parse
 from .desugar import desugar
 
 if TYPE_CHECKING:
     from .ast import Stat, Term, Value
+    from .gc import GcOutcome
 
 
 class StuckTerm(Exception):
@@ -501,17 +504,28 @@ class _Occurrences:
     moves them by what it changed (``move``), and records in ``lost`` the
     locations whose count fell to zero since the set was last taken; it is
     None until then, since counts built afresh know no earlier roots.
+    ``quiet`` is the quiescence memo read with ``lost``
+    (``Focused.memo_vouches``), None where no cycle vouches for the stores.
     """
 
-    __slots__ = ("counts", "markers", "lost")
+    __slots__ = ("counts", "markers", "lost", "quiet")
 
     def __init__(self, at: Union[Redex, Finished], term: Optional[Term]):
         counts, self.markers = summary(at.term if term is None else term)
         self.counts = dict(counts)
         self.lost: Optional[Set[Location]] = None
+        self.quiet: Optional[tuple] = None
         if term is None:
             for f in at.frames:
                 self.move(f.child, f.node)
+
+    def fork(self) -> "_Occurrences":
+        """A copy that moves apart from this one, with nothing lost yet
+        and no memo."""
+        occ = _Occurrences.__new__(_Occurrences)
+        occ.counts, occ.markers = dict(self.counts), self.markers
+        occ.lost, occ.quiet = set(), None
+        return occ
 
     def move(self, out: Term, into: Term, cut: Sequence[Frame] = ()) -> None:
         """Count the term after ``into`` replaced ``out`` in the hole, and
@@ -608,7 +622,7 @@ class Focused:
         """Does the term hold a ``FinStat``/``FinWrap`` marker?  A pending
         ``FinWrap`` argument of a spliced thunk call sits in its frame's
         node; a marker cut away by an unwind left with its frame."""
-        return self._counted().markers > 0
+        return (self._occurrences or self._counted()).markers > 0
 
     def lost_roots(self) -> Optional[Set[Location]]:
         """The locations whose count fell to zero in the steps since the
@@ -619,8 +633,58 @@ class Focused:
         lost, occ.lost = occ.lost, set()
         return lost
 
+    def remember(self, outcome: GcOutcome, mode: str) -> None:
+        """Keep the quiescence memo of a cycle in ``mode`` whose kept
+        stores are this state's: ``(sigma, theta, held_for_flight, mode)``
+        if it was quiescent, else None.  The memo is kept with the counts
+        and the lost roots, so a successor that takes them over takes it
+        over too."""
+        (self._occurrences or self._counted()).quiet = (
+            (outcome.kept_sigma, outcome.kept_theta, outcome.held_for_flight,
+             mode) if outcome.quiescent else None)
+
+    def memo_vouches(self, mode: str, allow_finalizer: bool) -> bool:
+        """Does the quiescence memo prove that a cycle in ``mode`` would
+        find nothing here?  The one rule by which ``executor.Machine`` and
+        ``gc.enumerate_gc_steps`` skip a cycle.
+
+        The proof is ``gc.still_quiescent`` from the memo's stores, with
+        the roots lost since the memo was taken (``lost_roots``), which
+        this call takes.  A memo held for a finalizer in flight vouches
+        only while ``allow_finalizer`` is off.  If the proof holds, the
+        memo moves to this state's stores, so the next proof looks at one
+        step's change; if not, it is dropped, since the roots lost since
+        it was taken are gone.  Counts built afresh know nothing lost, so
+        they vouch for nothing.
+        """
+        lost = self.lost_roots()
+        occ = self._occurrences
+        quiet = occ.quiet
+        if quiet is None:
+            return False
+        if lost is None or quiet[3] != mode or (quiet[2] and allow_finalizer):
+            occ.quiet = None
+            return False
+        sigma, theta = self.sigma, self.theta
+        if quiet[0] is sigma and quiet[1] is theta and not lost:
+            return True  # nothing changed since the memo was taken
+        if not still_quiescent(quiet[0], quiet[1], lost, self):
+            occ.quiet = None
+            return False
+        occ.quiet = (sigma, theta, quiet[2], mode)
+        return True
+
     def with_stores(self, sigma: ValueStore, theta: ObjectStore) -> "Focused":
         return Focused(sigma, theta, self.at, self._term, self._occurrences)
+
+    def branch(self, sigma: ValueStore, theta: ObjectStore) -> "Focused":
+        """This state's term over the stores ``sigma`` and ``theta``, with
+        a frame list and occurrence counts of its own, so that stepping
+        either state leaves the other as it was; no memo."""
+        at = self.at
+        if type(at) is Redex:
+            at = Redex(list(at.frames), at.term, at.rule)
+        return Focused(sigma, theta, at, self._term, self._counted().fork())
 
 
 class StepResult:

@@ -118,3 +118,60 @@ def run_memo_checked(config, schedule, fuel: int = 2_000) -> MemoRun:
     assert rec == unmemoized
     assert rngs == unmemoized_rngs
     return MemoRun(rec, ran, skipped)
+
+
+class MemoExploration(NamedTuple):
+    observations: object  # the ObservationSet
+    skipped: int  # cycles the memo skipped, at nodes and in drains
+
+
+def explore_memo_checked(config, explorer,
+                         fuel: int = 10_000) -> MemoExploration:
+    """``observations`` with every cycle the memo skips checked, against
+    the exploration with the memo off.
+
+    Wherever ``Focused.memo_vouches`` vouches, at a node
+    (``enumerate_gc_steps``) or in a drain (``Machine.collect``), the
+    maximal cycle is run on the same state, its roots walked from the
+    plugged term: it must be quiescent, change nothing and keep the same
+    store objects.  The memo-off run patches every ``GcOutcome.quiescent``
+    to False, so no state keeps a memo and every cycle runs; its
+    observation set must equal the memoized one on keys and counters.
+    """
+    from luagc import executor, gc
+    from luagc.heap import Configuration
+    from luagc.interp import Focused
+
+    real_cycle, real_vouches = gc.run_cycle, Focused.memo_vouches
+
+    def observed(memo: bool):
+        skipped = 0
+
+        def vouches(c, mode, allow_finalizer):
+            nonlocal skipped
+            if not real_vouches(c, mode, allow_finalizer):
+                return False
+            o = real_cycle(Configuration(c.sigma, c.theta, c.term), mode,
+                           allow_finalizer=allow_finalizer)
+            assert o.quiescent and not o.changed
+            assert o.kept_sigma is c.sigma and o.kept_theta is c.theta
+            skipped += 1
+            return True
+
+        def cycle(*args, **kwargs):
+            o = real_cycle(*args, **kwargs)
+            return o if memo else dataclasses.replace(o, quiescent=False)
+
+        with pytest.MonkeyPatch.context() as m:
+            for module in (gc, executor):
+                m.setattr(module, "run_cycle", cycle)
+            m.setattr(Focused, "memo_vouches", vouches)
+            obs = executor.observations(config, explorer, fuel)
+        return obs, skipped
+
+    obs, skipped = observed(memo=True)
+    unmemoized, none_skipped = observed(memo=False)
+    assert none_skipped == 0
+    for name in ("keys", "nodes", "revisits", "collected", "truncated"):
+        assert getattr(obs, name) == getattr(unmemoized, name), name
+    return MemoExploration(obs, skipped)

@@ -251,12 +251,41 @@ ARITH = str(CORPUS / "deterministic" / "arith.lua")
     ["run", ARITH, "--gc", "periodic=x"],
     ["observe", ARITH, "--explorer", "bogus"],
     ["observe", ARITH, "--explorer", "exhaustive=x"],
+    ["observe", ARITH, "--explorer", "exhaustive=-5"],
+    ["observe", ARITH, "--explorer", "exhaustive=400,1"],
+    ["observe", ARITH, "--explorer", "exhaustive=400,subsets,1"],
+    ["observe", ARITH, "--explorer", "sample=-1"],
+    ["observe", ARITH, "--explorer", "sample=3,1,2"],
+    ["run", ARITH, "--gc", "periodic=0"],
+    ["run", ARITH, "--gc", "periodic=-2"],
+    ["run", ARITH, "--gc", "random=1,2"],
+    ["run", ARITH, "--gc", "random=1,-1"],
+    ["run", ARITH, "--gc", "random=1,nan"],
+    ["run", ARITH, "--gc", "random=1,0.5,3"],
     ["properties", str(CORPUS), "--property", "correctness", "--seeds", "a"],
     ["observe", "--manifest", str(CORPUS / "no-such-manifest.json")],
     ["observe"],
 ], ids=lambda argv: " ".join(a.replace(str(CORPUS), "corpus") for a in argv))
 def test_malformed_input_is_one_error_line(argv, capsys):
     assert_one_error_line(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("spec, keys", [
+    ("exhaustive=0", {"⊥(fuel)"}),
+    ("exhaustive=0,subsets", {"⊥(fuel)"}),
+    ("exhaustive=400,maximal", None),
+    ("sample=0", None),
+])
+def test_zero_bounds_are_accepted(spec, keys, capsys):
+    """A step bound of 0 explores the start alone, and a sample of 0
+    random schedules keeps ``never`` and ``eager``."""
+    code, out, err = run_cli(capsys, "observe", ARITH, "--explorer", spec)
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    if keys is not None:
+        assert set(report["observations"]) == keys
+    else:
+        assert report["size"] == 1
 
 
 @pytest.mark.parametrize("manifest", [

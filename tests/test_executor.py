@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from luagc import ast as A
-from luagc import executor, interp
+from luagc import executor, gc, interp
 from luagc.ast import Num, Str
 from luagc.executor import (
     BOTTOM_BUDGET,
@@ -31,8 +31,8 @@ from luagc.interp import (
 )
 
 from conftest import (
-    CORPUS, corpus_text, deterministic_programs, explore_reduced_and_unreduced,
-    run_memo_checked,
+    CORPUS, corpus_text, deterministic_programs, explore_memo_checked,
+    explore_reduced_and_unreduced, run_memo_checked,
 )
 from heapgen import build_heap
 
@@ -1422,3 +1422,135 @@ class TestQuiescenceMemo:
                                 Schedule("eager", "fin_weak"))
         assert [found(o) for o in memo.ran] == expected
         assert memo.skipped > 0
+
+
+# `t` is the value of an ephemeron entry whose key `k` awaits its
+# finalizer, so the entry is kept; once both are released, `t` is the
+# candidate of highest priority, and as a weak table's value it is not
+# selected: cycles change nothing and are not quiescent
+BLOCKED_FINALIZER = """
+local mt = {__gc = function(o) print("fin", o.id) end}
+local w = setmetatable({}, {__mode = "k"})
+local k = setmetatable({id = 1}, mt)
+local t = setmetatable({id = 2}, mt)
+w[k] = t
+k, t = nil, nil
+collectgarbage()
+return w ~= nil
+"""
+
+EXPLORER_MEMO_PROGRAMS = {**QUIESCENCE_PROGRAMS,
+                          "blocked_finalizer": BLOCKED_FINALIZER}
+
+
+class TestExplorerMemo:
+    """The explorer skips a node's cycle, and a drain's, when the memo its
+    state inherited vouches (``Focused.memo_vouches``); every skipped
+    cycle must be one that, run, would have found nothing, and the
+    observation set must equal the one with the memo off
+    (``explore_memo_checked``)."""
+
+    @pytest.mark.parametrize("granularity", ["maximal", "subsets"])
+    @pytest.mark.parametrize("mode", ["fin", "fin_weak"])
+    @pytest.mark.parametrize("rel", CORPUS_PROGRAMS
+                             + sorted(EXPLORER_MEMO_PROGRAMS))
+    def test_skipped_cycles_are_quiescent(self, rel, mode, granularity):
+        # the two long programs are cut at smaller budgets: a node of their
+        # subset explorations branches up to 2^12 ways
+        text = EXPLORER_MEMO_PROGRAMS.get(rel) or corpus_text(rel)
+        budget = 3_000
+        if rel in QUIESCENCE_PROGRAMS:
+            budget = 100 if granularity == "subsets" else 600
+        memo = explore_memo_checked(
+            load_program(text),
+            ExhaustiveExplorer(mode, 400, granularity, budget))
+        assert memo.skipped > 0
+
+    def test_unchanged_cycle_need_not_be_quiescent(self):
+        """``BLOCKED_FINALIZER`` has maximal cycles that change nothing
+        and are not quiescent, so a node's unchanged cycle alone gives its
+        plain successor no memo; the skips there are checked above."""
+        seen = []
+        real = gc.run_cycle
+
+        def cycle(*args, **kwargs):
+            o = real(*args, **kwargs)
+            seen.append((o.changed, o.quiescent))
+            return o
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(gc, "run_cycle", cycle)
+            obs = observations(load_program(BLOCKED_FINALIZER),
+                               ExhaustiveExplorer("fin_weak", 400, "maximal"))
+        assert (False, False) in seen
+        assert len(obs) == 1
+
+
+def split_shape(d) -> tuple:
+    """A split as what decides it: the frames' slots, then the redex's rule
+    and term, or the final classification."""
+    frames = tuple((type(f.node).__name__, f.slot, f.idx) for f in d.frames)
+    if isinstance(d, Finished):
+        return frames, d
+    return frames, d.rule, d.term
+
+
+FOCUS_EXPLORATIONS = {
+    "finalizer_order": ("finalizers/finalizer_order.lua",
+                        ExhaustiveExplorer("fin_weak", 400, "maximal", 20_000)),
+    "resurrection_subsets": ("finalizers/resurrection.lua",
+                             ExhaustiveExplorer("fin", 400, "subsets", 20_000)),
+    "weak_cache": ("weak/weak_cache.lua",
+                   ExhaustiveExplorer("fin_weak", 400, "maximal", 20_000)),
+    "ephemeron_self_key": ("weak/ephemeron_self_key.lua",
+                           ExhaustiveExplorer("fin_weak", 400, "maximal",
+                                              20_000)),
+}
+
+
+class TestExplorerFocus:
+    """Explorer nodes are focused states: each successor inherits its
+    parent's split and occurrence counts, a GC successor as a copy of its
+    own.  At every pop the split, the counts and the marker count must
+    equal those derived from the node's term, and the exploration must
+    decompose from the root once."""
+
+    @pytest.mark.parametrize("name", sorted(FOCUS_EXPLORATIONS))
+    def test_popped_states_match_their_terms(self, name, monkeypatch):
+        rel, explorer = FOCUS_EXPLORATIONS[name]
+        real_key, real_decompose = executor._state_key, interp.decompose
+        popped, decomposed = [], []
+
+        def key(s, steps):
+            if type(s) is Focused:
+                term = s.term
+                assert plug(s.at.frames, s.at.term) == term
+                assert split_shape(s.at) == split_shape(real_decompose(term))
+                assert s._occurrences is not None  # inherited, not rebuilt
+                assert occurrences(s) == occurrences_walked(term)
+                popped.append(occurrences(s)[1])
+            return real_key(s, steps)
+
+        def counting(term):
+            decomposed.append(term)
+            return real_decompose(term)
+
+        branched = []
+        real_successor = executor._gc_successor
+
+        def successor(state, o, mode):
+            if not o.garbage_only:  # the node steps as well
+                branched.append(o.pending_finalizer is not None)
+            return real_successor(state, o, mode)
+
+        monkeypatch.setattr(executor, "_state_key", key)
+        monkeypatch.setattr(interp, "decompose", counting)
+        monkeypatch.setattr(executor, "_gc_successor", successor)
+        obs = observations(load_program(corpus_text(rel)), explorer)
+        assert not obs.truncated and len(decomposed) == 1
+        assert len(popped) >= obs.nodes - 1  # all but the root
+        # nodes branched into a GC successor and a plain step; in the
+        # finalizer programs the GC successor spliced its finalizer
+        assert branched
+        spliced = rel.startswith("finalizers/")
+        assert any(branched) == any(popped) == spliced

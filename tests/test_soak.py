@@ -20,9 +20,9 @@ the finalizer ends.
 
 import pytest
 
-from luagc.executor import _apply_outcome, finalizer_in_flight
+from luagc.executor import finalizer_in_flight, splice_finalizer
 from luagc.gc import run_cycle, still_quiescent
-from luagc.heap import validate
+from luagc.heap import Configuration, validate
 from luagc.interp import Finished, load_program, step
 
 from conftest import CORPUS
@@ -41,6 +41,15 @@ def test_eager_interleaving_preserves_well_formedness(path):
     for mode in ("simple", "fin", "fin_weak"):
         # every corpus program has steps the rule proves quiescent
         assert soak(path, mode) > 0, mode
+
+
+def apply_outcome(config, outcome):
+    """The configuration a cycle leaves: its kept stores, with the selected
+    finalizer spliced into the term."""
+    term = config.term
+    if outcome.pending_finalizer is not None:
+        term = splice_finalizer(term, *outcome.pending_finalizer)
+    return Configuration(outcome.kept_sigma, outcome.kept_theta, term)
 
 
 def soak(path, mode) -> int:
@@ -65,7 +74,7 @@ def soak(path, mode) -> int:
                   outcome.held_for_flight)
                  if outcome.quiescent else None)
         if outcome.changed:
-            config = _apply_outcome(config, outcome)
+            config = apply_outcome(config, outcome)
             validate(config)
         res = step(config)
         if isinstance(res, Finished):
