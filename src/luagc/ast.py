@@ -12,9 +12,10 @@ Two layers live here:
 Terms are frozen dataclasses; reduction never mutates, it rebuilds.
 ``rewrite`` is the one tree rebuild: desugaring, substitution, globals
 patching and renaming are each a visit over it, and a rebuilt term shares
-every subtree that did not change.  One table, ``_KIDS``, gives each node
-kind's sub-terms; ``walk``, ``summary`` and ``rewrite`` index it directly,
-and ``children`` is its public accessor.
+every subtree that did not change.  Each term class declares its sub-term
+slots once, on its fields (``_slot``); the per-class functions that take a
+node apart and put it together -- ``children``, ``rewrite``'s rebuild,
+``==``, ``to_json`` and the interpreter's plugging -- are derived from it.
 Source positions are carried for diagnostics but excluded from equality so
 that structural comparison of reduced terms is meaningful.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 
@@ -38,6 +39,18 @@ class Pos:
 
 def _pos_field():
     return field(default=None, compare=False, repr=False)
+
+
+# The shape of a sub-term slot: one term, a tuple of terms, or a table
+# constructor's (key, value) pairs, whose key may be None.
+ONE, MANY, PAIRS = "one", "many", "pairs"
+
+
+def _slot(shape: str = ONE, evaluated: bool = False):
+    """Declare a term's field a sub-term slot.  The machine reduces the
+    terms of an ``evaluated`` slot where they stand, and of no other; a
+    field not declared a slot, but ``pos``, is the node's own."""
+    return field(metadata={"slot": (shape, evaluated)})
 
 
 # ---------------------------------------------------------------------------
@@ -185,22 +198,22 @@ class ValueTuple:
 
 @dataclass(frozen=True)
 class Index:
-    obj: "Expr"
-    key: "Expr"
+    obj: "Expr" = _slot(evaluated=True)
+    key: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Call:
-    fn: "Expr"
-    args: Tuple["Expr", ...]
+    fn: "Expr" = _slot(evaluated=True)
+    args: Tuple["Expr", ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Function:
     params: Tuple[str, ...]
-    body: "Stat"
+    body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
@@ -208,41 +221,42 @@ class Function:
 class TableCtor:
     """Table constructor; after desugaring every field has an explicit key."""
 
-    fields: Tuple[Tuple[Optional["Expr"], "Expr"], ...]
+    fields: Tuple[Tuple[Optional["Expr"], "Expr"], ...] = _slot(
+        PAIRS, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class BinOp:
     op: str  # + - * / % ^ == ~= < <= > >=
-    lhs: "Expr"
-    rhs: "Expr"
+    lhs: "Expr" = _slot(evaluated=True)
+    rhs: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class And:
-    lhs: "Expr"
-    rhs: "Expr"
+    lhs: "Expr" = _slot(evaluated=True)
+    rhs: "Expr" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Or:
-    lhs: "Expr"
-    rhs: "Expr"
+    lhs: "Expr" = _slot(evaluated=True)
+    rhs: "Expr" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Not:
-    operand: "Expr"
+    operand: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Neg:
-    operand: "Expr"
+    operand: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -250,7 +264,7 @@ class Neg:
 class CallFrame:
     """Runtime form: a function body executing in expression position."""
 
-    body: "Stat"
+    body: "Stat" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -258,7 +272,7 @@ class CallFrame:
 class ProtectedFrame:
     """Runtime form: the guarded region opened by pcall."""
 
-    inner: "Expr"
+    inner: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -266,7 +280,7 @@ class ProtectedFrame:
 class FinWrap:
     """Runtime marker around an in-flight finalizer call (expression form)."""
 
-    inner: "Expr"
+    inner: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -297,23 +311,23 @@ class Empty:
 
 @dataclass(frozen=True)
 class Seq:
-    first: "Stat"
-    rest: "Stat"
+    first: "Stat" = _slot(evaluated=True)
+    rest: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Local:
     names: Tuple[str, ...]
-    exprs: Tuple[Expr, ...]
-    body: "Stat"
+    exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
+    body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class Assign:
-    targets: Tuple[Expr, ...]  # Ref or Index after desugaring
-    exprs: Tuple[Expr, ...]
+    targets: Tuple[Expr, ...] = _slot(MANY)  # Ref or Index after desugaring
+    exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -321,22 +335,22 @@ class Assign:
 class ExprStat:
     """A call executed for effect; its results are discarded."""
 
-    expr: Expr
+    expr: Expr = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class If:
-    cond: Expr
-    then_body: "Stat"
-    else_body: "Stat"
+    cond: Expr = _slot(evaluated=True)
+    then_body: "Stat" = _slot()
+    else_body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
 @dataclass(frozen=True)
 class While:
-    cond: Expr
-    body: "Stat"
+    cond: Expr = _slot()
+    body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
@@ -347,7 +361,7 @@ class Break:
 
 @dataclass(frozen=True)
 class Return:
-    exprs: Tuple[Expr, ...]
+    exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -355,7 +369,7 @@ class Return:
 class LoopFrame:
     """Runtime form: the active extent of a loop; break unwinds to here."""
 
-    inner: "Stat"
+    inner: "Stat" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -371,7 +385,7 @@ class ErrTerm:
 class FinStat:
     """Runtime marker around an in-flight finalizer call (statement form)."""
 
-    inner: "Stat"
+    inner: "Stat" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -379,7 +393,7 @@ class FinStat:
 class Block:
     """Parser-level statement list; folded away by desugaring."""
 
-    stats: Tuple["Stat", ...]
+    stats: Tuple["Stat", ...] = _slot(MANY)
     pos: Optional[Pos] = _pos_field()
 
 
@@ -401,29 +415,143 @@ def is_stat(t: Term) -> bool:
     return type(t) in _STATS
 
 
-def _hash_once(cls: type) -> None:
-    """Cache the structural hash on each node: terms are immutable, and a
-    fresh term shares most of its nodes with the term it came from, so
-    hashing it only walks the nodes that are new.  String hashes are salted
-    per process, so a cached hash must not travel to another one."""
-    structural = cls.__hash__
+# ---------------------------------------------------------------------------
+# The node schema, and the tables derived from it
+# ---------------------------------------------------------------------------
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = structural(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
+# per class: its slots as ``(field, shape, evaluated)``, and its own fields,
+# each in field order; the ``_slot`` marks are the one statement of them
+SLOTS = {cls: tuple((f.name, *f.metadata["slot"]) for f in fields(cls)
+                    if f.metadata) for cls in TERM_TYPES}
+OWN = {cls: tuple(f.name for f in fields(cls)
+                  if not f.metadata and f.name != "pos") for cls in TERM_TYPES}
 
 
-# Memo slots read by ``__hash__`` and ``summary``; they are not dataclass
-# fields, so equality, ``replace`` and printing ignore them.
+def _derive(params: str, body: str):
+    """``lambda <params>: <body>`` over this module's names, compiled once,
+    as ``dataclasses`` compiles ``__init__``: a table derived from the
+    schema holds one per class, so no step reads the schema."""
+    return eval(f"lambda {params}: {body}", globals())
+
+
+def rebuilder(cls: type, params: str, new: Dict[str, str]):
+    """``lambda t, <params>:`` a ``cls`` node that is ``t`` but for the
+    slots whose new contents ``new`` gives the source of."""
+    args = "".join(new.get(f.name, "t." + f.name) + ", "
+                   for f in fields(cls) if f.name != "pos")
+    return _derive("t, " + params, f"{cls.__name__}({args}pos=t.pos)")
+
+
+def _pairs_from(pairs, kids) -> tuple:
+    """A constructor's pairs with new sub-terms: keys where there were."""
+    it = iter(kids)
+    return tuple((None if k is None else next(it), next(it)) for k, _ in pairs)
+
+
+def _sources(cls: type) -> Tuple[str, Dict[str, str], str]:
+    """Source for a node's sub-terms as one tuple (``children``); for each
+    slot's contents read back from a list ``k`` laid out so (``rewrite``);
+    and for a step of ``a == b``: False if their forms differ, else their
+    sub-terms' pairs.  A form, the node's own fields and the shapes of its
+    tuples of terms, is a tuple: a value that is the same object on both
+    sides is equal, even a NaN."""
+    def terms(o: str, name: str, shape: str) -> str:
+        if shape == PAIRS:
+            return (f"tuple(x for k, v in {o}.{name}"
+                    " for x in ((v,) if k is None else (k, v)))")
+        return f"{o}.{name}" if shape == MANY else f"({o}.{name},)"
+
+    def form(o: str) -> str:
+        return "(" + "".join([f"{o}.{name}, " for name in OWN[cls]] + [
+            f"len({o}.{name}), " if shape == MANY else
+            f"tuple(k is None for k, _ in {o}.{name}), "
+            for name, shape, _ in SLOTS[cls] if shape != ONE]) + ")"
+
+    new, at, pairs = {}, "0", []
+    for i, (name, shape, _) in enumerate(SLOTS[cls]):
+        size = "1" if shape == ONE else f"len({terms('t', name, shape)})"
+        end = "" if i == len(SLOTS[cls]) - 1 else f"{at} + {size}"
+        new[name] = (f"k[{at}]" if shape == ONE
+                     else f"tuple(k[{at}:{end}])" if shape == MANY
+                     else f"_pairs_from(t.{name}, k[{at}:])")
+        at = end
+        pairs.append(f"(a.{name}, b.{name}), " if shape == ONE else
+                     f"*zip({terms('a', name, shape)}, "
+                     f"{terms('b', name, shape)}), ")
+    # a run of single terms makes one tuple: (t.a, t.b,), not (t.a,) + (t.b,)
+    kids = " + ".join(terms("t", name, shape) for name, shape, _ in SLOTS[cls])
+    same = "(" + "".join(pairs) + ")"
+    if form("a") != "()":
+        same = f"{form('a')} == {form('b')} and {same}"
+    return kids.replace(",) + (", ", ") or "()", new, same
+
+
+_KIDS_DONE = object()  # stack mark: the node below it has its kids done
+
+
+def _memoize(t: Term, memo: str, make) -> None:
+    """Set the ``memo`` slot of ``t`` and of each node below it where it is
+    unset to ``make(node)``, children first: an iterative post-order, so
+    deep terms need no Python recursion."""
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if n is _KIDS_DONE:
+            n = stack.pop()
+            object.__setattr__(n, memo, make(n))
+        elif getattr(n, memo) is None:
+            stack += (n, _KIDS_DONE)
+            stack += _KIDS[type(n)](n)
+
+
+def _term_hash(self: Term) -> int:
+    """The dataclass's hash, memoized on each node: a fresh term shares
+    most of its nodes with the term it came from, so hashing it only
+    walks the nodes that are new.  String hashes are salted per process,
+    so a memoized hash must not travel to another one."""
+    if self._hash is None:
+        _memoize(self, "_hash", lambda n: _STRUCTURAL[type(n)](n))
+    return self._hash
+
+
+def _term_eq(self: Term, other) -> bool:
+    """The dataclass's equality, on an explicit stack of node pairs, so
+    deep terms need no Python recursion.  A pair of the same node is
+    equal, and one of nodes whose memoized hashes differ is not."""
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    pairs = [(self, other)]
+    while pairs:
+        a, b = pairs.pop()
+        if a is b:
+            continue
+        cls = type(a)
+        if (type(b) is not cls
+                or a._hash != b._hash and None not in (a._hash, b._hash)):
+            return False
+        more = _SAME[cls](a, b)
+        if more is False:
+            return False
+        pairs += more
+    return True
+
+
+# Per class: its sub-terms (``children``); a node from new sub-terms laid
+# out as those (``rewrite``); a step of ``==``; and the dataclass's hash,
+# of the tuple of its compared fields.  The memo slots read by ``__hash__``
+# and ``summary`` are not dataclass fields: equality, ``replace`` and
+# printing ignore them.
+_KIDS, _BUILD, _SAME, _STRUCTURAL = {}, {}, {}, {}
 for _cls in TERM_TYPES:
-    _cls._hash = None
-    _cls._summary = None
-    _hash_once(_cls)
+    _kids, _new, _same = _sources(_cls)
+    _KIDS[_cls] = _derive("t", _kids)
+    if _new:
+        _BUILD[_cls] = rebuilder(_cls, "k", _new)
+    _SAME[_cls] = _derive("a, b", _same)
+    _STRUCTURAL[_cls] = _cls.__hash__
+    _cls._hash = _cls._summary = None
+    _cls.__hash__ = _term_hash
+    _cls.__eq__ = _term_eq
 
 
 # ---------------------------------------------------------------------------
@@ -438,44 +566,6 @@ def value_locations(v: Value) -> Iterator[Location]:
         yield ("tid", v.n)
     elif isinstance(v, Cid):
         yield ("cid", v.n)
-
-
-def _leaf(t: Term) -> Tuple[Term, ...]:
-    return ()
-
-
-def _ctor_kids(t: TableCtor) -> Tuple[Term, ...]:
-    return tuple(x for k, v in t.fields for x in ((v,) if k is None else (k, v)))
-
-
-# Immediate sub-terms of each node kind, in evaluation-relevant left-to-right
-# order.  A binder's names are not sub-terms.
-_KIDS = {
-    Const: _leaf, Name: _leaf, Globals: _leaf, Ref: _leaf, ValueTuple: _leaf,
-    Empty: _leaf, Break: _leaf, ErrTerm: _leaf,
-    Seq: lambda t: (t.first, t.rest),
-    Local: lambda t: t.exprs + (t.body,),
-    Assign: lambda t: t.targets + t.exprs,
-    ExprStat: lambda t: (t.expr,),
-    If: lambda t: (t.cond, t.then_body, t.else_body),
-    While: lambda t: (t.cond, t.body),
-    Return: lambda t: t.exprs,
-    LoopFrame: lambda t: (t.inner,),
-    FinStat: lambda t: (t.inner,),
-    Block: lambda t: t.stats,
-    Index: lambda t: (t.obj, t.key),
-    Call: lambda t: (t.fn,) + t.args,
-    Function: lambda t: (t.body,),
-    TableCtor: _ctor_kids,
-    BinOp: lambda t: (t.lhs, t.rhs),
-    And: lambda t: (t.lhs, t.rhs),
-    Or: lambda t: (t.lhs, t.rhs),
-    Not: lambda t: (t.operand,),
-    Neg: lambda t: (t.operand,),
-    CallFrame: lambda t: (t.body,),
-    ProtectedFrame: lambda t: (t.inner,),
-    FinWrap: lambda t: (t.inner,),
-}
 
 
 def children(t: Term) -> Tuple[Term, ...]:
@@ -521,23 +611,10 @@ def summary(t: Term) -> Summary:
 
     Memoized on every node: a node is summarized once, from its children's
     summaries, so a subterm shared between terms (a continuation, a closure
-    body) is walked once however often it is asked about.  Iterative
-    post-order, so deep terms need no Python recursion.
+    body) is walked once however often it is asked about.
     """
-    if t._summary is not None:
-        return t._summary
-    stack = [t]
-    while stack:
-        n = stack[-1]
-        if n._summary is not None:
-            stack.pop()
-            continue
-        pending = [c for c in _KIDS[type(n)](n) if c._summary is None]
-        if pending:
-            stack.extend(pending)
-        else:
-            stack.pop()
-            object.__setattr__(n, "_summary", _summarize(n))
+    if t._summary is None:
+        _memoize(t, "_summary", _summarize)
     return t._summary
 
 
@@ -584,43 +661,6 @@ def _summarize(n: Term) -> Summary:
 # ---------------------------------------------------------------------------
 
 
-def _rebuild_ctor(t: TableCtor, kids: list) -> TableCtor:
-    it = iter(kids)
-    return TableCtor(
-        tuple((None if k is None else next(it), next(it)) for k, _ in t.fields),
-        pos=t.pos,
-    )
-
-
-# A node of each kind from new sub-terms, laid out as ``rewrite`` collects
-# them: as ``children`` gives them, except that a binder's names come just
-# before its body.
-_BUILD = {
-    Seq: lambda t, k: Seq(k[0], k[1], pos=t.pos),
-    Local: lambda t, k: Local(k[-2], tuple(k[:-2]), k[-1], pos=t.pos),
-    Assign: lambda t, k: Assign(
-        tuple(k[:len(t.targets)]), tuple(k[len(t.targets):]), pos=t.pos),
-    ExprStat: lambda t, k: ExprStat(k[0], pos=t.pos),
-    If: lambda t, k: If(k[0], k[1], k[2], pos=t.pos),
-    While: lambda t, k: While(k[0], k[1], pos=t.pos),
-    Return: lambda t, k: Return(tuple(k), pos=t.pos),
-    LoopFrame: lambda t, k: LoopFrame(k[0], pos=t.pos),
-    FinStat: lambda t, k: FinStat(k[0], pos=t.pos),
-    Block: lambda t, k: Block(tuple(k), pos=t.pos),
-    Index: lambda t, k: Index(k[0], k[1], pos=t.pos),
-    Call: lambda t, k: Call(k[0], tuple(k[1:]), pos=t.pos),
-    Function: lambda t, k: Function(k[0], k[1], pos=t.pos),
-    TableCtor: _rebuild_ctor,
-    BinOp: lambda t, k: BinOp(t.op, k[0], k[1], pos=t.pos),
-    And: lambda t, k: And(k[0], k[1], pos=t.pos),
-    Or: lambda t, k: Or(k[0], k[1], pos=t.pos),
-    Not: lambda t, k: Not(k[0], pos=t.pos),
-    Neg: lambda t, k: Neg(k[0], pos=t.pos),
-    CallFrame: lambda t, k: CallFrame(k[0], pos=t.pos),
-    ProtectedFrame: lambda t, k: ProtectedFrame(k[0], pos=t.pos),
-    FinWrap: lambda t, k: FinWrap(k[0], pos=t.pos),
-}
-
 _BIND = -1  # stack mark: a local's expressions are done, bind its names
 
 
@@ -645,7 +685,8 @@ def rewrite(t: Term, env, visit, bind=_same_scope) -> Term:
     with its old sub-terms and the length of ``done``; when it comes up
     again it takes the new sub-terms from ``done`` above the mark.  A
     ``Local`` also leaves ``(node, env, _BIND)`` under its expressions,
-    which binds its names and opens its body.
+    which binds its names and opens its body.  A binder whose names
+    ``bind`` changes is remade with them in the entry that rebuilds it.
     """
     done: list = []
     stack: list = [(t, env, None)]
@@ -654,27 +695,24 @@ def rewrite(t: Term, env, visit, bind=_same_scope) -> Term:
         if mark is None:
             n, descend = visit(n, x)
             cls = type(n)
-            if not descend:
+            if cls is Function and descend:
+                names, x = bind(n.params, x)
+                if names is not n.params:
+                    n = replace(n, params=names)
+            kids = _KIDS[cls](n) if descend else ()
+            if not kids:
                 done.append(n)
-            elif cls is Local:
-                stack.append((n, n.exprs + (n.names, n.body), len(done)))
+                continue
+            stack.append((n, kids, len(done)))
+            if cls is Local:
                 stack.append((n, x, _BIND))
-                stack.extend([(e, x, None) for e in reversed(n.exprs)])
-            elif cls is Function:
-                stack.append((n, (n.params, n.body), len(done)))
-                names, inner = bind(n.params, x)
-                done.append(names)
-                stack.append((n.body, inner, None))
-            else:
-                kids = _KIDS[cls](n)
-                if kids:
-                    stack.append((n, kids, len(done)))
-                    stack.extend([(c, x, None) for c in reversed(kids)])
-                else:
-                    done.append(n)
+                kids = n.exprs
+            stack.extend([(c, x, None) for c in reversed(kids)])
         elif mark == _BIND:
             names, inner = bind(n.names, x)
-            done.append(names)
+            if names is not n.names:
+                m, old, at = stack.pop()
+                stack.append((replace(m, names=names), old, at))
             stack.append((n.body, inner, None))
         else:
             new = done[mark:]
@@ -942,46 +980,19 @@ _EXPR_PIECES = {
 # ---------------------------------------------------------------------------
 
 
-# per class: the JSON kind, the node's own (non-term) fields, and the
-# attributes holding its sub-terms; a tuple of terms becomes a list
-_JSON_FIELDS = {
-    Const: ("const", lambda t: {"value": _value_json(t.value)}, ()),
-    Name: ("name", lambda t: {"ident": t.ident}, ()),
-    Globals: ("globals", None, ()),
-    Ref: ("ref", lambda t: {"r": t.r}, ()),
-    ValueTuple: ("values",
-                 lambda t: {"values": [_value_json(v) for v in t.values]}, ()),
-    Index: ("index", None, ("obj", "key")),
-    Call: ("call", None, ("fn", "args")),
-    Function: ("function", lambda t: {"params": list(t.params)}, ("body",)),
-    BinOp: ("binop", lambda t: {"op": t.op}, ("lhs", "rhs")),
-    And: ("and", None, ("lhs", "rhs")),
-    Or: ("or", None, ("lhs", "rhs")),
-    Not: ("not", None, ("operand",)),
-    Neg: ("neg", None, ("operand",)),
-    Empty: ("empty", None, ()),
-    Seq: ("seq", None, ("first", "rest")),
-    Local: ("local", lambda t: {"names": list(t.names)}, ("exprs", "body")),
-    Assign: ("assign", None, ("targets", "exprs")),
-    ExprStat: ("exprstat", None, ("expr",)),
-    If: ("if", None, ("cond", "then_body", "else_body")),
-    While: ("while", None, ("cond", "body")),
-    Break: ("break", None, ()),
-    Return: ("return", None, ("exprs",)),
-    Block: ("block", None, ("stats",)),
-    LoopFrame: ("loopframe", None, ("inner",)),
-    ErrTerm: ("err", lambda t: {"value": _value_json(t.value)}, ()),
-    FinStat: ("finstat", None, ("inner",)),
-    CallFrame: ("callframe", None, ("body",)),
-    ProtectedFrame: ("protected", None, ("inner",)),
-    FinWrap: ("finwrap", None, ("inner",)),
-}
-# the JSON key of an attribute, where the two differ
+# The JSON kind of a class and key of a field, where they are not its name
+# (in lower case); per class, its JSON kind, own fields and slots.
+_JSON_KINDS = {ValueTuple: "values", ErrTerm: "err",
+               ProtectedFrame: "protected", TableCtor: "table"}
 _JSON_KEYS = {"then_body": "then", "else_body": "else"}
+_JSON = {cls: (_JSON_KINDS.get(cls, cls.__name__.lower()), OWN[cls],
+               SLOTS[cls]) for cls in TERM_TYPES}
 
 
 def to_json(t: Term) -> dict:
-    """The term as nested dicts and lists, one dict per node.
+    """The term as nested dicts and lists, one dict per node: its kind,
+    then its own fields and its slots, each in field order.  A tuple of
+    terms becomes a list, a constructor's pairs ``key``/``value`` dicts.
 
     An explicit-stack walk, so deep terms need no Python recursion: a
     node's dict is made with ``None`` in each sub-term slot, and the slot
@@ -991,32 +1002,32 @@ def to_json(t: Term) -> dict:
     stack: list = [(top, 0, t)]
     while stack:
         holder, slot, n = stack.pop()
-        if isinstance(n, TableCtor):
-            fields = []
-            for k, v in n.fields:
-                f = {"key": None, "value": None}
-                fields.append(f)
-                if k is not None:
-                    stack.append((f, "key", k))
-                stack.append((f, "value", v))
-            holder[slot] = {"kind": "table", "fields": fields}
-            continue
-        spec = _JSON_FIELDS.get(type(n))
-        if spec is None:
-            raise TypeError(f"unknown term {n!r}")  # pragma: no cover
-        kind, own, subs = spec
-        d = {"kind": kind, **(own(n) if own else {})}
-        for attr in subs:
-            sub = getattr(n, attr)
-            key = _JSON_KEYS.get(attr, attr)
-            if isinstance(sub, tuple):
+        kind, own, slots = _JSON[type(n)]
+        d = {"kind": kind, **{f: _own_json(getattr(n, f)) for f in own}}
+        for name, shape, _ in slots:
+            sub, key = getattr(n, name), _JSON_KEYS.get(name, name)
+            if shape == ONE:
+                d[key] = None
+                stack.append((d, key, sub))
+            elif shape == MANY:
                 d[key] = [None] * len(sub)
                 stack.extend((d[key], i, c) for i, c in enumerate(sub))
             else:
-                d[key] = None
-                stack.append((d, key, sub))
+                d[key] = [{"key": None, "value": None} for _ in sub]
+                for f, (k, v) in zip(d[key], sub):
+                    stack.append((f, "value", v))
+                    if k is not None:
+                        stack.append((f, "key", k))
         holder[slot] = d
     return top[0]
+
+
+def _own_json(x):
+    """An own field: a value, a name, an operator, a number or a tuple of
+    them."""
+    if type(x) is tuple:
+        return [_own_json(y) for y in x]
+    return x if isinstance(x, (str, int)) else _value_json(x)
 
 
 def _value_json(v: Value):

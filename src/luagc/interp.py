@@ -111,11 +111,6 @@ class LuaError(Exception):
 # ---------------------------------------------------------------------------
 
 
-# The slots that hold an expression list, evaluated left to right.  A
-# constructor's fields are one list of positions, each key before its value.
-_LIST_SLOTS = frozenset(("exprs", "args", "field_key", "field_value"))
-
-
 class Frame:
     """A node of the context with the slot its hole sits in, and the
     ``child`` the hole held when the frame was pushed.  Once refocused, the
@@ -234,16 +229,16 @@ def _next_el(t: Term, start: int):
     A trailing value tuple stays splicable; anywhere else it must still be
     truncated (and is itself the redex).
     """
-    if type(t) is TableCtor:
-        fields = t.fields
-        for i in range(start, len(fields)):
-            k, v = fields[i]
+    slot, holes = _LIST_OF[type(t)]
+    seq = getattr(t, slot)
+    if len(holes) == 2:  # a constructor's pairs
+        for i in range(start, len(seq)):
+            k, v = seq[i]
             if k is not None and type(k) is not Const:
-                return ("field_key", i, k)
+                return (holes[0], i, k)
             if type(v) is not Const:
-                return ("field_value", i, v)
+                return (holes[1], i, v)
         return None
-    slot, seq = ("args", t.args) if type(t) is Call else ("exprs", t.exprs)
     last = len(seq) - 1
     for i in range(start, last + 1):
         e = seq[i]
@@ -432,50 +427,41 @@ def _d_fin_wrap(t, frames):
 # ---------------------------------------------------------------------------
 
 
-def _put(seq: tuple, i: int, x) -> tuple:
-    return seq[:i] + (x,) + seq[i + 1:]
-
-
 def _put_target(n: Assign, i: int, obj: Term, key: Term) -> Assign:
-    return Assign(_put(n.targets, i, Index(obj, key, pos=n.targets[i].pos)),
+    t = n.targets
+    return Assign(t[:i] + (Index(obj, key, pos=t[i].pos),) + t[i + 1:],
                   n.exprs, pos=n.pos)
 
 
 # Each frame kind's node with the child in its hole replaced, keyed by node
-# type and slot.  A list slot is rebuilt by slicing around the hole.
+# type and slot: one per evaluated slot of the node schema, a key's and a
+# value's for a constructor's pairs, and the holes of an assignment target,
+# which sit inside the target ``Index``.  A tuple slot is rebuilt by slicing
+# around the hole.  ``_LIST_OF`` gives a node type's evaluated tuple slot
+# and the slots of its holes (a constructor's fields are one list, each key
+# before its value); ``_LIST_SLOTS`` are the latter.
 _PLUG = {
-    (Seq, "first"): lambda n, i, c: Seq(c, n.rest, pos=n.pos),
-    (Local, "exprs"): lambda n, i, c: Local(
-        n.names, _put(n.exprs, i, c), n.body, pos=n.pos),
-    (Assign, "exprs"): lambda n, i, c: Assign(
-        n.targets, _put(n.exprs, i, c), pos=n.pos),
     (Assign, "target_obj"): lambda n, i, c: _put_target(
         n, i, c, n.targets[i].key),
     (Assign, "target_key"): lambda n, i, c: _put_target(
         n, i, n.targets[i].obj, c),
-    (Return, "exprs"): lambda n, i, c: Return(_put(n.exprs, i, c), pos=n.pos),
-    (ExprStat, "expr"): lambda n, i, c: ExprStat(c, pos=n.pos),
-    (If, "cond"): lambda n, i, c: If(c, n.then_body, n.else_body, pos=n.pos),
-    (Index, "obj"): lambda n, i, c: Index(c, n.key, pos=n.pos),
-    (Index, "key"): lambda n, i, c: Index(n.obj, c, pos=n.pos),
-    (Call, "fn"): lambda n, i, c: Call(c, n.args, pos=n.pos),
-    (Call, "args"): lambda n, i, c: Call(n.fn, _put(n.args, i, c), pos=n.pos),
-    (TableCtor, "field_key"): lambda n, i, c: TableCtor(
-        _put(n.fields, i, (c, n.fields[i][1])), pos=n.pos),
-    (TableCtor, "field_value"): lambda n, i, c: TableCtor(
-        _put(n.fields, i, (n.fields[i][0], c)), pos=n.pos),
-    (BinOp, "lhs"): lambda n, i, c: BinOp(n.op, c, n.rhs, pos=n.pos),
-    (BinOp, "rhs"): lambda n, i, c: BinOp(n.op, n.lhs, c, pos=n.pos),
-    (And, "lhs"): lambda n, i, c: And(c, n.rhs, pos=n.pos),
-    (Or, "lhs"): lambda n, i, c: Or(c, n.rhs, pos=n.pos),
-    (Not, "operand"): lambda n, i, c: Not(c, pos=n.pos),
-    (Neg, "operand"): lambda n, i, c: Neg(c, pos=n.pos),
-    (CallFrame, "body"): lambda n, i, c: CallFrame(c, pos=n.pos),
-    (LoopFrame, "inner"): lambda n, i, c: LoopFrame(c, pos=n.pos),
-    (FinStat, "inner"): lambda n, i, c: FinStat(c, pos=n.pos),
-    (ProtectedFrame, "inner"): lambda n, i, c: ProtectedFrame(c, pos=n.pos),
-    (FinWrap, "inner"): lambda n, i, c: FinWrap(c, pos=n.pos),
 }
+_LIST_OF: Dict[type, Tuple[str, Tuple[str, ...]]] = {}
+for _cls, _slots in A.SLOTS.items():
+    for _name, _shape, _evaluated in _slots:
+        if not _evaluated:
+            continue
+        _seq = f"t.{_name}"
+        _around = f"{_seq}[:i] + (%s,) + {_seq}[i + 1:]"
+        _holes = ({_name: "c"} if _shape == A.ONE
+                  else {_name: _around % "c"} if _shape == A.MANY
+                  else {_name + "_key": _around % f"(c, {_seq}[i][1])",
+                        _name + "_value": _around % f"({_seq}[i][0], c)"})
+        for _slot, _new in _holes.items():
+            _PLUG[_cls, _slot] = A.rebuilder(_cls, "i, c", {_name: _new})
+        if _shape != A.ONE:
+            _LIST_OF[_cls] = (_name, tuple(_holes))
+_LIST_SLOTS = frozenset(s for _, holes in _LIST_OF.values() for s in holes)
 
 
 def _replace_child(node: Term, slot: str, idx: int, child: Term) -> Term:

@@ -88,6 +88,20 @@ def test_deep_term_prints(text):
     assert A.to_source(t, 120) == full[:120]
 
 
+@pytest.mark.parametrize("text", [BLOCK, NEGS, NOTS, POWS],
+                         ids=["block-5000", "neg", "not", "pow"])
+def test_deep_term_hashes_and_compares(text):
+    # two separate parses share no node, so neither the hash nor the
+    # comparison can stop early at a memo or an identity
+    t, u = desugar(parse(text)), desugar(parse(text))
+    assert t is not u
+    assert t == u and not t != u
+    assert hash(t) == hash(u)
+    assert t == u  # with both hashes memoized
+    other = text.replace("1", "2").replace("true", "false")
+    assert t != desugar(parse(other))
+
+
 def test_long_block_traces(tmp_path, capsys):
     # a step's redex is printed only as far as the trace keeps it: the
     # first `local` is the whole block

@@ -1,8 +1,11 @@
+from dataclasses import fields, replace
+
 import pytest
 
 from luagc import ast as A
-from luagc import interp
+from luagc import executor, interp
 from luagc.ast import Num, Str
+from luagc.desugar import desugar
 from luagc.executor import Machine, Schedule, run
 from luagc.gc import reach_set
 from luagc.heap import validate
@@ -15,6 +18,7 @@ from luagc.interp import (
     load_program,
     step,
 )
+from luagc.parser import parse
 
 from conftest import CORPUS, corpus_text, deterministic_programs
 
@@ -121,6 +125,84 @@ class TestDispatchTables:
             for text in texts:
                 run(load_program(text), schedule, fuel=2_000)
         assert met == set(interp._CONTRACT)
+
+
+# Every corpus program.  No corpus program negates an expression, computes
+# a constructor's key or runs a finalizer in expression position: below,
+# the table dies when the `and` drops it, before `f(2)` is evaluated.
+SCHEMA_TEXTS = [p.read_text() for p in sorted(CORPUS.glob("*/*.lua"))] + [
+    "local x = 1\nlocal t = {[x + 1] = -(x + 1)}\nreturn t[2]",
+    "local mt = {__gc = function(o) print(\"fin\") end}\n"
+    "local f = function(x) return x + 1 end\n"
+    "return (setmetatable({}, mt) and 1) + f(2)\n",
+]
+# The node kinds only reduction makes
+RUNTIME_FORMS = {A.CallFrame, A.LoopFrame, A.FinStat, A.ProtectedFrame,
+                 A.FinWrap}
+
+
+class TestNodeSchema:
+    """The tables derived from the node schema agree with the term
+    classes and with each other."""
+
+    @pytest.mark.parametrize("cls", A.TERM_TYPES, ids=lambda c: c.__name__)
+    def test_slots_own_fields_and_pos_are_the_fields(self, cls):
+        slots = [name for name, _, _ in A.SLOTS[cls]]
+        declared = slots + list(A.OWN[cls]) + ["pos"]
+        assert sorted(declared) == sorted(f.name for f in fields(cls))
+        assert len(set(declared)) == len(declared)
+
+    def test_own_fields_compare_as_a_tuple(self):
+        # as the dataclass compared them: a NaN equals itself only as the
+        # same object
+        nan = Num(float("nan"))
+        assert A.Neg(A.Const(nan)) == A.Neg(A.Const(nan))
+        assert A.Neg(A.Const(nan)) != A.Neg(A.Const(Num(float("nan"))))
+
+    @staticmethod
+    def assert_rebuilds(n) -> None:
+        """Rebuilt from fresh copies of its children, ``n`` is equal to
+        itself and holds the copies."""
+        kids = [replace(c) for c in A.children(n)]
+        rebuilt = A._BUILD[type(n)](n, kids)
+        assert rebuilt is not n and rebuilt == n and hash(rebuilt) == hash(n)
+        assert len(A.children(rebuilt)) == len(kids)
+        assert all(a is b for a, b in zip(A.children(rebuilt), kids))
+
+    def test_rebuilding_from_own_children_gives_an_equal_node(self):
+        kinds = set()
+        for text in SCHEMA_TEXTS:
+            parsed = parse(text)
+            for n in (*A.walk(parsed), *A.walk(desugar(parsed))):
+                if A.children(n):
+                    self.assert_rebuilds(n)
+                    kinds.add(type(n))
+        assert kinds == {cls for cls in A.TERM_TYPES
+                         if A.SLOTS[cls]} - RUNTIME_FORMS
+
+    def test_replugging_a_pushed_child_gives_the_frame_node(self, monkeypatch):
+        kinds, plugged = set(), set()
+        real_step = executor.step
+
+        def hook(state, *args, **kwargs):
+            for f in state.at.frames:
+                child = replace(f.child)
+                node = interp._replace_child(f.node, f.slot, f.idx, child)
+                assert node == f.node
+                # the copy fills the hole: in a slot, or in a target Index
+                assert any(x is child for c in A.children(node)
+                           for x in (c, *A.children(c)))
+                self.assert_rebuilds(f.node)
+                kinds.add(type(f.node))
+                plugged.add((type(f.node), f.slot))
+            return real_step(state, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "step", hook)
+        for text in SCHEMA_TEXTS:
+            for mode in ("simple", "fin"):
+                run(load_program(text), Schedule("eager", mode), fuel=2_000)
+        assert kinds >= RUNTIME_FORMS
+        assert plugged == set(interp._PLUG)
 
 
 class TestStepBasics:
