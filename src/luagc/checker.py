@@ -30,12 +30,12 @@ text of the read are built only for a read that is reported.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from . import ast as A
 from .dataflow import OutOfScopeConstruct, ReachingDefs, build_cfg, original_name
-from .desugar import desugar
 from .inference import (
     InferenceFailure,
     TypedProgram,
@@ -253,7 +253,9 @@ def witness(valid: FrozenSet[Tuple[str, int]],
             env: Dict[str, InfType]) -> Tuple[str, ...]:
     """The valid definitions ``static_reach_cte`` consults, sorted, as
     ``name@point``: a diagnostic's witness."""
-    return tuple(f"{original_name(name)}@{defpoint}"
+    # a program's diagnostics repeat the same few definitions, and a caller
+    # that keeps reports (repeated checks) keeps each string once
+    return tuple(sys.intern(f"{original_name(name)}@{defpoint}")
                  for name, defpoint in sorted(valid) if name in env)
 
 
@@ -271,6 +273,7 @@ def typecheck(typed: TypedProgram, defs: ReachingDefs) -> List[Diagnostic]:
 
 
 def check_term(term: A.Stat, origin: str = "<inline>") -> AnalysisReport:
+    """Prepare a parsed or desugared program, infer, typecheck."""
     try:
         renamed, points = prepare(term)
         typed = infer(renamed, points)
@@ -285,6 +288,5 @@ def check_term(term: A.Stat, origin: str = "<inline>") -> AnalysisReport:
 
 
 def check_program(text: str, origin: str = "<inline>") -> AnalysisReport:
-    """End-to-end: parse, desugar, infer, reaching definitions, typecheck."""
-    term = desugar(parse(text, origin))
-    return check_term(term, origin)
+    """End-to-end: parse, then ``check_term`` on the parsed tree."""
+    return check_term(parse(text, origin), origin)

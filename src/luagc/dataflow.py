@@ -1,12 +1,13 @@
 """Program points and reaching definitions.
 
-The analyzer works on a desugared, alpha-renamed tree: every local binder
-gets a unique name so definitions can be tracked globally.  Renaming is one
-``ast.rewrite``, which keeps a subtree with no renamed name as the same
-object.  Each AST node is a program point (numbered pre-order and keyed by
+The analyzer works on the tree ``desugar.desugar_renamed`` gives: every
+local binder has a unique name, so definitions can be tracked globally.
+Each AST node is a program point (numbered pre-order and keyed by
 identity, so the tree must hold no node twice, as parser output never
 does); every expression, function bodies included, shares the in-set of
-the statement that evaluates it.
+the statement that evaluates it.  Statements are entered in pre-order, so
+a statement's expressions are the points after its own and before the next
+entered statement's, and ``ReachingDefs.at`` finds it by bisection.
 
 Reaching definitions are the classic forward dataflow, ``out = gen + (in -
 kill)``, solved along the syntax tree as for any structured program (Aho,
@@ -22,6 +23,7 @@ with no Python loop over the live set.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -38,37 +40,6 @@ class OutOfScopeConstruct(Exception):
         super().__init__(where + message)
         self.message = message
         self.pos = pos
-
-
-# ---------------------------------------------------------------------------
-# Alpha renaming
-# ---------------------------------------------------------------------------
-
-
-def alpha_rename(t: A.Term) -> A.Term:
-    """Make every bound name unique (``x``, ``x#2``, ...).
-
-    One ``ast.rewrite``, so deep terms need no Python recursion.  Names are
-    made fresh in pre-order: a function's parameters on entry and a local's
-    names once its expressions are done.
-    """
-    counts: Dict[str, int] = {}
-
-    def visit(n: A.Term, env: Dict[str, str]):
-        if isinstance(n, A.Name) and env.get(n.ident, n.ident) != n.ident:
-            return A.Name(env[n.ident], pos=n.pos), False
-        return n, True
-
-    def bind(names: Tuple[str, ...], env: Dict[str, str]):
-        inner = dict(env)
-        for n in names:
-            k = counts.get(n, 0)
-            counts[n] = k + 1
-            inner[n] = n if k == 0 else f"{n}#{k + 1}"
-        fresh = tuple(inner[n] for n in names)
-        return (names if fresh == names else fresh), inner
-
-    return A.rewrite(t, {}, visit, bind)
 
 
 def original_name(name: str) -> str:
@@ -110,12 +81,15 @@ class ReachingDefs:
     """Definitions valid on entry to each statement point."""
 
     in_sets: Dict[int, FrozenSet[Definition]] = field(default_factory=dict)
-    #: expression point -> enclosing statement point
-    stmt_of: Dict[int, int] = field(default_factory=dict)
+    stmts: List[int] = field(default_factory=list)  # ascending, as entered
+    #: ``Seq`` point -> the statement that owns it, whose set it answers
+    seq_owner: Dict[int, int] = field(default_factory=dict)
 
     def at(self, point: int) -> FrozenSet[Definition]:
-        stmt = self.stmt_of.get(point, point)
-        return self.in_sets.get(stmt, frozenset())
+        stmt = self.seq_owner.get(point)
+        if stmt is None:
+            stmt = self.stmts[bisect_right(self.stmts, point) - 1]
+        return self.in_sets[stmt]
 
 
 def _define(live: FrozenSet[Definition], names: Tuple[str, ...], point: int,
@@ -139,15 +113,11 @@ def build_cfg(t: A.Stat, points: Points) -> ReachingDefs:
     rd = ReachingDefs()
     index: Dict[str, Set[Definition]] = {}  # name -> its definitions so far
 
-    def enter(t: A.Stat, live: FrozenSet[Definition], exprs) -> int:
-        """Record ``live`` on entry to ``t``; map the points of the
-        expressions it evaluates, function bodies included, to it."""
+    def enter(t: A.Stat, live: FrozenSet[Definition]) -> int:
+        """Record ``live`` on entry to ``t``."""
         p = points.of(t)
         if p not in rd.in_sets:
-            rd.stmt_of[p] = p
-            for e in exprs:
-                for n in A.walk(e):
-                    rd.stmt_of[points.of(n)] = p
+            rd.stmts.append(p)
         rd.in_sets[p] = live
         return p
 
@@ -157,40 +127,40 @@ def build_cfg(t: A.Stat, points: Points) -> ReachingDefs:
              owner: int) -> FrozenSet[Definition]:
         while isinstance(t, (A.Seq, A.Local)):  # the nesting of a block
             if isinstance(t, A.Seq):
-                rd.stmt_of[points.of(t)] = owner
+                rd.seq_owner[points.of(t)] = owner
                 live = stat(t.first, live, breaks, owner)
                 t = t.rest
             else:
-                owner = enter(t, live, t.exprs)
+                owner = enter(t, live)
                 live = _define(live, t.names, owner, index)
                 t = t.body
         if isinstance(t, A.Assign):
-            p = enter(t, live, t.targets + t.exprs)
+            p = enter(t, live)
             return _define(
                 live, tuple(x.ident for x in t.targets if isinstance(x, A.Name)),
                 p, index,
             )
         if isinstance(t, A.Empty):
-            enter(t, live, ())
+            enter(t, live)
             return live
         if isinstance(t, A.ExprStat):
-            enter(t, live, (t.expr,))
+            enter(t, live)
             return live
         if isinstance(t, A.Return):
-            enter(t, live, t.exprs)
+            enter(t, live)
             return _NONE
         if isinstance(t, A.Break):
             if breaks is None:
                 raise OutOfScopeConstruct("break outside a loop", t.pos)
-            enter(t, live, ())
+            enter(t, live)
             breaks.append(live)
             return _NONE
         if isinstance(t, A.If):
-            p = enter(t, live, (t.cond,))
+            p = enter(t, live)
             return (stat(t.then_body, live, breaks, p)
                     | stat(t.else_body, live, breaks, p))
         if isinstance(t, A.While):
-            p = enter(t, live, (t.cond,))
+            p = enter(t, live)
             while True:
                 exits: List[FrozenSet[Definition]] = []
                 head = live | stat(t.body, rd.in_sets[p], exits, p)

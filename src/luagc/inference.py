@@ -25,7 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import ast as A
-from .dataflow import OutOfScopeConstruct, Points, alpha_rename, number_points
+from .dataflow import OutOfScopeConstruct, Points, number_points
+from .desugar import desugar_renamed
 from .statictypes import (
     BOOL_T,
     DYN,
@@ -636,7 +637,7 @@ def deep_resolve(t: InfType, memo: Optional[Dict[int, tuple]] = None) -> SType:
 
 
 def infer(term: A.Stat, points: Optional[Points] = None) -> TypedProgram:
-    """Annotate a desugared, alpha-renamed program with types.
+    """Annotate a program as ``prepare`` gives it with types.
 
     Raises :class:`InferenceFailure` when the constraints have no
     solution and :class:`OutOfScopeConstruct` on excluded forms.
@@ -652,6 +653,7 @@ def infer(term: A.Stat, points: Optional[Points] = None) -> TypedProgram:
 
 
 def prepare(term: A.Stat) -> Tuple[A.Stat, Points]:
-    """Alpha-rename and number a desugared program for analysis."""
-    renamed = alpha_rename(term)
+    """A parsed or desugared program in core form with every bound name
+    unique (``desugar_renamed``), and its points, for analysis."""
+    renamed = desugar_renamed(term)
     return renamed, number_points(renamed)

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib.util
+import sys
 from pathlib import Path
 from typing import List, NamedTuple
 
@@ -6,6 +8,16 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, imported as ``perfbench_<name>``: the
+    benchmark is a directory of scripts, not a package."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from luagc import ast as A, inference
 from luagc.ast import Bool, Nil, Num, Str
 from luagc.checker import check_program, check_term
-from luagc.dataflow import build_cfg
-from luagc.desugar import desugar
+from luagc.dataflow import OutOfScopeConstruct, build_cfg
+from luagc.desugar import desugar, desugar_renamed
 from luagc.inference import InferenceFailure, deep_resolve, infer, prepare
 from luagc.parser import parse
 from luagc.statictypes import (
@@ -21,7 +21,7 @@ from luagc.statictypes import (
     subtype,
 )
 
-from conftest import corpus_text, safe_programs
+from conftest import CORPUS, ROOT, corpus_text, perfbench_module, safe_programs
 
 
 LOOP_ROTATION = """\
@@ -45,6 +45,23 @@ return n
 def analyzed(text):
     renamed, points = prepare(desugar(parse(text)))
     return infer(renamed, points), renamed, points
+
+
+def analyzer_sources(seeds=(1, 2, 3)):
+    """Every corpus program, then every generated source of the benchmark's
+    ``check`` workload for ``seeds``, known-defect ops included, as
+    ``(name, text)``."""
+    workloads = perfbench_module("workloads")
+    out = [(p.relative_to(CORPUS).as_posix(), p.read_text())
+           for p in sorted(CORPUS.glob("*/*.lua"))]
+    for seed in seeds:
+        ops, defects = workloads.build("check", seed, ROOT)
+        out += [(f"{op.name}@{seed}", op.source) for op in ops + defects
+                if not op.name.startswith("corpus:")]
+    return out
+
+
+ANALYZER_SOURCES = analyzer_sources()
 
 
 def describe(typed):
@@ -359,6 +376,87 @@ class TestReachingDefs:
         assert self.x_points(defs, points.of(else_def)) == {points.of(local)}
         assert self.x_points(defs, points.of(call)) == {
             points.of(then_def), points.of(else_def)}
+
+    # a statement's sub-statements; its other sub-terms are expressions
+    BODIES = {A.Seq: ("first", "rest"), A.Local: ("body",),
+              A.If: ("then_body", "else_body"), A.While: ("body",)}
+
+    @classmethod
+    def statement_of(cls, t, points):
+        """Point -> the statement whose in-set it shares, walked out: each
+        statement's expressions, function bodies included, map to it, and
+        each ``Seq`` to the statement that owns it (the first statement for
+        the top-level sequence)."""
+        entry = t
+        while isinstance(entry, A.Seq):
+            entry = entry.first
+        out = {}
+        stack = [(t, points.of(entry))]
+        while stack:
+            s, owner = stack.pop()
+            p = points.of(s)
+            if isinstance(s, A.Seq):
+                out[p] = owner
+                stack += [(s.rest, owner), (s.first, owner)]
+                continue
+            out[p] = p
+            bodies = [getattr(s, f) for f in cls.BODIES.get(type(s), ())]
+            stack += [(b, p) for b in reversed(bodies)]
+            for e in A.children(s):
+                if not any(e is b for b in bodies):
+                    for n in A.walk(e):
+                        out[points.of(n)] = p
+        return out
+
+    @pytest.mark.parametrize("name, text", ANALYZER_SOURCES,
+                             ids=[n for n, _ in ANALYZER_SOURCES])
+    def test_lookup_matches_walking_each_statement(self, name, text):
+        renamed, points = prepare(parse(text, name))
+        try:
+            defs = build_cfg(renamed, points)
+        except OutOfScopeConstruct:
+            return
+        ref = self.statement_of(renamed, points)
+        assert sorted(ref) == list(range(len(points.number)))
+        stmts = {p for p, owner in ref.items() if p == owner}
+        assert defs.stmts == sorted(stmts)  # entered once, ascending
+        for p, stmt in ref.items():
+            assert defs.at(p) == defs.in_sets[stmt], p
+
+
+class TestRenamingDesugar:
+    def test_binders_are_named_in_pre_order(self):
+        renamed, _ = prepare(parse(
+            "local x = 1\n"
+            "local f = function(x) return x end\n"
+            "local x = x + 1\n"
+            "return f(x)\n"
+        ))
+        binders = [n for n in A.walk(renamed) if isinstance(n, (A.Local, A.Function))]
+        assert [b.names if isinstance(b, A.Local) else b.params
+                for b in binders] == [("x",), ("f",), ("x#2",), ("x#3",)]
+        third = binders[3]  # ``local x#3 = x + 1``, read as the first ``x``
+        assert third.exprs[0].lhs == A.Name("x")
+        assert A.to_source(third.body) == "return f(x#3)"
+
+    @pytest.mark.parametrize("name, text", ANALYZER_SOURCES,
+                             ids=[n for n, _ in ANALYZER_SOURCES])
+    def test_parsed_and_desugared_input_agree(self, name, text):
+        parsed = parse(text, name)
+        renamed, points = prepare(parsed)
+        again, again_points = prepare(desugar(parse(text, name)))
+        assert renamed == again
+        # each node is numbered once, in walk order, on both sides
+        for t, pts in ((renamed, points), (again, again_points)):
+            assert [pts.of(n) for n in A.walk(t)] == list(range(len(pts.number)))
+        assert len(points.number) == len(again_points.number)
+        assert desugar_renamed(renamed) is renamed
+        names = [x for n in A.walk(renamed) if isinstance(n, (A.Local, A.Function))
+                 for x in (n.names if isinstance(n, A.Local) else n.params)]
+        assert len(names) == len(set(names))
+        report = check_program(text, name).to_json()
+        assert check_term(parsed, name).to_json() == report
+        assert check_term(desugar(parsed), name).to_json() == report
 
 
 # ---------------------------------------------------------------------------

@@ -7,25 +7,15 @@ tests fail before the benchmark does.
 """
 
 import importlib
-import importlib.util
 import json
 import subprocess
 import sys
 
 import pytest
 
-from conftest import ROOT
+from conftest import ROOT, perfbench_module
 
-
-def _tracer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_TRACER = _tracer()
+_TRACER = perfbench_module("tracer")
 
 
 @pytest.mark.parametrize(
