@@ -23,15 +23,16 @@ drain, and its ``advance`` is the only loop that steps a program.
 per node for the plain step and its drain; ``check_postponement`` steps
 one with explicit cycles.
 
-The explorer's nodes are focused states too, so no node decomposes its
-term from the root and none recounts its occurrences.  The plain
-successor is the machine's state after its step and drain: it takes over
-the node's frame list, occurrence counts, lost roots and quiescence memo.
-A GC successor is a branch of the node (``Focused.branch``) with its own
-copy of the split and the counts, since the plain step consumes the
-node's; a selected finalizer is spliced at that copy.  Both drivers skip
-a cycle by one rule on the memo the state carries
-(``Focused.memo_vouches``).
+Both drivers reach a cycle one way, ``gc.enumerate_gc_steps``, which
+skips it by the rule of ``gc``'s module docstring, and apply its outcome
+one way, ``_gc_successor``.  The explorer's nodes are focused states too,
+so no node decomposes its term from the root and none recounts its
+occurrences.  The plain successor is the machine's state after its step
+and drain: it takes over the node's frame list, occurrence counts, lost
+roots and quiescence memo.  A GC successor beside it is a branch of the
+node (``Focused.branch``) with its own copy of the split and the counts,
+since the plain step consumes the node's; a selected finalizer is spliced
+at that copy.
 
 The explorer collects invisible garbage in place: at a node whose maximal
 cycle only discards (``GcOutcome.garbage_only``), the collected state is
@@ -73,7 +74,7 @@ from .ast import (
     walk,
 )
 from .gc import (
-    GcOutcome, enumerate_gc_steps, reach_set, run_cycle, subset_steps,
+    GcOutcome, enumerate_gc_steps, reach_set, remember, subset_steps,
 )
 from .heap import (
     Configuration, HeapError, ObjectStore, ValueStore, restrict, successors,
@@ -287,12 +288,18 @@ def _splice(d: Union[Redex, Finished], cid: int,
     return d.frames, Call(thunk, (FinWrap(call),))
 
 
-def _gc_successor(state: Focused, outcome: GcOutcome, mode: str) -> Focused:
-    """The explorer's successor of ``state`` by a GC step: a branch with
-    the kept stores and the outcome's memo, the selected finalizer spliced
-    at its own copy of the split."""
-    nxt = state.branch(outcome.kept_sigma, outcome.kept_theta)
-    nxt.remember(outcome, mode)
+def _gc_successor(state: Focused, outcome: GcOutcome, mode: str,
+                  branch: bool) -> Focused:
+    """The successor of ``state`` by the GC step ``outcome``: the kept
+    stores with the outcome's memo, the selected finalizer spliced at the
+    split.  With ``branch`` it is a ``Focused.branch``, a copy that leaves
+    ``state`` to its plain step; otherwise it takes over the frame list
+    and the counts."""
+    if branch:
+        nxt = state.branch(outcome.kept_sigma, outcome.kept_theta)
+    else:
+        nxt = state.with_stores(outcome.kept_sigma, outcome.kept_theta)
+    remember(nxt, outcome, mode)
     if outcome.pending_finalizer is None:
         return nxt
     frames, spliced = _splice(nxt.at, *outcome.pending_finalizer)
@@ -372,21 +379,8 @@ class Machine:
     stores keeps the focus and the counts; a finalizer splice moves them
     by the term it puts in the hole.  The term is plugged only to splice
     a finalizer ahead of a final term, and when a caller reads ``config``.
-
-    A quiescent cycle is remembered on the state (``Focused.remember``,
-    kept with the counts and the lost roots, so every successor that
-    takes them over takes it over too) by the stores it kept and whether
-    its quiescence lasts only while a finalizer is in flight
-    (``GcOutcome.held_for_flight``).  A later cycle is skipped when
-    ``Focused.memo_vouches`` proves from the change since then that it
-    would find nothing either: the stores are diffed by identity, and the
-    roots lost are the locations whose count fell to zero since the last
-    collect (``Focused.lost_roots``).  If the counts were built afresh
-    since, nothing is known lost and the cycle runs.  The skipped state
-    is remembered in its place, so each proof looks at one step's change
-    (after a collection, look only at what the mutator changed, as
-    remembered sets do in generation scavenging).  The explorer's nodes
-    skip their maximal cycle by the same memo (see ``observations``).
+    A cycle is skipped when the state's quiescence memo proves it would
+    find nothing (the skip rule of ``gc``'s module docstring).
 
     ``steps`` counts program steps from where the machine was started and
     ``fuel`` bounds it; ``drain_pending`` is set when ``collectgarbage()``
@@ -439,25 +433,16 @@ class Machine:
             self.drain_pending = True
 
     def collect(self, selector) -> Optional[GcOutcome]:
-        """One cycle, splicing any selected finalizer; None if it changed
-        nothing."""
+        """One cycle, splicing any selected finalizer; None if it was
+        skipped or changed nothing."""
         state, mode = self.state, self.schedule.mode
-        allow = not state.finalizer_in_flight
-        if state.memo_vouches(mode, allow):
+        outcomes = enumerate_gc_steps(state, mode,
+                                      not state.finalizer_in_flight, selector)
+        if not outcomes:
             return None
-        outcome = run_cycle(state, mode, selector, allow_finalizer=allow)
-        # the successor goes on with the kept stores, and with the memo
-        state.remember(outcome, mode)
-        if not outcome.changed:
-            return None
+        outcome = outcomes[0]
         _trace_gc(self.trace, self.steps, outcome)
-        if outcome.pending_finalizer is None:
-            self.state = state.with_stores(outcome.kept_sigma,
-                                           outcome.kept_theta)
-        else:
-            frames, spliced = _splice(state.at, *outcome.pending_finalizer)
-            self.state = state.refocused(outcome.kept_sigma,
-                                         outcome.kept_theta, frames, spliced)
+        self.state = _gc_successor(state, outcome, mode, branch=False)
         return outcome
 
     def advance(self, until_settled: bool = False) -> bool:
@@ -629,16 +614,13 @@ def observations(
     expansions overall; exceeding the budget records a distinct truncation
     marker).
 
-    Nodes are focused states.  The plain successor is the drain
+    Nodes are focused states, and a node skips its cycle by the skip
+    rule of ``gc``'s module docstring.  The plain successor is the drain
     machine's state after the step: it keeps the node's frame list,
-    occurrence counts, lost roots and memo.  That memo is the one the
-    node's maximal cycle left if the cycle changed nothing and was
-    quiescent: an unchanged cycle keeps the very same stores, but is not
-    quiescent while ``not_fin_val`` blocks its best finalizer candidate.
-    A GC successor is a branch with its own copy of the split and counts,
-    nothing lost yet, and its outcome's memo if that outcome is
-    quiescent.  A node whose memo vouches runs no cycle: its
-    ``enumerate_gc_steps`` call returns ``[]``, as the cycle would have.
+    occurrence counts, lost roots and memo.  The garbage-only successor
+    takes them over in its place.  A GC successor beside the plain step is
+    a branch with its own copy of the split and counts, nothing lost yet,
+    and its outcome's memo.
 
     The search explores states, not paths: a visited set holds every
     (configuration, program step count) pair already expanded, and a
@@ -690,8 +672,8 @@ def observations(
                                           allow_finalizer=allow)
             if outcomes and outcomes[0].garbage_only:
                 obs.collected += 1
-                stack.append((_gc_successor(state, outcomes[0], explorer.mode),
-                               steps))
+                stack.append((_gc_successor(state, outcomes[0], explorer.mode,
+                                            branch=False), steps))
                 continue
             if outcomes and explorer.granularity != "maximal":
                 outcomes = subset_steps(state, outcomes[0], explorer.mode,
@@ -699,7 +681,8 @@ def observations(
         except (HeapError, StuckTerm):
             outcomes = []
         for o in outcomes:
-            stack.append((_gc_successor(state, o, explorer.mode), steps))
+            stack.append((_gc_successor(state, o, explorer.mode, branch=True),
+                          steps))
         # the plain step takes over the node's frame list, counts and memo
         m = Machine(state, drain, explorer.step_bound, steps)
         try:

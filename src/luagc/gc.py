@@ -46,24 +46,31 @@ its garbage, with it every weak side it cleared (the strong reach kept
 nothing more, and lost no key it had followed), and it had no finalizer
 candidate, or only candidates held back because a finalizer was in flight
 (``held_for_flight``: quiescent only while one stays in flight).
-``still_quiescent`` proves from the change since such a cycle that a cycle
-now would find nothing either: after a collection it looks only at what
-the program changed, the store entries it replaced and the roots whose
-count fell to zero, like the remembered sets of generation scavenging.
-A focused state carries the memo of its last quiescent cycle with its
-counts, and ``Focused.memo_vouches`` is the one rule by which both
-drivers skip a cycle: ``executor.Machine.collect``, and
-``enumerate_gc_steps`` at each explorer node.  The explorer also branches
-on fewer cycles: when a node's maximal cycle is *garbage-only*
-(``GcOutcome.garbage_only``) it takes the collected state as the node's
-one successor.  That state is a GC successor of the node, so its
-observations are among the node's.  A
-garbage-only maximal cycle discards only plainly unreachable locations
-(one reached through a weak edge would leave a cleared field on a kept
-table), so the program never reads them again and ids stay fresh.  The
-one place a cycle reads garbage is ``not_fin_val``: a garbage weak table
-can block a finalizer, which then runs one cycle later with the same
-observations.
+
+This module also holds the one rule by which a driver skips a cycle.
+``still_quiescent`` proves from the change since a quiescent cycle that a
+cycle now would find nothing either: after a collection it looks only at
+what the program changed, the store entries it replaced and the roots
+whose count fell to zero, like the remembered sets of generation
+scavenging.  A focused state keeps the memo of its last quiescent cycle
+(its kept stores, ``held_for_flight`` and its mode) with its occurrence
+counts and lost roots, so a successor that takes them over takes the memo
+over too.  ``memo_vouches`` skips the cycle when ``still_quiescent``
+holds from the memo's stores and the roots lost since the memo was taken
+(``Focused.lost_roots``); counts built afresh know nothing lost and vouch
+for nothing, and a memo held for a finalizer in flight vouches only while
+one is.  A memo that vouches moves to the state's stores, so each proof
+looks at one step's change; one that does not is dropped, since the roots
+lost since it was taken are gone.  ``remember`` keeps the memo of a cycle
+that ran.
+
+``enumerate_gc_steps`` is the one way into a cycle: it takes that skip
+decision, runs the cycle and remembers it.  ``executor.Machine.collect``
+calls it with the schedule's selector before a program step, and the
+exhaustive explorer at each node, where ``subset_steps`` adds the other
+discard subsets.  The explorer takes a node's *garbage-only* maximal
+cycle (``GcOutcome.garbage_only``) as the node's one successor; see
+``executor.observations``.
 """
 
 from __future__ import annotations
@@ -569,7 +576,7 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
     roots: the old root set, or the locations whose occurrence count fell
     to zero in the steps since (``interp.Focused.lost_roots``); one that
     is a root again is no loss.  A ``held_for_flight`` cycle vouches only
-    while a finalizer is in flight, which the caller checks.
+    while a finalizer is in flight, which ``memo_vouches`` checks.
     """
     sigma, theta = c.sigma, c.theta
     if sigma is sigma0 and theta is theta0 and not lost:
@@ -627,37 +634,65 @@ def _strong_successors(roots: Iterable[Location], sigma: ValueStore,
             if gate is None}
 
 
-# The most garbage locations whose subsets ``subset_steps`` enumerates
-# (2^12 cycles); with more it gives the maximal cycle alone.
-SUBSET_CAP = 12
+def memo_vouches(state: "Focused", mode: str, allow_finalizer: bool) -> bool:
+    """Does the quiescence memo of ``state`` prove that a cycle in ``mode``
+    would find nothing there?  The skip rule of the module docstring; it
+    takes the state's lost roots."""
+    lost = state.lost_roots()
+    occ = state._occurrences  # counted by ``lost_roots``
+    quiet = occ.quiet
+    if quiet is None:
+        return False
+    if lost is None or quiet[3] != mode or (quiet[2] and allow_finalizer):
+        occ.quiet = None
+        return False
+    sigma, theta = state.sigma, state.theta
+    if quiet[0] is sigma and quiet[1] is theta and not lost:
+        return True  # nothing changed since the memo was taken
+    if not still_quiescent(quiet[0], quiet[1], lost, state):
+        occ.quiet = None
+        return False
+    occ.quiet = (sigma, theta, quiet[2], mode)
+    return True
+
+
+def remember(state: "Focused", outcome: GcOutcome, mode: str) -> None:
+    """Keep on ``state``, whose stores are the ones ``outcome`` kept, the
+    memo of that cycle in ``mode``: ``(sigma, theta, held_for_flight,
+    mode)`` if it was quiescent, else None."""
+    (state._occurrences or state._counted()).quiet = (
+        (outcome.kept_sigma, outcome.kept_theta, outcome.held_for_flight,
+         mode) if outcome.quiescent else None)
 
 
 def enumerate_gc_steps(
     c: Union[Configuration, "Focused"],
     mode: str = "simple",
-    granularity: str = "maximal",
     allow_finalizer: bool = True,
+    selector: Selector = None,
 ) -> List[GcOutcome]:
-    """All candidate GC steps at a configuration.
+    """The cycle at ``c`` (maximal, or the discard ``selector`` proposes),
+    if it changes anything; the one way a driver runs a cycle.
 
-    ``maximal`` yields at most one outcome (the maximal cycle, if it makes
-    progress).  ``subsets`` enumerates every valid discard subset of the
-    garbage (``subset_steps``).
-
-    A focused state whose memo vouches (``Focused.memo_vouches``) has
-    none, and the cycle does not run.  Otherwise the state keeps its
-    stores, so it remembers the maximal cycle only if that changed
-    nothing.
+    A focused state whose memo vouches (``memo_vouches``) has none, and
+    the cycle does not run.  Otherwise the state remembers the cycle if
+    it changed nothing, since the state then keeps its stores; a changed
+    one is remembered by the successor that applies it.
     """
     focused = type(c) is not Configuration
-    if focused and c.memo_vouches(mode, allow_finalizer):
+    if focused and memo_vouches(c, mode, allow_finalizer):
         return []
-    maximal = run_cycle(c, mode, allow_finalizer=allow_finalizer)
-    if focused and not maximal.changed:
-        c.remember(maximal, mode)
-    if granularity == "maximal":
-        return [maximal] if maximal.changed else []
-    return subset_steps(c, maximal, mode, allow_finalizer)
+    outcome = run_cycle(c, mode, selector, allow_finalizer=allow_finalizer)
+    if not outcome.changed:
+        if focused:
+            remember(c, outcome, mode)
+        return []
+    return [outcome]
+
+
+# The most garbage locations whose subsets ``subset_steps`` enumerates
+# (2^12 cycles); with more it gives the maximal cycle alone.
+SUBSET_CAP = 12
 
 
 def subset_steps(

@@ -163,17 +163,7 @@ class TableObject:
         """The weakness this table's ``__mode`` field gives a table whose
         metatable it is."""
         mode = self.get(Str("__mode"))
-        if not isinstance(mode, Str):
-            return "strong"
-        k = "k" in mode.s
-        v = "v" in mode.s
-        if k and v:
-            return "wkv"
-        if k:
-            return "wk"
-        if v:
-            return "wv"
-        return "strong"
+        return parse_mode(mode.s) if isinstance(mode, Str) else "strong"
 
     def get(self, key: Value) -> Value:
         for k, v in self.fields:
@@ -378,6 +368,13 @@ def weakness(tid: int, theta: ObjectStore) -> str:
     """A table's weakness, from its metatable's ``__mode`` string."""
     meta = theta.table(tid).meta
     return "strong" if meta is None else theta.table(meta).mode_weakness
+
+
+def parse_mode(mode: str) -> str:
+    """The weakness a ``__mode`` string gives: ``wkv``, ``wk``, ``wv`` or
+    ``strong``."""
+    k, v = "k" in mode, "v" in mode
+    return "wkv" if k and v else "wk" if k else "wv" if v else "strong"
 
 
 def weak_keys(w: str) -> bool:

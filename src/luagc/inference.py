@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 from . import ast as A
 from .dataflow import OutOfScopeConstruct, Points, number_points
 from .desugar import desugar_renamed
+from .heap import parse_mode
 from .statictypes import (
     BOOL_T,
     DYN,
@@ -190,8 +191,7 @@ def metatable_weakness(meta: Optional[InfType]) -> Tuple[str, str]:
         return "wkv", "__mode is not a literal string"
     if not isinstance(mode.value, A.Str):
         return "wkv", ""
-    k, v = "k" in mode.value.s, "v" in mode.value.s
-    return "wkv" if (k and v) else "wk" if k else "wv" if v else "strong", ""
+    return parse_mode(mode.value.s), ""
 
 
 _LOOP_ROUNDS = 8

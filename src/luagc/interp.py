@@ -35,7 +35,8 @@ loop that does not read it does not pay for it.  The frame
 list is owned by the stepping loop: ``step`` on a focused configuration
 reuses it for the successor, so a stepped-from state must not be read again.
 A state that must outlive a step of its parent, as an explorer's GC
-successor does, is a ``branch``: its own copy of the frame list and counts.
+successor beside the plain step does, is a ``branch``: its own copy of the
+frame list and counts.
 
 Control effects (errors, break, return, pcall) unwind the context in a
 single step by cutting the frame list back to the matching delimiter,
@@ -53,7 +54,9 @@ unwind also cuts frames, each of which takes away its node without the
 child it was pushed over; refocusing moves no occurrence.  So the counts
 follow the redex, not the context: a step subtracts the redex's summary
 and each cut frame's share, and adds the contractum's.  The locations
-whose count falls to zero are the roots the step lost.
+whose count falls to zero are the roots the step lost.  The counts also
+carry the memo of the last quiescent cycle, as data: the skip rule that
+reads it with the lost roots is ``gc``'s.
 
 This module holds the step relation and program loading only.  Iterating
 the relation, with or without GC, is ``executor.Machine``'s job; under the
@@ -81,13 +84,12 @@ from .heap import (
     Configuration, InvalidKey, ObjectStore, ValueStore, alloc_closure,
     alloc_table, alloc_value, check_key, index_metatable,
 )
-from .gc import set_fin, still_quiescent
+from .gc import set_fin
 from .parser import parse
 from .desugar import desugar
 
 if TYPE_CHECKING:
     from .ast import Stat, Term, Value
-    from .gc import GcOutcome
 
 
 class StuckTerm(Exception):
@@ -490,8 +492,8 @@ class _Occurrences:
     moves them by what it changed (``move``), and records in ``lost`` the
     locations whose count fell to zero since the set was last taken; it is
     None until then, since counts built afresh know no earlier roots.
-    ``quiet`` is the quiescence memo read with ``lost``
-    (``Focused.memo_vouches``), None where no cycle vouches for the stores.
+    ``quiet`` is the quiescence memo read with ``lost`` (the skip rule of
+    ``gc``), None where no cycle vouches for the stores.
     """
 
     __slots__ = ("counts", "markers", "lost", "quiet")
@@ -557,7 +559,8 @@ class Focused:
     occurrences in the term (``_Occurrences``) are counted on the first
     read of ``roots()`` or ``finalizer_in_flight``; from then on each step
     moves them by its redex and contractum and the frames it cut, and
-    passes them to the successor with the frame list.
+    passes them to the successor with the frame list, together with the
+    lost roots and the quiescence memo that ``gc.memo_vouches`` reads.
     """
 
     sigma: ValueStore
@@ -618,47 +621,6 @@ class Focused:
         occ = self._counted()
         lost, occ.lost = occ.lost, set()
         return lost
-
-    def remember(self, outcome: GcOutcome, mode: str) -> None:
-        """Keep the quiescence memo of a cycle in ``mode`` whose kept
-        stores are this state's: ``(sigma, theta, held_for_flight, mode)``
-        if it was quiescent, else None.  The memo is kept with the counts
-        and the lost roots, so a successor that takes them over takes it
-        over too."""
-        (self._occurrences or self._counted()).quiet = (
-            (outcome.kept_sigma, outcome.kept_theta, outcome.held_for_flight,
-             mode) if outcome.quiescent else None)
-
-    def memo_vouches(self, mode: str, allow_finalizer: bool) -> bool:
-        """Does the quiescence memo prove that a cycle in ``mode`` would
-        find nothing here?  The one rule by which ``executor.Machine`` and
-        ``gc.enumerate_gc_steps`` skip a cycle.
-
-        The proof is ``gc.still_quiescent`` from the memo's stores, with
-        the roots lost since the memo was taken (``lost_roots``), which
-        this call takes.  A memo held for a finalizer in flight vouches
-        only while ``allow_finalizer`` is off.  If the proof holds, the
-        memo moves to this state's stores, so the next proof looks at one
-        step's change; if not, it is dropped, since the roots lost since
-        it was taken are gone.  Counts built afresh know nothing lost, so
-        they vouch for nothing.
-        """
-        lost = self.lost_roots()
-        occ = self._occurrences
-        quiet = occ.quiet
-        if quiet is None:
-            return False
-        if lost is None or quiet[3] != mode or (quiet[2] and allow_finalizer):
-            occ.quiet = None
-            return False
-        sigma, theta = self.sigma, self.theta
-        if quiet[0] is sigma and quiet[1] is theta and not lost:
-            return True  # nothing changed since the memo was taken
-        if not still_quiescent(quiet[0], quiet[1], lost, self):
-            occ.quiet = None
-            return False
-        occ.quiet = (sigma, theta, quiet[2], mode)
-        return True
 
     def with_stores(self, sigma: ValueStore, theta: ObjectStore) -> "Focused":
         return Focused(sigma, theta, self.at, self._term, self._occurrences)

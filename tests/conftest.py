@@ -43,23 +43,28 @@ def explore_reduced_and_unreduced(config, explorer, fuel: int = 10_000):
     The unreduced oracle branches on every cycle, garbage-only ones too:
     ``GcOutcome.garbage_only`` is patched to False for its run.  In the
     reduced run every garbage-only cycle must discard only locations that
-    are not plainly reachable from the state's roots.
+    are not plainly reachable from the state's roots, and the check must
+    see at least every cycle the reduction collected.
     """
-    from luagc import executor
+    from luagc import executor, gc
     from luagc.gc import GcOutcome, reach_set_from
 
-    real = executor.run_cycle
+    real = gc.run_cycle
+    garbage_only = 0
 
     def cycle(state, *args, **kwargs):
+        nonlocal garbage_only
         o = real(state, *args, **kwargs)
         if o.garbage_only:
+            garbage_only += 1
             reached = reach_set_from(state.roots(), state.sigma, state.theta)
             assert not set(o.discarded) & reached
         return o
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(executor, "run_cycle", cycle)
+        m.setattr(gc, "run_cycle", cycle)
         reduced = executor.observations(config, explorer, fuel)
+    assert garbage_only >= reduced.collected
     with pytest.MonkeyPatch.context() as m:
         m.setattr(GcOutcome, "garbage_only", property(lambda self: False))
         unreduced = executor.observations(config, explorer, fuel)
@@ -83,9 +88,9 @@ def run_memo_checked(config, schedule, fuel: int = 2_000) -> MemoRun:
     cycle; its record and its RNG state after each cycle must equal the
     memoized run's.  ``ran`` leaves out the end-of-program drain.
     """
-    from luagc import executor
+    from luagc import executor, gc
 
-    real_cycle, real_collect = executor.run_cycle, executor.Machine.collect
+    real_cycle, real_collect = gc.run_cycle, executor.Machine.collect
 
     def observed(memo: bool):
         cycles: list = []
@@ -119,7 +124,7 @@ def run_memo_checked(config, schedule, fuel: int = 2_000) -> MemoRun:
             return out
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(executor, "run_cycle", cycle)
+            m.setattr(gc, "run_cycle", cycle)
             m.setattr(executor.Machine, "collect", collect)
             rec = executor.run(config, schedule, fuel)
         return rec, ran, rngs, skipped
@@ -142,19 +147,17 @@ def explore_memo_checked(config, explorer,
     """``observations`` with every cycle the memo skips checked, against
     the exploration with the memo off.
 
-    Wherever ``Focused.memo_vouches`` vouches, at a node
-    (``enumerate_gc_steps``) or in a drain (``Machine.collect``), the
-    maximal cycle is run on the same state, its roots walked from the
-    plugged term: it must be quiescent, change nothing and keep the same
-    store objects.  The memo-off run patches every ``GcOutcome.quiescent``
+    Wherever ``gc.memo_vouches`` vouches, at a node or in a drain (both
+    through ``enumerate_gc_steps``), the maximal cycle is run on the same
+    state, its roots walked from the plugged term: it must be quiescent,
+    change nothing and keep the same store objects.  The memo-off run patches every ``GcOutcome.quiescent``
     to False, so no state keeps a memo and every cycle runs; its
     observation set must equal the memoized one on keys and counters.
     """
     from luagc import executor, gc
     from luagc.heap import Configuration
-    from luagc.interp import Focused
 
-    real_cycle, real_vouches = gc.run_cycle, Focused.memo_vouches
+    real_cycle, real_vouches = gc.run_cycle, gc.memo_vouches
 
     def observed(memo: bool):
         skipped = 0
@@ -175,9 +178,8 @@ def explore_memo_checked(config, explorer,
             return o if memo else dataclasses.replace(o, quiescent=False)
 
         with pytest.MonkeyPatch.context() as m:
-            for module in (gc, executor):
-                m.setattr(module, "run_cycle", cycle)
-            m.setattr(Focused, "memo_vouches", vouches)
+            m.setattr(gc, "run_cycle", cycle)
+            m.setattr(gc, "memo_vouches", vouches)
             obs = executor.observations(config, explorer, fuel)
         return obs, skipped
 

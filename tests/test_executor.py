@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -911,12 +912,13 @@ class TestStateDerivedFacts:
             markers.append({type(n).__name__ for n in A.walk(term)
                             if isinstance(n, (A.FinStat, A.FinWrap))})
 
-        for name in ("step", "run_cycle", "enumerate_gc_steps"):
-            def hook(state, *args, _real=getattr(executor, name), **kwargs):
+        for module, name in ((executor, "step"), (gc, "run_cycle"),
+                             (executor, "enumerate_gc_steps")):
+            def hook(state, *args, _real=getattr(module, name), **kwargs):
                 check(state)
                 return _real(state, *args, **kwargs)
 
-            monkeypatch.setattr(executor, name, hook)
+            monkeypatch.setattr(module, name, hook)
 
     @pytest.mark.parametrize("schedule", STATE_SCHEDULES,
                              ids=["eager_fin_weak", "eager_fin",
@@ -970,7 +972,7 @@ class TestStateDerivedFacts:
     def summarized_per_cycle(monkeypatch, depth: int) -> float:
         config = load_program(recursion_program(depth))
         nodes = cycles = 0
-        real_summarize, real_cycle = A._summarize, executor.run_cycle
+        real_summarize, real_cycle = A._summarize, gc.run_cycle
 
         def summarize(n):
             nonlocal nodes
@@ -984,7 +986,7 @@ class TestStateDerivedFacts:
 
         with monkeypatch.context() as m:
             m.setattr(A, "_summarize", summarize)
-            m.setattr(executor, "run_cycle", cycle)
+            m.setattr(gc, "run_cycle", cycle)
             rec = run(config, Schedule("eager", "fin_weak"), fuel=100_000)
         assert rec.result.kind == "return"
         return nodes / cycles
@@ -1445,7 +1447,7 @@ EXPLORER_MEMO_PROGRAMS = {**QUIESCENCE_PROGRAMS,
 
 class TestExplorerMemo:
     """The explorer skips a node's cycle, and a drain's, when the memo its
-    state inherited vouches (``Focused.memo_vouches``); every skipped
+    state inherited vouches (``gc.memo_vouches``); every skipped
     cycle must be one that, run, would have found nothing, and the
     observation set must equal the one with the memo off
     (``explore_memo_checked``)."""
@@ -1484,6 +1486,54 @@ class TestExplorerMemo:
                                ExhaustiveExplorer("fin_weak", 400, "maximal"))
         assert (False, False) in seen
         assert len(obs) == 1
+
+
+# each asks for a drain, so a cycle runs in ``Machine.collect`` too
+SINGLE_ENTRY_PROGRAMS = ["finalizers/finalizer_marking.lua",
+                         "finalizers/finalizer_order.lua",
+                         "finalizers/resurrection.lua",
+                         "weak/ephemeron_self_key.lua"]
+
+
+class TestSingleGcEntry:
+    """A driver reaches a cycle one way: every ``run_cycle`` call, wherever
+    a ``luagc`` module binds the function, comes from
+    ``gc.enumerate_gc_steps`` or, for the explorer's other subsets,
+    ``gc.subset_steps``."""
+
+    @staticmethod
+    def callers(monkeypatch) -> list:
+        """For each cycle run, whether one of the two entries called it."""
+        entries = {gc.enumerate_gc_steps.__code__, gc.subset_steps.__code__}
+        real = gc.run_cycle
+        calls = []
+
+        def cycle(*args, **kwargs):
+            calls.append(sys._getframe(1).f_code in entries)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "luagc" or name.startswith("luagc."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, cycle)
+        return calls
+
+    @pytest.mark.parametrize("selector", ["maximal", "random-subset"])
+    @pytest.mark.parametrize("rel", SINGLE_ENTRY_PROGRAMS)
+    def test_run(self, rel, selector, monkeypatch):
+        calls = self.callers(monkeypatch)
+        run(load_program(corpus_text(rel)),
+            Schedule("eager", "fin_weak", seed=3, selector=selector))
+        assert calls and all(calls)
+
+    @pytest.mark.parametrize("granularity", ["maximal", "subsets"])
+    @pytest.mark.parametrize("rel", SINGLE_ENTRY_PROGRAMS)
+    def test_observations(self, rel, granularity, monkeypatch):
+        calls = self.callers(monkeypatch)
+        observations(load_program(corpus_text(rel)),
+                     ExhaustiveExplorer("fin_weak", 400, granularity, 2_000))
+        assert calls and all(calls)
 
 
 def split_shape(d) -> tuple:
@@ -1538,10 +1588,10 @@ class TestExplorerFocus:
         branched = []
         real_successor = executor._gc_successor
 
-        def successor(state, o, mode):
-            if not o.garbage_only:  # the node steps as well
+        def successor(state, o, mode, branch):
+            if branch:  # the node steps as well
                 branched.append(o.pending_finalizer is not None)
-            return real_successor(state, o, mode)
+            return real_successor(state, o, mode, branch)
 
         monkeypatch.setattr(executor, "_state_key", key)
         monkeypatch.setattr(interp, "decompose", counting)

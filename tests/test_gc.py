@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from luagc import executor
+from luagc import executor, gc
 from luagc.ast import Cid, Nil, Num, Str, Tid
 from luagc.executor import ExhaustiveExplorer, Schedule, observations, run
 from luagc.gc import (
@@ -14,6 +14,7 @@ from luagc.gc import (
     set_fin,
     still_quiescent,
     strong_reach_set,
+    subset_steps,
 )
 from luagc.heap import (
     FORBIDDEN,
@@ -405,12 +406,30 @@ class TestEnumerate:
 
     def test_single_garbage_single_maximal_outcome(self):
         c = build_heap({1: None, 2: None}, {}, {}, [("ref", 1)])
-        outs = enumerate_gc_steps(c, "simple", "maximal")
+        outs = enumerate_gc_steps(c, "simple")
         assert len(outs) == 1 and outs[0].discarded == (("ref", 2),)
+
+    def test_selector_reaches_the_one_cycle(self, monkeypatch):
+        # a schedule's selector goes to the cycle that runs, and it is the
+        # only cycle: a subset that changes something is the one outcome
+        c = build_heap({1: None, 2: None, 3: None}, {}, {}, [("ref", 3)])
+        selectors = []
+        real = gc.run_cycle
+
+        def cycle(state, mode, selector=None, **kwargs):
+            selectors.append(selector)
+            return real(state, mode, selector, **kwargs)
+
+        monkeypatch.setattr(gc, "run_cycle", cycle)
+        first = lambda g: g[:1]  # noqa: E731
+        outs = enumerate_gc_steps(c, "simple", selector=first)
+        assert selectors == [first]
+        assert [o.discarded for o in outs] == [(("ref", 1),)]
+        assert enumerate_gc_steps(c, "simple", selector=lambda g: []) == []
 
     def test_two_independent_garbage_three_subsets(self):
         c = build_heap({1: None, 2: None, 3: None}, {}, {}, [("ref", 3)])
-        outs = enumerate_gc_steps(c, "simple", "subsets")
+        outs = subset_steps(c, run_cycle(c, "simple"), "simple")
         chosen = sorted(tuple(sorted(o.discarded)) for o in outs)
         assert chosen == [
             (("ref", 1),),
@@ -421,7 +440,7 @@ class TestEnumerate:
     def test_dependent_garbage_subsets_closed(self):
         # r1 -> t1: discarding t1 alone would leave r1 dangling
         c = build_heap({1: ("tid", 1)}, {1: {}}, {}, [])
-        outs = enumerate_gc_steps(c, "simple", "subsets")
+        outs = subset_steps(c, run_cycle(c, "simple"), "simple")
         chosen = sorted(tuple(sorted(o.discarded)) for o in outs)
         assert chosen == [
             (("ref", 1),),
@@ -618,7 +637,7 @@ class TestTableMemos:
 
     def test_retagged_metatable_clears_by_current_mode(self, monkeypatch):
         clears = []
-        real = executor.run_cycle
+        real = gc.run_cycle
 
         def cycle(state, mode, *args, **kwargs):
             o = real(state, mode, *args, **kwargs)
@@ -632,7 +651,7 @@ class TestTableMemos:
                 clears.append((mode_now.s, collectible(k), collectible(v)))
             return o
 
-        monkeypatch.setattr(executor, "run_cycle", cycle)
+        monkeypatch.setattr(gc, "run_cycle", cycle)
         rec = run(load_program(RETAG_PROGRAM), Schedule("eager", "fin_weak"))
         monkeypatch.undo()
         # t[a] under "k"; t[1] and t[2] under "v"; nothing once strong
