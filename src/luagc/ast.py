@@ -434,12 +434,16 @@ def _derive(params: str, body: str):
     return eval(f"lambda {params}: {body}", globals())
 
 
-def rebuilder(cls: type, params: str, new: Dict[str, str]):
+def rebuilder(cls: type, params: str, new: Dict[str, str],
+              parts: bool = False):
     """``lambda t, <params>:`` a ``cls`` node that is ``t`` but for the
-    slots whose new contents ``new`` gives the source of."""
+    slots whose new contents ``new`` gives the source of; with ``parts``,
+    the class and that node's compared fields as a tuple, without the
+    node."""
     args = "".join(new.get(f.name, "t." + f.name) + ", "
                    for f in fields(cls) if f.name != "pos")
-    return _derive("t, " + params, f"{cls.__name__}({args}pos=t.pos)")
+    return _derive("t, " + params, f"({cls.__name__}, {args})" if parts
+                   else f"{cls.__name__}({args}pos=t.pos)")
 
 
 def _pairs_from(pairs, kids) -> tuple:

@@ -26,10 +26,11 @@ one with explicit cycles.
 Both drivers reach a cycle one way, ``gc.enumerate_gc_steps``, which
 skips it by the rule of ``gc``'s module docstring, and apply its outcome
 one way, ``_gc_successor``.  The explorer's nodes are focused states too,
-so no node decomposes its term from the root and none recounts its
-occurrences.  The plain successor is the machine's state after its step
-and drain: it takes over the node's frame list, occurrence counts, lost
-roots and quiescence memo.  A GC successor beside it is a branch of the
+so no node decomposes its term from the root, none recounts its
+occurrences and none is plugged: its visited-set key is its split
+(``_state_key``).  The plain successor is the machine's state after its
+step and drain: it takes over the node's frame list, occurrence counts,
+lost roots and quiescence memo.  A GC successor beside it is a branch of the
 node (``Focused.branch``) with its own copy of the split and the counts,
 since the plain step consumes the node's; a selected finalizer is spliced
 at that copy.
@@ -80,7 +81,8 @@ from .heap import (
     Configuration, HeapError, ObjectStore, ValueStore, restrict, successors,
 )
 from .interp import (
-    Finished, Focused, Frame, Redex, StuckTerm, decompose, plug, step,
+    Finished, Focused, Frame, Redex, StuckTerm, context_hash, decompose,
+    holed, plug, same_context, step,
 )
 
 if TYPE_CHECKING:
@@ -543,34 +545,76 @@ class ObservationSet:
         return len(self.results)
 
 
-def _state_key(c: Union[Focused, Configuration], steps: int) -> tuple:
-    """Hashable key of an explorer node: a focused state, or the root
-    configuration before it is focused.
+class _StateKey:
+    """An explorer node's key: its step count, its context, the term in
+    the hole and its two stores, hashed once.
+
+    Keys are equal when the step counts are, the contexts plug every term
+    into equal terms (``same_context``), the terms are equal and so are
+    the stores' ordered keys (``ValueStore.key``).  The context is a
+    snapshot of the node's frame list, which later steps change at its
+    top; its frames' memoized hashes make hashing it cost the frames
+    pushed since its parent's key, and comparing two contexts stops at the
+    first frame they share."""
+
+    __slots__ = ("steps", "frames", "term", "sigma", "theta", "_hash")
+
+    def __init__(self, steps: int, frames: Tuple[Frame, ...], term: Term,
+                 sigma: ValueStore, theta: ObjectStore):
+        self.steps, self.frames, self.term = steps, frames, term
+        self.sigma, self.theta = sigma, theta
+        self._hash = hash((steps, context_hash(frames), term,
+                           sigma.key_hash, theta.key_hash))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not _StateKey:
+            return NotImplemented
+        return (self._hash == other._hash and self.steps == other.steps
+                and (self.sigma is other.sigma
+                     or self.sigma.key == other.sigma.key)
+                and (self.theta is other.theta
+                     or self.theta.key == other.theta.key)
+                and self.term == other.term
+                and same_context(self.frames, other.frames))
+
+
+def _state_key(c: Union[Focused, Configuration], steps: int) -> _StateKey:
+    """The key of an explorer node: a focused state, keyed by its split,
+    or the root configuration before it is focused, keyed by its whole
+    term with no frames.  The root meets no focused node: the others at
+    step count 0 are collections of it, each of which changed a store.
 
     Equal keys mean equal configurations except that ``Num`` equality
     ignores the sign of zero; ``_same_zero_signs`` settles that.  Store
     contents enter in insertion order, so two equal stores built in a
-    different order only miss a merge.
+    different order only miss a merge.  No term is plugged: a split is
+    canonical (the one ``decompose`` finds), so equal splits are equal
+    terms and equal terms equal splits.
     """
-    sigma, theta = c.sigma, c.theta
-    return (
-        steps, c.term,
-        tuple(sigma.bindings), tuple(sigma.bindings.values()),
-        tuple(theta.tables), tuple(theta.tables.values()),
-        tuple(theta.closures), tuple(theta.closures.values()),
-        sigma.next_id, theta.next_tid, theta.next_cid,
-    )
+    if type(c) is Focused:
+        at = c.at
+        return _StateKey(steps, tuple(at.frames), at.term, c.sigma, c.theta)
+    return _StateKey(steps, (), c.term, c.sigma, c.theta)
 
 
-def _same_zero_signs(a: Configuration,
-                     b: Union[Focused, Configuration]) -> bool:
+def _same_zero_signs(a: _StateKey, b: _StateKey) -> bool:
     """Given equal state keys, are the configurations identical?
 
     Key equality leaves only the sign of float zeros open, so this walks
-    the compared fields of both in step and checks the sign of each float
-    pair.  Subterms shared between the two are skipped by identity.
+    the compared parts of both in step, the holed nodes of their frames,
+    their terms and their stores' keys, and checks the sign of each float
+    pair.  Objects shared between the two are skipped by identity: the
+    frames below the first shared one, subterms and stored objects.
     """
-    stack: List[tuple] = [(a, b)]
+    stack: List[tuple] = [(a.term, b.term), (a.sigma.key, b.sigma.key),
+                          (a.theta.key, b.theta.key)]
+    for fa, fb in zip(reversed(a.frames), reversed(b.frames)):
+        if fa is fb:
+            break
+        stack.append((holed(fa), holed(fb)))
     while stack:
         x, y = stack.pop()
         if x is y:
@@ -580,8 +624,6 @@ def _same_zero_signs(a: Configuration,
                 return False
         elif isinstance(x, tuple):
             stack.extend(zip(x, y))
-        elif isinstance(x, dict):
-            stack.extend(zip(x.values(), y.values()))
         elif is_dataclass(x):
             stack.extend((getattr(x, n), getattr(y, n)) for n in _compared(type(x)))
     return True
@@ -629,6 +671,12 @@ def observations(
     count, since a GC step does not advance it.  Keeping the count in the
     key makes the pruning exact: a node's successors, and so its
     ``⊥(fuel)`` markers, depend only on the pair.
+
+    A node's key holds its split, not its term (``_state_key``), and the
+    visited set holds keys: nothing is plugged per pop.  A key hashes
+    only the frames pushed since its parent's was taken and the stores a
+    step wrote; a revisit compares its frames down to the first one it
+    shares with the node it meets.
     """
     obs = ObservationSet()
     if isinstance(explorer, ScheduleSampler):
@@ -638,14 +686,14 @@ def observations(
 
     # one schedule for every node's drain: GC on, no scheduled cycles
     drain = Schedule("scripted", explorer.mode)
-    visited: Dict[tuple, List[Configuration]] = {}
+    visited: Dict[_StateKey, List[_StateKey]] = {}
     # focused states; the root is focused when it is expanded
     stack: List[Tuple[Union[Focused, Configuration], int]] = [(config, 0)]
     while stack:
         s, steps = stack.pop()
         key = _state_key(s, steps)
         seen = visited.setdefault(key, [])
-        if any(_same_zero_signs(v, s) for v in seen):
+        if any(_same_zero_signs(v, key) for v in seen):
             obs.revisits += 1
             continue
         if obs.nodes >= explorer.node_budget:
@@ -653,7 +701,7 @@ def observations(
             obs.truncated = True
             break
         obs.nodes += 1
-        seen.append(Configuration(s.sigma, s.theta, s.term))
+        seen.append(key)
         try:
             state = s if type(s) is Focused else Focused.of(s)
         except (HeapError, StuckTerm):

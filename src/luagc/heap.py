@@ -98,13 +98,22 @@ class TableObject:
     """A table.  It is immutable and shared by every store holding it (a
     write makes a new object), so what the collector derives from it is
     memoized on it: ``edges``, ``targets``, its strong edges under each
-    weakness and ``mode_weakness``.  The memos are not fields, so equality
-    and hashing ignore them, and ``replace`` builds a new object without
-    them."""
+    weakness and ``mode_weakness``, and its hash.  The memos are not
+    fields, so equality and hashing ignore them, and ``replace`` builds a
+    new object without them."""
 
     fields: Tuple[Tuple[Value, Value], ...]  # insertion ordered, no nils
     meta: Optional[int] = None  # tid of the metatable
     pos: Mark = UNSET
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass's hash, of the compared fields: every key of a
+        store that holds the table hashes it."""
+        return hash((self.fields, self.meta, self.pos))
 
     @cached_property
     def edges(self) -> Tuple[Tuple[int, Optional[Location],
@@ -217,10 +226,41 @@ if TYPE_CHECKING:
     HeapObject = Union[TableObject, ClosureObject]
 
 
+class _Keyed:
+    """A store's ``key``: its entries in insertion order and its counters.
+    Stores with equal keys are equal; equal stores whose entries went in
+    in another order have different keys.  The key and its hash
+    (``key_hash``) are computed on first read and memoized on the store,
+    so the states that share a store share them.  They are not fields, so
+    equality ignores them, and writes and ``replace`` build stores without
+    them."""
+
+    _key: Optional[tuple] = None
+    _key_hash: int = 0
+
+    @property
+    def key(self) -> tuple:
+        if self._key is None:
+            key = self._entries()
+            object.__setattr__(self, "_key", key)
+            object.__setattr__(self, "_key_hash", hash(key))
+        return self._key
+
+    @property
+    def key_hash(self) -> int:
+        if self._key is None:
+            self.key  # sets the hash with the key
+        return self._key_hash
+
+
 @dataclass(frozen=True)
-class ValueStore:
+class ValueStore(_Keyed):
     bindings: Dict[int, Value] = field(default_factory=dict)
     next_id: int = 1
+
+    def _entries(self) -> tuple:
+        b = self.bindings
+        return tuple(b), tuple(b.values()), self.next_id
 
     def lookup(self, r: int) -> Value:
         try:
@@ -237,7 +277,7 @@ class ValueStore:
 
 
 @dataclass(frozen=True)
-class ObjectStore:
+class ObjectStore(_Keyed):
     """Tables and closures; the two id spaces are disjoint.
 
     ``meta_index`` holds the tids of the tables that have a metatable or a
@@ -261,6 +301,11 @@ class ObjectStore:
             object.__setattr__(self, "_meta", frozenset(
                 i for i, t in self.tables.items() if _indexed(t)))
         return self._meta
+
+    def _entries(self) -> tuple:
+        t, c = self.tables, self.closures
+        return (tuple(t), tuple(t.values()), tuple(c), tuple(c.values()),
+                self.next_tid, self.next_cid)
 
     @cached_property
     def meta_order(self) -> Tuple[int, ...]:

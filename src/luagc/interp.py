@@ -117,9 +117,18 @@ class Frame:
     """A node of the context with the slot its hole sits in, and the
     ``child`` the hole held when the frame was pushed.  Once refocused, the
     slot still holds that stale child, so the node outside the hole is
-    ``node`` without ``child``.  Frames are compared by identity."""
+    ``node`` without ``child``: its *holed node* (``holed``).
 
-    __slots__ = ("node", "slot", "idx", "child")
+    Frames are compared by identity; contexts compare by ``same_context``.
+    A frame is never changed once pushed, and a frame list changes only at
+    its top (a branch copies the list and shares its frames), so the frames
+    below a frame are the same in every list that holds it.  A frame
+    therefore memoizes, when first asked, its holed node (``_holed``) and
+    the hash of the context it tops (``_hash``, by ``context_hash``).  The
+    memo slots stay unset until then: a run that hashes no context pays
+    nothing for them."""
+
+    __slots__ = ("node", "slot", "idx", "child", "_holed", "_hash")
 
     def __init__(self, node: Term, slot: str, idx: int, child: Term):
         self.node = node
@@ -448,6 +457,13 @@ _PLUG = {
     (Assign, "target_key"): lambda n, i, c: _put_target(
         n, i, n.targets[i].obj, c),
 }
+# ``_PARTS`` gives, for the same keys, the class and the compared fields of
+# the node that ``_PLUG`` would build, as a tuple, without building it.
+_PARTS = {
+    (Assign, s): lambda n, i, c, build=_PLUG[Assign, s]: (
+        Assign, build(n, i, c).targets, n.exprs)
+    for s in ("target_obj", "target_key")
+}
 _LIST_OF: Dict[type, Tuple[str, Tuple[str, ...]]] = {}
 for _cls, _slots in A.SLOTS.items():
     for _name, _shape, _evaluated in _slots:
@@ -461,6 +477,8 @@ for _cls, _slots in A.SLOTS.items():
                         _name + "_value": _around % f"({_seq}[i][0], c)"})
         for _slot, _new in _holes.items():
             _PLUG[_cls, _slot] = A.rebuilder(_cls, "i, c", {_name: _new})
+            _PARTS[_cls, _slot] = A.rebuilder(_cls, "i, c", {_name: _new},
+                                              parts=True)
         if _shape != A.ONE:
             _LIST_OF[_cls] = (_name, tuple(_holes))
 _LIST_SLOTS = frozenset(s for _, holes in _LIST_OF.values() for s in holes)
@@ -477,6 +495,59 @@ def plug(frames: List[Frame], t: Term) -> Term:
     for f in reversed(frames):
         t = _replace_child(f.node, f.slot, f.idx, t)
     return t
+
+
+# What fills the hole of a holed node.  No runtime term holds a ``Name``;
+# and holed nodes are compared only at the same slot and index, where both
+# hold this one object.
+HOLE = Name("[]")
+
+
+def holed(f: Frame) -> tuple:
+    """``f``'s holed node, its node with ``HOLE`` in its hole: the frame's
+    share of every term plugged into it.  It is kept as the node's class
+    and compared fields (``_PARTS``), which compare and hash as the node
+    would, without building the node.  Memoized on the frame."""
+    h = getattr(f, "_holed", None)
+    if h is None:
+        h = f._holed = _PARTS[type(f.node), f.slot](f.node, f.idx, HOLE)
+    return h
+
+
+def context_hash(frames: Sequence[Frame]) -> int:
+    """A hash of the context ``frames``: each frame folds the hash of the
+    frames below it with its slot, index and holed node.
+
+    Memoized on each frame, which is valid in every list that holds it
+    (see ``Frame``): only the frames pushed since the last call on an
+    ancestor of the list are hashed."""
+    i = len(frames)
+    while i and getattr(frames[i - 1], "_hash", None) is None:
+        i -= 1
+    h = frames[i - 1]._hash if i else 0
+    for f in frames[i:]:
+        h = f._hash = hash((h, f.slot, f.idx, holed(f)))
+    return h
+
+
+def same_context(a: Sequence[Frame], b: Sequence[Frame]) -> bool:
+    """Do the contexts ``a`` and ``b``, both hashed by ``context_hash``,
+    plug every term into equal terms?
+
+    They are compared from the top and the comparison stops at the first
+    frame they share: the frames below it are shared too (see ``Frame``).
+    Frames that differ compare by the hash of the context they top, then
+    by slot, index and holed node."""
+    if len(a) != len(b):
+        return False
+    for i in range(len(a) - 1, -1, -1):
+        fa, fb = a[i], b[i]
+        if fa is fb:
+            return True
+        if (fa._hash != fb._hash or fa.slot != fb.slot or fa.idx != fb.idx
+                or holed(fa) != holed(fb)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

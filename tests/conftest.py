@@ -189,3 +189,54 @@ def explore_memo_checked(config, explorer,
     for name in ("keys", "nodes", "revisits", "collected", "truncated"):
         assert getattr(obs, name) == getattr(unmemoized, name), name
     return MemoExploration(obs, skipped)
+
+
+
+def oracle_state_key(c, steps: int) -> tuple:
+    """The explorer's visited-set key as it was before nodes were keyed by
+    their split: the whole plugged term and a tuple of every store entry.
+    Kept as the reference that split keys must decide as."""
+    sigma, theta = c.sigma, c.theta
+    return (
+        steps, plugged(c).term,
+        tuple(sigma.bindings), tuple(sigma.bindings.values()),
+        tuple(theta.tables), tuple(theta.tables.values()),
+        tuple(theta.closures), tuple(theta.closures.values()),
+        sigma.next_id, theta.next_tid, theta.next_cid,
+    )
+
+
+def plugged(c):
+    """A focused state as the configuration it stands for, plugged without
+    caching the term on the state; a configuration as itself."""
+    from luagc import interp
+    from luagc.heap import Configuration
+
+    if type(c) is not interp.Focused:
+        return c
+    return Configuration(c.sigma, c.theta, interp.plug(c.at.frames, c.at.term))
+
+
+def oracle_same_zero_signs(a, b) -> bool:
+    """Given equal ``oracle_state_key``s, are the configurations ``a`` and
+    ``b`` identical?  Walks the compared fields of both in step and checks
+    the sign of each float pair; objects shared between the two are
+    skipped by identity."""
+    import math
+
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x is y:
+            continue
+        if isinstance(x, float):
+            if math.copysign(1.0, x) != math.copysign(1.0, y):
+                return False
+        elif isinstance(x, tuple):
+            stack.extend(zip(x, y))
+        elif isinstance(x, dict):
+            stack.extend(zip(x.values(), y.values()))
+        elif dataclasses.is_dataclass(x):
+            stack.extend((getattr(x, f.name), getattr(y, f.name))
+                         for f in dataclasses.fields(x) if f.compare)
+    return True

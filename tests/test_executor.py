@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -32,8 +33,9 @@ from luagc.interp import (
 )
 
 from conftest import (
-    CORPUS, corpus_text, deterministic_programs, explore_memo_checked,
-    explore_reduced_and_unreduced, run_memo_checked,
+    CORPUS, ROOT, corpus_text, deterministic_programs, explore_memo_checked,
+    explore_reduced_and_unreduced, oracle_same_zero_signs, oracle_state_key,
+    perfbench_module, plugged, run_memo_checked,
 )
 from heapgen import build_heap
 
@@ -528,6 +530,11 @@ class TestGarbageOnlyReduction:
         assert reduced.nodes < unreduced.nodes
 
 
+CORPUS_PROGRAMS = sorted(
+    p.relative_to(CORPUS).as_posix() for p in CORPUS.glob("*/*.lua")
+)
+
+
 SIGNED_ZERO_PROGRAMS = {
     # whether the weak entry survived until it was read picks 0 or -0;
     # collectgarbage() then makes both paths' stores equal, leaving the
@@ -546,7 +553,24 @@ SIGNED_ZERO_PROGRAMS = {
     "term_constant": (
         "return 1 / ((w[1] and 0 * m or 0 * p) - 0 * collectgarbage())\n"
     ),
+    # the zero waits in the evaluated part of a frame's list slot while the
+    # collection runs: a call's arguments, a constructor's fields
+    "call_argument": (
+        "local f = function(z) return 1 / z end\n"
+        "return f(w[1] and 0 * m or 0 * p, collectgarbage())\n"
+    ),
+    "constructor_field": (
+        "local t = {w[1] and 0 * m or 0 * p, collectgarbage()}\n"
+        "return 1 / t[1]\n"
+    ),
 }
+
+
+def afresh(f) -> tuple:
+    """A frame's holed node built anew, as its class and compared fields."""
+    n = interp._replace_child(f.node, f.slot, f.idx, interp.HOLE)
+    return (type(n), *(getattr(n, x.name) for x in dataclasses.fields(n)
+                       if x.compare))
 
 
 class TestExplorerVisitedSet:
@@ -622,10 +646,73 @@ class TestExplorerVisitedSet:
                            self.EXPLORER)
         assert not obs.truncated and len(obs) == 35
 
+    @pytest.mark.parametrize("rel", CORPUS_PROGRAMS)
+    def test_split_keys_decide_as_plugged_keys(self, rel, monkeypatch):
+        """At every pop the split key's revisit decision equals the one the
+        plugged key and store tuples made, each kept in a visited set of
+        its own, and every frame's memoized hash is the one its context
+        gives when hashed afresh from holed nodes built for the purpose."""
+        real_key, real_same = executor._state_key, executor._same_zero_signs
+        config = load_program(corpus_text(rel))
+        for mode in ("simple", "fin", "fin_weak"):
+            for granularity in ("maximal", "subsets"):
+                visited: dict = {}
+                oracle: dict = {}
+                revisits = 0
 
-CORPUS_PROGRAMS = sorted(
-    p.relative_to(CORPUS).as_posix() for p in CORPUS.glob("*/*.lua")
-)
+                def key(s, steps):
+                    nonlocal revisits
+                    k = real_key(s, steps)
+                    c = plugged(s)
+                    seen = visited.setdefault(k, [])
+                    seen_c = oracle.setdefault(oracle_state_key(c, steps), [])
+                    again = any(real_same(v, k) for v in seen)
+                    assert again == any(oracle_same_zero_signs(v, c)
+                                        for v in seen_c)
+                    if again:
+                        revisits += 1
+                    else:
+                        seen.append(k)
+                        seen_c.append(c)
+                    h = 0
+                    for f in k.frames:
+                        assert interp.holed(f) == afresh(f)
+                        h = hash((h, f.slot, f.idx, afresh(f)))
+                        assert f._hash == h
+                    return k
+
+                monkeypatch.setattr(executor, "_state_key", key)
+                obs = observations(config, ExhaustiveExplorer(
+                    mode, 400, granularity, 20_000))
+                assert revisits == obs.revisits
+                assert len(visited) == len(oracle)
+
+    def test_no_plug_per_pop(self, monkeypatch):
+        """Exploring the benchmark's explore programs plugs no term but
+        to splice a finalizer ahead of a final one."""
+        plugs, finals = [], []
+        real_plug, real_splice = interp.plug, executor._splice
+
+        def counting(frames, t):
+            plugs.append(len(frames))
+            return real_plug(frames, t)
+
+        def splice(d, cid, tid):
+            finals.append(isinstance(d, Finished))
+            return real_splice(d, cid, tid)
+
+        monkeypatch.setattr(interp, "plug", counting)
+        monkeypatch.setattr(executor, "plug", counting)
+        monkeypatch.setattr(executor, "_splice", splice)
+        workloads = perfbench_module("workloads")
+        ops, _ = workloads.build("explore", 7, ROOT)
+        for op in ops:
+            mode, granularity = op.explorer
+            observations(load_program(op.source), ExhaustiveExplorer(
+                mode, workloads.STEP_BOUND, granularity,
+                workloads.NODE_BUDGET))
+        assert finals  # finalizers were spliced, ahead of no final term
+        assert len(plugs) == sum(finals)
 
 
 def recursion_program(depth: int) -> str:

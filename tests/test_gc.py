@@ -25,9 +25,13 @@ from luagc.heap import (
     TableObject,
     ValueStore,
     _value_loc as loc,
+    alloc_closure,
+    alloc_table,
+    alloc_value,
     index_metatable,
     is_marked,
     locations,
+    restrict_stores,
     strong_edges,
     validate,
     weakness,
@@ -681,6 +685,36 @@ class TestTableMemos:
         d = Configuration(c.sigma, fresh, c.term)
         assert executor._state_key(c, 3) == executor._state_key(d, 3)
         assert hash(executor._state_key(c, 3)) == hash(executor._state_key(d, 3))
+        # the stores' ordered keys and the tables' hashes are memos too
+        sigma, theta = c.sigma, c.theta
+        assert "_hash" in vars(theta.table(1))
+        for store in (sigma, theta):
+            assert "_key" in vars(store) and "_key_hash" in vars(store)
+        bare_sigma = ValueStore(dict(sigma.bindings), sigma.next_id)
+        bare_theta = ObjectStore(dict(theta.tables), dict(theta.closures),
+                                 theta.next_tid, theta.next_cid)
+        assert sigma == bare_sigma and theta == bare_theta
+        for store, bare in ((sigma, bare_sigma), (theta, bare_theta)):
+            assert "_key" not in vars(bare)
+            assert (store.key, store.key_hash) == (bare.key, bare.key_hash)
+        # no write carries them
+        t = theta.table(1)
+        stores = [
+            sigma.bind(1, Num(2)), alloc_value(sigma, Num(2))[0],
+            alloc_table(theta, ())[0],
+            alloc_closure(theta, (), theta.closure(1).body)[0],
+            theta.put_table(1, t),
+            *restrict_stores(sigma, theta, {("tid", 2)}),
+            replace(sigma, next_id=sigma.next_id + 1),
+            replace(theta, next_tid=theta.next_tid + 1),
+        ]
+        for store in stores:
+            assert "_key" not in vars(store) and "_key_hash" not in vars(store)
+        for table in (t.set(Num(1), Num(2)), t.without_fields([0]),
+                      replace(t, meta=None)):
+            assert "_hash" not in vars(table)
+            assert hash(table) == hash(TableObject(table.fields, table.meta,
+                                                   table.pos))
 
     def test_writes_do_not_carry_the_memo(self):
         m = TableObject(((Str("__mode"), Str("k")), (Tid(2), Tid(3))))
