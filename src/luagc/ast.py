@@ -16,19 +16,24 @@ every subtree that did not change.  Each term class declares its sub-term
 slots once, on its fields (``_slot``); the per-class functions that take a
 node apart and put it together -- ``children``, ``rewrite``'s rebuild,
 ``==``, ``to_json`` and the interpreter's plugging -- are derived from it.
+So are the constructors, of terms, values and ``Pos``
+(``compile_constructors``): every step builds nodes, and these write the
+fields straight into the instance dict.  The classes stay frozen.
 Source positions are carried for diagnostics but excluded from equality so
 that structural comparison of reduced terms is meaningful.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import _HAS_DEFAULT_FACTORY  # a factory default's mark
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Pos:
     line: int
     col: int
@@ -53,18 +58,62 @@ def _slot(shape: str = ONE, evaluated: bool = False):
     return field(metadata={"slot": (shape, evaluated)})
 
 
+def compile_constructors(*classes: type) -> None:
+    """Give each of ``classes``, frozen dataclasses declared with
+    ``init=False``, the ``__init__`` ``dataclasses`` would have made, with
+    the same parameters, defaults and class docstring, but one that writes
+    each field straight into the instance dict where that one calls
+    ``object.__setattr__`` per field.  All of them compile in one ``exec``.
+    The frozen ``__setattr__``, ``replace``, ``fields``, ``==``, hash and
+    ``repr`` stay the dataclass's.  A class with ``__slots__`` has no
+    instance dict, and one with ``__post_init__`` would not have it
+    called, so both are refused."""
+    env: dict = {"_FACTORY": _HAS_DEFAULT_FACTORY}
+    src: List[str] = []
+    for i, cls in enumerate(classes):
+        if ("__slots__" in vars(cls) or "__init__" in vars(cls)
+                or hasattr(cls, "__post_init__")):
+            raise TypeError(f"{cls.__name__}: not a dataclass(init=False) "
+                            "without __slots__ and __post_init__")
+        params, body = ["self"], []
+        for f in fields(cls):
+            x = f.name
+            if f.default is not MISSING:
+                env[f"_d{i}_{x}"] = f.default
+                params.append(f"{x}=_d{i}_{x}")
+            elif f.default_factory is not MISSING:
+                env[f"_f{i}_{x}"] = f.default_factory
+                params.append(f"{x}=_FACTORY")
+                x = f"_f{i}_{x}() if {x} is _FACTORY else {x}"
+            else:
+                params.append(x)
+            body.append(f"    _self_dict[{f.name!r}] = {x}\n")
+        src.append(f"def _init{i}({', '.join(params)}):\n"
+                   + ("    _self_dict = self.__dict__\n" + "".join(body)
+                      if body else "    pass\n"))
+    exec("".join(src), env)
+    for i, cls in enumerate(classes):
+        init = env[f"_init{i}"]
+        init.__name__, init.__module__ = "__init__", cls.__module__
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__init__ = init
+        if cls.__doc__ == f"{cls.__name__}()":
+            # the dataclass's own, made from a signature with no __init__
+            cls.__doc__ = cls.__name__ + str(inspect.signature(cls))
+
+
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Nil:
     def __repr__(self) -> str:
         return "nil"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Bool:
     flag: bool
 
@@ -72,7 +121,7 @@ class Bool:
         return "true" if self.flag else "false"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Num:
     x: float
 
@@ -80,7 +129,7 @@ class Num:
         return format_number(self.x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Str:
     s: str
 
@@ -88,7 +137,7 @@ class Str:
         return json.dumps(self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Tid:
     """Table identifier; tables live in the object store."""
 
@@ -98,7 +147,7 @@ class Tid:
         return f"table: #{self.n}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cid:
     """Closure identifier; closures live in the object store."""
 
@@ -108,7 +157,7 @@ class Cid:
         return f"function: #{self.n}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Builtin:
     """A primitive library function (print, pcall, setmetatable, ...)."""
 
@@ -118,12 +167,10 @@ class Builtin:
         return f"function: builtin:{self.name}"
 
 
+VALUE_TYPES = (Nil, Bool, Num, Str, Tid, Cid, Builtin)
+
 if TYPE_CHECKING:
     Value = Union[Nil, Bool, Num, Str, Tid, Cid, Builtin]
-
-NIL = Nil()
-TRUE = Bool(True)
-FALSE = Bool(False)
 
 
 def format_number(x: float) -> str:
@@ -157,7 +204,7 @@ def type_name(v: Value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Const:
     """A value in expression position."""
 
@@ -165,7 +212,7 @@ class Const:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Name:
     """A source-level variable.  Gone after desugaring/substitution."""
 
@@ -173,14 +220,14 @@ class Name:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Globals:
     """Placeholder for the global-environment table, patched at load time."""
 
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Ref:
     """Runtime reference into the value store."""
 
@@ -188,7 +235,7 @@ class Ref:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ValueTuple:
     """Runtime form: the (possibly empty) result list of a finished call."""
 
@@ -196,28 +243,28 @@ class ValueTuple:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Index:
     obj: "Expr" = _slot(evaluated=True)
     key: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Call:
     fn: "Expr" = _slot(evaluated=True)
     args: Tuple["Expr", ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Function:
     params: Tuple[str, ...]
     body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TableCtor:
     """Table constructor; after desugaring every field has an explicit key."""
 
@@ -226,7 +273,7 @@ class TableCtor:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class BinOp:
     op: str  # + - * / % ^ == ~= < <= > >=
     lhs: "Expr" = _slot(evaluated=True)
@@ -234,33 +281,33 @@ class BinOp:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class And:
     lhs: "Expr" = _slot(evaluated=True)
     rhs: "Expr" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Or:
     lhs: "Expr" = _slot(evaluated=True)
     rhs: "Expr" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Not:
     operand: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Neg:
     operand: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CallFrame:
     """Runtime form: a function body executing in expression position."""
 
@@ -268,7 +315,7 @@ class CallFrame:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ProtectedFrame:
     """Runtime form: the guarded region opened by pcall."""
 
@@ -276,7 +323,7 @@ class ProtectedFrame:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinWrap:
     """Runtime marker around an in-flight finalizer call (expression form)."""
 
@@ -302,21 +349,21 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Empty:
     """The empty statement ``;``."""
 
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Seq:
     first: "Stat" = _slot(evaluated=True)
     rest: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Local:
     names: Tuple[str, ...]
     exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
@@ -324,14 +371,14 @@ class Local:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Assign:
     targets: Tuple[Expr, ...] = _slot(MANY)  # Ref or Index after desugaring
     exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExprStat:
     """A call executed for effect; its results are discarded."""
 
@@ -339,7 +386,7 @@ class ExprStat:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class If:
     cond: Expr = _slot(evaluated=True)
     then_body: "Stat" = _slot()
@@ -347,25 +394,25 @@ class If:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class While:
     cond: Expr = _slot()
     body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Break:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Return:
     exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LoopFrame:
     """Runtime form: the active extent of a loop; break unwinds to here."""
 
@@ -373,7 +420,7 @@ class LoopFrame:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ErrTerm:
     """Runtime form: an uncaught error object terminating the program."""
 
@@ -381,7 +428,7 @@ class ErrTerm:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FinStat:
     """Runtime marker around an in-flight finalizer call (statement form)."""
 
@@ -389,7 +436,7 @@ class FinStat:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Block:
     """Parser-level statement list; folded away by desugaring."""
 
@@ -405,6 +452,13 @@ if TYPE_CHECKING:
     Stat = Union[Empty, Seq, Local, Assign, ExprStat, If, While, Break, Return,
                  LoopFrame, ErrTerm, FinStat, Block]
     Term = Union[Stat, Expr]
+
+compile_constructors(Pos, *VALUE_TYPES, *TERM_TYPES)
+
+# the value constants, made once the value classes have their constructors
+NIL = Nil()
+TRUE = Bool(True)
+FALSE = Bool(False)
 
 
 _STATS = frozenset(STAT_TYPES)
@@ -493,16 +547,29 @@ def _sources(cls: type) -> Tuple[str, Dict[str, str], str]:
 _KIDS_DONE = object()  # stack mark: the node below it has its kids done
 
 
+def _fill(t: Term, memo: str, make) -> None:
+    """Set the unset ``memo`` slot of ``t`` to ``make(t)``, and first that
+    of each node below it where it is unset.  A fresh node over memoized
+    children and fresh leaves, what a step mostly builds, is filled in
+    place; a deeper one by ``_memoize``."""
+    for c in _KIDS[type(t)](t):
+        if getattr(c, memo) is None:
+            if _KIDS[type(c)](c):
+                _memoize(t, memo, make)
+                return
+            c.__dict__[memo] = make(c)
+    t.__dict__[memo] = make(t)
+
+
 def _memoize(t: Term, memo: str, make) -> None:
-    """Set the ``memo`` slot of ``t`` and of each node below it where it is
-    unset to ``make(node)``, children first: an iterative post-order, so
-    deep terms need no Python recursion."""
+    """``_fill`` on an iterative post-order, so deep terms need no Python
+    recursion."""
     stack = [t]
     while stack:
         n = stack.pop()
         if n is _KIDS_DONE:
             n = stack.pop()
-            object.__setattr__(n, memo, make(n))
+            n.__dict__[memo] = make(n)
         elif getattr(n, memo) is None:
             stack += (n, _KIDS_DONE)
             stack += _KIDS[type(n)](n)
@@ -514,8 +581,12 @@ def _term_hash(self: Term) -> int:
     walks the nodes that are new.  String hashes are salted per process,
     so a memoized hash must not travel to another one."""
     if self._hash is None:
-        _memoize(self, "_hash", lambda n: _STRUCTURAL[type(n)](n))
+        _fill(self, "_hash", _structural_hash)
     return self._hash
+
+
+def _structural_hash(n: Term) -> int:
+    return _STRUCTURAL[type(n)](n)
 
 
 def _term_eq(self: Term, other) -> bool:
@@ -572,6 +643,16 @@ def value_locations(v: Value) -> Iterator[Location]:
         yield ("cid", v.n)
 
 
+# the location kind of a collectible value's class
+_KINDS = {Tid: "tid", Cid: "cid"}
+
+
+def _value_loc(v: Value) -> Optional[Location]:
+    """The location a collectible value names; None for another value."""
+    kind = _KINDS.get(type(v))
+    return None if kind is None else (kind, v.n)
+
+
 def children(t: Term) -> Tuple[Term, ...]:
     """Immediate sub-terms, in evaluation-relevant left-to-right order."""
     return _KIDS[type(t)](t)
@@ -618,7 +699,7 @@ def summary(t: Term) -> Summary:
     body) is walked once however often it is asked about.
     """
     if t._summary is None:
-        _memoize(t, "_summary", _summarize)
+        _fill(t, "_summary", _summarize)
     return t._summary
 
 
@@ -629,17 +710,21 @@ def _summarize(n: Term) -> Summary:
     When it does, the locations enter in order by C-level updates; only
     the children other than the largest are walked in Python, to add up
     the counts of the locations they share with the others."""
-    if isinstance(n, Ref):
+    cls = type(n)
+    if cls is Const:
+        l = _value_loc(n.value)
+        return _NOTHING if l is None else ({l: 1}, 0)
+    if cls is Ref:
         return {("ref", n.r): 1}, 0
-    if isinstance(n, (Const, ValueTuple)):
+    if cls is ValueTuple:
         counts: Dict[Location, int] = {}
-        for v in ((n.value,) if isinstance(n, Const) else n.values):
-            for l in value_locations(v):
+        for l in map(_value_loc, n.values):
+            if l is not None:
                 counts[l] = counts.get(l, 0) + 1
         return (counts, 0) if counts else _NOTHING
-    parts = [c._summary for c in _KIDS[type(n)](n)
+    parts = [c._summary for c in _KIDS[cls](n)
              if c._summary is not _NOTHING]
-    marker = isinstance(n, (FinStat, FinWrap))
+    marker = cls is FinStat or cls is FinWrap
     if len(parts) < 2:
         if not marker:
             return parts[0] if parts else _NOTHING

@@ -566,7 +566,8 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
       and unmarked), and its ``__mode`` gives the same weakness;
     * every location that lost an edge (a dropped root, the old value of
       an overwritten reference, an old edge of a changed table) is a root,
-      or sits one strong edge from a root in the new stores.
+      or sits one strong edge from a root in the new stores; the walk over
+      the roots' strong edges stops once it has found every such location.
 
     Weakness and marks then stay as they were, every path the old cycle
     followed survives or is bypassed at a lost edge, and nothing new waits
@@ -606,7 +607,16 @@ def still_quiescent(sigma0: ValueStore, theta0: ObjectStore,
         far.update(l for _, k, v in old.edges for l in (k, v)
                    if l is not None and l not in kept)
     far = {l for l in far if l not in roots}
-    return not far or far <= _strong_successors(roots, sigma, theta)
+    if not far:
+        return True
+    for l in roots:
+        if _bound(l, sigma, theta):
+            for gate, target in strong_edges(l, sigma, theta):
+                if gate is None:
+                    far.discard(target)
+                    if not far:
+                        return True
+    return False
 
 
 def _dict_change(old: dict, new: dict) -> Optional[Tuple[list, list]]:
@@ -624,14 +634,6 @@ def _dict_change(old: dict, new: dict) -> Optional[Tuple[list, list]]:
     if len(new) - len(added) != len(old):
         return None
     return added, replaced
-
-
-def _strong_successors(roots: Iterable[Location], sigma: ValueStore,
-                       theta: ObjectStore) -> Set[Location]:
-    """The locations one ungated strong edge from a bound root."""
-    return {target for l in roots if _bound(l, sigma, theta)
-            for gate, target in strong_edges(l, sigma, theta)
-            if gate is None}
 
 
 def memo_vouches(state: "Focused", mode: str, allow_finalizer: bool) -> bool:

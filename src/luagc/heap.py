@@ -36,16 +36,16 @@ from typing import (
 )
 
 from .ast import (
-    Cid,
     Location,
     Nil,
     Num,
     Str,
-    Tid,
+    compile_constructors,
     summary,
     term_locations,
     to_source,
     _value_json,
+    _value_loc,
 )
 
 if TYPE_CHECKING:
@@ -80,27 +80,30 @@ def is_marked(mark: Mark) -> bool:
     return isinstance(mark, int)
 
 
-def _value_loc(v: Value) -> Optional[Location]:
-    if isinstance(v, Tid):
-        return ("tid", v.n)
-    if isinstance(v, Cid):
-        return ("cid", v.n)
-    return None
-
-
 # An edge of strong reachability: ``(gate, target)``, where ``target`` is
 # reached once ``gate`` is, or at once when ``gate`` is None.
 Edge = Tuple[Optional[Location], Location]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TableObject:
     """A table.  It is immutable and shared by every store holding it (a
     write makes a new object), so what the collector derives from it is
     memoized on it: ``edges``, ``targets``, its strong edges under each
     weakness and ``mode_weakness``, and its hash.  The memos are not
     fields, so equality and hashing ignore them, and ``replace`` builds a
-    new object without them."""
+    new object without them.
+
+    So is the key index that ``get``, ``has`` and ``set`` read: each key's
+    position in ``fields``.  A write passes it on: a write to a present
+    key keeps the key object and its position and shares the index, and
+    one that adds a key copies it with the key added.  A nil write to a
+    present key shifts the positions after it, so the new table builds its
+    index when first asked; to a key that is not there, it changes nothing
+    and returns the table itself.  ``alloc_table`` hands on the index it
+    makes, and ``ObjectStore.put_table`` the index of the table it
+    replaces to a table with the same ``fields`` object (``setmetatable``'s
+    and the finalizer's ``replace``)."""
 
     fields: Tuple[Tuple[Value, Value], ...]  # insertion ordered, no nils
     meta: Optional[int] = None  # tid of the metatable
@@ -174,31 +177,33 @@ class TableObject:
         mode = self.get(Str("__mode"))
         return parse_mode(mode.s) if isinstance(mode, Str) else "strong"
 
+    @cached_property
+    def _index(self) -> Dict[Value, int]:
+        return {k: i for i, (k, _) in enumerate(self.fields)}
+
     def get(self, key: Value) -> Value:
-        for k, v in self.fields:
-            if k == key:
-                return v
-        return Nil()
+        i = self._index.get(key)
+        return Nil() if i is None else self.fields[i][1]
 
     def has(self, key: Value) -> bool:
-        return any(k == key for k, _ in self.fields)
+        return key in self._index
 
     def set(self, key: Value, value: Value) -> "TableObject":
+        fields, index = self.fields, self._index
+        i = index.get(key)
         if isinstance(value, Nil):
-            return replace(
-                self, fields=tuple((k, v) for k, v in self.fields if k != key)
-            )
-        out = []
-        found = False
-        for k, v in self.fields:
-            if k == key:
-                out.append((k, value))
-                found = True
-            else:
-                out.append((k, v))
-        if not found:
-            out.append((key, value))
-        return replace(self, fields=tuple(out))
+            if i is None:
+                return self
+            return TableObject(fields[:i] + fields[i + 1:], self.meta,
+                               self.pos)
+        if i is None:
+            out = TableObject(fields + ((key, value),), self.meta, self.pos)
+            index = {**index, key: len(fields)}
+        else:
+            out = TableObject(fields[:i] + ((fields[i][0], value),)
+                              + fields[i + 1:], self.meta, self.pos)
+        out.__dict__["_index"] = index
+        return out
 
     def without_fields(self, idxs: Iterable[int]) -> "TableObject":
         """The table without the fields at the indices ``idxs``."""
@@ -253,7 +258,7 @@ class _Keyed:
         return self._key_hash
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ValueStore(_Keyed):
     bindings: Dict[int, Value] = field(default_factory=dict)
     next_id: int = 1
@@ -276,7 +281,7 @@ class ValueStore(_Keyed):
         return ValueStore(b, self.next_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ObjectStore(_Keyed):
     """Tables and closures; the two id spaces are disjoint.
 
@@ -326,12 +331,20 @@ class ObjectStore(_Keyed):
 
     def put_table(self, tid: int, obj: TableObject) -> "ObjectStore":
         b = dict(self.tables)
+        if "_index" not in obj.__dict__:
+            old = b.get(tid)
+            if (old is not None and old.fields is obj.fields
+                    and "_index" in old.__dict__):
+                obj.__dict__["_index"] = old._index
         b[tid] = obj
         index = self._meta
         if index is not None and _indexed(obj) != (tid in index):
             index = index ^ {tid}
         return ObjectStore(b, self.closures, self.next_tid, self.next_cid,
                            index)
+
+
+compile_constructors(TableObject, ValueStore, ObjectStore)
 
 
 def _indexed(obj: TableObject) -> bool:
@@ -386,7 +399,8 @@ def alloc_table(
             cleaned[k] = v
     tid = theta.next_tid
     b = dict(theta.tables)
-    b[tid] = TableObject(tuple(cleaned.items()), None, UNSET)
+    b[tid] = table = TableObject(tuple(cleaned.items()), None, UNSET)
+    table.__dict__["_index"] = dict(zip(cleaned, range(len(cleaned))))
     return ObjectStore(b, theta.closures, tid + 1, theta.next_cid,
                        theta._meta), tid
 

@@ -977,7 +977,8 @@ def _table_write(theta: ObjectStore, obj: Value, key: Value, v: Value) -> Object
     except InvalidKey as e:
         raise LuaError.msg(str(e)) from None
     table = theta.table(obj.n)
-    return theta.put_table(obj.n, table.set(key, v))
+    new = table.set(key, v)
+    return theta if new is table else theta.put_table(obj.n, new)
 
 
 def _index_read(theta: ObjectStore, obj: Value, key: Value, pos):

@@ -258,6 +258,131 @@ class TestTableObject:
         assert t.get(Num(1)) == Str("one")
 
 
+# Keys whose sign of zero, class or identity a table could confuse, and
+# values, nil among them; indices into them.
+MODEL_KEYS = (Num(0.0), Num(-0.0), Num(1.0), Str("a"), Str("b"),
+              A.Bool(True), A.Bool(False), Tid(1), Tid(2), Cid(1))
+MODEL_VALUES = (Nil(), Num(2.0), Str("x"), A.Bool(False), Tid(3), Cid(2))
+TABLE_OPS = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.integers(0, len(MODEL_KEYS) - 1),
+              st.integers(0, len(MODEL_VALUES) - 1)),
+    st.tuples(st.just("drop"), st.sets(st.integers(0, 9))),
+    st.tuples(st.just("meta"), st.sampled_from([None, 1, 4]))), max_size=30)
+
+
+def exactly(fields) -> list:
+    """Fields compared by class and print form too, so a zero's sign
+    counts."""
+    return [(type(k), repr(k), type(v), repr(v)) for k, v in fields]
+
+
+class TestIndexedTable:
+    """A table's key index gives what a scan of its fields would, across
+    writes, nil writes, cleared fields and metatable changes, however the
+    index was passed on: the tables model a list of pairs."""
+
+    @staticmethod
+    def model_set(pairs: list, key, value) -> None:
+        at = next((i for i, (k, _) in enumerate(pairs) if k == key), None)
+        if isinstance(value, Nil):
+            if at is not None:
+                del pairs[at]
+        elif at is None:
+            pairs.append((key, value))
+        else:
+            pairs[at] = (pairs[at][0], value)
+
+    def check(self, t: TableObject, pairs: list) -> None:
+        assert exactly(t.fields) == exactly(pairs)
+        for key in MODEL_KEYS:
+            found = [v for k, v in pairs if k == key]
+            assert t.has(key) == bool(found)
+            assert t.get(key) == (found[0] if found else Nil())
+        fresh = TableObject(tuple(pairs), t.meta, t.pos)
+        assert t == fresh and hash(t) == hash(fresh)
+        assert t.edges == fresh.edges and t.targets == fresh.targets
+        for w in ("strong", "wk", "wv", "wkv"):
+            assert t.strong_edges(w) == fresh.strong_edges(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(MODEL_KEYS) - 1),
+                              st.integers(0, len(MODEL_VALUES) - 1)),
+                    max_size=6), TABLE_OPS)
+    def test_index_matches_a_list_of_pairs(self, start, ops):
+        pairs: list = []
+        for k, v in start:
+            if not isinstance(MODEL_VALUES[v], Nil):
+                self.model_set(pairs, MODEL_KEYS[k], MODEL_VALUES[v])
+        theta, tid = alloc_table(ObjectStore(), tuple(
+            (MODEL_KEYS[k], MODEL_VALUES[v]) for k, v in start))
+        self.check(theta.table(tid), pairs)
+        for op, *args in ops:
+            t = theta.table(tid)
+            if op == "set":
+                key, value = MODEL_KEYS[args[0]], MODEL_VALUES[args[1]]
+                absent = all(k != key for k, _ in pairs)
+                self.model_set(pairs, key, value)
+                new = t.set(key, value)
+                if isinstance(value, Nil) and absent:
+                    assert new is t
+            elif op == "drop":
+                new = t.without_fields(args[0])
+                pairs = [f for i, f in enumerate(pairs) if i not in args[0]]
+            else:
+                new = replace(t, meta=args[0])
+            theta = theta.put_table(tid, new)
+            self.check(theta.table(tid), pairs)
+
+    def test_writes_pass_the_index_on(self):
+        theta, tid = alloc_table(ObjectStore(), ((Num(1), Str("a")),
+                                                 (Str("k"), Num(2))))
+        t = theta.table(tid)
+        assert "_index" in vars(t)
+        rewritten = t.set(Num(1), Str("b"))
+        assert rewritten._index is t._index
+        added = t.set(Num(-0.0), Str("c"))
+        assert added._index == {Num(1): 0, Str("k"): 1, Num(0): 2}
+        assert "_index" not in vars(t.set(Num(1), Nil()))
+        assert "_index" not in vars(t.without_fields([0]))
+        # a metatable change keeps the fields, and the store hands the
+        # index on to the new table
+        retagged = replace(t, meta=tid)
+        assert "_index" not in vars(retagged)
+        theta = theta.put_table(tid, retagged)
+        assert vars(theta.table(tid))["_index"] is t._index
+
+    @pytest.mark.parametrize("n", [500, 2_000])
+    def test_fill_loop_writes_compare_no_keys(self, monkeypatch, n):
+        """Each write of ``t[i] = {}`` compares as many numbers, whatever
+        the size of the table: a scan of the fields would compare one per
+        field."""
+        from luagc import interp
+
+        compared = [0]
+        num_eq = Num.__eq__
+
+        def counting_eq(self, other):
+            compared[0] += 1
+            return num_eq(self, other)
+
+        per_write = []
+        table_write = interp._table_write
+
+        def counting_write(*args):
+            before = compared[0]
+            out = table_write(*args)
+            per_write.append(compared[0] - before)
+            return out
+
+        monkeypatch.setattr(Num, "__eq__", counting_eq)
+        monkeypatch.setattr(interp, "_table_write", counting_write)
+        src = (f"local t = {{}}\nlocal i = 1\n"
+               f"while i <= {n} do t[i] = {{}} i = i + 1 end\nreturn i\n")
+        rec = run(load_program(src), Schedule("never"), fuel=20 * n)
+        assert rec.result.kind == "return"
+        assert len(per_write) == n and set(per_write) == {0}
+
+
 # One store operation: a kind and a number that picks its table.
 STORE_OPS = st.lists(st.tuples(
     st.sampled_from(["table", "closure", "meta", "mark", "forbid", "plain",

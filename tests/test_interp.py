@@ -1,4 +1,7 @@
-from dataclasses import fields, replace
+import inspect
+from dataclasses import (
+    MISSING, FrozenInstanceError, dataclass, fields, replace,
+)
 
 import pytest
 
@@ -8,7 +11,7 @@ from luagc.ast import Num, Str
 from luagc.desugar import desugar
 from luagc.executor import Machine, Schedule, run
 from luagc.gc import reach_set
-from luagc.heap import validate
+from luagc.heap import ObjectStore, TableObject, ValueStore, validate
 from luagc.interp import (
     Finished,
     Focused,
@@ -137,6 +140,10 @@ SCHEMA_TEXTS = [p.read_text() for p in sorted(CORPUS.glob("*/*.lua"))] + [
     "return (setmetatable({}, mt) and 1) + f(2)\n",
 ]
 # The node kinds only reduction makes
+# Every class whose constructor the node schema compiles.
+COMPILED = (A.Pos, *A.VALUE_TYPES, *A.TERM_TYPES, TableObject, ValueStore,
+            ObjectStore)
+
 RUNTIME_FORMS = {A.CallFrame, A.LoopFrame, A.FinStat, A.ProtectedFrame,
                  A.FinWrap}
 
@@ -203,6 +210,75 @@ class TestNodeSchema:
                 run(load_program(text), Schedule("eager", mode), fuel=2_000)
         assert kinds >= RUNTIME_FORMS
         assert plugged == set(interp._PLUG)
+
+    @pytest.mark.parametrize("cls", COMPILED, ids=lambda c: c.__name__)
+    def test_compiled_constructor_keeps_the_dataclass_contract(self, cls):
+        fs = fields(cls)
+        names = [f.name for f in fs]
+        params = list(inspect.signature(cls.__init__).parameters.values())
+        assert [p.name for p in params] == ["self", *names]
+        for f, p in zip(fs, params[1:]):
+            if f.default_factory is not MISSING:
+                assert repr(p.default) == "<factory>"
+            else:
+                assert p.default is (inspect.Parameter.empty
+                                     if f.default is MISSING else f.default)
+        if cls.__doc__.startswith(cls.__name__ + "("):
+            assert cls.__doc__ == cls.__name__ + str(inspect.signature(cls))
+        required = {f.name: object() for f in fs if f.default is MISSING
+                    and f.default_factory is MISSING}
+        every = {name: object() for name in names}
+        for given in (required, every):
+            for x in (cls(*given.values()), cls(**given)):
+                assert type(x) is cls and list(vars(x)) == names
+                for f in fs:
+                    got = getattr(x, f.name)
+                    if f.name in given:
+                        assert got is given[f.name]
+                    elif f.default is not MISSING:
+                        assert got is f.default
+                    else:
+                        assert got == f.default_factory()
+                        assert got is not getattr(cls(**given), f.name)
+                copy = replace(x)
+                assert type(copy) is cls and copy is not x
+                assert list(vars(copy)) == names
+                assert all(getattr(copy, n) is getattr(x, n) for n in names)
+                for n in names:
+                    assert getattr(replace(x, **{n: every[n]}), n) is every[n]
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(x, n, None)
+        with pytest.raises(TypeError):
+            cls(*every.values(), None)
+
+    def test_compiler_refuses_what_it_cannot_honour(self):
+        @dataclass(frozen=True, init=False)
+        class Fine:
+            a: int
+
+        @dataclass(frozen=True, init=False)
+        class Slotted:
+            __slots__ = ("a",)
+            a: int
+
+        @dataclass(frozen=True, init=False)
+        class PostInit:
+            a: int
+
+            def __post_init__(self):
+                pass
+
+        @dataclass(frozen=True)
+        class Inited:
+            a: int
+
+        for bad in (Slotted, PostInit, Inited):
+            with pytest.raises(TypeError):
+                A.compile_constructors(Fine, bad)
+        # refused before anything compiles
+        assert "__init__" not in vars(Fine)
+        A.compile_constructors(Fine)
+        assert Fine(1).a == 1 and vars(Fine(a=2)) == {"a": 2}
 
 
 class TestStepBasics:
