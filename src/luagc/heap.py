@@ -101,9 +101,8 @@ class TableObject:
     present key shifts the positions after it, so the new table builds its
     index when first asked; to a key that is not there, it changes nothing
     and returns the table itself.  ``alloc_table`` hands on the index it
-    makes, and ``ObjectStore.put_table`` the index of the table it
-    replaces to a table with the same ``fields`` object (``setmetatable``'s
-    and the finalizer's ``replace``)."""
+    makes; a ``replace`` (``setmetatable``, a finalizer's mark) builds its
+    own when first asked."""
 
     fields: Tuple[Tuple[Value, Value], ...]  # insertion ordered, no nils
     meta: Optional[int] = None  # tid of the metatable
@@ -331,11 +330,6 @@ class ObjectStore(_Keyed):
 
     def put_table(self, tid: int, obj: TableObject) -> "ObjectStore":
         b = dict(self.tables)
-        if "_index" not in obj.__dict__:
-            old = b.get(tid)
-            if (old is not None and old.fields is obj.fields
-                    and "_index" in old.__dict__):
-                obj.__dict__["_index"] = old._index
         b[tid] = obj
         index = self._meta
         if index is not None and _indexed(obj) != (tid in index):

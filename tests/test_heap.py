@@ -344,12 +344,6 @@ class TestIndexedTable:
         assert added._index == {Num(1): 0, Str("k"): 1, Num(0): 2}
         assert "_index" not in vars(t.set(Num(1), Nil()))
         assert "_index" not in vars(t.without_fields([0]))
-        # a metatable change keeps the fields, and the store hands the
-        # index on to the new table
-        retagged = replace(t, meta=tid)
-        assert "_index" not in vars(retagged)
-        theta = theta.put_table(tid, retagged)
-        assert vars(theta.table(tid))["_index"] is t._index
 
     @pytest.mark.parametrize("n", [500, 2_000])
     def test_fill_loop_writes_compare_no_keys(self, monkeypatch, n):

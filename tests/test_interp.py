@@ -139,11 +139,11 @@ SCHEMA_TEXTS = [p.read_text() for p in sorted(CORPUS.glob("*/*.lua"))] + [
     "local f = function(x) return x + 1 end\n"
     "return (setmetatable({}, mt) and 1) + f(2)\n",
 ]
-# The node kinds only reduction makes
 # Every class whose constructor the node schema compiles.
 COMPILED = (A.Pos, *A.VALUE_TYPES, *A.TERM_TYPES, TableObject, ValueStore,
             ObjectStore)
 
+# The node kinds only reduction makes
 RUNTIME_FORMS = {A.CallFrame, A.LoopFrame, A.FinStat, A.ProtectedFrame,
                  A.FinWrap}
 
