@@ -16,24 +16,217 @@ every subtree that did not change.  Each term class declares its sub-term
 slots once, on its fields (``_slot``); the per-class functions that take a
 node apart and put it together -- ``children``, ``rewrite``'s rebuild,
 ``==``, ``to_json`` and the interpreter's plugging -- are derived from it.
-So are the constructors, of terms, values and ``Pos``
-(``compile_constructors``): every step builds nodes, and these write the
-fields straight into the instance dict.  The classes stay frozen.
-Source positions are carried for diagnostics but excluded from equality so
-that structural comparison of reduced terms is meaningful.
+
+Every dataclass of the package is declared through ``record``, and its
+methods come from the field list, not from ``dataclasses``: one ``exec``
+per module (``compile_records``) compiles each class's ``__init__``,
+``__eq__`` and, if it is frozen, ``__hash__``, together with the module's
+derived functions; the frozen ``__setattr__``/``__delattr__`` and
+``repr`` are functions shared by every class.  The constructors of terms,
+values and ``Pos`` write the fields straight into the instance dict, as
+every step builds nodes; the classes stay frozen.  Source positions are
+carried for diagnostics but excluded from equality so that structural
+comparison of reduced terms is meaningful.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+import reprlib
+from dataclasses import (
+    MISSING, FrozenInstanceError, dataclass, field, fields, replace,
+)
 from dataclasses import _HAS_DEFAULT_FACTORY  # a factory default's mark
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
+
+# A class docstring's place holder while ``dataclasses`` processes a record
+# that has none: a false one would have ``dataclasses`` make the docstring
+# from ``inspect.signature``, which ``compile_records`` makes from the
+# fields instead.
+_UNDOCUMENTED = "<no docstring>"
 
 
-@dataclass(frozen=True, init=False)
+def record(cls=None, /, *, frozen: bool = False):
+    """``dataclass(cls, init=False, repr=False, eq=False)``, so that
+    ``dataclasses`` compiles no method, then the methods every record
+    shares: the dataclass's ``repr`` and, if ``frozen``, its
+    ``__setattr__`` and ``__delattr__``, which raise
+    ``FrozenInstanceError``; that ``__setattr__`` is what marks the class
+    frozen.  ``fields``, ``replace``, ``is_dataclass`` and
+    ``__match_args__`` work as on any dataclass; ``compile_records`` gives
+    the class the rest.  As with ``dataclass``, a frozen class may not
+    inherit from a mutable dataclass, nor a mutable one from a frozen
+    dataclass."""
+    def wrap(cls):
+        bases = [b for b in cls.__mro__[1:]
+                 if "__dataclass_fields__" in vars(b)]
+        if bases and any(map(_frozen, bases)) != frozen:
+            raise TypeError(
+                "cannot inherit frozen dataclass from a non-frozen one"
+                if frozen else
+                "cannot inherit non-frozen dataclass from a frozen one")
+        if not cls.__doc__:
+            cls.__doc__ = _UNDOCUMENTED
+        cls = dataclass(cls, init=False, repr=False, eq=False)
+        cls._repr_fields = tuple(f.name for f in fields(cls) if f.repr)
+        shared = {"__repr__": _record_repr}
+        if frozen:
+            for name, fn in (("__setattr__", _frozen_setattr),
+                             ("__delattr__", _frozen_delattr)):
+                if name in vars(cls):
+                    raise TypeError(f"Cannot overwrite attribute {name} in "
+                                    f"class {cls.__name__}")
+                shared[name] = fn
+        for name, fn in shared.items():
+            if name not in vars(cls):
+                setattr(cls, name, fn)
+        return cls
+    return wrap if cls is None else wrap(cls)
+
+
+def _frozen(cls: type) -> bool:
+    """Is the dataclass ``cls`` frozen, as a record or as a dataclass?"""
+    return (cls.__setattr__ is _frozen_setattr
+            or cls.__dataclass_params__.frozen)
+
+
+@reprlib.recursive_repr()
+def _record_repr(self) -> str:
+    """The dataclass's ``repr``: the class and the fields it prints."""
+    return (self.__class__.__qualname__ + "("
+            + ", ".join([f"{name}={getattr(self, name)!r}"
+                         for name in self._repr_fields]) + ")")
+
+
+def _frozen_owner(self, name: str, fn) -> type:
+    """The class in ``self``'s MRO whose own ``name`` method is ``fn``."""
+    return next(c for c in type(self).__mro__ if vars(c).get(name) is fn)
+
+
+def _frozen_setattr(self, name: str, value) -> None:
+    """The frozen dataclass's ``__setattr__``: a field, or any attribute
+    of an instance of the record itself, may not be set."""
+    cls = _frozen_owner(self, "__setattr__", _frozen_setattr)
+    if type(self) is cls or name in [f.name for f in fields(cls)]:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+    super(cls, self).__setattr__(name, value)
+
+
+def _frozen_delattr(self, name: str) -> None:
+    """The frozen dataclass's ``__delattr__``."""
+    cls = _frozen_owner(self, "__delattr__", _frozen_delattr)
+    if type(self) is cls or name in [f.name for f in fields(cls)]:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    super(cls, self).__delattr__(name)
+
+
+def _fields_tuple(o: str, fs) -> str:
+    """The dataclass's ``(o.a,o.b,)`` of the fields ``fs``."""
+    return "(" + "".join(f"{o}.{f.name}," for f in fs) + ")"
+
+
+def compile_records(*classes: type, direct: Iterable[type] = (),
+                    derived: Iterable[Dict] = ()) -> List[Dict]:
+    """Give each of ``classes``, records (or dataclasses declared with
+    ``init=False``), the methods ``dataclasses`` would have made from its
+    fields, all compiled in one ``exec``: an ``__init__`` with the same
+    parameters and defaults; ``__eq__``, which compares the tuples of the
+    compared fields of two instances of the same class, unless the class
+    has its own; and, for a frozen class without its own, ``__hash__``,
+    the hash of that tuple.  A mutable class without its own ``__hash__``
+    gets None.  The ``__init__`` of a class in ``direct`` writes each field
+    straight into the instance dict; any other assigns it, through
+    ``object.__setattr__`` if the class is frozen.  A record without a
+    docstring gets the dataclass's, ``Name(a, b=None, c=<factory>)``.
+
+    ``derived`` are dicts of ``lambda`` sources over this module's names;
+    they compile in the same ``exec``, and come back as dicts with the
+    same keys, of the functions.  A class with ``__slots__``, its own
+    ``__init__``, ``__post_init__`` or a field that is not a positional
+    parameter is refused before anything compiles."""
+    direct = frozenset(direct)
+    for cls in classes:
+        if ("__slots__" in vars(cls) or "__init__" in vars(cls)
+                or hasattr(cls, "__post_init__")
+                or any(not f.init or f.kw_only for f in fields(cls))):
+            raise TypeError(f"{cls.__name__}: not a dataclass(init=False) "
+                            "without __slots__ and __post_init__")
+    values: Dict[str, object] = {"_FACTORY": _HAS_DEFAULT_FACTORY}
+    src: List[str] = []
+    made: List[Tuple[type, str]] = []  # what each appended function is
+    for i, cls in enumerate(classes):
+        fs, frozen = fields(cls), _frozen(cls)
+        params, body, doc = ["self"], [], []
+        for f in fs:
+            x = f.name
+            if f.default is not MISSING:
+                values[f"_d{i}_{x}"] = f.default
+                params.append(f"{x}=_d{i}_{x}")
+                doc.append(f"{x}={f.default!r}")
+            elif f.default_factory is not MISSING:
+                values[f"_f{i}_{x}"] = f.default_factory
+                params.append(f"{x}=_FACTORY")
+                doc.append(f"{x}=<factory>")
+                x = f"_f{i}_{x}() if {x} is _FACTORY else {x}"
+            else:
+                params.append(x)
+                doc.append(x)
+            body.append(f"_self_dict[{f.name!r}] = {x}" if cls in direct
+                        else f"object.__setattr__(self, {f.name!r}, {x})"
+                        if frozen else f"self.{f.name} = {x}")
+        if cls in direct and body:
+            body.insert(0, "_self_dict = self.__dict__")
+        methods = [("__init__", ", ".join(params), body or ["pass"])]
+        compared = [f for f in fs if f.compare]
+        if "__eq__" not in vars(cls):
+            methods.append(("__eq__", "self, other", [
+                "if other.__class__ is self.__class__:",
+                f"    return {_fields_tuple('self', compared)}=="
+                f"{_fields_tuple('other', compared)}",
+                "return NotImplemented"]))
+        own_hash = vars(cls).get("__hash__", MISSING)
+        # as ``dataclasses`` tells an explicit hash: the None that Python
+        # sets beside a class body's own ``__eq__`` is not one
+        if own_hash is MISSING or (own_hash is None
+                                   and "__eq__" in vars(cls)):
+            if frozen:
+                hashed = [f for f in fs
+                          if (f.compare if f.hash is None else f.hash)]
+                methods.append(("__hash__", "self", [
+                    f"return hash({_fields_tuple('self', hashed)})"]))
+            else:
+                cls.__hash__ = None
+        for name, args, lines in methods:
+            src.append(f"    def {name}({args}):\n"
+                       + "".join(f"        {line}\n" for line in lines)
+                       + f"    _made.append({name})\n")
+            made.append((cls, name))
+        if cls.__doc__ is _UNDOCUMENTED:
+            cls.__doc__ = f"{cls.__name__}({', '.join(doc)})"
+    derived = list(derived)
+    for table in derived:
+        src.extend(f"    _made.append({lam})\n" for lam in table.values())
+    # the defaults and factories are the parameters of one function that
+    # makes every method and lambda, as ``dataclasses`` binds them
+    ns: dict = {}
+    exec(f"def _batch({', '.join(values)}):\n    _made = []\n"
+         + "".join(src) + "    return _made\n", globals(), ns)
+    fns = ns["_batch"](*values.values())
+    for (cls, name), fn in zip(made, fns):
+        fn.__module__ = cls.__module__
+        fn.__qualname__ = f"{cls.__qualname__}.{name}"
+        setattr(cls, name, fn)
+    out, at = [], len(made)
+    for table in derived:
+        out.append(dict(zip(table, fns[at:at + len(table)])))
+        at += len(table)
+    return out
+
+
+@record(frozen=True)
 class Pos:
     line: int
     col: int
@@ -58,62 +251,18 @@ def _slot(shape: str = ONE, evaluated: bool = False):
     return field(metadata={"slot": (shape, evaluated)})
 
 
-def compile_constructors(*classes: type) -> None:
-    """Give each of ``classes``, frozen dataclasses declared with
-    ``init=False``, the ``__init__`` ``dataclasses`` would have made, with
-    the same parameters, defaults and class docstring, but one that writes
-    each field straight into the instance dict where that one calls
-    ``object.__setattr__`` per field.  All of them compile in one ``exec``.
-    The frozen ``__setattr__``, ``replace``, ``fields``, ``==``, hash and
-    ``repr`` stay the dataclass's.  A class with ``__slots__`` has no
-    instance dict, and one with ``__post_init__`` would not have it
-    called, so both are refused."""
-    env: dict = {"_FACTORY": _HAS_DEFAULT_FACTORY}
-    src: List[str] = []
-    for i, cls in enumerate(classes):
-        if ("__slots__" in vars(cls) or "__init__" in vars(cls)
-                or hasattr(cls, "__post_init__")):
-            raise TypeError(f"{cls.__name__}: not a dataclass(init=False) "
-                            "without __slots__ and __post_init__")
-        params, body = ["self"], []
-        for f in fields(cls):
-            x = f.name
-            if f.default is not MISSING:
-                env[f"_d{i}_{x}"] = f.default
-                params.append(f"{x}=_d{i}_{x}")
-            elif f.default_factory is not MISSING:
-                env[f"_f{i}_{x}"] = f.default_factory
-                params.append(f"{x}=_FACTORY")
-                x = f"_f{i}_{x}() if {x} is _FACTORY else {x}"
-            else:
-                params.append(x)
-            body.append(f"    _self_dict[{f.name!r}] = {x}\n")
-        src.append(f"def _init{i}({', '.join(params)}):\n"
-                   + ("    _self_dict = self.__dict__\n" + "".join(body)
-                      if body else "    pass\n"))
-    exec("".join(src), env)
-    for i, cls in enumerate(classes):
-        init = env[f"_init{i}"]
-        init.__name__, init.__module__ = "__init__", cls.__module__
-        init.__qualname__ = f"{cls.__qualname__}.__init__"
-        cls.__init__ = init
-        if cls.__doc__ == f"{cls.__name__}()":
-            # the dataclass's own, made from a signature with no __init__
-            cls.__doc__ = cls.__name__ + str(inspect.signature(cls))
-
-
 # ---------------------------------------------------------------------------
 # Values
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Nil:
     def __repr__(self) -> str:
         return "nil"
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Bool:
     flag: bool
 
@@ -121,7 +270,7 @@ class Bool:
         return "true" if self.flag else "false"
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Num:
     x: float
 
@@ -129,7 +278,7 @@ class Num:
         return format_number(self.x)
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Str:
     s: str
 
@@ -137,7 +286,7 @@ class Str:
         return json.dumps(self.s)
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Tid:
     """Table identifier; tables live in the object store."""
 
@@ -147,7 +296,7 @@ class Tid:
         return f"table: #{self.n}"
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Cid:
     """Closure identifier; closures live in the object store."""
 
@@ -157,7 +306,7 @@ class Cid:
         return f"function: #{self.n}"
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Builtin:
     """A primitive library function (print, pcall, setmetatable, ...)."""
 
@@ -204,7 +353,7 @@ def type_name(v: Value) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Const:
     """A value in expression position."""
 
@@ -212,7 +361,7 @@ class Const:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Name:
     """A source-level variable.  Gone after desugaring/substitution."""
 
@@ -220,14 +369,14 @@ class Name:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Globals:
     """Placeholder for the global-environment table, patched at load time."""
 
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Ref:
     """Runtime reference into the value store."""
 
@@ -235,7 +384,7 @@ class Ref:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class ValueTuple:
     """Runtime form: the (possibly empty) result list of a finished call."""
 
@@ -243,28 +392,28 @@ class ValueTuple:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Index:
     obj: "Expr" = _slot(evaluated=True)
     key: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Call:
     fn: "Expr" = _slot(evaluated=True)
     args: Tuple["Expr", ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Function:
     params: Tuple[str, ...]
     body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class TableCtor:
     """Table constructor; after desugaring every field has an explicit key."""
 
@@ -273,7 +422,7 @@ class TableCtor:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class BinOp:
     op: str  # + - * / % ^ == ~= < <= > >=
     lhs: "Expr" = _slot(evaluated=True)
@@ -281,33 +430,33 @@ class BinOp:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class And:
     lhs: "Expr" = _slot(evaluated=True)
     rhs: "Expr" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Or:
     lhs: "Expr" = _slot(evaluated=True)
     rhs: "Expr" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Not:
     operand: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Neg:
     operand: "Expr" = _slot(evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class CallFrame:
     """Runtime form: a function body executing in expression position."""
 
@@ -315,7 +464,7 @@ class CallFrame:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class ProtectedFrame:
     """Runtime form: the guarded region opened by pcall."""
 
@@ -323,7 +472,7 @@ class ProtectedFrame:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class FinWrap:
     """Runtime marker around an in-flight finalizer call (expression form)."""
 
@@ -349,21 +498,21 @@ if TYPE_CHECKING:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Empty:
     """The empty statement ``;``."""
 
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Seq:
     first: "Stat" = _slot(evaluated=True)
     rest: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Local:
     names: Tuple[str, ...]
     exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
@@ -371,14 +520,14 @@ class Local:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Assign:
     targets: Tuple[Expr, ...] = _slot(MANY)  # Ref or Index after desugaring
     exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class ExprStat:
     """A call executed for effect; its results are discarded."""
 
@@ -386,7 +535,7 @@ class ExprStat:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class If:
     cond: Expr = _slot(evaluated=True)
     then_body: "Stat" = _slot()
@@ -394,25 +543,25 @@ class If:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class While:
     cond: Expr = _slot()
     body: "Stat" = _slot()
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Break:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Return:
     exprs: Tuple[Expr, ...] = _slot(MANY, evaluated=True)
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class LoopFrame:
     """Runtime form: the active extent of a loop; break unwinds to here."""
 
@@ -420,7 +569,7 @@ class LoopFrame:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class ErrTerm:
     """Runtime form: an uncaught error object terminating the program."""
 
@@ -428,7 +577,7 @@ class ErrTerm:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class FinStat:
     """Runtime marker around an in-flight finalizer call (statement form)."""
 
@@ -436,7 +585,7 @@ class FinStat:
     pos: Optional[Pos] = _pos_field()
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class Block:
     """Parser-level statement list; folded away by desugaring."""
 
@@ -452,14 +601,6 @@ if TYPE_CHECKING:
     Stat = Union[Empty, Seq, Local, Assign, ExprStat, If, While, Break, Return,
                  LoopFrame, ErrTerm, FinStat, Block]
     Term = Union[Stat, Expr]
-
-compile_constructors(Pos, *VALUE_TYPES, *TERM_TYPES)
-
-# the value constants, made once the value classes have their constructors
-NIL = Nil()
-TRUE = Bool(True)
-FALSE = Bool(False)
-
 
 _STATS = frozenset(STAT_TYPES)
 
@@ -481,23 +622,17 @@ OWN = {cls: tuple(f.name for f in fields(cls)
                   if not f.metadata and f.name != "pos") for cls in TERM_TYPES}
 
 
-def _derive(params: str, body: str):
-    """``lambda <params>: <body>`` over this module's names, compiled once,
-    as ``dataclasses`` compiles ``__init__``: a table derived from the
-    schema holds one per class, so no step reads the schema."""
-    return eval(f"lambda {params}: {body}", globals())
-
-
 def rebuilder(cls: type, params: str, new: Dict[str, str],
-              parts: bool = False):
-    """``lambda t, <params>:`` a ``cls`` node that is ``t`` but for the
-    slots whose new contents ``new`` gives the source of; with ``parts``,
-    the class and that node's compared fields as a tuple, without the
-    node."""
+              parts: bool = False) -> str:
+    """The source of ``lambda t, <params>:`` a ``cls`` node that is ``t``
+    but for the slots whose new contents ``new`` gives the source of; with
+    ``parts``, the class and that node's compared fields as a tuple,
+    without the node.  ``compile_records`` compiles it."""
     args = "".join(new.get(f.name, "t." + f.name) + ", "
                    for f in fields(cls) if f.name != "pos")
-    return _derive("t, " + params, f"({cls.__name__}, {args})" if parts
-                   else f"{cls.__name__}({args}pos=t.pos)")
+    return (f"lambda t, {params}: "
+            + (f"({cls.__name__}, {args})" if parts
+               else f"{cls.__name__}({args}pos=t.pos)"))
 
 
 def _pairs_from(pairs, kids) -> tuple:
@@ -615,18 +750,29 @@ def _term_eq(self: Term, other) -> bool:
 # out as those (``rewrite``); a step of ``==``; and the dataclass's hash,
 # of the tuple of its compared fields.  The memo slots read by ``__hash__``
 # and ``summary`` are not dataclass fields: equality, ``replace`` and
-# printing ignore them.
-_KIDS, _BUILD, _SAME, _STRUCTURAL = {}, {}, {}, {}
+# printing ignore them.  The tables hold sources until ``compile_records``
+# turns them into functions, in the ``exec`` that compiles this module's
+# methods; so no step reads the schema.
+_KIDS, _BUILD, _SAME = {}, {}, {}
 for _cls in TERM_TYPES:
     _kids, _new, _same = _sources(_cls)
-    _KIDS[_cls] = _derive("t", _kids)
+    _KIDS[_cls] = "lambda t: " + _kids
     if _new:
         _BUILD[_cls] = rebuilder(_cls, "k", _new)
-    _SAME[_cls] = _derive("a, b", _same)
-    _STRUCTURAL[_cls] = _cls.__hash__
+    _SAME[_cls] = "lambda a, b: " + _same
     _cls._hash = _cls._summary = None
-    _cls.__hash__ = _term_hash
     _cls.__eq__ = _term_eq
+_NODES = (Pos, *VALUE_TYPES, *TERM_TYPES)
+_KIDS, _BUILD, _SAME = compile_records(*_NODES, direct=_NODES,
+                                       derived=(_KIDS, _BUILD, _SAME))
+_STRUCTURAL = {cls: cls.__hash__ for cls in TERM_TYPES}
+for _cls in TERM_TYPES:
+    _cls.__hash__ = _term_hash
+
+# the value constants, made once the value classes have their constructors
+NIL = Nil()
+TRUE = Bool(True)
+FALSE = Bool(False)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ text of the read are built only for a read that is reported.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import TYPE_CHECKING, Callable, Dict, FrozenSet, List, Set, Tuple
 
 from . import ast as A
@@ -61,7 +61,7 @@ if TYPE_CHECKING:
     from .statictypes import SType
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class Diagnostic:
     severity: str  # unsafe | warning | info
     reason: str  # weak-value-not-strongly-reachable | weak-table-nondeterminism | type-error
@@ -86,7 +86,7 @@ class Diagnostic:
         }
 
 
-@dataclass
+@A.record
 class AnalysisReport:
     origin: str
     verdict: str  # SAFE | UNSAFE | UNKNOWN
@@ -104,6 +104,9 @@ class AnalysisReport:
             "reason": self.reason,
             "diagnostics": [d.to_json() for d in self.diagnostics],
         }
+
+
+A.compile_records(Diagnostic, AnalysisReport)
 
 
 class _Checker:

@@ -24,7 +24,7 @@ with no Python loop over the live set.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from . import ast as A
@@ -51,7 +51,7 @@ def original_name(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@A.record
 class Points:
     """Pre-order numbering of one (shared, never rebuilt) tree."""
 
@@ -76,7 +76,7 @@ def number_points(t: A.Term) -> Points:
 _NONE: FrozenSet[Definition] = frozenset()
 
 
-@dataclass
+@A.record
 class ReachingDefs:
     """Definitions valid on entry to each statement point."""
 
@@ -90,6 +90,9 @@ class ReachingDefs:
         if stmt is None:
             stmt = self.stmts[bisect_right(self.stmts, point) - 1]
         return self.in_sets[stmt]
+
+
+A.compile_records(Points, ReachingDefs)
 
 
 def _define(live: FrozenSet[Definition], names: Tuple[str, ...], point: int,

@@ -52,7 +52,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple, Union
 
@@ -97,7 +97,7 @@ BOTTOM_BUDGET = "⊥(budget)"
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class Schedule:
     """A GC firing policy.
 
@@ -144,7 +144,7 @@ class Schedule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class ProgramResult:
     kind: str  # "return" | "error" | "empty" | "bottom" | "stuck"
     key: str  # canonical form; equal keys = equal observations
@@ -254,11 +254,6 @@ def result_of_finished(d: Finished,
     return ProgramResult(label, sys.intern(key))
 
 
-BOTTOM_FUEL_RESULT = ProgramResult("bottom", BOTTOM_FUEL)
-BOTTOM_BUDGET_RESULT = ProgramResult("bottom", BOTTOM_BUDGET)
-STUCK_RESULT = ProgramResult("stuck", "stuck")
-
-
 # ---------------------------------------------------------------------------
 # Finalizer splicing
 # ---------------------------------------------------------------------------
@@ -349,7 +344,7 @@ def _event(e: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@A.record
 class RunRecord:
     """A run's result, printed lines, trace and step count.  The trace is
     kept as ``events``, one tuple per event: the step, the kind and the
@@ -511,12 +506,12 @@ def run(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class ScheduleSampler:
     schedules: Tuple[Schedule, ...]
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class ExhaustiveExplorer:
     mode: str = "simple"
     step_bound: int = 200
@@ -526,7 +521,7 @@ class ExhaustiveExplorer:
     node_budget: int = 20_000
 
 
-@dataclass
+@A.record
 class ObservationSet:
     results: Dict[str, ProgramResult] = field(default_factory=dict)
     truncated: bool = False
@@ -776,7 +771,7 @@ def reach_equivalent(c1: Configuration, c2: Configuration) -> bool:
     return True
 
 
-@dataclass
+@A.record
 class PostponementReport:
     pairs_checked: int = 0
     failures: List[dict] = field(default_factory=list)
@@ -784,6 +779,16 @@ class PostponementReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+A.compile_records(Schedule, ProgramResult, RunRecord, ScheduleSampler,
+                  ExhaustiveExplorer, ObservationSet, PostponementReport)
+
+# the results without a final state, made once ``ProgramResult`` has its
+# constructor
+BOTTOM_FUEL_RESULT = ProgramResult("bottom", BOTTOM_FUEL)
+BOTTOM_BUDGET_RESULT = ProgramResult("bottom", BOTTOM_BUDGET)
+STUCK_RESULT = ProgramResult("stuck", "stuck")
 
 
 def check_postponement(

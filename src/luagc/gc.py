@@ -76,7 +76,7 @@ cycle (``GcOutcome.garbage_only``) as the node's one successor; see
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import field as dc_field, replace
 from typing import (
     TYPE_CHECKING, Callable, Dict, FrozenSet, Iterable, List, Optional, Set,
     Tuple, Union,
@@ -87,6 +87,8 @@ from .ast import (
     Location,
     Nil,
     Tid,
+    compile_records,
+    record,
     term_locations,
     value_locations,
 )
@@ -363,7 +365,7 @@ def not_fin_val(tid: int, theta: ObjectStore) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@record
 class GcOutcome:
     kept_sigma: ValueStore
     kept_theta: ObjectStore
@@ -399,6 +401,9 @@ class GcOutcome:
             and self.pending_finalizer is None
             and self.marked_forbidden is None
         )
+
+
+compile_records(GcOutcome)
 
 
 def _retain_ephemeron_values(

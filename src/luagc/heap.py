@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from functools import cached_property
 from typing import (
     TYPE_CHECKING, Dict, FrozenSet, Iterable, KeysView, List, Optional, Set,
@@ -40,12 +40,13 @@ from .ast import (
     Nil,
     Num,
     Str,
-    compile_constructors,
+    compile_records,
     summary,
     term_locations,
     to_source,
     _value_json,
     _value_loc,
+    record,
 )
 
 if TYPE_CHECKING:
@@ -85,7 +86,7 @@ def is_marked(mark: Mark) -> bool:
 Edge = Tuple[Optional[Location], Location]
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class TableObject:
     """A table.  It is immutable and shared by every store holding it (a
     write makes a new object), so what the collector derives from it is
@@ -211,7 +212,7 @@ class TableObject:
             f for j, f in enumerate(self.fields) if j not in gone))
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClosureObject:
     params: Tuple[str, ...]
     body: Stat
@@ -257,7 +258,7 @@ class _Keyed:
         return self._key_hash
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class ValueStore(_Keyed):
     bindings: Dict[int, Value] = field(default_factory=dict)
     next_id: int = 1
@@ -280,7 +281,7 @@ class ValueStore(_Keyed):
         return ValueStore(b, self.next_id)
 
 
-@dataclass(frozen=True, init=False)
+@record(frozen=True)
 class ObjectStore(_Keyed):
     """Tables and closures; the two id spaces are disjoint.
 
@@ -338,15 +339,13 @@ class ObjectStore(_Keyed):
                            index)
 
 
-compile_constructors(TableObject, ValueStore, ObjectStore)
-
 
 def _indexed(obj: TableObject) -> bool:
     """Does ``ObjectStore.meta_index`` hold this table?"""
     return obj.meta is not None or obj.pos is not UNSET
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Configuration:
     sigma: ValueStore
     theta: ObjectStore
@@ -356,6 +355,11 @@ class Configuration:
         """The collector's root set: the locations occurring in the term.
         A whole-term walk; a focused state derives it from its frames."""
         return set(term_locations(self.term))
+
+
+# every step builds a table or a store: their constructors write the dict
+compile_records(TableObject, ClosureObject, ValueStore, ObjectStore,
+                Configuration, direct=(TableObject, ValueStore, ObjectStore))
 
 
 # ---------------------------------------------------------------------------

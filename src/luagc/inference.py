@@ -21,7 +21,6 @@ reachability question is answered in terms of those labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from . import ast as A
@@ -77,7 +76,7 @@ if TYPE_CHECKING:
     InfType = Union[SType, TypeVar]
 
 
-@dataclass
+@A.record
 class Constraint:
     kind: str  # "subtype" | "equal" | "hasfield"
     parts: tuple
@@ -143,7 +142,7 @@ class FieldLog:
         return out
 
 
-@dataclass
+@A.record
 class TypedProgram:
     points: Points
     sites: List[Site]  # in walk order
@@ -151,6 +150,9 @@ class TypedProgram:
     # as the walk left them; deep_resolve gives a solved type
     decls: Dict[int, Dict[str, InfType]]
     functions: Dict[int, FuncType]
+
+
+A.compile_records(Constraint, TypedProgram)
 
 
 _BUILTIN_RESULT = {

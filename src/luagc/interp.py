@@ -66,7 +66,7 @@ the relation, with or without GC, is ``executor.Machine``'s job; under the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import field, replace
 from typing import (
     TYPE_CHECKING, Callable, Dict, KeysView, List, Optional, Sequence, Set,
     Tuple, Union,
@@ -157,7 +157,7 @@ class Redex:
         return f"Redex({self.rule!r}, {self.term!r})"
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class Finished:
     kind: str  # "return" | "error" | "empty"
     values: Tuple[Value, ...] = ()
@@ -450,7 +450,8 @@ def _put_target(n: Assign, i: int, obj: Term, key: Term) -> Assign:
 # which sit inside the target ``Index``.  A tuple slot is rebuilt by slicing
 # around the hole.  ``_LIST_OF`` gives a node type's evaluated tuple slot
 # and the slots of its holes (a constructor's fields are one list, each key
-# before its value); ``_LIST_SLOTS`` are the latter.
+# before its value); ``_LIST_SLOTS`` are the latter.  The derived entries
+# compile with this module's classes, below; here they are sources.
 _PLUG = {
     (Assign, "target_obj"): lambda n, i, c: _put_target(
         n, i, c, n.targets[i].key),
@@ -465,6 +466,8 @@ _PARTS = {
     for s in ("target_obj", "target_key")
 }
 _LIST_OF: Dict[type, Tuple[str, Tuple[str, ...]]] = {}
+_PLUG_SOURCES: Dict[Tuple[type, str], str] = {}
+_PARTS_SOURCES: Dict[Tuple[type, str], str] = {}
 for _cls, _slots in A.SLOTS.items():
     for _name, _shape, _evaluated in _slots:
         if not _evaluated:
@@ -476,9 +479,11 @@ for _cls, _slots in A.SLOTS.items():
                   else {_name + "_key": _around % f"(c, {_seq}[i][1])",
                         _name + "_value": _around % f"({_seq}[i][0], c)"})
         for _slot, _new in _holes.items():
-            _PLUG[_cls, _slot] = A.rebuilder(_cls, "i, c", {_name: _new})
-            _PARTS[_cls, _slot] = A.rebuilder(_cls, "i, c", {_name: _new},
-                                              parts=True)
+            _PLUG_SOURCES[_cls, _slot] = A.rebuilder(_cls, "i, c",
+                                                     {_name: _new})
+            _PARTS_SOURCES[_cls, _slot] = A.rebuilder(_cls, "i, c",
+                                                      {_name: _new},
+                                                      parts=True)
         if _shape != A.ONE:
             _LIST_OF[_cls] = (_name, tuple(_holes))
 _LIST_SLOTS = frozenset(s for _, holes in _LIST_OF.values() for s in holes)
@@ -622,7 +627,7 @@ class _Occurrences:
                         lost.add(l)
 
 
-@dataclass
+@A.record
 class Focused:
     """A configuration held as its stores and the split of its term.
 
@@ -704,6 +709,12 @@ class Focused:
         if type(at) is Redex:
             at = Redex(list(at.frames), at.term, at.rule)
         return Focused(sigma, theta, at, self._term, self._counted().fork())
+
+
+_plugs, _parts = A.compile_records(Finished, Focused,
+                                   derived=(_PLUG_SOURCES, _PARTS_SOURCES))
+_PLUG.update(_plugs)
+_PARTS.update(_parts)
 
 
 class StepResult:

@@ -13,7 +13,6 @@ about those labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple, Union
 
 from . import ast as A
@@ -22,7 +21,7 @@ from .heap import weak_keys, weak_values
 PRIMS = ("nil", "num", "bool", "str")
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class PrimType:
     name: str  # nil | num | bool | str
 
@@ -30,7 +29,7 @@ class PrimType:
         return self.name
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class SingletonType:
     value: A.Value  # Nil, Bool, Num or Str
     prim: str
@@ -39,13 +38,13 @@ class SingletonType:
         return f"<{A.print_value(self.value)}:{self.prim}>"
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class DynType:
     def __str__(self) -> str:
         return "dyn"
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class BuiltinFnType:
     name: str
 
@@ -53,7 +52,7 @@ class BuiltinFnType:
         return f"builtin({self.name})"
 
 
-@dataclass(frozen=True)
+@A.record(frozen=True)
 class FuncType:
     domain: Tuple["SType", ...]  # product of parameter types; () is unit
     result: "SType"
@@ -62,6 +61,9 @@ class FuncType:
     def __str__(self) -> str:
         dom = " x ".join(str(t) for t in self.domain) if self.domain else "()"
         return f"({dom} -> {self.result})"
+
+
+A.compile_records(PrimType, SingletonType, DynType, BuiltinFnType, FuncType)
 
 
 class TableType:

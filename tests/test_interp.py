@@ -1,17 +1,25 @@
+import importlib
 import inspect
+import json
+import os
+import pkgutil
+import subprocess
+import sys
 from dataclasses import (
-    MISSING, FrozenInstanceError, dataclass, fields, replace,
+    MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass,
+    make_dataclass, replace,
 )
 
 import pytest
 
+import luagc
 from luagc import ast as A
 from luagc import executor, interp
 from luagc.ast import Num, Str
 from luagc.desugar import desugar
 from luagc.executor import Machine, Schedule, run
 from luagc.gc import reach_set
-from luagc.heap import ObjectStore, TableObject, ValueStore, validate
+from luagc.heap import validate
 from luagc.interp import (
     Finished,
     Focused,
@@ -130,6 +138,15 @@ class TestDispatchTables:
         assert met == set(interp._CONTRACT)
 
 
+# Every dataclass of the package, each a record whose methods
+# ``compile_records`` compiled, in module and definition order.
+COMPILED = tuple(
+    cls for info in pkgutil.iter_modules(luagc.__path__)
+    for name, cls in vars(
+        importlib.import_module(f"luagc.{info.name}")).items()
+    if isinstance(cls, type) and is_dataclass(cls) and cls.__name__ == name
+    and cls.__module__ == f"luagc.{info.name}")
+
 # Every corpus program.  No corpus program negates an expression, computes
 # a constructor's key or runs a finalizer in expression position: below,
 # the table dies when the `and` drops it, before `f(2)` is evaluated.
@@ -139,10 +156,6 @@ SCHEMA_TEXTS = [p.read_text() for p in sorted(CORPUS.glob("*/*.lua"))] + [
     "local f = function(x) return x + 1 end\n"
     "return (setmetatable({}, mt) and 1) + f(2)\n",
 ]
-# Every class whose constructor the node schema compiles.
-COMPILED = (A.Pos, *A.VALUE_TYPES, *A.TERM_TYPES, TableObject, ValueStore,
-            ObjectStore)
-
 # The node kinds only reduction makes
 RUNTIME_FORMS = {A.CallFrame, A.LoopFrame, A.FinStat, A.ProtectedFrame,
                  A.FinWrap}
@@ -246,22 +259,23 @@ class TestNodeSchema:
                 assert all(getattr(copy, n) is getattr(x, n) for n in names)
                 for n in names:
                     assert getattr(replace(x, **{n: every[n]}), n) is every[n]
-                    with pytest.raises(FrozenInstanceError):
-                        setattr(x, n, None)
+                    if A._frozen(cls):
+                        with pytest.raises(FrozenInstanceError):
+                            setattr(x, n, None)
         with pytest.raises(TypeError):
             cls(*every.values(), None)
 
     def test_compiler_refuses_what_it_cannot_honour(self):
-        @dataclass(frozen=True, init=False)
+        @A.record(frozen=True)
         class Fine:
             a: int
 
-        @dataclass(frozen=True, init=False)
+        @A.record(frozen=True)
         class Slotted:
             __slots__ = ("a",)
             a: int
 
-        @dataclass(frozen=True, init=False)
+        @A.record(frozen=True)
         class PostInit:
             a: int
 
@@ -272,13 +286,217 @@ class TestNodeSchema:
         class Inited:
             a: int
 
-        for bad in (Slotted, PostInit, Inited):
+        @A.record
+        class KeywordOnly:
+            a: int = field(kw_only=True)
+
+        for bad in (Slotted, PostInit, Inited, KeywordOnly):
             with pytest.raises(TypeError):
-                A.compile_constructors(Fine, bad)
+                A.compile_records(Fine, bad)
         # refused before anything compiles
         assert "__init__" not in vars(Fine)
-        A.compile_constructors(Fine)
+        A.compile_records(Fine)
         assert Fine(1).a == 1 and vars(Fine(a=2)) == {"a": 2}
+
+
+def twin(cls):
+    """The dataclass ``dataclasses`` makes of ``cls``'s fields, frozen as
+    ``cls`` is, with the methods and attributes of ``cls``'s own that it
+    did not get from ``record`` or ``compile_records``: what ``cls`` would
+    be, declared with ``dataclass``."""
+    machinery = {"__dict__", "__weakref__", "__init__", "__doc__",
+                 "_repr_fields", "__dataclass_fields__",
+                 "__dataclass_params__", "__match_args__",
+                 *(f.name for f in fields(cls))}
+    shared = (A._record_repr, A._frozen_setattr, A._frozen_delattr,
+              A._term_eq, A._term_hash, None)
+    namespace = {k: v for k, v in vars(cls).items()
+                 if k not in machinery and not any(v is x for x in shared)
+                 and not compiled(v)}
+    if not cls.__doc__.startswith(cls.__name__ + "("):
+        namespace["__doc__"] = cls.__doc__
+    spec = [(f.name, f.type, field(
+        default=f.default, default_factory=f.default_factory, init=f.init,
+        repr=f.repr, hash=f.hash, compare=f.compare, metadata=f.metadata))
+        for f in fields(cls)]
+    return make_dataclass(cls.__name__, spec, bases=cls.__bases__,
+                          namespace=namespace, frozen=A._frozen(cls))
+
+
+def compiled(fn) -> bool:
+    """Did ``compile_records`` compile ``fn``?"""
+    code = getattr(fn, "__code__", None)
+    return code is not None and code.co_filename == "<string>"
+
+
+def sample(cls, k: int) -> dict:
+    """Arguments for every field of ``cls``: for a term's sub-term slot,
+    sub-terms, and for any other field the number ``k`` plus its index."""
+    slots = {name: shape for name, shape, _ in A.SLOTS.get(cls, ())}
+    out = {}
+    for i, f in enumerate(fields(cls)):
+        leaf = A.Const(A.Num(k + i))
+        out[f.name] = {A.ONE: leaf, A.MANY: (leaf,),
+                       A.PAIRS: ((None, leaf),)}.get(slots.get(f.name), k + i)
+    return out
+
+
+def unannotated(sig: inspect.Signature) -> inspect.Signature:
+    empty = inspect.Parameter.empty
+    return sig.replace(
+        parameters=[p.replace(annotation=empty)
+                    for p in sig.parameters.values()],
+        return_annotation=empty)
+
+
+# Counts the calls made during one ``import luagc``: of the function that
+# adds each method ``dataclasses`` compiles (``_create_fn``, from Python
+# 3.13 ``_FuncBuilder.add_fn``) and of ``inspect.signature``, and of
+# ``exec`` and ``eval`` from a ``luagc`` frame, per module being imported.
+IMPORT_COUNTS = """
+import builtins, collections, dataclasses, inspect, json, sys
+counts = collections.Counter()
+watched = {inspect.signature.__code__: "inspect.signature"}
+for fn in (getattr(dataclasses, "_create_fn", None),
+           getattr(getattr(dataclasses, "_FuncBuilder", None), "add_fn", None)):
+    if fn is not None:
+        watched[fn.__code__] = "_create_fn"
+def luagc_name(frame):
+    name = frame.f_globals.get("__name__", "")
+    return name if name.split(".")[0] == "luagc" else None
+def importing(frame):
+    while frame.f_code.co_name != "<module>" or not luagc_name(frame):
+        frame = frame.f_back
+    return luagc_name(frame)
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code in watched:
+        counts[watched[frame.f_code]] += 1
+    elif (event == "c_call" and (arg is builtins.exec or arg is builtins.eval)
+          and luagc_name(frame)):
+        counts["exec " + importing(frame)] += 1
+sys.setprofile(profile)
+import luagc
+sys.setprofile(None)
+print(json.dumps(counts))
+"""
+
+
+class TestRecords:
+    """Each dataclass of the package behaves as the one ``dataclasses``
+    makes of its fields, though none of its methods came from there."""
+
+    @pytest.mark.parametrize("cls", COMPILED, ids=lambda c: c.__name__)
+    def test_methods_match_the_dataclass(self, cls):
+        t = twin(cls)
+        sig = inspect.signature(cls)
+        assert [(p.name, p.kind, p.default) for p in sig.parameters.values()] \
+            == [(p.name, p.kind, p.default)
+                for p in inspect.signature(t).parameters.values()]
+        doc = t.__doc__
+        if doc.startswith(t.__name__ + "("):  # made by dataclasses
+            doc = t.__name__ + str(unannotated(inspect.signature(t)))
+        assert cls.__doc__ == doc
+        assert [(f.name, f.type, f.default, f.default_factory, f.init,
+                 f.repr, f.hash, f.compare, f.metadata)
+                for f in fields(cls)] == [
+            (f.name, f.type, f.default, f.default_factory, f.init, f.repr,
+             f.hash, f.compare, f.metadata) for f in fields(t)]
+        assert cls.__match_args__ == t.__match_args__ and is_dataclass(cls)
+        # equal (built from equal but fresh arguments) and unequal pairs
+        x, y, z = (cls(**sample(cls, k)) for k in (1, 1, 10))
+        tx, ty, tz = (t(**sample(cls, k)) for k in (1, 1, 10))
+        assert repr(x) == repr(tx) and repr(z) == repr(tz)
+        assert (x == y, x == z, x != z) == (tx == ty, tx == tz, tx != tz)
+        for o in (tx, object(), None):
+            assert x.__eq__(o) is NotImplemented and (x == o) is False
+        if A._frozen(cls):
+            assert (hash(x), hash(y), hash(z)) == (hash(tx), hash(ty),
+                                                   hash(tz))
+        else:
+            assert cls.__hash__ is None and t.__hash__ is None
+        changed = {f.name: getattr(z, f.name) for f in fields(cls)[:1]}
+        assert replace(x, **changed) == replace(y, **changed)
+        assert (replace(x, **changed) == x) == (replace(tx, **changed) == tx)
+        for name in [f.name for f in fields(cls)[:1]] + ["not_a_field"]:
+            got = []
+            for obj in (x, tx):
+                for act in (lambda o: setattr(o, name, 0),
+                            lambda o: delattr(o, name)):
+                    try:
+                        act(obj)
+                        got.append(None)
+                    except (FrozenInstanceError, AttributeError) as e:
+                        got.append((type(e), str(e)))
+            assert got[:2] == got[2:]
+
+    @pytest.mark.parametrize(
+        "cls", [c for c in COMPILED if A._frozen(c) and fields(c)],
+        ids=lambda c: c.__name__)
+    def test_frozen_subclass_may_set_what_is_not_a_field(self, cls):
+        name, got = fields(cls)[0].name, []
+        for base in (cls, twin(cls)):
+            obj = type("Sub", (base,), {})(**sample(cls, 1))
+            obj.extra = 1
+            del obj.extra
+            for act in (lambda: setattr(obj, name, 0),
+                        lambda: delattr(obj, name)):
+                with pytest.raises(FrozenInstanceError) as e:
+                    act()
+                got.append(str(e.value))
+        assert got[:2] == got[2:]
+
+    def test_equality_compares_field_tuples(self):
+        # NaN and signed zeros, whatever the Python version's dataclasses
+        nan = Num(float("nan"))
+        assert nan == nan and not nan != nan
+        assert Num(float("nan")) != Num(float("nan"))
+        assert Num(0.0) == Num(-0.0) and hash(Num(0.0)) == hash(Num(-0.0))
+        assert A.Const(Num(1.0), A.Pos(1, 1)) == A.Const(Num(1.0))
+        assert repr(A.Pos(1, 2)) == "Pos(line=1, col=2)"
+
+    def test_frozen_and_mutable_records_do_not_inherit_each_other(self):
+        @A.record
+        class Mutable:
+            a: int
+
+        @A.record(frozen=True)
+        class Frozen:
+            a: int
+
+        with pytest.raises(TypeError, match="cannot inherit frozen "
+                           "dataclass from a non-frozen one"):
+            @A.record(frozen=True)
+            class FrozenOfMutable(Mutable):
+                b: int = 0
+
+        with pytest.raises(TypeError, match="cannot inherit non-frozen "
+                           "dataclass from a frozen one"):
+            @A.record
+            class MutableOfFrozen(Frozen):
+                b: int = 0
+
+        @A.record(frozen=True)
+        class FrozenOfFrozen(Frozen):
+            b: int = 0
+
+        A.compile_records(Mutable, Frozen, FrozenOfFrozen)
+        x = FrozenOfFrozen(1)
+        assert (x.a, x.b) == (1, 0) and x == FrozenOfFrozen(1, 0)
+        assert repr(x) == "TestRecords.test_frozen_and_mutable_records_do_" \
+            "not_inherit_each_other.<locals>.FrozenOfFrozen(a=1, b=0)"
+        with pytest.raises(FrozenInstanceError):
+            x.b = 2
+
+    def test_import_compiles_one_batch_per_module(self):
+        env = {**os.environ,
+               "PYTHONPATH": os.path.dirname(os.path.dirname(luagc.__file__))}
+        proc = subprocess.run([sys.executable, "-c", IMPORT_COUNTS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)
+        assert counts.pop("_create_fn", 0) == 0
+        assert counts.pop("inspect.signature", 0) == 0
+        assert counts and all(n == 1 for n in counts.values()), counts
 
 
 class TestStepBasics:
