@@ -72,16 +72,14 @@ def record(cls=None, /, *, frozen: bool = False):
             cls.__doc__ = _UNDOCUMENTED
         cls = dataclass(cls, init=False, repr=False, eq=False)
         cls._repr_fields = tuple(f.name for f in fields(cls) if f.repr)
-        shared = {"__repr__": _record_repr}
+        if "__repr__" not in vars(cls):
+            cls.__repr__ = _record_repr
         if frozen:
             for name, fn in (("__setattr__", _frozen_setattr),
                              ("__delattr__", _frozen_delattr)):
                 if name in vars(cls):
                     raise TypeError(f"Cannot overwrite attribute {name} in "
                                     f"class {cls.__name__}")
-                shared[name] = fn
-        for name, fn in shared.items():
-            if name not in vars(cls):
                 setattr(cls, name, fn)
         return cls
     return wrap if cls is None else wrap(cls)
