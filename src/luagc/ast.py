@@ -22,9 +22,9 @@ methods come from the field list, not from ``dataclasses``: one ``exec``
 per module (``compile_records``) compiles each class's ``__init__``,
 ``__eq__`` and, if it is frozen, ``__hash__``, together with the module's
 derived functions; the frozen ``__setattr__``/``__delattr__`` and
-``repr`` are functions shared by every class.  The constructors of terms,
-values and ``Pos`` write the fields straight into the instance dict, as
-every step builds nodes; the classes stay frozen.  Source positions are
+``repr`` are functions shared by every class.  A frozen class's
+constructor writes the fields straight into the instance dict, past its
+``__setattr__``; a mutable class's assigns them.  Source positions are
 carried for diagnostics but excluded from equality so that structural
 comparison of reduced terms is meaningful.
 """
@@ -42,53 +42,34 @@ from typing import (
     TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
 )
 
-# A class docstring's place holder while ``dataclasses`` processes a record
-# that has none: a false one would have ``dataclasses`` make the docstring
-# from ``inspect.signature``, which ``compile_records`` makes from the
-# fields instead.
-_UNDOCUMENTED = "<no docstring>"
-
 
 def record(cls=None, /, *, frozen: bool = False):
     """``dataclass(cls, init=False, repr=False, eq=False)``, so that
     ``dataclasses`` compiles no method, then the methods every record
-    shares: the dataclass's ``repr`` and, if ``frozen``, its
-    ``__setattr__`` and ``__delattr__``, which raise
-    ``FrozenInstanceError``; that ``__setattr__`` is what marks the class
-    frozen.  ``fields``, ``replace``, ``is_dataclass`` and
-    ``__match_args__`` work as on any dataclass; ``compile_records`` gives
-    the class the rest.  As with ``dataclass``, a frozen class may not
-    inherit from a mutable dataclass, nor a mutable one from a frozen
-    dataclass."""
+    shares: the dataclass's ``repr`` and, if ``frozen``, a ``__setattr__``
+    and ``__delattr__`` that raise ``FrozenInstanceError``; that
+    ``__setattr__`` is what marks the class frozen.  ``fields``,
+    ``replace``, ``is_dataclass`` and ``__match_args__`` work as on any
+    dataclass; ``compile_records`` gives the class the rest.  A class
+    without a docstring gets its name as one, so that ``dataclasses``
+    makes none from ``inspect.signature``."""
     def wrap(cls):
-        bases = [b for b in cls.__mro__[1:]
-                 if "__dataclass_fields__" in vars(b)]
-        if bases and any(map(_frozen, bases)) != frozen:
-            raise TypeError(
-                "cannot inherit frozen dataclass from a non-frozen one"
-                if frozen else
-                "cannot inherit non-frozen dataclass from a frozen one")
         if not cls.__doc__:
-            cls.__doc__ = _UNDOCUMENTED
+            cls.__doc__ = cls.__name__
         cls = dataclass(cls, init=False, repr=False, eq=False)
         cls._repr_fields = tuple(f.name for f in fields(cls) if f.repr)
         if "__repr__" not in vars(cls):
             cls.__repr__ = _record_repr
         if frozen:
-            for name, fn in (("__setattr__", _frozen_setattr),
-                             ("__delattr__", _frozen_delattr)):
-                if name in vars(cls):
-                    raise TypeError(f"Cannot overwrite attribute {name} in "
-                                    f"class {cls.__name__}")
-                setattr(cls, name, fn)
+            cls.__setattr__ = _frozen_setattr
+            cls.__delattr__ = _frozen_delattr
         return cls
     return wrap if cls is None else wrap(cls)
 
 
 def _frozen(cls: type) -> bool:
-    """Is the dataclass ``cls`` frozen, as a record or as a dataclass?"""
-    return (cls.__setattr__ is _frozen_setattr
-            or cls.__dataclass_params__.frozen)
+    """Is the record ``cls`` frozen?"""
+    return cls.__setattr__ is _frozen_setattr
 
 
 @reprlib.recursive_repr()
@@ -99,26 +80,14 @@ def _record_repr(self) -> str:
                          for name in self._repr_fields]) + ")")
 
 
-def _frozen_owner(self, name: str, fn) -> type:
-    """The class in ``self``'s MRO whose own ``name`` method is ``fn``."""
-    return next(c for c in type(self).__mro__ if vars(c).get(name) is fn)
-
-
 def _frozen_setattr(self, name: str, value) -> None:
-    """The frozen dataclass's ``__setattr__``: a field, or any attribute
-    of an instance of the record itself, may not be set."""
-    cls = _frozen_owner(self, "__setattr__", _frozen_setattr)
-    if type(self) is cls or name in [f.name for f in fields(cls)]:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-    super(cls, self).__setattr__(name, value)
+    """The frozen dataclass's ``__setattr__``: no attribute may be set."""
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
 
 def _frozen_delattr(self, name: str) -> None:
     """The frozen dataclass's ``__delattr__``."""
-    cls = _frozen_owner(self, "__delattr__", _frozen_delattr)
-    if type(self) is cls or name in [f.name for f in fields(cls)]:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-    super(cls, self).__delattr__(name)
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _fields_tuple(o: str, fs) -> str:
@@ -126,26 +95,23 @@ def _fields_tuple(o: str, fs) -> str:
     return "(" + "".join(f"{o}.{f.name}," for f in fs) + ")"
 
 
-def compile_records(*classes: type, direct: Iterable[type] = (),
+def compile_records(*classes: type,
                     derived: Iterable[Dict] = ()) -> List[Dict]:
-    """Give each of ``classes``, records (or dataclasses declared with
-    ``init=False``), the methods ``dataclasses`` would have made from its
-    fields, all compiled in one ``exec``: an ``__init__`` with the same
-    parameters and defaults; ``__eq__``, which compares the tuples of the
-    compared fields of two instances of the same class, unless the class
-    has its own; and, for a frozen class without its own, ``__hash__``,
-    the hash of that tuple.  A mutable class without its own ``__hash__``
-    gets None.  The ``__init__`` of a class in ``direct`` writes each field
-    straight into the instance dict; any other assigns it, through
-    ``object.__setattr__`` if the class is frozen.  A record without a
-    docstring gets the dataclass's, ``Name(a, b=None, c=<factory>)``.
+    """Give each of the records ``classes`` the methods ``dataclasses``
+    would have made from its fields, all compiled in one ``exec``: an
+    ``__init__`` with the same parameters and defaults; ``__eq__``, which
+    compares the tuples of the compared fields of two instances of the
+    same class, unless the class has its own; and, for a frozen class
+    without its own, ``__hash__``, the hash of that tuple.  A mutable
+    class without its own ``__hash__`` gets None.  A frozen class's
+    ``__init__`` writes each field straight into the instance dict; a
+    mutable one's assigns it.
 
     ``derived`` are dicts of ``lambda`` sources over this module's names;
     they compile in the same ``exec``, and come back as dicts with the
     same keys, of the functions.  A class with ``__slots__``, its own
     ``__init__``, ``__post_init__`` or a field that is not a positional
     parameter is refused before anything compiles."""
-    direct = frozenset(direct)
     for cls in classes:
         if ("__slots__" in vars(cls) or "__init__" in vars(cls)
                 or hasattr(cls, "__post_init__")
@@ -157,25 +123,21 @@ def compile_records(*classes: type, direct: Iterable[type] = (),
     made: List[Tuple[type, str]] = []  # what each appended function is
     for i, cls in enumerate(classes):
         fs, frozen = fields(cls), _frozen(cls)
-        params, body, doc = ["self"], [], []
+        params, body = ["self"], []
         for f in fs:
             x = f.name
             if f.default is not MISSING:
                 values[f"_d{i}_{x}"] = f.default
                 params.append(f"{x}=_d{i}_{x}")
-                doc.append(f"{x}={f.default!r}")
             elif f.default_factory is not MISSING:
                 values[f"_f{i}_{x}"] = f.default_factory
                 params.append(f"{x}=_FACTORY")
-                doc.append(f"{x}=<factory>")
                 x = f"_f{i}_{x}() if {x} is _FACTORY else {x}"
             else:
                 params.append(x)
-                doc.append(x)
-            body.append(f"_self_dict[{f.name!r}] = {x}" if cls in direct
-                        else f"object.__setattr__(self, {f.name!r}, {x})"
-                        if frozen else f"self.{f.name} = {x}")
-        if cls in direct and body:
+            body.append(f"_self_dict[{f.name!r}] = {x}" if frozen
+                        else f"self.{f.name} = {x}")
+        if frozen and body:
             body.insert(0, "_self_dict = self.__dict__")
         methods = [("__init__", ", ".join(params), body or ["pass"])]
         compared = [f for f in fs if f.compare]
@@ -185,16 +147,10 @@ def compile_records(*classes: type, direct: Iterable[type] = (),
                 f"    return {_fields_tuple('self', compared)}=="
                 f"{_fields_tuple('other', compared)}",
                 "return NotImplemented"]))
-        own_hash = vars(cls).get("__hash__", MISSING)
-        # as ``dataclasses`` tells an explicit hash: the None that Python
-        # sets beside a class body's own ``__eq__`` is not one
-        if own_hash is MISSING or (own_hash is None
-                                   and "__eq__" in vars(cls)):
+        if "__hash__" not in vars(cls):
             if frozen:
-                hashed = [f for f in fs
-                          if (f.compare if f.hash is None else f.hash)]
                 methods.append(("__hash__", "self", [
-                    f"return hash({_fields_tuple('self', hashed)})"]))
+                    f"return hash({_fields_tuple('self', compared)})"]))
             else:
                 cls.__hash__ = None
         for name, args, lines in methods:
@@ -202,8 +158,6 @@ def compile_records(*classes: type, direct: Iterable[type] = (),
                        + "".join(f"        {line}\n" for line in lines)
                        + f"    _made.append({name})\n")
             made.append((cls, name))
-        if cls.__doc__ is _UNDOCUMENTED:
-            cls.__doc__ = f"{cls.__name__}({', '.join(doc)})"
     derived = list(derived)
     for table in derived:
         src.extend(f"    _made.append({lam})\n" for lam in table.values())
@@ -312,6 +266,13 @@ class Builtin:
 
     def __repr__(self) -> str:
         return f"function: builtin:{self.name}"
+
+
+# The builtins a program's globals table binds, by name.
+BUILTINS = (
+    "print", "error", "pcall", "setmetatable", "getmetatable",
+    "tostring", "collectgarbage",
+)
 
 
 VALUE_TYPES = (Nil, Bool, Num, Str, Tid, Cid, Builtin)
@@ -760,8 +721,7 @@ for _cls in TERM_TYPES:
     _SAME[_cls] = "lambda a, b: " + _same
     _cls._hash = _cls._summary = None
     _cls.__eq__ = _term_eq
-_NODES = (Pos, *VALUE_TYPES, *TERM_TYPES)
-_KIDS, _BUILD, _SAME = compile_records(*_NODES, direct=_NODES,
+_KIDS, _BUILD, _SAME = compile_records(Pos, *VALUE_TYPES, *TERM_TYPES,
                                        derived=(_KIDS, _BUILD, _SAME))
 _STRUCTURAL = {cls: cls.__hash__ for cls in TERM_TYPES}
 for _cls in TERM_TYPES:

@@ -6,8 +6,9 @@ explorer, JSON), ``properties`` (corpus-level property experiments),
 ``check`` (the static analyzer), ``dump-ast`` (deterministic AST dump).
 
 Program-level output goes to stdout; telemetry goes to stderr or JSON.
-Seeds default to the LUAGC_SEED environment variable (else 0), so every
-command is reproducible from its flags alone.
+Seeds default to the LUAGC_SEED environment variable (else 0; a value
+that is not an integer is an input error), so every command is
+reproducible from its flags alone.
 """
 
 from __future__ import annotations
@@ -35,10 +36,7 @@ from .parser import LuaSyntaxError, parse
 
 
 def _default_seed() -> int:
-    try:
-        return int(os.environ.get("LUAGC_SEED", "0"))
-    except ValueError:
-        return 0
+    return int(os.environ.get("LUAGC_SEED", "0"))
 
 
 def _tokens(spec: str, arg: str, most: int) -> List[str]:
@@ -148,6 +146,28 @@ def _parse_explorer(spec: str, mode: str, seed: int):
     raise ValueError(f"unknown explorer {spec!r}")
 
 
+# The name of each JSON type a manifest entry may be asked to have
+_JSON_TYPES = {str: "string", int: "integer", dict: "object"}
+
+
+def _entry(spec: dict, name: str, kind, where: str, default=None):
+    """``spec[name]``, or ``default`` when ``spec`` has no ``name``.  It
+    must be a ``kind``, one of ``_JSON_TYPES``, or a list of them when
+    ``kind`` is ``[type]``."""
+    if name not in spec:
+        return default
+    x = spec[name]
+    if type(kind) is list:
+        ok = type(x) is list and all(type(y) is kind[0] for y in x)
+        what = f"a list of JSON {_JSON_TYPES[kind[0]]}s"
+    else:
+        ok = type(x) is kind
+        what = f"a JSON {_JSON_TYPES[kind]}"
+    if not ok:
+        raise ValueError(f"{where}: {name!r} must be {what}")
+    return x
+
+
 def _observe_inputs(args):
     """The program path, explorer description, explorer and fuel that an
     ``observe`` command names, by flags or by a manifest."""
@@ -157,23 +177,28 @@ def _observe_inputs(args):
         seed = args.seed if args.seed is not None else _default_seed()
         explorer = _parse_explorer(args.explorer, _mode(args.mode), seed)
         return args.file, args.explorer, explorer, args.fuel
-    spec = json.loads(Path(args.manifest).read_text())
+    where = args.manifest
+    spec = json.loads(Path(where).read_text())
     if not isinstance(spec, dict) or "program" not in spec:
-        raise ValueError(f"{args.manifest}: a manifest is a JSON object "
+        raise ValueError(f"{where}: a manifest is a JSON object "
                          "with a \"program\" entry")
-    mode = _mode(spec.get("mode", "fin-weak"))
-    seed = spec.get("seed", _default_seed())
-    explorer_spec = spec.get("explorer", "exhaustive")
-    schedules = spec.get("schedules")  # list of gc policy specs
+    program = _entry(spec, "program", str, where)
+    mode = _mode(_entry(spec, "mode", str, where, "fin-weak"))
+    seed = _entry(spec, "seed", int, where)
+    if seed is None:
+        seed = _default_seed()
+    explorer_spec = _entry(spec, "explorer", str, where, "exhaustive")
+    schedules = _entry(spec, "schedules", [str], where)  # gc policy specs
     if schedules is None:
         explorer = _parse_explorer(explorer_spec, mode, seed)
     else:
         base = [parse_gc_spec(s, mode, seed) for s in schedules]
         base += [Schedule("random", mode, seed=s, probability=0.3)
-                 for s in spec.get("seeds", [])]
+                 for s in _entry(spec, "seeds", [int], where, [])]
         explorer = ScheduleSampler(tuple(base))
         explorer_spec = "schedules:" + ",".join(schedules)
-    return spec["program"], explorer_spec, explorer, spec.get("fuel", 10_000)
+    return program, explorer_spec, explorer, _entry(spec, "fuel", int, where,
+                                                    10_000)
 
 
 def cmd_observe(args) -> int:
@@ -297,7 +322,9 @@ def _load_manifest(corpus_dir: Path) -> List[dict]:
         raise ValueError(f"{manifest}: a manifest is a JSON list of objects "
                          "with a \"path\" entry")
     for e in entries:
-        e["path"] = str(corpus_dir / e["path"])
+        _entry(e, "class", str, manifest)
+        _entry(e, "expected", dict, manifest)
+        e["path"] = str(corpus_dir / _entry(e, "path", str, manifest))
     return entries
 
 
@@ -380,8 +407,6 @@ def cmd_properties(args) -> int:
                         {"path": e["path"], "schedule": sched.describe(),
                          "finalized": finalized}
                     )
-    else:
-        return _error(f"unknown property {args.property!r}")
 
     report = {
         "property": args.property,

@@ -235,27 +235,18 @@ class _Keyed:
     """A store's ``key``: its entries in insertion order and its counters.
     Stores with equal keys are equal; equal stores whose entries went in
     in another order have different keys.  The key and its hash
-    (``key_hash``) are computed on first read and memoized on the store,
+    (``key_hash``) are cached properties, as ``TableObject``'s memos are,
     so the states that share a store share them.  They are not fields, so
     equality ignores them, and writes and ``replace`` build stores without
     them."""
 
-    _key: Optional[tuple] = None
-    _key_hash: int = 0
-
-    @property
+    @cached_property
     def key(self) -> tuple:
-        if self._key is None:
-            key = self._entries()
-            object.__setattr__(self, "_key", key)
-            object.__setattr__(self, "_key_hash", hash(key))
-        return self._key
+        return self._entries()
 
-    @property
+    @cached_property
     def key_hash(self) -> int:
-        if self._key is None:
-            self.key  # sets the hash with the key
-        return self._key_hash
+        return hash(self.key)
 
 
 @record(frozen=True)
@@ -357,9 +348,8 @@ class Configuration:
         return set(term_locations(self.term))
 
 
-# every step builds a table or a store: their constructors write the dict
 compile_records(TableObject, ClosureObject, ValueStore, ObjectStore,
-                Configuration, direct=(TableObject, ValueStore, ObjectStore))
+                Configuration)
 
 
 # ---------------------------------------------------------------------------

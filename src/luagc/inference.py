@@ -207,9 +207,7 @@ class _Inferencer:
         self.decls: Dict[int, Dict[str, InfType]] = {}
         self.functions: Dict[int, FuncType] = {}
         self.global_type = TableType(
-            {A.Str(n): BuiltinFnType(n) for n in
-             ("print", "error", "pcall", "setmetatable", "getmetatable",
-              "tostring", "collectgarbage")},
+            {A.Str(n): BuiltinFnType(n) for n in A.BUILTINS},
             "strong",
         )
         self.return_stack: List[List[InfType]] = []

@@ -737,12 +737,6 @@ class StepResult:
         return self.state.config
 
 
-BUILTINS = (
-    "print", "error", "pcall", "setmetatable", "getmetatable",
-    "tostring", "collectgarbage",
-)
-
-
 def render(v: Value) -> str:
     """print-style rendering; table/closure identities are canonical ids."""
     if isinstance(v, Str):
@@ -1117,7 +1111,7 @@ def _call_builtin(name: str, args: List[Value], t: Call, theta: ObjectStore,
 def load_term(term: Term) -> Configuration:
     """Build the initial configuration: allocate the global-environment
     table (holding the builtins) and patch the globals placeholder."""
-    fields = tuple((Str(n), A.Builtin(n)) for n in BUILTINS)
+    fields = tuple((Str(n), A.Builtin(n)) for n in A.BUILTINS)
     theta, gtid = alloc_table(ObjectStore(), fields)
     patched = _patch_globals(term, gtid)
     return Configuration(ValueStore(), theta, patched)

@@ -246,6 +246,10 @@ def assert_one_error_line(code, out, err):
 ARITH = str(CORPUS / "deterministic" / "arith.lua")
 
 
+def argv_id(argv):
+    return " ".join(a.replace(str(CORPUS), "corpus") for a in argv)
+
+
 @pytest.mark.parametrize("argv", [
     ["run", ARITH, "--gc", "bogus"],
     ["run", ARITH, "--gc", "periodic=x"],
@@ -265,8 +269,17 @@ ARITH = str(CORPUS / "deterministic" / "arith.lua")
     ["properties", str(CORPUS), "--property", "correctness", "--seeds", "a"],
     ["observe", "--manifest", str(CORPUS / "no-such-manifest.json")],
     ["observe"],
-], ids=lambda argv: " ".join(a.replace(str(CORPUS), "corpus") for a in argv))
+], ids=argv_id)
 def test_malformed_input_is_one_error_line(argv, capsys):
+    assert_one_error_line(*run_cli(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", ARITH, "--gc", "random"],
+    ["observe", ARITH, "--explorer", "sample=2"],
+], ids=argv_id)
+def test_malformed_seed_variable_is_one_error_line(argv, monkeypatch, capsys):
+    monkeypatch.setenv("LUAGC_SEED", "abc")
     assert_one_error_line(*run_cli(capsys, *argv))
 
 
@@ -292,9 +305,29 @@ def test_zero_bounds_are_accepted(spec, keys, capsys):
     '[{"path": "bad.lua", "class": "deterministic"}]',
     '[{"class": "deterministic"}]',
     '{"path": "bad.lua"}',
-], ids=["syntax-error", "no-path", "not-a-list"])
+    '[{"path": 5}]',
+    '[{"path": "ok.lua", "expected": []}]',
+], ids=["syntax-error", "no-path", "not-a-list", "path-not-a-string",
+        "expected-not-an-object"])
 def test_malformed_corpus_is_one_error_line(manifest, tmp_path, capsys):
     (tmp_path / "bad.lua").write_text("local = ")
+    (tmp_path / "ok.lua").write_text("return 1")
     (tmp_path / "manifest.json").write_text(manifest)
     assert_one_error_line(*run_cli(
-        capsys, "properties", str(tmp_path), "--property", "correctness"))
+        capsys, "properties", str(tmp_path), "--property", "determinism"))
+
+
+@pytest.mark.parametrize("fields", [
+    {"program": 5},
+    {"explorer": 5},
+    {"schedules": [5]},
+    {"schedules": ["never"], "seeds": ["a"]},
+    {"fuel": "x"},
+    {"explorer": "sample=2", "seed": "x"},
+    {"mode": []},
+], ids=json.dumps)
+def test_malformed_manifest_is_one_error_line(fields, tmp_path, capsys):
+    manifest = tmp_path / "exp.json"
+    manifest.write_text(json.dumps({"program": ARITH, **fields}))
+    assert_one_error_line(*run_cli(capsys, "observe", "--manifest",
+                                   str(manifest)))

@@ -689,13 +689,13 @@ class TestTableMemos:
         sigma, theta = c.sigma, c.theta
         assert "_hash" in vars(theta.table(1))
         for store in (sigma, theta):
-            assert "_key" in vars(store) and "_key_hash" in vars(store)
+            assert "key" in vars(store) and "key_hash" in vars(store)
         bare_sigma = ValueStore(dict(sigma.bindings), sigma.next_id)
         bare_theta = ObjectStore(dict(theta.tables), dict(theta.closures),
                                  theta.next_tid, theta.next_cid)
         assert sigma == bare_sigma and theta == bare_theta
         for store, bare in ((sigma, bare_sigma), (theta, bare_theta)):
-            assert "_key" not in vars(bare)
+            assert "key" not in vars(bare)
             assert (store.key, store.key_hash) == (bare.key, bare.key_hash)
         # no write carries them
         t = theta.table(1)
@@ -709,7 +709,7 @@ class TestTableMemos:
             replace(theta, next_tid=theta.next_tid + 1),
         ]
         for store in stores:
-            assert "_key" not in vars(store) and "_key_hash" not in vars(store)
+            assert "key" not in vars(store) and "key_hash" not in vars(store)
         for table in (t.set(Num(1), Num(2)), t.without_fields([0]),
                       replace(t, meta=None)):
             assert "_hash" not in vars(table)
