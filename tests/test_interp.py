@@ -429,6 +429,25 @@ class TestRecords:
                         got.append((type(e), str(e)))
             assert got[:2] == got[2:]
 
+    @pytest.mark.parametrize("cls", COMPILED, ids=lambda c: c.__name__)
+    def test_constructor_fills_the_instance_dict(self, cls):
+        # a frozen record's __init__ writes the dict, a mutable one's
+        # assigns: either way the instance holds what the dataclass's does
+        t, args = twin(cls), sample(cls, 1)
+        x = cls(**args)
+        assert list(vars(x).items()) == list(vars(t(**args)).items())
+        assert all(vars(x)[name] is v for name, v in args.items())
+        assert list(vars(cls(*args.values())).items()) \
+            == list(vars(x).items())
+        required = {f.name: args[f.name] for f in fields(cls)
+                    if f.default is MISSING and f.default_factory is MISSING}
+        bare, bare_t = cls(**required), t(**required)
+        assert list(vars(bare).items()) == list(vars(bare_t).items())
+        again, again_t = cls(**required), t(**required)
+        for f in fields(cls):
+            assert (getattr(bare, f.name) is getattr(again, f.name)) \
+                == (getattr(bare_t, f.name) is getattr(again_t, f.name))
+
     def test_equality_compares_field_tuples(self):
         # NaN and signed zeros, whatever the Python version's dataclasses
         nan = Num(float("nan"))
